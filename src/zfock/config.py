@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 from .fock import Indicatrix, RapidityGrid
@@ -55,6 +56,11 @@ class RunConfig:
             return ScatteringModel.sinh_exp(float(data.get("a", 0.0)))
         values = [complex(re, im) for re, im in data.get("values", [])]
         return ScatteringModel.tabulated(data.get("thetas", []), values)
+
+
+def _is_int(value) -> bool:
+    """JSON integers only; booleans are ints to Python but not to the config."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _check_scattering(data, problems: list[str]) -> dict:
@@ -128,7 +134,7 @@ def parse_config(text: str) -> RunConfig:
         problems.append(str(exc))
 
     truncation = data.get("truncation")
-    if not isinstance(truncation, int) or truncation < 1:
+    if not _is_int(truncation) or truncation < 1:
         problems.append(f"truncation must be a positive integer, got {truncation!r}")
         truncation = 1
 
@@ -136,20 +142,25 @@ def parse_config(text: str) -> RunConfig:
     omega = _build_omega(data.get("omega", {"family": "zero"}), problems)
 
     seed = data.get("seed", 0)
-    if not isinstance(seed, int):
+    if not _is_int(seed):
         problems.append(f"seed must be an integer, got {seed!r}")
         seed = 0
 
     instances = data.get("instances", 12)
-    if not isinstance(instances, int) or instances < 1:
+    if not _is_int(instances) or instances < 1:
         problems.append(f"instances must be a positive integer, got {instances!r}")
         instances = 12
 
     tolerances = data.get("tolerances", {})
-    if not isinstance(tolerances, dict) or not all(
-            isinstance(k, str) and isinstance(v, (int, float)) for k, v in tolerances.items()):
-        problems.append("tolerances must map names to numbers")
+    if not isinstance(tolerances, dict):
+        problems.append("tolerances must map check names to numbers")
         tolerances = {}
+    for name, value in tolerances.items():
+        # the comparison is false for NaN; the upper bound excludes infinities
+        if not ((_is_int(value) or isinstance(value, float))
+                and 0 <= value <= sys.float_info.max):
+            problems.append(f"tolerance for {name!r} must be a finite non-negative "
+                            f"number, got {value!r}")
 
     suites = tuple(data.get("suites", SUITES))
     unknown = [s for s in suites if s not in SUITES]

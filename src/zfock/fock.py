@@ -61,11 +61,6 @@ class RapidityGrid:
         return RapidityGrid(tuple(p - lam for p in self.points), self.mass)
 
 
-def energy(thetas: Sequence[float]) -> float:
-    """Dimensionless sector energy: sum of cosh over the tuple (0 for empty)."""
-    return float(sum(math.cosh(t) for t in thetas))
-
-
 @lru_cache(maxsize=None)
 def basis_tuples(N: int, n: int) -> np.ndarray:
     """All lattice multi-indices of length n, row-major; shape (N**n, n)."""
@@ -229,10 +224,6 @@ class FockState:
         return FockState(self.grid, [c * a for a in self.sectors], self.truncated)
 
     __rmul__ = __mul__
-
-
-def is_s_symmetric(model: ScatteringModel, state: FockState, tol: float = 1e-12) -> bool:
-    return s_symmetry_residual(model, state) <= tol
 
 
 def s_symmetry_residual(model: ScatteringModel, state: FockState) -> float:

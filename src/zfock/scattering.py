@@ -136,10 +136,6 @@ class ScatteringModel:
         return ScatteringModel(TABLE, table=tuple((t, np.conj(v)) for t, v in self.table))
 
 
-def eval_s(model: ScatteringModel, theta: float) -> complex:
-    return model.value(theta)
-
-
 @dataclass(frozen=True)
 class Permutation:
     """Bijection of {1..n}, stored as the tuple of images (images[i-1] = sigma(i))."""

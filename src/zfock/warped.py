@@ -42,9 +42,6 @@ class SkewSymmetricQ:
         if not (math.isfinite(self.a) and math.isfinite(self.mass) and self.mass > 0):
             raise ValueError("deformation needs finite a and positive mass")
 
-    def matrix(self) -> np.ndarray:
-        return -(self.a / (2.0 * self.mass**2)) * np.array([[0.0, 1.0], [1.0, 0.0]])
-
     def pairing(self, x: Sequence[float], y: Sequence[float]) -> float:
         """Minkowski product x . (Q y)."""
         c = -self.a / (2.0 * self.mass**2)
@@ -237,18 +234,7 @@ def q_commutator(A: QuadraticForm, B: QuadraticForm, Q: SkewSymmetricQ) -> Quadr
 
 
 # ---------------------------------------------------------------------------
-# number parity and the graded commutator
-
-
-def parity_of(A: QuadraticForm) -> int | None:
-    """0 for even, 1 for odd under particle-number parity, None if mixed or zero."""
-    seen = set()
-    for (l, k), mat in A.blocks.items():
-        if np.any(mat != 0):
-            seen.add((l - k) % 2)
-    if len(seen) == 1:
-        return seen.pop()
-    return None
+# number parity
 
 
 def parity_split(A: QuadraticForm) -> tuple[QuadraticForm, QuadraticForm]:
@@ -257,15 +243,6 @@ def parity_split(A: QuadraticForm) -> tuple[QuadraticForm, QuadraticForm]:
     odd = {key: mat for key, mat in A.blocks.items() if (key[0] - key[1]) % 2 == 1}
     return (QuadraticForm(A.grid, A.truncation, even, A.truncated),
             QuadraticForm(A.grid, A.truncation, odd, A.truncated))
-
-
-def graded_commutator(A: QuadraticForm, B: QuadraticForm) -> QuadraticForm:
-    """Commutator twisted by number parity: anticommutator when both are odd."""
-    pa, pb = parity_of(A), parity_of(B)
-    if pa is None or pb is None:
-        raise ValueError("graded commutator needs definite-parity operators")
-    sign = -1.0 if (pa and pb) else 1.0
-    return (A @ B) - sign * (B @ A)
 
 
 # ---------------------------------------------------------------------------
@@ -381,45 +358,6 @@ def deformed_monomial(grid: RapidityGrid, truncation: int, Q: SkewSymmetricQ,
     return total
 
 
-def _nested_tensor(A: QuadraticForm, m: int, n: int,
-                   creators: Sequence[QuadraticForm],
-                   annihilators: Sequence[QuadraticForm],
-                   wrap_creator: Callable[[QuadraticForm, QuadraticForm, int], QuadraticForm],
-                   wrap_annihilator: Callable[[QuadraticForm, QuadraticForm, int], QuadraticForm],
-                   base_parity: int = 0) -> np.ndarray:
-    """Vacuum expectation of nested wraps, on every lattice tuple.
-
-    Creator wraps nest first (last incoming slot innermost), then
-    annihilator wraps (first outgoing slot innermost).  The wrap callables
-    receive the running parity of the nested operand.
-    """
-    N = A.grid.size
-    layer: dict[tuple[int, ...], QuadraticForm] = {(): A}
-    parity = base_parity
-    for _ in range(n):
-        new = {}
-        for key, X in layer.items():
-            for g in range(N):
-                new[(g,) + key] = wrap_creator(X, creators[g], parity)
-        layer = new
-        parity ^= 1
-    out = np.zeros((N,) * (m + n), dtype=complex)
-    for eta_key, X0 in layer.items():
-        sub: dict[tuple[int, ...], QuadraticForm] = {(): X0}
-        subparity = parity
-        for _ in range(m):
-            new = {}
-            for key, X in sub.items():
-                for g in range(N):
-                    new[key + (g,)] = wrap_annihilator(annihilators[g], X, subparity)
-            sub = new
-            subparity ^= 1
-        for theta_key, X in sub.items():
-            blk = X.blocks.get((0, 0))
-            out[theta_key + eta_key] = blk[0, 0] if blk is not None else 0.0
-    return out
-
-
 def _nested_family(A: QuadraticForm, total: int,
                    creators: Sequence[QuadraticForm],
                    annihilators: Sequence[QuadraticForm],
@@ -497,37 +435,12 @@ def _q_wraps(Q: SkewSymmetricQ):
     return wrapc, wrapa
 
 
-def nested_free_coefficients(A: QuadraticForm, m: int, n: int) -> KernelTensor:
-    """Vacuum expectations of plain nested commutators with free ladder operators."""
-    creators, annihilators = _point_ladder(ScatteringModel.free(), A.grid, A.truncation)
-    wrapc, wrapa = _plain_wraps()
-    return KernelTensor(m, n, _nested_tensor(A, m, n, creators, annihilators, wrapc, wrapa))
-
-
 def nested_free_family(A: QuadraticForm, total: int) -> dict[tuple[int, int], KernelTensor]:
     """Plain nested commutator tensors for all m + n <= total, shared layers."""
     creators, annihilators = _point_ladder(ScatteringModel.free(), A.grid, A.truncation)
     wrapc, wrapa = _plain_wraps()
     raw = _nested_family(A, total, creators, annihilators, wrapc, wrapa)
     return {mn: KernelTensor(mn[0], mn[1], v) for mn, v in raw.items()}
-
-
-def nested_graded_coefficients(A: QuadraticForm, m: int, n: int) -> KernelTensor:
-    """Nested graded commutators with the sign-exchange ladder operators.
-
-    A is split by number parity and each definite-parity part is nested
-    with the parity-tracked graded commutator.
-    """
-    creators, annihilators = _point_ladder(ScatteringModel.ising(), A.grid, A.truncation)
-    wrapc, wrapa = _graded_wraps()
-    N = A.grid.size
-    out = np.zeros((N,) * (m + n), dtype=complex)
-    for part, par in zip(parity_split(A), (0, 1)):
-        if not part.blocks:
-            continue
-        out += _nested_tensor(part, m, n, creators, annihilators, wrapc, wrapa,
-                              base_parity=par)
-    return KernelTensor(m, n, out)
 
 
 def nested_graded_family(A: QuadraticForm, total: int) -> dict[tuple[int, int], KernelTensor]:
@@ -545,15 +458,6 @@ def nested_graded_family(A: QuadraticForm, total: int) -> dict[tuple[int, int], 
         for mn, v in raw.items():
             out[mn] += v
     return {mn: KernelTensor(mn[0], mn[1], v) for mn, v in out.items()}
-
-
-def nested_q_coefficients(A: QuadraticForm, Q: SkewSymmetricQ, m: int,
-                          n: int) -> KernelTensor:
-    """Nested deformed commutators with deformed ladder operators."""
-    _check_mass(A, Q)
-    creators, annihilators = _deformed_point_ladder(A.grid, A.truncation, Q)
-    wrapc, wrapa = _q_wraps(Q)
-    return KernelTensor(m, n, _nested_tensor(A, m, n, creators, annihilators, wrapc, wrapa))
 
 
 def nested_q_family(A: QuadraticForm, Q: SkewSymmetricQ,

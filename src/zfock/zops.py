@@ -16,8 +16,8 @@ from functools import lru_cache
 import numpy as np
 
 from .fock import FockState, Indicatrix, RapidityGrid, energy_grid
-from .scattering import (Permutation, ScatteringModel, all_permutations,
-                         s_sigma_grid, symmetrize)
+from .scattering import (ScatteringModel, all_permutations, s_sigma_grid,
+                         symmetrize)
 
 
 @dataclass
@@ -197,15 +197,6 @@ class QuadraticForm:
         """Largest block Frobenius norm; a size reference for residuals."""
         return max((float(np.linalg.norm(m)) for m in self.blocks.values()), default=0.0)
 
-    def project_symmetric(self, model: ScatteringModel) -> "QuadraticForm":
-        """Sandwich every block between sector symmetrizers."""
-        blocks = {}
-        for (l, k), mat in self.blocks.items():
-            Pl = symmetrizer_matrix(model, self.grid, l)
-            Pk = symmetrizer_matrix(model, self.grid, k)
-            blocks[(l, k)] = Pl @ mat @ Pk
-        return QuadraticForm(self.grid, self.truncation, blocks, self.truncated)
-
 
 def identity_form(model: ScatteringModel, grid: RapidityGrid, truncation: int) -> QuadraticForm:
     """Identity of the symmetric subspace: one symmetrizer per sector."""
@@ -320,10 +311,6 @@ def zmzn_form(model: ScatteringModel, kernel: KernelTensor, grid: RapidityGrid,
         Pk = symmetrizer_matrix(model, grid, k)
         blocks[(l, k)] = c * (Pl @ raw @ Pk)
     return QuadraticForm(grid, K, blocks, truncated=dropped)
-
-
-def adjoint_form(A: QuadraticForm) -> QuadraticForm:
-    return A.adjoint()
 
 
 # ---------------------------------------------------------------------------

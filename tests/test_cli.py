@@ -104,11 +104,39 @@ def test_verify_fail_fast_on_broken_table(tmp_path, capsys):
     assert "fail" in out
     assert "fail-fast" in out
 
+    # without the scattering suite the gate row is still reported, first
+    cfg = write_config(tmp_path, base_config(scattering=table, suites=["fock", "warped"]))
+    report = tmp_path / "report.csv"
+    assert main(["verify", "--config", str(cfg), "--report", str(report)]) == 1
+    rows = report.read_text().splitlines()[1:]
+    assert rows[0] == "scattering,model_axioms,fail,inf,1e-12"
+    assert len(rows) > 1
+    assert all(row.split(",")[2] == "skipped" for row in rows[1:])
+
 
 def test_verify_rejects_bad_config(tmp_path, capsys):
     cfg = write_config(tmp_path, base_config(truncation=-1))
     assert main(["verify", "--config", str(cfg)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [
+    {"truncation": True},
+    {"seed": False},
+    {"instances": True},
+    {"tolerances": {"ladder_adjoint": True}},
+    {"tolerances": {"ladder_adjoint": -1e-9}},
+    {"tolerances": {"ladder_adjoint": float("nan")}},
+    {"tolerances": {"ladder_adjoint": float("inf")}},
+    {"tolerances": {"ladder_adjont": 1e-9}},
+], ids=["bool_truncation", "bool_seed", "bool_instances", "bool_tolerance",
+        "negative_tolerance", "nan_tolerance", "inf_tolerance", "unknown_check"])
+def test_verify_rejects_invalid_values(tmp_path, capsys, extra):
+    cfg = write_config(tmp_path, base_config(**extra))
+    assert main(["verify", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "config error" in captured.err
+    assert captured.out == ""
 
 
 def test_verify_missing_config(tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 
 from zfock.contractions import (Contraction, compose, delta_mask,
                                 delta_pairs, enumerate_contractions,
-                                r_factor_grid, reflect_contraction,
+                                r_c_factor, r_factor_grid, reflect_contraction,
                                 s_c_factor, s_factor_grid, sigma_rho)
 from zfock.scattering import ScatteringModel, s_sigma_grid
 
@@ -86,13 +86,19 @@ def test_empty_contraction_factors_are_one():
 
 
 def test_s_factor_grid_matches_pointwise():
-    C = Contraction(2, 2, ((1, 4),))
-    grid_vals = s_factor_grid(SINH, PTS, C)
-    for idx in np.ndindex(3, 3, 3, 3):
-        theta = [PTS[idx[0]], PTS[idx[1]]]
-        eta = [PTS[idx[2]], PTS[idx[3]]]
-        assert grid_vals[idx] == pytest.approx(s_c_factor(SINH, C, theta, eta),
-                                               abs=1e-14)
+    # the pointwise factors are the references for the vectorized grids
+    pairs = ((s_factor_grid, s_c_factor), (r_factor_grid, r_c_factor))
+    for model in (SINH, ScatteringModel.ising()):
+        for m, n in ((2, 2), (3, 2)):
+            for C in enumerate_contractions(m, n):
+                for on_grid, pointwise in pairs:
+                    grid_vals = on_grid(model, PTS, C)
+                    for idx in np.ndindex(grid_vals.shape):
+                        theta = [PTS[i] for i in idx[:m]]
+                        eta = [PTS[i] for i in idx[m:]]
+                        assert grid_vals[idx] == pytest.approx(
+                            pointwise(model, C, theta, eta), abs=1e-14), \
+                            (model.family, C, pointwise.__name__, idx)
 
 
 def test_exchange_factor_splits_on_support():
