@@ -63,6 +63,11 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    """JSON numbers only, booleans excluded."""
+    return _is_int(value) or isinstance(value, float)
+
+
 def _check_scattering(data, problems: list[str]) -> dict:
     """Structural validation only; algebraic invariants are deferred."""
     if not isinstance(data, dict):
@@ -73,7 +78,7 @@ def _check_scattering(data, problems: list[str]) -> dict:
         supported = ", ".join(_MODEL_FAMILIES)
         problems.append(f"unknown scattering family {family!r} (supported: {supported})")
         return {"family": "free"}
-    if family == "sinh_exp" and not isinstance(data.get("a", 0.0), (int, float)):
+    if family == "sinh_exp" and not _is_number(data.get("a", 0.0)):
         problems.append("sinh_exp parameter a must be a number")
     if family == "table":
         thetas = data.get("thetas", [])
@@ -91,7 +96,7 @@ def _build_omega(data, problems: list[str]) -> Indicatrix:
         return Indicatrix.zero()
     family = data.get("family", "zero")
     alpha = data.get("alpha", 0.0)
-    if not isinstance(alpha, (int, float)):
+    if not _is_number(alpha):
         problems.append("omega alpha must be a number")
         alpha = 0.0
     try:
@@ -124,12 +129,16 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(["top level must be an object"])
 
     grid = None
+    mass = data.get("mass", 1.0)
+    if not _is_number(mass):
+        problems.append(f"mass must be a number, got {mass!r}")
+        mass = 1.0
     try:
         pts = data.get("grid")
         if pts is None:
             problems.append("missing grid")
         else:
-            grid = RapidityGrid(tuple(float(p) for p in pts), float(data.get("mass", 1.0)))
+            grid = RapidityGrid(tuple(float(p) for p in pts), float(mass))
     except (ValueError, TypeError) as exc:
         problems.append(str(exc))
 
@@ -157,8 +166,7 @@ def parse_config(text: str) -> RunConfig:
         tolerances = {}
     for name, value in tolerances.items():
         # the comparison is false for NaN; the upper bound excludes infinities
-        if not ((_is_int(value) or isinstance(value, float))
-                and 0 <= value <= sys.float_info.max):
+        if not (_is_number(value) and 0 <= value <= sys.float_info.max):
             problems.append(f"tolerance for {name!r} must be a finite non-negative "
                             f"number, got {value!r}")
 

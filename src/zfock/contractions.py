@@ -140,6 +140,24 @@ def s_factor_grid(model: ScatteringModel, points: Sequence[float], C: Contractio
     return out
 
 
+def _sweep_indices(C: Contraction) -> list[list[tuple[int, int]]]:
+    """Per contracted pair, the (a, b) pairs of the full exchange sweep of its left slot.
+
+    The sweep runs over every concatenated slot, the left slot included;
+    crossed pairs enter with swapped arguments.
+    """
+    out = []
+    for l, _ in C.pairs:
+        sweep = []
+        for p in range(1, C.m + C.n + 1):
+            a, b = l, p
+            if _crossed(a, b, C.m):
+                a, b = b, a
+            sweep.append((a, b))
+        out.append(sweep)
+    return out
+
+
 def r_c_factor(model: ScatteringModel, C: Contraction, theta: Sequence[float],
                eta: Sequence[float]) -> complex:
     """Reflection factor: product over pairs of (1 - full exchange sweep of the left slot).
@@ -149,12 +167,9 @@ def r_c_factor(model: ScatteringModel, C: Contraction, theta: Sequence[float],
     """
     xi = tuple(theta) + tuple(eta)
     out = 1.0 + 0.0j
-    for l, _ in C.pairs:
+    for sweep_pairs in _sweep_indices(C):
         sweep = 1.0 + 0.0j
-        for p in range(1, C.m + C.n + 1):
-            a, b = l, p
-            if _crossed(a, b, C.m):
-                a, b = b, a
+        for a, b in sweep_pairs:
             sweep *= model.value(xi[a - 1] - xi[b - 1])
         out *= 1.0 - sweep
     return out
@@ -166,15 +181,82 @@ def r_factor_grid(model: ScatteringModel, points: Sequence[float], C: Contractio
     total = C.m + C.n
     mat = pair_values(model, points)
     out = np.ones((N,) * total, dtype=complex)
-    for l, _ in C.pairs:
+    for sweep_pairs in _sweep_indices(C):
         sweep = np.ones((N,) * total, dtype=complex)
-        for p in range(1, total + 1):
-            a, b = l, p
-            if _crossed(a, b, C.m):
-                a, b = b, a
+        for a, b in sweep_pairs:
             sweep = sweep * mat[_axis(N, total, a - 1), _axis(N, total, b - 1)]
         out = out * (1.0 - sweep)
     return out
+
+
+@lru_cache(maxsize=None)
+def _support_layout(C: Contraction) -> tuple[tuple[int, ...], bytes, tuple[bytes, ...]]:
+    """Variables of the delta support of C and the factor pairs on them.
+
+    The support has one variable per free outgoing slot, then one per free
+    incoming slot, then one per contracted pair.  Returns the free slots,
+    the (a, b) pairs of ``_factor_indices`` and of each sweep of
+    ``_sweep_indices`` as variable pairs, flattened into bytes (u0, v0,
+    u1, v1, ...) to keep the cache small.
+    """
+    free = C.free_left + C.free_right
+    var = {slot: i for i, slot in enumerate(free)}
+    for j, (l, r) in enumerate(C.pairs):
+        var[l] = var[r] = len(free) + j
+    exchange = bytes(var[s] for pair in _factor_indices(C) for s in pair)
+    sweeps = tuple(bytes(var[s] for pair in sweep for s in pair)
+                   for sweep in _sweep_indices(C))
+    return free, exchange, sweeps
+
+
+def _pair_product(mat: np.ndarray, pairs: bytes, V: int) -> np.ndarray:
+    """Product of mat[x_u, x_v] over flattened variable pairs; broadcasts to (N,)*V.
+
+    Each partial product spans only the variables met so far; every entry
+    still sees the same multiplications in the same order.
+    """
+    N = mat.shape[0]
+    out = np.ones((1,) * V, dtype=complex)
+    flat = iter(pairs)
+    for u, v in zip(flat, flat):
+        shape = [1] * V
+        shape[u] = shape[v] = N
+        if u == v:
+            vals = np.diagonal(mat)
+        else:
+            vals = mat if u < v else mat.T
+        out = out * vals.reshape(shape)
+    return out
+
+
+def add_on_support(out: np.ndarray, model: ScatteringModel, points: Sequence[float],
+                   C: Contraction, reduced: np.ndarray, sign: int = 1,
+                   reflected: bool = False) -> None:
+    """Add sign * factor * reduced to ``out`` on the delta support of C.
+
+    ``reduced`` is indexed by the free outgoing then free incoming slots.
+    The factor is the exchange factor, times the reflection factor when
+    ``reflected`` is set, each multiplied in the order of ``s_factor_grid``
+    and ``r_factor_grid``.  The update equals adding the dense
+    ``delta_mask * s_factor_grid (* r_factor_grid) * embed_reduced`` term,
+    which is zero off the support, so only the support is touched.
+    """
+    free, exchange, sweeps = _support_layout(C)
+    if reduced.ndim != len(free):
+        raise ValueError("reduced tensor rank does not match the free slots")
+    V = len(free) + C.size
+    st = out.strides
+    strides = tuple(st[s - 1] for s in free) + tuple(st[l - 1] + st[r - 1] for l, r in C.pairs)
+    # distinct support points lie at distinct offsets, so adding through the view is safe
+    view = np.lib.stride_tricks.as_strided(out, (len(points),) * V, strides)
+    mat = pair_values(model, points)
+    factor = _pair_product(mat, exchange, V)
+    if reflected:
+        refl = np.ones((1,) * V, dtype=complex)
+        for sweep in sweeps:
+            refl = refl * (1.0 - _pair_product(mat, sweep, V))
+        factor = factor * refl
+    view += sign * factor * reduced.reshape(reduced.shape + (1,) * C.size)
 
 
 def compose(C: Contraction, D: Contraction) -> Contraction:

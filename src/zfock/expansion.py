@@ -17,8 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .contractions import (Contraction, delta_mask, enumerate_contractions,
-                           r_factor_grid, s_factor_grid)
+from .contractions import Contraction, add_on_support, enumerate_contractions
 from .fock import FockState, RapidityGrid, sector_momentum
 from .scattering import ScatteringModel
 from .zops import (KernelTensor, QuadraticForm, create, reversal_permutation,
@@ -89,12 +88,12 @@ def embed_reduced(C: Contraction, reduced: np.ndarray, N: int) -> np.ndarray:
     return np.broadcast_to(expanded, (N,) * total)
 
 
-def _contracted_elements(A: QuadraticForm, C: Contraction, left_mats, right_mats) -> np.ndarray:
-    """Matrix elements of A between the contracted vectors, on reduced tuples."""
-    mh, nh = C.m - C.size, C.n - C.size
-    L = left_mats[mh]
-    R = right_mats[nh]
-    return (L.conj().T @ A.block(mh, nh) @ R)
+def _contracted_elements(A: QuadraticForm, mh: int, nh: int, left_mats,
+                         right_mats) -> np.ndarray:
+    """Matrix elements of A between the (mh, nh) vectors, on reduced tuples."""
+    N = A.grid.size
+    M = left_mats[mh].conj().T @ A.block(mh, nh) @ right_mats[nh]
+    return M.reshape((N,) * (mh + nh))
 
 
 def fmn_coefficients(model: ScatteringModel, A: QuadraticForm, m: int, n: int,
@@ -115,13 +114,12 @@ def fmn_coefficients(model: ScatteringModel, A: QuadraticForm, m: int, n: int,
     if right_mats is None:
         right_mats = [right_vector_matrix(model, grid, j) for j in range(jmax + 1)]
     out = np.zeros((N,) * (m + n), dtype=complex)
+    elements = {}  # one matrix element tensor per reduced slot count
     for C in enumerate_contractions(m, n):
-        mh, nh = C.m - C.size, C.n - C.size
-        M = _contracted_elements(A, C, left_mats, right_mats)
-        reduced = M.reshape((N,) * (mh + nh))
-        term = delta_mask(C, N) * s_factor_grid(model, grid.points, C) \
-            * embed_reduced(C, reduced, N)
-        out += ((-1) ** C.size) * term
+        key = (m - C.size, n - C.size)
+        if key not in elements:
+            elements[key] = _contracted_elements(A, *key, left_mats, right_mats)
+        add_on_support(out, model, grid.points, C, elements[key], (-1) ** C.size)
     return KernelTensor(m, n, out)
 
 
@@ -182,15 +180,15 @@ def inversion_residual(model: ScatteringModel, A: QuadraticForm, m: int, n: int,
     L = left_vector_matrix(model, grid, m)
     R = right_vector_matrix(model, grid, n)
     lhs = (L.conj().T @ A.block(m, n) @ R).reshape((N,) * (m + n))
-    rhs = np.zeros_like(lhs)
+    rhs = np.zeros((N,) * (m + n), dtype=complex)
+    reduced = {}  # one coefficient per reduced slot count
     for C in enumerate_contractions(m, n):
-        mh, nh = C.m - C.size, C.n - C.size
-        if family is not None and (mh, nh) in family.entries:
-            reduced = family.entry(mh, nh).values
-        else:
-            reduced = fmn_coefficients(model, A, mh, nh).values
-        rhs += delta_mask(C, N) * s_factor_grid(model, grid.points, C) \
-            * embed_reduced(C, reduced, N)
+        key = (m - C.size, n - C.size)
+        if key not in reduced:
+            known = family is not None and key in family.entries
+            reduced[key] = (family.entry(*key) if known
+                            else fmn_coefficients(model, A, *key)).values
+        add_on_support(rhs, model, grid.points, C, reduced[key])
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -265,7 +263,6 @@ def reflected_coeffs(model: ScatteringModel, family: CoefficientFamily,
         mh, nh = C.m - C.size, C.n - C.size
         g = family.entry(nh, mh).values
         reduced = g.transpose(tuple(range(nh, nh + mh)) + tuple(range(nh)))
-        term = delta_mask(C, N) * s_factor_grid(model, grid.points, C) \
-            * r_factor_grid(model, grid.points, C) * embed_reduced(C, reduced, N)
-        out += ((-1) ** C.size) * term
+        add_on_support(out, model, grid.points, C, reduced, (-1) ** C.size,
+                       reflected=True)
     return KernelTensor(m, n, out)

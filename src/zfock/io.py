@@ -28,6 +28,35 @@ def nested_to_complex(data, shape: tuple[int, ...]) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
+def _write_json(fh, obj) -> None:
+    """Write what ``json.dump`` writes, with ndarrays as ``complex_to_nested`` lists.
+
+    Keys and scalars go through the C encoder of ``json.dumps``; a tensor
+    is encoded one row at a time, so no whole document is held as nested
+    lists or as text.
+    """
+    if isinstance(obj, dict):
+        fh.write("{")
+        for i, (key, value) in enumerate(obj.items()):
+            fh.write((", " if i else "") + json.dumps(key) + ": ")
+            _write_json(fh, value)
+        fh.write("}")
+    elif isinstance(obj, list):
+        fh.write("[")
+        for i, item in enumerate(obj):
+            if i:
+                fh.write(", ")
+            _write_json(fh, item)
+        fh.write("]")
+    elif isinstance(obj, np.ndarray) and obj.ndim:
+        fh.write("[")
+        for i, row in enumerate(obj):
+            fh.write((", " if i else "") + json.dumps(complex_to_nested(row)))
+        fh.write("]")
+    else:
+        fh.write(json.dumps(complex_to_nested(obj) if isinstance(obj, np.ndarray) else obj))
+
+
 def _grid_header(grid: RapidityGrid) -> dict:
     return {"grid": list(grid.points), "mass": grid.mass}
 
@@ -42,10 +71,10 @@ def save_state(path: str, state: FockState) -> None:
         "kind": "fock_state",
         **_grid_header(state.grid),
         "truncation": state.truncation,
-        "sectors": [complex_to_nested(sec) for sec in state.sectors],
+        "sectors": list(state.sectors),
     }
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        _write_json(fh, doc)
 
 
 def load_state(path: str) -> FockState:
@@ -65,10 +94,10 @@ def save_kernel(path: str, kernel: KernelTensor, grid: RapidityGrid) -> None:
         **_grid_header(grid),
         "m": kernel.m,
         "n": kernel.n,
-        "values": complex_to_nested(kernel.values),
+        "values": kernel.values,
     }
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        _write_json(fh, doc)
 
 
 def load_kernel(path: str) -> tuple[KernelTensor, RapidityGrid]:
@@ -89,12 +118,12 @@ def save_form(path: str, form: QuadraticForm) -> None:
         "truncation": form.truncation,
         "truncated": form.truncated,
         "blocks": [
-            {"rows": l, "cols": k, "values": complex_to_nested(mat)}
+            {"rows": l, "cols": k, "values": mat}
             for (l, k), mat in sorted(form.blocks.items())
         ],
     }
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        _write_json(fh, doc)
 
 
 def load_form(path: str) -> QuadraticForm:
@@ -127,7 +156,7 @@ def save_family(directory: str, family: CoefficientFamily) -> None:
         "entries": entries,
     }
     with open(os.path.join(directory, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh)
+        fh.write(json.dumps(manifest))
 
 
 def load_family(directory: str) -> CoefficientFamily:

@@ -888,11 +888,12 @@ def check_coefficient_bound(model: ScatteringModel, grid: RapidityGrid,
     for i in range(count):
         rng = keyed_rng(seed, "expansion", "coefficient_bound", i)
         A = random_form(model, grid, K, rng)
+        norms = [qform_norm(A, s, omega) for s in range(K + 1)]
         for m in range(K + 1):
             for n in range(K + 1 - m):
                 f = fmn_coefficients(model, A, m, n)
                 lhs = cross_norm(f, grid, omega)
-                rhs = coefficient_bound_constant(m, n) * qform_norm(A, m + n, omega)
+                rhs = coefficient_bound_constant(m, n) * norms[m + n]
                 res = max(res, _excess(lhs, rhs))
     return res
 

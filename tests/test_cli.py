@@ -129,8 +129,12 @@ def test_verify_rejects_bad_config(tmp_path, capsys):
     {"tolerances": {"ladder_adjoint": float("nan")}},
     {"tolerances": {"ladder_adjoint": float("inf")}},
     {"tolerances": {"ladder_adjont": 1e-9}},
+    {"mass": True},
+    {"scattering": {"family": "sinh_exp", "a": True}},
+    {"omega": {"family": "log", "alpha": False}},
 ], ids=["bool_truncation", "bool_seed", "bool_instances", "bool_tolerance",
-        "negative_tolerance", "nan_tolerance", "inf_tolerance", "unknown_check"])
+        "negative_tolerance", "nan_tolerance", "inf_tolerance", "unknown_check",
+        "bool_mass", "bool_sinh_exp_a", "bool_omega_alpha"])
 def test_verify_rejects_invalid_values(tmp_path, capsys, extra):
     cfg = write_config(tmp_path, base_config(**extra))
     assert main(["verify", "--config", str(cfg)]) == 2

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from zfock.expansion import extract_family
-from zfock.io import (load_family, load_form, load_kernel, load_state,
-                      save_family, save_form, save_kernel, save_state)
+from zfock.io import (complex_to_nested, load_family, load_form, load_kernel,
+                      load_state, save_family, save_form, save_kernel,
+                      save_state)
 from zfock.sampling import keyed_rng, random_form, random_kernel, random_state
 from zfock.scattering import ScatteringModel
 
@@ -87,3 +88,40 @@ def test_family_manifest_mismatch(tmp_path, grid3):
     (tmp_path / "fam" / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match="slot counts"):
         load_family(tmp_path / "fam")
+
+
+def test_saved_bytes_equal_json_dumps(tmp_path, grid3):
+    # the streamed writers produce exactly the text of json.dumps of the document
+    header = {"grid": list(grid3.points), "mass": grid3.mass}
+    psi = random_state(SINH, grid3, 2, keyed_rng(0, "io", "bytes", 0))
+    save_state(tmp_path / "psi.json", psi)
+    want = {"kind": "fock_state", **header, "truncation": 2,
+            "sectors": [complex_to_nested(sec) for sec in psi.sectors]}
+    assert (tmp_path / "psi.json").read_text() == json.dumps(want)
+
+    kern = random_kernel(grid3, 2, 1, keyed_rng(0, "io", "bytes", 1))
+    save_kernel(tmp_path / "k.json", kern, grid3)
+    want = {"kind": "kernel_tensor", **header, "m": 2, "n": 1,
+            "values": complex_to_nested(kern.values)}
+    assert (tmp_path / "k.json").read_text() == json.dumps(want)
+
+    A = random_form(SINH, grid3, 2, keyed_rng(0, "io", "bytes", 2))
+    save_form(tmp_path / "A.json", A)
+    want = {"kind": "quadratic_form", **header, "truncation": 2,
+            "truncated": A.truncated,
+            "blocks": [{"rows": l, "cols": k, "values": complex_to_nested(mat)}
+                       for (l, k), mat in sorted(A.blocks.items())]}
+    assert (tmp_path / "A.json").read_text() == json.dumps(want)
+
+    fam = extract_family(SINH, A)
+    save_family(tmp_path / "fam", fam)
+    entries = []
+    for (m, n), kernel in sorted(fam.entries.items()):
+        name = f"coeff_{m}_{n}.json"
+        want = {"kind": "kernel_tensor", **header, "m": m, "n": n,
+                "values": complex_to_nested(kernel.values)}
+        assert (tmp_path / "fam" / name).read_text() == json.dumps(want)
+        entries.append({"m": m, "n": n, "file": name})
+    want = {"kind": "coefficient_family", **header, "truncation": 2,
+            "entries": entries}
+    assert (tmp_path / "fam" / "manifest.json").read_text() == json.dumps(want)
