@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-import sys
+import math
 from dataclasses import dataclass, field
 
 from .fock import Indicatrix, RapidityGrid
@@ -68,6 +68,11 @@ def _is_number(value) -> bool:
     return _is_int(value) or isinstance(value, float)
 
 
+def _is_finite(value) -> bool:
+    """JSON numbers other than NaN and the infinities."""
+    return _is_number(value) and math.isfinite(value)
+
+
 def _check_scattering(data, problems: list[str]) -> dict:
     """Structural validation only; algebraic invariants are deferred."""
     if not isinstance(data, dict):
@@ -78,8 +83,8 @@ def _check_scattering(data, problems: list[str]) -> dict:
         supported = ", ".join(_MODEL_FAMILIES)
         problems.append(f"unknown scattering family {family!r} (supported: {supported})")
         return {"family": "free"}
-    if family == "sinh_exp" and not _is_number(data.get("a", 0.0)):
-        problems.append("sinh_exp parameter a must be a number")
+    if family == "sinh_exp" and not _is_finite(data.get("a", 0.0)):
+        problems.append("sinh_exp parameter a must be a finite number")
     if family == "table":
         thetas = data.get("thetas", [])
         values = data.get("values", [])
@@ -96,8 +101,8 @@ def _build_omega(data, problems: list[str]) -> Indicatrix:
         return Indicatrix.zero()
     family = data.get("family", "zero")
     alpha = data.get("alpha", 0.0)
-    if not _is_number(alpha):
-        problems.append("omega alpha must be a number")
+    if not _is_finite(alpha):
+        problems.append("omega alpha must be a finite number")
         alpha = 0.0
     try:
         if family == "zero":
@@ -165,8 +170,7 @@ def parse_config(text: str) -> RunConfig:
         problems.append("tolerances must map check names to numbers")
         tolerances = {}
     for name, value in tolerances.items():
-        # the comparison is false for NaN; the upper bound excludes infinities
-        if not (_is_number(value) and 0 <= value <= sys.float_info.max):
+        if not (_is_finite(value) and value >= 0):
             problems.append(f"tolerance for {name!r} must be a finite non-negative "
                             f"number, got {value!r}")
 

@@ -1010,13 +1010,23 @@ def check_ordering_agreement(model: ScatteringModel, grid: RapidityGrid,
 
 def check_homogeneous_sum(model: ScatteringModel, grid: RapidityGrid,
                           truncation: int, seed: int, count: int) -> float:
-    """Momentum-transfer pieces sum back and carry pure translation phases."""
+    """Momentum-transfer pieces sum back and carry pure translation phases.
+
+    Distinct pieces must also carry transfers farther apart than the
+    grouping tolerance; a transfer split across pieces fails with inf.
+    """
     kmax = min(2, truncation)
     res = 0.0
     for i in range(count):
         rng = keyed_rng(seed, "warped", "homogeneous_sum", i)
         A = random_form(model, grid, truncation, rng, kmax=kmax)
         comps = _sectors(A)
+        if len(comps) > 1:
+            t = np.array([comp.transfer for comp in comps])
+            gap = np.abs(t[:, None, :] - t[None, :, :]).max(axis=2)
+            np.fill_diagonal(gap, np.inf)
+            if gap.min() <= _EXACT * max(1.0, float(np.abs(t).max())):
+                return float("inf")
         total = _zero_form(grid, truncation)
         for comp in comps:
             total = total + comp.form

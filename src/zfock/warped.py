@@ -96,38 +96,52 @@ def _phase_block(grid: RapidityGrid, Q: SkewSymmetricQ, l: int, k: int) -> np.nd
 
 
 def _cluster(values: np.ndarray, atol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Group rows of an (M, 2) array within atol; returns labels and representatives."""
-    M = values.shape[0]
-    labels = np.full(M, -1, dtype=int)
+    """Partition the rows of an (M, 2) array; returns labels and group means.
+
+    Rows within atol of each other in both coordinates always share a
+    group: the groups are the connected components of that relation.
+    Labels follow the lexicographic order of each group's smallest row.
+    """
     order = np.lexsort((values[:, 1], values[:, 0]))
-    reps = []
-    current: list[int] = []
-
-    def close(i, j):
-        return (abs(values[i, 0] - values[j, 0]) <= atol
-                and abs(values[i, 1] - values[j, 1]) <= atol)
-
-    grouped = False
-    for idx in order:
-        if current and not close(current[-1], idx):
-            for i in current:
-                labels[i] = len(reps)
-            reps.append(values[current].mean(axis=0))
-            current = []
-        current.append(idx)
-    if current:
-        for i in current:
-            labels[i] = len(reps)
-        reps.append(values[current].mean(axis=0))
-    reps_arr = np.array(reps)
-    for lab in range(len(reps)):
-        members = values[labels == lab]
-        if len(members) > 1 and (np.ptp(members[:, 0]) > 0 or np.ptp(members[:, 1]) > 0):
-            grouped = True
-    if grouped:
+    rows = values[order]
+    distinct = np.ones(len(rows), dtype=bool)
+    distinct[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    uniq = rows[distinct]
+    # candidate pairs (i, j), i < j, from a window on the sorted first
+    # coordinate wide enough that rounding cannot drop a pair within atol
+    hi = np.searchsorted(uniq[:, 0], uniq[:, 0] + 2 * atol, side="right")
+    count = hi - np.arange(len(uniq)) - 1
+    left = np.repeat(np.arange(len(uniq)), count)
+    right = left + 1 + np.arange(len(left)) - np.repeat(np.cumsum(count) - count, count)
+    near = np.all(np.abs(uniq[left] - uniq[right]) <= atol, axis=1)
+    left, right = left[near], right[near]
+    # lower both ends of each pair to their smaller root and jump, until
+    # stable: then every row points at the smallest row of its component
+    root = np.arange(len(uniq))
+    while True:
+        low = np.minimum(root[left], root[right])
+        lowered = root.copy()
+        np.minimum.at(lowered, left, low)
+        np.minimum.at(lowered, right, low)
+        lowered = lowered[lowered]
+        if (lowered == root).all():
+            break
+        root = lowered
+    # the same labels as np.unique(root, return_inverse=True), whose first
+    # call alone grows a process's peak RSS by about 0.4 MB
+    group = (np.cumsum(root == np.arange(len(root))) - 1)[root]
+    sorted_labels = group[np.cumsum(distinct) - 1]
+    labels = np.empty(len(values), dtype=int)
+    labels[order] = sorted_labels
+    # sequential sums in lexicographic order: bitwise the mean(axis=0) of
+    # each group's members taken in that order
+    sizes = np.bincount(sorted_labels)
+    reps = np.stack([np.bincount(sorted_labels, weights=rows[:, c]) for c in (0, 1)],
+                    axis=1) / sizes[:, None]
+    if len(group) > len(sizes):
         warnings.warn("momentum values were grouped within tolerance", GroupingWarning,
                       stacklevel=3)
-    return labels, reps_arr
+    return labels, reps
 
 
 def _momentum_clusters(grid: RapidityGrid, truncation: int,
@@ -196,32 +210,33 @@ def momentum_sector_decompose(A: QuadraticForm, rtol: float = 1e-12) -> list[Hom
     """Split an operator by momentum transfer (row momentum minus column momentum).
 
     The pieces sum to A exactly, and each is an eigenvector of translation
-    conjugation with phase exp(i transfer . x).
+    conjugation with phase exp(i transfer . x).  Transfers equal within
+    rtol (relative to the largest) share one piece.
     """
-    records = []  # (phi0, phi1) rows aligned with a flat list of entries
-    entries = []  # (block key, i, j)
+    entries = []  # (block key, rows, columns) of the nonzero entries
+    transfers = []
     for (l, k), mat in A.blocks.items():
         q0, q1 = sector_momentum(A.grid, l)
         p0, p1 = sector_momentum(A.grid, k)
-        nz = np.argwhere(mat != 0)
-        for i, j in nz:
-            records.append((q0[i] - p0[j], q1[i] - p1[j]))
-            entries.append(((l, k), int(i), int(j)))
-    if not records:
+        i, j = np.nonzero(mat)
+        entries.append(((l, k), i, j))
+        transfers.append(np.stack([q0[i] - p0[j], q1[i] - p1[j]], axis=1))
+    arr = np.concatenate([np.zeros((0, 2))] + transfers)
+    if not len(arr):
         return []
-    arr = np.array(records)
     scale = max(1.0, float(np.max(np.abs(arr))))
     labels, reps = _cluster(arr, rtol * scale)
-    comps: dict[int, QuadraticForm] = {}
-    for (key, i, j), lab in zip(entries, labels):
-        comp = comps.get(lab)
-        if comp is None:
-            comp = QuadraticForm(A.grid, A.truncation, {}, A.truncated)
-            comps[lab] = comp
-        if key not in comp.blocks:
-            comp.set_block(key[0], key[1], np.zeros_like(A.blocks[key]))
-        comp.blocks[key][i, j] = A.blocks[key][i, j]
-    order = sorted(comps, key=lambda lab: (reps[lab][0], reps[lab][1]))
+    comps = [QuadraticForm(A.grid, A.truncation, {}, A.truncated) for _ in reps]
+    start = 0
+    for key, i, j in entries:
+        block_labels = labels[start:start + len(i)]
+        start += len(i)
+        for lab in np.flatnonzero(np.bincount(block_labels)):
+            hit = block_labels == lab
+            piece = np.zeros_like(A.blocks[key])
+            piece[i[hit], j[hit]] = A.blocks[key][i[hit], j[hit]]
+            comps[lab].blocks[key] = piece
+    order = np.lexsort((reps[:, 1], reps[:, 0]))
     return [HomogeneousComponent((float(reps[lab][0]), float(reps[lab][1])), comps[lab])
             for lab in order]
 
@@ -368,6 +383,16 @@ def _nested_family(A: QuadraticForm, total: int,
 
     Creator layers are shared between readouts, so the whole family costs
     little more than its deepest members.
+
+    Only the (0, 0) entry of each nested commutator is read, and each wrap
+    with one ladder operator moves a block (l, k) to blocks with l + k
+    changed by exactly one.  A node that will be wrapped at most r more
+    times therefore reaches the vacuum only through its blocks with
+    l + k <= r, and every node keeps just those: r is ``total`` for A,
+    ``total - n`` at creator layer n and ``total - n - m`` for an
+    annihilator sub-node below it.  A kept block of a wrap draws only on
+    kept blocks of its operand, summed in the same order, so the tensors
+    are bitwise those of the unpruned nesting.
     """
     N = A.grid.size
     out = {(m, n): np.zeros((N,) * (m + n), dtype=complex)
@@ -377,14 +402,19 @@ def _nested_family(A: QuadraticForm, total: int,
         blk = X.blocks.get((0, 0))
         return complex(blk[0, 0]) if blk is not None else 0.0
 
-    layer: dict[tuple[int, ...], QuadraticForm] = {(): A}
+    def reachable(X: QuadraticForm, r: int) -> QuadraticForm:
+        blocks = {(l, k): mat for (l, k), mat in X.blocks.items() if l + k <= r}
+        return QuadraticForm(X.grid, X.truncation, blocks, X.truncated)
+
+    layer: dict[tuple[int, ...], QuadraticForm] = {(): reachable(A, total)}
     parity = base_parity
     for n in range(total + 1):
         if n:
             grown = {}
             for key, X in layer.items():
                 for g in range(N):
-                    grown[(g,) + key] = wrap_creator(X, creators[g], parity)
+                    grown[(g,) + key] = reachable(wrap_creator(X, creators[g], parity),
+                                                  total - n)
             layer = grown
             parity ^= 1
         for eta_key, X0 in layer.items():
@@ -395,7 +425,8 @@ def _nested_family(A: QuadraticForm, total: int,
                 grown = {}
                 for key, X in sub.items():
                     for g in range(N):
-                        grown[key + (g,)] = wrap_annihilator(annihilators[g], X, subparity)
+                        grown[key + (g,)] = reachable(
+                            wrap_annihilator(annihilators[g], X, subparity), total - n - m)
                 sub = grown
                 subparity ^= 1
                 for theta_key, X in sub.items():

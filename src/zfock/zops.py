@@ -119,13 +119,6 @@ class QuadraticForm:
         got = self.blocks.get((l, k))
         return got if got is not None else np.zeros((N**l, N**k), dtype=complex)
 
-    def set_block(self, l: int, k: int, mat: np.ndarray) -> None:
-        N = self.grid.size
-        arr = np.asarray(mat, dtype=complex)
-        if arr.shape != (N**l, N**k):
-            raise ValueError(f"block {(l, k)} has shape {arr.shape}")
-        self.blocks[(l, k)] = arr
-
     def _check_space(self, other: "QuadraticForm") -> None:
         if self.grid != other.grid or self.truncation != other.truncation:
             raise ValueError("forms live on different spaces")

@@ -132,9 +132,15 @@ def test_verify_rejects_bad_config(tmp_path, capsys):
     {"mass": True},
     {"scattering": {"family": "sinh_exp", "a": True}},
     {"omega": {"family": "log", "alpha": False}},
+    {"scattering": {"family": "sinh_exp", "a": float("nan")}},
+    {"scattering": {"family": "sinh_exp", "a": float("inf")}},
+    {"scattering": {"family": "sinh_exp", "a": float("-inf")}},
+    {"omega": {"family": "log", "alpha": float("nan")}},
+    {"omega": {"family": "sqrt", "alpha": float("inf")}},
 ], ids=["bool_truncation", "bool_seed", "bool_instances", "bool_tolerance",
         "negative_tolerance", "nan_tolerance", "inf_tolerance", "unknown_check",
-        "bool_mass", "bool_sinh_exp_a", "bool_omega_alpha"])
+        "bool_mass", "bool_sinh_exp_a", "bool_omega_alpha", "nan_sinh_exp_a",
+        "inf_sinh_exp_a", "neg_inf_sinh_exp_a", "nan_omega_alpha", "inf_omega_alpha"])
 def test_verify_rejects_invalid_values(tmp_path, capsys, extra):
     cfg = write_config(tmp_path, base_config(**extra))
     assert main(["verify", "--config", str(cfg)]) == 2

@@ -6,14 +6,17 @@ import warnings
 import numpy as np
 import pytest
 
+from zfock import suites
 from zfock.expansion import translate_form
 from zfock.fock import RapidityGrid, minkowski
 from zfock.sampling import keyed_rng, random_form
 from zfock.scattering import ScatteringModel
-from zfock.warped import (GroupingWarning, SkewSymmetricQ, deformed_creator,
+from zfock.warped import (GroupingWarning, HomogeneousComponent, SkewSymmetricQ,
+                          deformed_annihilator, deformed_creator,
                           deformed_fmn_coefficients, momentum_sector_decompose,
-                          nested_free_family, q_commutator, warp, warp_spectral)
-from zfock.zops import form_residual
+                          nested_free_family, nested_graded_family, nested_q_family,
+                          parity_split, q_commutator, warp, warp_spectral)
+from zfock.zops import annihilator_form, creator_form, form_residual
 
 FREE = ScatteringModel.free()
 
@@ -121,6 +124,36 @@ def test_components_carry_pure_translation_phases(grid3):
         assert form_residual(moved, phase * comp.form) <= 1e-13 * max(A.scale(), 1.0)
 
 
+@pytest.mark.parametrize("points", [(-0.6063324537, 0.0, 0.6063324537),
+                                    (-1.3, -0.8, -0.3, 0.2, 0.7, 1.3)],
+                         ids=["symmetric", "six_point"])
+def test_homogeneous_pieces_carry_distinct_transfers(points, monkeypatch):
+    # on these lattices equal transfers reached through different sectors
+    # differ in the last ulp, and lexicographic neighbours need not be equal
+    grid = RapidityGrid(points, 1.0)
+    ising = ScatteringModel.ising()
+    A = random_form(ising, grid, 3, keyed_rng(0, "warped", "distinct", 0), kmax=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", GroupingWarning)
+        t = np.array([comp.transfer for comp in momentum_sector_decompose(A)])
+    gap = np.abs(t[:, None, :] - t[None, :, :]).max(axis=2)
+    np.fill_diagonal(gap, np.inf)
+    assert gap.min() > 1e-12 * max(1.0, float(np.abs(t).max()))
+    assert suites.check_homogeneous_sum(ising, grid, 3, 0, 2) <= 1e-10
+
+    # two halves of one piece sum back and carry pure phases, so only the
+    # distinct-transfer condition of the check can catch them
+    whole = suites._sectors
+
+    def halved(form):
+        comps = whole(form)
+        half = HomogeneousComponent(comps[0].transfer, 0.5 * comps[0].form)
+        return [half, half] + comps[1:]
+
+    monkeypatch.setattr(suites, "_sectors", halved)
+    assert suites.check_homogeneous_sum(ising, grid, 3, 0, 2) == math.inf
+
+
 def test_grouping_warns_on_rounded_transfers(grid3):
     # the same momentum transfer reached through different sectors agrees
     # only to the last ulp, so the clustering reports that it merged values
@@ -141,7 +174,6 @@ def test_deformed_creator_is_warped_free_creator(grid3):
 
 def test_deformed_exchange_matches_sinh_factor(grid3):
     # the warped ladder pair picks up exactly the sinh-family factor
-    from zfock.warped import deformed_annihilator
     Q = SkewSymmetricQ(1.2, 1.0)
     S = Q.scattering_model()
     K = 3
@@ -176,6 +208,67 @@ def test_nested_family_reproduces_coefficients(grid3):
         want = fmn_coefficients(FREE, A, m, n).values
         np.testing.assert_allclose(kern.values, want,
                                    atol=1e-10 * max(1.0, A.scale()))
+
+
+def _full_nested(A, total, creators, annihilators, wrapc, wrapa, parity=0):
+    """Vacuum entries of the unpruned nested commutators, for all m + n <= total."""
+    N = A.grid.size
+    out = {(m, n): np.zeros((N,) * (m + n), dtype=complex)
+           for n in range(total + 1) for m in range(total + 1 - n)}
+
+    def fill(X, par, theta, eta):
+        blk = X.blocks.get((0, 0))
+        out[(len(theta), len(eta))][theta + eta] = blk[0, 0] if blk is not None else 0.0
+        if len(theta) + len(eta) == total:
+            return
+        for g in range(N):
+            fill(wrapa(annihilators[g], X, par), par ^ 1, theta + (g,), eta)
+        if not theta:
+            for g in range(N):
+                fill(wrapc(X, creators[g], par), par ^ 1, theta, (g,) + eta)
+
+    fill(A, parity, (), ())
+    return out
+
+
+def test_nested_families_equal_unpruned_commutators(grid3):
+    # the families keep only the blocks that can still reach the vacuum;
+    # the readouts must be bitwise those of the full nested commutators
+    K, total = 3, 3
+    units = np.eye(grid3.size, dtype=complex)
+    rng = keyed_rng(0, "warped", "pruned", 0)
+
+    def sign(par):
+        return -1.0 if par else 1.0
+
+    ising = ScatteringModel.ising()
+    creators = [creator_form(FREE, grid3, K, e) for e in units]
+    annihilators = [annihilator_form(FREE, grid3, K, e) for e in units]
+    A = random_form(FREE, grid3, K, rng)
+    want = _full_nested(A, total, creators, annihilators,
+                        lambda X, B, _: X @ B - B @ X, lambda B, X, _: B @ X - X @ B)
+    for mn, kern in nested_free_family(A, total).items():
+        assert np.array_equal(kern.values, want[mn]), ("free", mn)
+
+    creators = [creator_form(ising, grid3, K, e) for e in units]
+    annihilators = [annihilator_form(ising, grid3, K, e) for e in units]
+    A = random_form(ising, grid3, K, rng)
+    parts = [_full_nested(part, total, creators, annihilators,
+                          lambda X, B, par: X @ B - sign(par) * (B @ X),
+                          lambda B, X, par: B @ X - sign(par) * (X @ B), par)
+             for part, par in zip(parity_split(A), (0, 1))]
+    for mn, kern in nested_graded_family(A, total).items():
+        assert np.array_equal(kern.values, parts[0][mn] + parts[1][mn]), ("graded", mn)
+
+    Q = SkewSymmetricQ(0.9, 1.0)
+    creators = [deformed_creator(grid3, K, e, Q) for e in units]
+    annihilators = [deformed_annihilator(grid3, K, e, Q) for e in units]
+    A = random_form(Q.scattering_model(), grid3, K, rng)
+    want = _full_nested(A, total, creators, annihilators,
+                        lambda X, B, _: q_commutator(X, B, Q),
+                        lambda B, X, _: q_commutator(B, X, Q))
+    for mn, kern in nested_q_family(A, Q, total).items():
+        assert np.array_equal(kern.values, want[mn]), ("q", mn)
 
 
 def test_deformed_dual_basis(grid3):
