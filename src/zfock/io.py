@@ -2,7 +2,9 @@
 
 Complex tensors are stored as nested row-major lists whose innermost
 entries are [re, im] pairs.  Every file carries its lattice so results
-are self-describing.
+are self-describing.  Values are finite: a non-finite tensor is refused
+before its file is opened, and ``NaN`` or ``Infinity`` tokens are refused
+on load.
 """
 
 from __future__ import annotations
@@ -57,6 +59,21 @@ def _write_json(fh, obj) -> None:
         fh.write(json.dumps(complex_to_nested(obj) if isinstance(obj, np.ndarray) else obj))
 
 
+def _require_finite(path, tensors) -> None:
+    for arr in tensors:
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{path}: refusing to write non-finite values")
+
+
+def _load_json(path):
+    """Parse a JSON file, refusing the NaN and Infinity tokens json accepts."""
+    def reject(token):
+        raise ValueError(f"{path}: non-finite number {token}")
+
+    with open(path) as fh:
+        return json.load(fh, parse_constant=reject)
+
+
 def _grid_header(grid: RapidityGrid) -> dict:
     return {"grid": list(grid.points), "mass": grid.mass}
 
@@ -73,13 +90,13 @@ def save_state(path: str, state: FockState) -> None:
         "truncation": state.truncation,
         "sectors": list(state.sectors),
     }
+    _require_finite(path, state.sectors)
     with open(path, "w") as fh:
         _write_json(fh, doc)
 
 
 def load_state(path: str) -> FockState:
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _load_json(path)
     if doc.get("kind") != "fock_state":
         raise ValueError(f"{path} is not a state file")
     grid = _grid_from_header(doc)
@@ -96,13 +113,13 @@ def save_kernel(path: str, kernel: KernelTensor, grid: RapidityGrid) -> None:
         "n": kernel.n,
         "values": kernel.values,
     }
+    _require_finite(path, [kernel.values])
     with open(path, "w") as fh:
         _write_json(fh, doc)
 
 
 def load_kernel(path: str) -> tuple[KernelTensor, RapidityGrid]:
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _load_json(path)
     if doc.get("kind") != "kernel_tensor":
         raise ValueError(f"{path} is not a kernel file")
     grid = _grid_from_header(doc)
@@ -122,13 +139,13 @@ def save_form(path: str, form: QuadraticForm) -> None:
             for (l, k), mat in sorted(form.blocks.items())
         ],
     }
+    _require_finite(path, form.blocks.values())
     with open(path, "w") as fh:
         _write_json(fh, doc)
 
 
 def load_form(path: str) -> QuadraticForm:
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _load_json(path)
     if doc.get("kind") != "quadratic_form":
         raise ValueError(f"{path} is not a quadratic form file")
     grid = _grid_from_header(doc)
@@ -143,6 +160,7 @@ def load_form(path: str) -> QuadraticForm:
 
 def save_family(directory: str, family: CoefficientFamily) -> None:
     """Write one kernel file per entry plus a manifest."""
+    _require_finite(directory, [kernel.values for kernel in family.entries.values()])
     os.makedirs(directory, exist_ok=True)
     entries = []
     for (m, n), kernel in sorted(family.entries.items()):
@@ -160,8 +178,7 @@ def save_family(directory: str, family: CoefficientFamily) -> None:
 
 
 def load_family(directory: str) -> CoefficientFamily:
-    with open(os.path.join(directory, "manifest.json")) as fh:
-        manifest = json.load(fh)
+    manifest = _load_json(os.path.join(directory, "manifest.json"))
     if manifest.get("kind") != "coefficient_family":
         raise ValueError(f"{directory} holds no coefficient family manifest")
     grid = _grid_from_header(manifest)

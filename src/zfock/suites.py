@@ -47,7 +47,8 @@ from .warped import (GroupingWarning, SkewSymmetricQ, deformed_annihilator,
                      warp_spectral)
 from .zops import (KernelTensor, QuadraticForm, annihilator_form, annihilate,
                    create, creator_form, cross_norm, form_residual,
-                   identity_form, kernel_adjoint, qform_norm, zmzn_form)
+                   identity_form, kernel_adjoint, qform_norm, sector_norm,
+                   zmzn_form)
 
 _TINY = 1e-300
 
@@ -457,12 +458,10 @@ def check_creator_weight_bound(model: ScatteringModel, grid: RapidityGrid,
         fnorm = float(np.linalg.norm(wplus[1] * f))
         A = creator_form(model, grid, K, f)
         B = annihilator_form(model, grid, K, f)
-        up = [float(np.linalg.norm(
-            wplus[j + 1][:, None] * A.block(j + 1, j) / wplus[j][None, :], ord=2))
-            for j in range(K)]
-        down = [float(np.linalg.norm(
-            wplus[j][:, None] * B.block(j, j + 1) / wplus[j + 1][None, :], ord=2))
-            for j in range(K)]
+        up = [sector_norm(model, grid, A.block(j + 1, j), j + 1, j,
+                          wplus[j + 1], 1.0 / wplus[j]) for j in range(K)]
+        down = [sector_norm(model, grid, B.block(j, j + 1), j, j + 1,
+                            wplus[j], 1.0 / wplus[j + 1]) for j in range(K)]
         for k in range(K):
             lhs = max(up[: k + 1])
             res = max(res, _excess(lhs, math.sqrt(k + 1) * fnorm))
@@ -488,8 +487,9 @@ def check_monomial_source_bound(model: ScatteringModel, grid: RapidityGrid,
         kmax = K if m <= n else K - (m - n)
         sig = {}
         for j in range(n, kmax + 1):
+            l = j - n + m
             wm = np.exp(-omega.weight(energy_grid(grid, j)))
-            sig[j] = float(np.linalg.norm(F.block(j - n + m, j) * wm[None, :], ord=2))
+            sig[j] = sector_norm(model, grid, F.block(l, j), l, j, np.ones(grid.size**l), wm)
         for k in range(n, kmax + 1):
             lhs = max(sig[j] for j in range(n, k + 1))
             c = 2.0 * math.sqrt(math.factorial(k) * math.factorial(k - n + m)) \
@@ -513,7 +513,7 @@ def check_monomial_sector_bound(model: ScatteringModel, grid: RapidityGrid,
         fw = cross_norm(f, grid, omega)
         for k in range(max(m, n), K + 1):
             c = 2.0 * math.factorial(k) / math.factorial(k - max(m, n))
-            res = max(res, _excess(qform_norm(F, k, omega), c * fw))
+            res = max(res, _excess(qform_norm(model, F, k, omega), c * fw))
     return res
 
 
@@ -888,7 +888,7 @@ def check_coefficient_bound(model: ScatteringModel, grid: RapidityGrid,
     for i in range(count):
         rng = keyed_rng(seed, "expansion", "coefficient_bound", i)
         A = random_form(model, grid, K, rng)
-        norms = [qform_norm(A, s, omega) for s in range(K + 1)]
+        norms = [qform_norm(model, A, s, omega) for s in range(K + 1)]
         for m in range(K + 1):
             for n in range(K + 1 - m):
                 f = fmn_coefficients(model, A, m, n)

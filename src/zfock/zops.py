@@ -4,7 +4,8 @@ Operators are realized either as actions on :class:`FockState` or as
 sector-blocked matrices (:class:`QuadraticForm`) over the full lattice
 tensor basis.  Forms built here annihilate the non-symmetric complement,
 so compositions and matrix elements agree with the symmetric-subspace
-operators exactly.
+operators exactly.  Weighted norms are taken on the symmetric subspace, in
+the orthonormal orbit basis of :func:`symmetric_isometry`.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import FockState, Indicatrix, RapidityGrid, energy_grid
-from .scattering import (ScatteringModel, all_permutations, s_sigma_grid,
-                         symmetrize)
+from .fock import (FockState, Indicatrix, RapidityGrid, basis_tuples,
+                   energy_grid)
+from .scattering import (ScatteringModel, all_permutations, pair_values,
+                         s_sigma_grid, symmetrize)
 
 
 @dataclass
@@ -55,8 +57,6 @@ def kernel_adjoint(kernel: KernelTensor) -> KernelTensor:
 @lru_cache(maxsize=None)
 def _perm_flat(N: int, n: int, images: tuple[int, ...]) -> np.ndarray:
     """Flat index of tuple^sigma for every flat tuple index."""
-    from .fock import basis_tuples
-
     tuples = basis_tuples(N, n)
     zero_based = [img - 1 for img in images]
     strides = N ** np.arange(n - 1, -1, -1) if n else np.zeros(0, dtype=int)
@@ -80,6 +80,28 @@ def symmetrizer_matrix(model: ScatteringModel, grid: RapidityGrid, n: int) -> np
     P /= math.factorial(n)
     P.flags.writeable = False
     return P
+
+
+@lru_cache(maxsize=None)
+def symmetric_isometry(model: ScatteringModel, grid: RapidityGrid,
+                       n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal basis V of the S-symmetric n-particle subspace, and its orbits.
+
+    There is one column per admissible multiset: the symmetrizer column of
+    its sorted tuple, divided by its norm.  Every multiset is admissible
+    when S(0) = +1; when S(0) = -1 the symmetrizer kills repeated entries
+    and only strictly increasing tuples remain.  Distinct orbits have
+    disjoint supports, so V^H V = I and V V^H is the symmetrizer.  Returns
+    V, of shape (N**n, orbits), and the flat indices of the sorted tuples.
+    """
+    steps = np.diff(basis_tuples(grid.size, n), axis=1)
+    strict = pair_values(model, grid.points)[0, 0].real < 0
+    reps = np.flatnonzero(np.all(steps > 0 if strict else steps >= 0, axis=1))
+    cols = symmetrizer_matrix(model, grid, n)[:, reps]
+    V = cols / np.linalg.norm(cols, axis=0)
+    V.flags.writeable = False
+    reps.flags.writeable = False
+    return V, reps
 
 
 @lru_cache(maxsize=None)
@@ -328,12 +350,44 @@ def cross_norm(kernel: KernelTensor, grid: RapidityGrid, omega: Indicatrix) -> f
     return 0.5 * float(left + right)
 
 
-def qform_norm(A: QuadraticForm, n: int, omega: Indicatrix) -> float:
-    """Sector-n quadratic form norm with energy damping on either side."""
-    if n > A.truncation:
-        raise ValueError("sector bound exceeds truncation")
-    M = A.big_matrix(n)
-    w = np.concatenate([_side_weights(A.grid, omega, j) for j in range(n + 1)])
-    left = np.linalg.norm(M * w[None, :], ord=2)
-    right = np.linalg.norm(w[:, None] * M, ord=2)
+def sector_norm(model: ScatteringModel, grid: RapidityGrid, mat: np.ndarray,
+                l: int, k: int, wl: np.ndarray, wr: np.ndarray) -> float:
+    """Spectral norm of diag(wl) mat diag(wr) on the S-symmetric sectors, l <- k.
+
+    ``wl`` and ``wr`` weigh the N**l and N**k tuples and must be constant on
+    permutation orbits, as functions of the energy are.  The result is the
+    norm of P_l diag(wl) mat diag(wr) P_k, with P the symmetrizers, taken
+    on the compressed block V_l^H mat V_k of ``symmetric_isometry``: there
+    diag(w) V = V diag(w[reps]).  For a block with mat = P_l mat P_k, as
+    every block built here, it equals the norm over all tuples.
+    """
+    Vl, rl = symmetric_isometry(model, grid, l)
+    Vk, rk = symmetric_isometry(model, grid, k)
+    C = wl[rl, None] * (Vl.conj().T @ mat @ Vk) * wr[rk]
+    return float(np.linalg.norm(C, ord=2))
+
+
+def qform_norm(model: ScatteringModel, A: QuadraticForm, n: int, omega: Indicatrix) -> float:
+    """Sector-n form norm on the S-symmetric Fock space, damped on either side.
+
+    With W = exp(-omega(energy)) over sectors 0..n and P the symmetrizer,
+    this is half the sum of the spectral norms of P A W P and P W A P.  It
+    is taken on the blocks V_l^H A_lk V_k of ``symmetric_isometry``; W is
+    constant on orbits, so W V = V diag(w[reps]) and no singular value is
+    lost.  For a form with A = P A P, as every form built here, it equals
+    the norm of A W and W A over all tuples.
+    """
+    if not 0 <= n <= A.truncation:
+        raise ValueError(f"sector bound {n} outside 0..{A.truncation}")
+    bases = [symmetric_isometry(model, A.grid, j) for j in range(n + 1)]
+    offs = np.cumsum([0] + [len(reps) for _, reps in bases])
+    C = np.zeros((offs[-1], offs[-1]), dtype=complex)
+    for (l, k), mat in A.blocks.items():
+        if l <= n and k <= n:
+            C[offs[l]:offs[l + 1], offs[k]:offs[k + 1]] = \
+                bases[l][0].conj().T @ mat @ bases[k][0]
+    w = np.concatenate([_side_weights(A.grid, omega, j)[reps]
+                        for j, (_, reps) in enumerate(bases)])
+    left = np.linalg.norm(C * w[None, :], ord=2)
+    right = np.linalg.norm(w[:, None] * C, ord=2)
     return 0.5 * float(left + right)

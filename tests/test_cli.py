@@ -229,3 +229,19 @@ def test_qcomm_rejects_kernel_file(tmp_path, grid3):
     code = main(["qcomm", "--a", "1.0", "--lhs", str(bad),
                  "--rhs", str(ok), "--out", str(tmp_path / "C.json")])
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["warp", "qcomm"])
+def test_overflowing_phase_writes_no_file(tmp_path, capsys, grid3, command):
+    # the phase exp(i q.(Q p)) overflows to NaN at these strengths; JSON
+    # cannot hold NaN, so the command must fail without leaving a file
+    src = tmp_path / "A.json"
+    save_form(src, random_form(ScatteringModel.free(), grid3, 2,
+                               keyed_rng(3, "cli", "overflow", 0)))
+    out = tmp_path / "out.json"
+    args = (["warp", "--a", "1e308", "--in", str(src)] if command == "warp" else
+            ["qcomm", "--a", "5e307", "--lhs", str(src), "--rhs", str(src)])
+    with pytest.warns(RuntimeWarning):
+        assert main(args + ["--out", str(out)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()

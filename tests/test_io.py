@@ -11,6 +11,7 @@ from zfock.io import (complex_to_nested, load_family, load_form, load_kernel,
                       save_state)
 from zfock.sampling import keyed_rng, random_form, random_kernel, random_state
 from zfock.scattering import ScatteringModel
+from zfock.zops import KernelTensor
 
 FREE = ScatteringModel.free()
 SINH = ScatteringModel.sinh_exp(0.7)
@@ -125,3 +126,38 @@ def test_saved_bytes_equal_json_dumps(tmp_path, grid3):
     want = {"kind": "coefficient_family", **header, "truncation": 2,
             "entries": entries}
     assert (tmp_path / "fam" / "manifest.json").read_text() == json.dumps(want)
+
+
+def test_non_finite_tensors_are_not_written(tmp_path, grid3):
+    psi = random_state(FREE, grid3, 2, keyed_rng(0, "io", "finite", 0))
+    psi.sectors[1][0] = np.nan
+    kern = random_kernel(grid3, 1, 1, keyed_rng(0, "io", "finite", 1))
+    kern.values[0, 0] = np.inf
+    A = random_form(FREE, grid3, 2, keyed_rng(0, "io", "finite", 2))
+    A.blocks[(2, 1)][0, 0] = complex(0.0, -np.inf)
+    fam = extract_family(FREE, random_form(FREE, grid3, 1, keyed_rng(0, "io", "finite", 3)))
+    fam.set_entry(KernelTensor(1, 0, np.full(3, np.nan)))
+    for save, path, obj in ((save_state, "psi.json", (psi,)),
+                            (save_kernel, "k.json", (kern, grid3)),
+                            (save_form, "A.json", (A,)),
+                            (save_family, "fam", (fam,))):
+        with pytest.raises(ValueError, match="non-finite"):
+            save(tmp_path / path, *obj)
+        assert not (tmp_path / path).exists()
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_tokens_are_rejected(tmp_path, grid3, token):
+    rng = keyed_rng(0, "io", "token", 0)
+    files = (("psi.json", save_state, load_state, (random_state(FREE, grid3, 1, rng),)),
+             ("k.json", save_kernel, load_kernel, (random_kernel(grid3, 1, 1, rng), grid3)),
+             ("A.json", save_form, load_form, (random_form(FREE, grid3, 1, rng),)))
+    for name, save, load, args in files:
+        path = tmp_path / name
+        save(path, *args)
+        # replace the last number of the last tensor by the token
+        head, sep, tail = path.read_text().rpartition("]]")
+        number = head.rsplit(", ", 1)[1]
+        path.write_text(head[: -len(number)] + token + sep + tail)
+        with pytest.raises(ValueError, match=f"non-finite number {token}"):
+            load(path)

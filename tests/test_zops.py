@@ -132,7 +132,7 @@ def test_cross_norm_weighting_shrinks(grid3):
 
 def test_qform_norm_of_identity(model, grid3):
     ident = identity_form(model, grid3, 2)
-    assert qform_norm(ident, 2, Indicatrix.zero()) == pytest.approx(1.0, rel=1e-12)
+    assert qform_norm(model, ident, 2, Indicatrix.zero()) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_qform_norm_triangle(model, grid3):
@@ -140,8 +140,8 @@ def test_qform_norm_triangle(model, grid3):
     A = random_form(model, grid3, 2, rng)
     B = random_form(model, grid3, 2, rng)
     omega = Indicatrix.sqrt(0.3)
-    lhs = qform_norm(A + B, 2, omega)
-    rhs = qform_norm(A, 2, omega) + qform_norm(B, 2, omega)
+    lhs = qform_norm(model, A + B, 2, omega)
+    rhs = qform_norm(model, A, 2, omega) + qform_norm(model, B, 2, omega)
     assert lhs <= rhs * (1 + 1e-12)
 
 
@@ -159,3 +159,10 @@ def test_big_matrix_layout(model, grid3):
     M = A.big_matrix(2)
     assert M.shape == (1 + 3 + 9, 1 + 3 + 9)
     np.testing.assert_array_equal(M[1:4, 4:], A.block(1, 2))
+
+
+def test_qform_norm_rejects_sectors_outside_truncation(model, grid3):
+    ident = identity_form(model, grid3, 2)
+    for n in (-1, 3):
+        with pytest.raises(ValueError, match="outside 0..2"):
+            qform_norm(model, ident, n, Indicatrix.zero())
