@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -21,24 +20,21 @@ from .contractions import Contraction, add_on_support, enumerate_contractions
 from .fock import FockState, RapidityGrid, sector_momentum
 from .scattering import ScatteringModel
 from .zops import (KernelTensor, QuadraticForm, create, reversal_permutation,
-                   symmetrizer_matrix, zmzn_form)
+                   sandwich, zmzn_form)
 
 
-@lru_cache(maxsize=None)
-def left_vector_matrix(model: ScatteringModel, grid: RapidityGrid, j: int) -> np.ndarray:
-    """Columns are the j-fold creator vectors, indexed row-major by the tuple."""
-    out = math.sqrt(math.factorial(j)) * symmetrizer_matrix(model, grid, j)
-    out.flags.writeable = False
-    return out
+def creator_elements(model: ScatteringModel, grid: RapidityGrid, mat: np.ndarray,
+                     m: int, n: int) -> np.ndarray:
+    """Matrix elements of an (m, n) block between the multi-creator vectors.
 
-
-@lru_cache(maxsize=None)
-def right_vector_matrix(model: ScatteringModel, grid: RapidityGrid, j: int) -> np.ndarray:
-    """Columns are j-fold creator vectors applied in descending slot order."""
-    rev = reversal_permutation(grid.size, j)
-    out = np.array(left_vector_matrix(model, grid, j))[:, rev]
-    out.flags.writeable = False
-    return out
+    Row t pairs with the m-fold creator vector of tuple t, creators applied
+    in slot order; column u with the n-fold one, applied in descending slot
+    order.  A j-fold creator vector is sqrt(j!) times the symmetrizer column
+    of its tuple, so this is sqrt(m! n!) (P_m mat P_n)[:, rev], with rev the
+    tuple reversal.
+    """
+    c = math.sqrt(math.factorial(m) * math.factorial(n))
+    return c * sandwich(model, grid, mat, m, n)[:, reversal_permutation(grid.size, n)]
 
 
 def point_index(grid: RapidityGrid, theta: float) -> int:
@@ -88,11 +84,17 @@ def embed_reduced(C: Contraction, reduced: np.ndarray, N: int) -> np.ndarray:
     return np.broadcast_to(expanded, (N,) * total)
 
 
-def _contracted_elements(A: QuadraticForm, mh: int, nh: int, left_mats,
-                         right_mats) -> np.ndarray:
-    """Matrix elements of A between the (mh, nh) vectors, on reduced tuples."""
+def _contracted_elements(model: ScatteringModel, A: QuadraticForm, mh: int, nh: int,
+                         left_mats, right_mats) -> np.ndarray:
+    """Matrix elements of A between the (mh, nh) vectors, on reduced tuples.
+
+    Without vector matrices these are the default creator vectors.
+    """
     N = A.grid.size
-    M = left_mats[mh].conj().T @ A.block(mh, nh) @ right_mats[nh]
+    if left_mats is None:
+        M = creator_elements(model, A.grid, A.block(mh, nh), mh, nh)
+    else:
+        M = left_mats[mh].conj().T @ A.block(mh, nh) @ right_mats[nh]
     return M.reshape((N,) * (mh + nh))
 
 
@@ -103,22 +105,18 @@ def fmn_coefficients(model: ScatteringModel, A: QuadraticForm, m: int, n: int,
 
     Alternating sum over contractions: each term carries the lattice delta
     and exchange factor of the contraction and the matrix element of A
-    between the reduced multi-creator vectors.  Custom vector matrices may
-    be supplied to extract against a different creator realization.
+    between the reduced multi-creator vectors.  Custom vector matrices (both
+    lists, indexed by the creator count) may be supplied to extract against
+    a different creator realization.
     """
     grid = A.grid
     N = grid.size
-    jmax = max(m, n)
-    if left_mats is None:
-        left_mats = [left_vector_matrix(model, grid, j) for j in range(jmax + 1)]
-    if right_mats is None:
-        right_mats = [right_vector_matrix(model, grid, j) for j in range(jmax + 1)]
     out = np.zeros((N,) * (m + n), dtype=complex)
     elements = {}  # one matrix element tensor per reduced slot count
     for C in enumerate_contractions(m, n):
         key = (m - C.size, n - C.size)
         if key not in elements:
-            elements[key] = _contracted_elements(A, *key, left_mats, right_mats)
+            elements[key] = _contracted_elements(model, A, *key, left_mats, right_mats)
         add_on_support(out, model, grid.points, C, elements[key], (-1) ** C.size)
     return KernelTensor(m, n, out)
 
@@ -177,9 +175,7 @@ def inversion_residual(model: ScatteringModel, A: QuadraticForm, m: int, n: int,
     """
     grid = A.grid
     N = grid.size
-    L = left_vector_matrix(model, grid, m)
-    R = right_vector_matrix(model, grid, n)
-    lhs = (L.conj().T @ A.block(m, n) @ R).reshape((N,) * (m + n))
+    lhs = creator_elements(model, grid, A.block(m, n), m, n).reshape((N,) * (m + n))
     rhs = np.zeros((N,) * (m + n), dtype=complex)
     reduced = {}  # one coefficient per reduced slot count
     for C in enumerate_contractions(m, n):

@@ -13,7 +13,7 @@ import numpy as np
 
 from .fock import FockState, RapidityGrid
 from .scattering import ScatteringModel
-from .zops import KernelTensor, QuadraticForm, symmetrizer_matrix
+from .zops import KernelTensor, QuadraticForm, sandwich
 
 
 def keyed_rng(seed: int, *labels) -> np.random.Generator:
@@ -39,16 +39,17 @@ def random_form(model: ScatteringModel, grid: RapidityGrid, truncation: int,
     """Dense random operator supported on the symmetric subspace.
 
     Blocks up to ``kmax`` (default: the truncation) are drawn complex
-    gaussian and sandwiched between sector symmetrizers.
+    gaussian over all N**l x N**k tuple pairs, in row-major (l, k) order,
+    and sandwiched between the sector symmetrizers through the orbit basis
+    (``zops.sandwich``).  The draws, and so the random stream, do not depend
+    on the model.
     """
     kmax = truncation if kmax is None else kmax
     N = grid.size
     blocks = {}
     for l in range(kmax + 1):
-        Pl = symmetrizer_matrix(model, grid, l)
         for k in range(kmax + 1):
-            Pk = symmetrizer_matrix(model, grid, k)
-            blocks[(l, k)] = Pl @ _complex(rng, (N**l, N**k)) @ Pk
+            blocks[(l, k)] = sandwich(model, grid, _complex(rng, (N**l, N**k)), l, k)
     return QuadraticForm(grid, truncation, blocks)
 
 

@@ -28,10 +28,9 @@ from .config import (DEFAULT_EQUALITY_TOL, DEFAULT_EXACT_TOL,
 from .contractions import (compose, delta_mask, enumerate_contractions,
                            r_factor_grid, reflect_contraction, s_factor_grid,
                            sigma_rho)
-from .expansion import (boost_form, embed_reduced, extract_family,
-                        fmn_coefficients, inversion_residual,
-                        left_vector_matrix, reconstruct, reflect_conjugate,
-                        reflected_coeffs, right_vector_matrix,
+from .expansion import (boost_form, creator_elements, embed_reduced,
+                        extract_family, fmn_coefficients, inversion_residual,
+                        reconstruct, reflect_conjugate, reflected_coeffs,
                         transform_coeffs_poincare, translate_form)
 from .fock import (Indicatrix, RapidityGrid, apply_omega_weight, boost,
                    energy_grid, minkowski, reflect, s_symmetry_residual,
@@ -750,9 +749,7 @@ def check_inversion(model: ScatteringModel, grid: RapidityGrid,
         mag = _TINY
         for m in range(K + 1):
             for n in range(K + 1):
-                L = left_vector_matrix(model, grid, m)
-                R = right_vector_matrix(model, grid, n)
-                mag = max(mag, _maxabs(L.conj().T @ A.block(m, n) @ R))
+                mag = max(mag, _maxabs(creator_elements(model, grid, A.block(m, n), m, n)))
                 err = max(err, inversion_residual(model, A, m, n, fam))
         res = max(res, err / mag)
     return res
@@ -908,7 +905,9 @@ def check_vector_energy_bound(model: ScatteringModel, grid: RapidityGrid,
         for j in range(truncation + 1):
             v = rng.normal(size=grid.size**j) + 1j * rng.normal(size=grid.size**j)
             w = np.exp(omega.weight(energy_grid(grid, j))).ravel()
-            lhs = float(np.linalg.norm(w * (left_vector_matrix(model, grid, j) @ v)))
+            # the creator vectors applied to v: sqrt(j!) P_j v
+            Lv = creator_elements(model, grid, v[:, None], j, 0).ravel()
+            lhs = float(np.linalg.norm(w * Lv))
             rhs = math.sqrt(math.factorial(j)) * float(np.linalg.norm(w * v))
             res = max(res, _excess(lhs, rhs))
     return res

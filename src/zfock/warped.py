@@ -90,7 +90,11 @@ def warp(A: QuadraticForm, Q: SkewSymmetricQ) -> QuadraticForm:
 def _phase_block(grid: RapidityGrid, Q: SkewSymmetricQ, l: int, k: int) -> np.ndarray:
     q0, q1 = sector_momentum(grid, l)
     p0, p1 = sector_momentum(grid, k)
-    phase = np.exp(1j * Q.pairing_arrays(q0[:, None], q1[:, None], p0[None, :], p1[None, :]))
+    angle = Q.pairing_arrays(q0[:, None], q1[:, None], p0[None, :], p1[None, :])
+    if not np.isfinite(angle).all():
+        raise ValueError(f"warp phase q . (Q p) is non-finite on block ({l}, {k}): "
+                         f"a = {Q.a!r} overflows on this lattice")
+    phase = np.exp(1j * angle)
     phase.setflags(write=False)
     return phase
 
@@ -243,6 +247,9 @@ def momentum_sector_decompose(A: QuadraticForm, rtol: float = 1e-12) -> list[Hom
 
 def q_commutator(A: QuadraticForm, B: QuadraticForm, Q: SkewSymmetricQ) -> QuadraticForm:
     """Deformed commutator: AB minus the twice-deformed reversed product."""
+    if not math.isfinite(2.0 * Q.a):
+        raise ValueError(f"deformed commutator needs 2a, which is non-finite "
+                         f"for a = {Q.a!r}")
     back = Q.scaled(-2.0)
     fwd = Q.scaled(2.0)
     return (A @ B) - warp(warp(B, back) @ warp(A, back), fwd)

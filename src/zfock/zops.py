@@ -2,10 +2,14 @@
 
 Operators are realized either as actions on :class:`FockState` or as
 sector-blocked matrices (:class:`QuadraticForm`) over the full lattice
-tensor basis.  Forms built here annihilate the non-symmetric complement,
-so compositions and matrix elements agree with the symmetric-subspace
-operators exactly.  Weighted norms are taken on the symmetric subspace, in
-the orthonormal orbit basis of :func:`symmetric_isometry`.
+tensor basis.  The S-symmetric subspace has one representation: the
+orthonormal orbit basis V of :func:`symmetric_isometry`, built directly
+from the permutation orbits, with one column per admissible multiset.
+Forms built here are sandwiched as V_l ((V_l^H X) V_k) V_k^H, so they
+annihilate the non-symmetric complement and compositions and matrix
+elements agree with the symmetric-subspace operators exactly; no
+N**n x N**n symmetrizer is formed.  Weighted norms are taken on the
+compressed blocks V_l^H A V_k.
 """
 
 from __future__ import annotations
@@ -67,38 +71,39 @@ def _perm_flat(N: int, n: int, images: tuple[int, ...]) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def symmetrizer_matrix(model: ScatteringModel, grid: RapidityGrid, n: int) -> np.ndarray:
-    """Matrix of the S-symmetrization projector on the n-particle sector."""
-    N = grid.size
-    dim = N**n
-    P = np.zeros((dim, dim), dtype=complex)
-    rows = np.arange(dim)
-    for sigma in all_permutations(n):
-        cols = _perm_flat(N, n, sigma.images)
-        vals = s_sigma_grid(model, grid.points, sigma).ravel() if n else np.ones(1)
-        P[rows, cols] += vals
-    P /= math.factorial(n)
-    P.flags.writeable = False
-    return P
-
-
-@lru_cache(maxsize=None)
 def symmetric_isometry(model: ScatteringModel, grid: RapidityGrid,
                        n: int) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal basis V of the S-symmetric n-particle subspace, and its orbits.
 
-    There is one column per admissible multiset: the symmetrizer column of
-    its sorted tuple, divided by its norm.  Every multiset is admissible
-    when S(0) = +1; when S(0) = -1 the symmetrizer kills repeated entries
-    and only strictly increasing tuples remain.  Distinct orbits have
-    disjoint supports, so V^H V = I and V V^H is the symmetrizer.  Returns
-    V, of shape (N**n, orbits), and the flat indices of the sorted tuples.
+    There is one column per admissible multiset, built from its permutation
+    orbit: the entry of an orbit tuple t is the sum of s_sigma(t) over the
+    permutations sigma that carry t to the sorted representative, which is
+    n! times the symmetrizer column of the representative; the column is
+    then divided by its norm.  Every multiset is admissible when
+    S(0) = +1; when S(0) = -1 the symmetrizer kills repeated entries and
+    only strictly increasing tuples remain.  Distinct orbits have disjoint
+    supports, so V^H V = I and V V^H is the symmetrizer, and no
+    N**n x N**n array is formed.  Returns V, of shape (N**n, orbits), and
+    the flat indices of the sorted tuples.
     """
-    steps = np.diff(basis_tuples(grid.size, n), axis=1)
+    N = grid.size
+    tuples = basis_tuples(N, n)
+    steps = np.diff(tuples, axis=1)
     strict = pair_values(model, grid.points)[0, 0].real < 0
     reps = np.flatnonzero(np.all(steps > 0 if strict else steps >= 0, axis=1))
-    cols = symmetrizer_matrix(model, grid, n)[:, reps]
-    V = cols / np.linalg.norm(cols, axis=0)
+    # flat index of every tuple's sorted representative, and its column
+    sorted_flat = np.sort(tuples, axis=1) @ (N ** np.arange(n - 1, -1, -1))
+    column = np.full(N**n, -1)
+    column[reps] = np.arange(len(reps))
+    column = column[sorted_flat]
+    entry = np.zeros(N**n, dtype=complex)
+    for sigma in all_permutations(n):
+        hits = _perm_flat(N, n, sigma.images) == sorted_flat
+        entry[hits] += s_sigma_grid(model, grid.points, sigma).ravel()[hits]
+    rows = np.flatnonzero(column >= 0)
+    V = np.zeros((N**n, len(reps)), dtype=complex)
+    V[rows, column[rows]] = entry[rows]
+    V /= np.linalg.norm(V, axis=0)
     V.flags.writeable = False
     reps.flags.writeable = False
     return V, reps
@@ -213,10 +218,36 @@ class QuadraticForm:
         return max((float(np.linalg.norm(m)) for m in self.blocks.values()), default=0.0)
 
 
+def sandwich(model: ScatteringModel, grid: RapidityGrid, mat: np.ndarray,
+             l: int, k: int) -> np.ndarray:
+    """P_l mat P_k, with P the symmetrizers, as V_l ((V_l^H mat) V_k) V_k^H."""
+    Vl = symmetric_isometry(model, grid, l)[0]
+    Vk = symmetric_isometry(model, grid, k)[0]
+    return Vl @ ((Vl.conj().T @ mat) @ Vk) @ Vk.conj().T
+
+
+def _ladder_block(model: ScatteringModel, grid: RapidityGrid, fmat: np.ndarray,
+                  l: int, k: int) -> np.ndarray:
+    """P_l (fmat kron 1) P_k, the identity acting on the trailing slots.
+
+    The compressed block V_l^H (fmat kron 1) V_k is contracted from the
+    reshaped bases, so the Kronecker product is never formed.
+    """
+    Vl = symmetric_isometry(model, grid, l)[0]
+    Vk = symmetric_isometry(model, grid, k)[0]
+    a, b = fmat.shape
+    r = Vl.shape[0] // a
+    left = np.tensordot(Vl.conj().T.reshape(Vl.shape[1], a, r), fmat, axes=(1, 0))
+    C = np.tensordot(left, Vk.reshape(b, r, Vk.shape[1]), axes=([2, 1], [0, 1]))
+    return Vl @ C @ Vk.conj().T
+
+
 def identity_form(model: ScatteringModel, grid: RapidityGrid, truncation: int) -> QuadraticForm:
-    """Identity of the symmetric subspace: one symmetrizer per sector."""
-    blocks = {(n, n): np.array(symmetrizer_matrix(model, grid, n))
-              for n in range(truncation + 1)}
+    """Identity of the symmetric subspace: the symmetrizer V V^H per sector."""
+    blocks = {}
+    for n in range(truncation + 1):
+        V = symmetric_isometry(model, grid, n)[0]
+        blocks[(n, n)] = V @ V.conj().T
     return QuadraticForm(grid, truncation, blocks)
 
 
@@ -272,12 +303,8 @@ def creator_form(model: ScatteringModel, grid: RapidityGrid, truncation: int,
                  f: np.ndarray) -> QuadraticForm:
     """Matrix form of the creation operator, sandwiched between symmetrizers."""
     f = np.asarray(f, dtype=complex).reshape(grid.size, 1)
-    blocks = {}
-    N = grid.size
-    for k in range(truncation):
-        Pk1 = symmetrizer_matrix(model, grid, k + 1)
-        Pk = symmetrizer_matrix(model, grid, k)
-        blocks[(k + 1, k)] = math.sqrt(k + 1) * (Pk1 @ np.kron(f, np.eye(N**k)) @ Pk)
+    blocks = {(k + 1, k): math.sqrt(k + 1) * _ladder_block(model, grid, f, k + 1, k)
+              for k in range(truncation)}
     return QuadraticForm(grid, truncation, blocks)
 
 
@@ -285,12 +312,8 @@ def annihilator_form(model: ScatteringModel, grid: RapidityGrid, truncation: int
                      f: np.ndarray) -> QuadraticForm:
     """Matrix form of the annihilation operator, sandwiched between symmetrizers."""
     f = np.asarray(f, dtype=complex).reshape(1, grid.size)
-    blocks = {}
-    N = grid.size
-    for k in range(truncation):
-        Pk = symmetrizer_matrix(model, grid, k)
-        Pk1 = symmetrizer_matrix(model, grid, k + 1)
-        blocks[(k, k + 1)] = math.sqrt(k + 1) * (Pk @ np.kron(f, np.eye(N**k)) @ Pk1)
+    blocks = {(k, k + 1): math.sqrt(k + 1) * _ladder_block(model, grid, f, k, k + 1)
+              for k in range(truncation)}
     return QuadraticForm(grid, truncation, blocks)
 
 
@@ -321,10 +344,7 @@ def zmzn_form(model: ScatteringModel, kernel: KernelTensor, grid: RapidityGrid,
             dropped = True
             continue
         c = math.sqrt(math.factorial(k) * math.factorial(l)) / math.factorial(k - n)
-        raw = np.kron(fmat, np.eye(N ** (k - n)))
-        Pl = symmetrizer_matrix(model, grid, l)
-        Pk = symmetrizer_matrix(model, grid, k)
-        blocks[(l, k)] = c * (Pl @ raw @ Pk)
+        blocks[(l, k)] = c * _ladder_block(model, grid, fmat, l, k)
     return QuadraticForm(grid, K, blocks, truncated=dropped)
 
 

@@ -245,3 +245,18 @@ def test_overflowing_phase_writes_no_file(tmp_path, capsys, grid3, command):
         assert main(args + ["--out", str(out)]) == 2
     assert "non-finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_qcomm_names_overflowing_deformation(tmp_path, capsys, grid3):
+    # a = 1e308 is finite, but the doubled deformation 2a of the commutator
+    # is not; the message must say so instead of calling a infinite
+    src = tmp_path / "A.json"
+    save_form(src, random_form(ScatteringModel.free(), grid3, 2,
+                               keyed_rng(3, "cli", "overflow", 1)))
+    out = tmp_path / "out.json"
+    assert main(["qcomm", "--a", "1e308", "--lhs", str(src), "--rhs", str(src),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "non-finite" in err
+    assert "needs finite a" not in err
+    assert not out.exists()

@@ -8,14 +8,15 @@ import pytest
 from zfock.contractions import Contraction
 from zfock.expansion import (CoefficientFamily, boost_form, contracted_vector,
                              extract_family, fmn_coefficients,
-                             inversion_residual, left_vector_matrix,
-                             reconstruct, reflect_conjugate, reflected_coeffs,
-                             right_vector_matrix, transform_coeffs_poincare,
-                             translate_form)
+                             inversion_residual, reconstruct,
+                             reflect_conjugate, reflected_coeffs,
+                             transform_coeffs_poincare, translate_form)
 from zfock.fock import minkowski, reflect, sector_momentum
 from zfock.sampling import keyed_rng, random_form, random_kernel, random_state
 from zfock.scattering import ScatteringModel, symmetrize
 from zfock.zops import form_residual, zmzn_form
+
+from reference import left_vector_matrix, right_vector_matrix
 
 FREE = ScatteringModel.free()
 

@@ -1,13 +1,15 @@
 """Property: the orbit isometry spans the symmetric subspace and keeps every norm.
 
-``symmetric_isometry`` must be an isometry onto the range of the
-symmetrizer, one column per orbit, and the compressed norms
-``qform_norm``/``sector_norm`` must equal the dense spectral norms over all
-N**n tuples: plainly for forms with A = P A P, and sandwiched between
-symmetrizers for any other form.  Models are free, ising, sinh_exp and a
-table of random unitary values on the lattice differences; lattices are
-random or symmetric, with 2-4 points; the examples are derandomized so the
-run is deterministic.
+``symmetric_isometry``, built directly from the permutation orbits, must
+be an isometry onto the range of the dense symmetrizer P of ``reference``,
+one column per orbit.  The compressed norms ``qform_norm``/``sector_norm``
+must equal the dense spectral norms over all N**n tuples: plainly for
+forms with A = P A P, and sandwiched between symmetrizers for any other
+form.  The form constructors, which sandwich through V, must equal their
+dense P X P references.  Models are free, ising, sinh_exp and a table of
+random unitary values on the lattice differences with S(0) = +1 or -1;
+lattices are random or symmetric, with 2-4 points; the examples are
+derandomized so the run is deterministic.
 """
 
 import math
@@ -20,9 +22,11 @@ from hypothesis import strategies as st
 from zfock.fock import Indicatrix, basis_tuples, energy_grid
 from zfock.sampling import keyed_rng, random_form, random_kernel
 from zfock.scattering import ScatteringModel
-from zfock.zops import (QuadraticForm, qform_norm, sector_norm,
-                        symmetric_isometry, symmetrizer_matrix, zmzn_form)
+from zfock.zops import (QuadraticForm, annihilator_form, creator_form,
+                        identity_form, qform_norm, sector_norm,
+                        symmetric_isometry, zmzn_form)
 
+from reference import symmetrizer_matrix
 from test_support_property import lattices
 
 K = 3
@@ -121,3 +125,56 @@ def test_orbit_isometry_keeps_norms(family, a, grid, seed, alpha, log, degrees):
                                   + 1j * rng.standard_normal((N**l, N**k))
                                   for l in range(K + 1) for k in range(K + 1)})
     assert_norms_match(model, raw, omega, sandwich=True)
+
+
+def sandwiched(model, grid, raw):
+    """The dense reference P_l X P_k of every block X."""
+    return {(l, k): symmetrizer_matrix(model, grid, l) @ X @ symmetrizer_matrix(model, grid, k)
+            for (l, k), X in raw.items()}
+
+
+def dense_zmzn(model, kernel, grid):
+    """Blocks c P_l (F kron 1) P_k of the monomial, F with its incoming slots reversed."""
+    N, m, n = grid.size, kernel.m, kernel.n
+    perm = tuple(range(m)) + tuple(range(m + n - 1, m - 1, -1))
+    F = kernel.values.transpose(perm).reshape(N**m, N**n)
+    raw = {}
+    for k in range(n, min(K, K - m + n) + 1):
+        l = k - n + m
+        c = math.sqrt(math.factorial(k) * math.factorial(l)) / math.factorial(k - n)
+        raw[(l, k)] = c * np.kron(F, np.eye(N ** (k - n)))
+    return sandwiched(model, grid, raw)
+
+
+def assert_blocks_match(form, want):
+    assert set(form.blocks) == set(want)
+    scale = max(float(np.max(np.abs(b))) for b in want.values())
+    for key, block in want.items():
+        np.testing.assert_allclose(form.blocks[key], block, rtol=0, atol=REL * scale)
+
+
+@pytest.mark.parametrize("family", sorted(MODELS))
+@settings(max_examples=10, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(a=st.floats(0.1, 1.5), grid=lattices(), seed=st.integers(0, 2**16),
+       degrees=st.tuples(st.integers(0, 2), st.integers(0, 2)))
+def test_forms_equal_dense_sandwiches(family, a, grid, seed, degrees):
+    rng = keyed_rng(seed, "property", "sandwich")
+    model = MODELS[family](a, grid, rng)
+    N = grid.size
+    f = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    col, row = f.reshape(N, 1), f.reshape(1, N)
+    assert_blocks_match(creator_form(model, grid, K, f), sandwiched(model, grid, {
+        (k + 1, k): math.sqrt(k + 1) * np.kron(col, np.eye(N**k)) for k in range(K)}))
+    assert_blocks_match(annihilator_form(model, grid, K, f), sandwiched(model, grid, {
+        (k, k + 1): math.sqrt(k + 1) * np.kron(row, np.eye(N**k)) for k in range(K)}))
+    assert_blocks_match(identity_form(model, grid, K), sandwiched(model, grid, {
+        (n, n): np.eye(N**n) for n in range(K + 1)}))
+    kernel = random_kernel(grid, *degrees, rng)
+    assert_blocks_match(zmzn_form(model, kernel, grid, K), dense_zmzn(model, kernel, grid))
+    # the same draws as random_form, sandwiched densely
+    draws = keyed_rng(seed, "property", "draws")
+    raw = {(l, k): draws.standard_normal((N**l, N**k)) + 1j * draws.standard_normal((N**l, N**k))
+           for l in range(K + 1) for k in range(K + 1)}
+    got = random_form(model, grid, K, keyed_rng(seed, "property", "draws"))
+    assert_blocks_match(got, sandwiched(model, grid, raw))

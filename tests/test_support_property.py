@@ -2,8 +2,11 @@
 
 The dense references rebuild each term as ``delta_mask * s_factor_grid
 (* r_factor_grid) * embed_reduced`` over all (N,)*(m+n) tuples, the way the
-coefficient formulas read.  Lattices are random or symmetric, with 2-4
-points; the examples are derandomized so the run is deterministic.
+coefficient formulas read.  They are fed the same matrix elements as the
+package (``creator_elements``), so the sums must agree bitwise; the elements
+themselves are checked against the dense L^H A R of ``reference`` at rel
+1e-12.  Lattices are random or symmetric, with 2-4 points; the examples are
+derandomized so the run is deterministic.
 """
 
 import numpy as np
@@ -13,12 +16,13 @@ from hypothesis import strategies as st
 
 from zfock.contractions import (delta_mask, enumerate_contractions,
                                 r_factor_grid, s_factor_grid)
-from zfock.expansion import (embed_reduced, extract_family, inversion_residual,
-                             left_vector_matrix, reflected_coeffs,
-                             right_vector_matrix)
+from zfock.expansion import (creator_elements, embed_reduced, extract_family,
+                             inversion_residual, reflected_coeffs)
 from zfock.fock import RapidityGrid
 from zfock.sampling import keyed_rng, random_form
 from zfock.scattering import ScatteringModel
+
+from reference import left_vector_matrix, right_vector_matrix
 
 K = 3
 
@@ -54,17 +58,14 @@ def dense_fmn(model, A, m, n):
     out = np.zeros((N,) * (m + n), dtype=complex)
     for C in enumerate_contractions(m, n):
         mh, nh = m - C.size, n - C.size
-        M = left_vector_matrix(model, grid, mh).conj().T @ A.block(mh, nh) \
-            @ right_vector_matrix(model, grid, nh)
+        M = creator_elements(model, grid, A.block(mh, nh), mh, nh)
         out += ((-1) ** C.size) * _dense_term(model, grid, C, M.reshape((N,) * (mh + nh)))
     return out
 
 
 def dense_inversion(model, A, m, n, family):
     grid, N = A.grid, A.grid.size
-    L = left_vector_matrix(model, grid, m)
-    R = right_vector_matrix(model, grid, n)
-    lhs = (L.conj().T @ A.block(m, n) @ R).reshape((N,) * (m + n))
+    lhs = creator_elements(model, grid, A.block(m, n), m, n).reshape((N,) * (m + n))
     rhs = np.zeros_like(lhs)
     for C in enumerate_contractions(m, n):
         reduced = family.entry(m - C.size, n - C.size).values
@@ -93,6 +94,10 @@ def test_support_sums_equal_dense_sums(family, a, grid, seed):
     fam = extract_family(model, A)
     for m in range(K + 1):
         for n in range(K + 1):
+            dense = left_vector_matrix(model, grid, m).conj().T @ A.block(m, n) \
+                @ right_vector_matrix(model, grid, n)
+            np.testing.assert_allclose(creator_elements(model, grid, A.block(m, n), m, n),
+                                       dense, rtol=0, atol=1e-12 * np.max(np.abs(dense)))
             np.testing.assert_array_equal(fam.entry(m, n).values,
                                           dense_fmn(model, A, m, n))
             assert inversion_residual(model, A, m, n, fam) \

@@ -87,6 +87,29 @@ def test_warp_mass_guard(grid3):
         warp(A, SkewSymmetricQ(1.0, 2.0))
 
 
+@pytest.mark.parametrize("a", [1e308, -1e308])
+def test_overflowing_phase_raises(grid3, a):
+    # at |a| = 1e308 the phase q . (Q p) overflows on 36 of the 169 entries
+    # of a K = 2 form; numpy warns of the overflow and warp refuses the form
+    # instead of returning NaN entries
+    A = random_form(FREE, grid3, 2, keyed_rng(0, "warped", "overflow", 0))
+    with pytest.raises(ValueError, match="non-finite"), pytest.warns(RuntimeWarning):
+        warp(A, SkewSymmetricQ(a, 1.0))
+
+
+def test_q_commutator_names_overflow(grid3):
+    rng = keyed_rng(0, "warped", "qoverflow", 0)
+    A = random_form(FREE, grid3, 2, rng)
+    B = random_form(FREE, grid3, 2, rng)
+    # 2a is finite but its phase overflows
+    with pytest.raises(ValueError, match="non-finite"), pytest.warns(RuntimeWarning):
+        q_commutator(A, B, SkewSymmetricQ(5e307, 1.0))
+    # 2a itself overflows: named as such, not as an infinite input a
+    with pytest.raises(ValueError, match="non-finite") as err:
+        q_commutator(A, B, SkewSymmetricQ(1e308, 1.0))
+    assert "needs finite a" not in str(err.value)
+
+
 def test_spectral_sum_agrees_both_sides(grid3):
     A = random_form(FREE, grid3, 2, keyed_rng(0, "warped", "spectral", 0))
     Q = SkewSymmetricQ(0.9, 1.0)
