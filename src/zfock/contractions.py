@@ -54,14 +54,6 @@ class Contraction:
         used = {r for _, r in self.pairs}
         return tuple(i for i in range(self.m + 1, self.m + self.n + 1) if i not in used)
 
-    def to_json(self) -> dict:
-        return {"m": self.m, "n": self.n, "pairs": [list(p) for p in self.pairs]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Contraction":
-        return cls(int(data["m"]), int(data["n"]),
-                   tuple((int(l), int(r)) for l, r in data["pairs"]))
-
 
 @lru_cache(maxsize=None)
 def enumerate_contractions(m: int, n: int) -> tuple[Contraction, ...]:
@@ -72,13 +64,6 @@ def enumerate_contractions(m: int, n: int) -> tuple[Contraction, ...]:
             for lefts in itertools.permutations(range(1, m + 1), k):
                 out.append(Contraction(m, n, tuple(zip(lefts, rights))))
     return tuple(sorted(out, key=lambda c: (c.size, c.pairs)))
-
-
-def delta_pairs(C: Contraction, theta: Sequence[float], eta: Sequence[float]) -> int:
-    """Product of lattice deltas over the contracted pairs: 1 on support, else 0."""
-    if len(theta) != C.m or len(eta) != C.n:
-        raise ValueError("tuple lengths do not match the contraction")
-    return int(all(theta[l - 1] == eta[r - C.m - 1] for l, r in C.pairs))
 
 
 def delta_mask(C: Contraction, N: int) -> np.ndarray:
@@ -119,16 +104,6 @@ def _factor_indices(C: Contraction) -> list[tuple[int, int]]:
     return out
 
 
-def s_c_factor(model: ScatteringModel, C: Contraction, theta: Sequence[float],
-               eta: Sequence[float]) -> complex:
-    """Exchange factor of the contraction at one lattice tuple."""
-    xi = tuple(theta) + tuple(eta)
-    out = 1.0 + 0.0j
-    for a, b in _factor_indices(C):
-        out *= model.value(xi[a - 1] - xi[b - 1])
-    return out
-
-
 def s_factor_grid(model: ScatteringModel, points: Sequence[float], C: Contraction) -> np.ndarray:
     """Exchange factor on every lattice tuple; shape (N,)*(m+n)."""
     N = len(points)
@@ -155,23 +130,6 @@ def _sweep_indices(C: Contraction) -> list[list[tuple[int, int]]]:
                 a, b = b, a
             sweep.append((a, b))
         out.append(sweep)
-    return out
-
-
-def r_c_factor(model: ScatteringModel, C: Contraction, theta: Sequence[float],
-               eta: Sequence[float]) -> complex:
-    """Reflection factor: product over pairs of (1 - full exchange sweep of the left slot).
-
-    The sweep runs over every concatenated slot including the left slot
-    itself, so the S(0) value participates.
-    """
-    xi = tuple(theta) + tuple(eta)
-    out = 1.0 + 0.0j
-    for sweep_pairs in _sweep_indices(C):
-        sweep = 1.0 + 0.0j
-        for a, b in sweep_pairs:
-            sweep *= model.value(xi[a - 1] - xi[b - 1])
-        out *= 1.0 - sweep
     return out
 
 

@@ -17,10 +17,10 @@ from typing import Sequence
 import numpy as np
 
 from .contractions import Contraction, add_on_support, enumerate_contractions
-from .fock import FockState, RapidityGrid, sector_momentum
+from .fock import RapidityGrid, sector_momentum
 from .scattering import ScatteringModel
-from .zops import (KernelTensor, QuadraticForm, create, reversal_permutation,
-                   sandwich, zmzn_form)
+from .zops import (KernelTensor, QuadraticForm, reversal_permutation, sandwich,
+                   zmzn_form)
 
 
 def creator_elements(model: ScatteringModel, grid: RapidityGrid, mat: np.ndarray,
@@ -35,42 +35,6 @@ def creator_elements(model: ScatteringModel, grid: RapidityGrid, mat: np.ndarray
     """
     c = math.sqrt(math.factorial(m) * math.factorial(n))
     return c * sandwich(model, grid, mat, m, n)[:, reversal_permutation(grid.size, n)]
-
-
-def point_index(grid: RapidityGrid, theta: float) -> int:
-    try:
-        return grid.points.index(float(theta))
-    except ValueError:
-        raise ValueError(f"rapidity {theta!r} is not a lattice point") from None
-
-
-def contracted_vector(model: ScatteringModel, side: str, C: Contraction,
-                      args: Sequence[float], grid: RapidityGrid,
-                      truncation: int) -> FockState:
-    """Multi-creator vector with the contracted slots omitted.
-
-    ``args`` is the full tuple for the chosen side; only the entries at
-    free slots are used.  The left vector applies creators in slot order
-    (slot 1 outermost), the right vector in descending slot order.
-    """
-    if side == "left":
-        free = [l - 1 for l in C.free_left]
-        order = list(reversed(free))
-        if len(args) != C.m:
-            raise ValueError("argument tuple must have one entry per outgoing slot")
-    elif side == "right":
-        free = [r - C.m - 1 for r in C.free_right]
-        order = free
-        if len(args) != C.n:
-            raise ValueError("argument tuple must have one entry per incoming slot")
-    else:
-        raise ValueError("side must be 'left' or 'right'")
-    state = FockState.vacuum(grid, truncation)
-    for pos in order:
-        e = np.zeros(grid.size, dtype=complex)
-        e[point_index(grid, args[pos])] = 1.0
-        state = create(model, e, state)
-    return state
 
 
 def embed_reduced(C: Contraction, reduced: np.ndarray, N: int) -> np.ndarray:

@@ -9,13 +9,11 @@ identity here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-
-from .scattering import ScatteringModel, symmetrize
 
 
 def minkowski(x: Sequence[float], y: Sequence[float]) -> float:
@@ -92,7 +90,7 @@ def sector_momentum(grid: RapidityGrid, n: int) -> tuple[np.ndarray, np.ndarray]
     return p0, p1
 
 
-_OMEGA_FAMILIES = ("zero", "sqrt", "log", "custom")
+_OMEGA_FAMILIES = ("zero", "sqrt", "log")
 
 
 @dataclass(frozen=True)
@@ -101,15 +99,12 @@ class Indicatrix:
 
     family: str
     alpha: float = 0.0
-    fn: Callable[[np.ndarray], np.ndarray] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.family not in _OMEGA_FAMILIES:
             raise ValueError(f"unknown indicatrix family {self.family!r}")
         if self.family != "zero" and self.alpha < 0:
             raise ValueError("indicatrix parameter must be nonnegative")
-        if self.family == "custom" and self.fn is None:
-            raise ValueError("custom indicatrix needs a callable")
 
     @classmethod
     def zero(cls) -> "Indicatrix":
@@ -123,33 +118,6 @@ class Indicatrix:
     def log(cls, alpha: float) -> "Indicatrix":
         return cls("log", alpha=float(alpha))
 
-    @classmethod
-    def custom(cls, fn: Callable[[np.ndarray], np.ndarray],
-               samples: Sequence[float] | None = None, tol: float = 1e-12) -> "Indicatrix":
-        """Admit an arbitrary weight after checking the three growth conditions.
-
-        On a sample lattice (default: 0..50 step 0.25) the values must be
-        nonnegative, nondecreasing, and sublinear in the sense
-        omega(s + t) <= omega(s) + omega(t).
-        """
-        pts = np.arange(0.0, 50.0 + 1e-9, 0.25) if samples is None else np.asarray(samples, float)
-        vals = np.asarray(fn(pts), dtype=float)
-        problems = []
-        if np.any(vals < -tol):
-            problems.append("negative values")
-        if np.any(np.diff(vals) < -tol):
-            problems.append("not monotone")
-        # subadditivity spot check on sums that stay inside the sample range
-        half = pts[pts <= pts[-1] / 2]
-        vhalf = np.asarray(fn(half), dtype=float)
-        pair = vhalf[:, None] + vhalf[None, :]
-        both = np.asarray(fn(half[:, None] + half[None, :]), dtype=float)
-        if np.any(both > pair + tol):
-            problems.append("not sublinear")
-        if problems:
-            raise ValueError("invalid indicatrix: " + ", ".join(problems))
-        return cls("custom", fn=fn)
-
     def weight(self, p) -> np.ndarray:
         """omega evaluated elementwise on nonnegative arguments."""
         p = np.asarray(p, dtype=float)
@@ -157,9 +125,7 @@ class Indicatrix:
             return np.zeros(p.shape)
         if self.family == "sqrt":
             return self.alpha * np.sqrt(p)
-        if self.family == "log":
-            return self.alpha * np.log1p(p)
-        return np.asarray(self.fn(p), dtype=float)
+        return self.alpha * np.log1p(p)
 
 
 @dataclass
@@ -193,12 +159,6 @@ class FockState:
         N = grid.size
         return cls(grid, [np.zeros((N,) * n, dtype=complex) for n in range(truncation + 1)])
 
-    @classmethod
-    def vacuum(cls, grid: RapidityGrid, truncation: int) -> "FockState":
-        out = cls.zeros(grid, truncation)
-        out.sectors[0] = np.asarray(1.0 + 0.0j)
-        return out
-
     def sector(self, n: int) -> np.ndarray:
         return self.sectors[n]
 
@@ -224,15 +184,6 @@ class FockState:
         return FockState(self.grid, [c * a for a in self.sectors], self.truncated)
 
     __rmul__ = __mul__
-
-
-def s_symmetry_residual(model: ScatteringModel, state: FockState) -> float:
-    """Largest deviation of any sector from its own S-symmetrization."""
-    res = 0.0
-    for n in range(2, state.truncation + 1):
-        sym = symmetrize(model, state.sector(n), state.grid.points)
-        res = max(res, float(np.max(np.abs(sym - state.sector(n)))) if sym.size else 0.0)
-    return res
 
 
 def translate(state: FockState, x: Sequence[float]) -> FockState:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .fock import FockState, RapidityGrid
 from .scattering import ScatteringModel
-from .zops import KernelTensor, QuadraticForm, sandwich
+from .zops import KernelTensor, QuadraticForm, sandwich, symmetrize
 
 
 def keyed_rng(seed: int, *labels) -> np.random.Generator:
@@ -56,11 +56,9 @@ def random_form(model: ScatteringModel, grid: RapidityGrid, truncation: int,
 def random_state(model: ScatteringModel, grid: RapidityGrid, truncation: int,
                  rng: np.random.Generator) -> FockState:
     """Random state with S-symmetric sectors."""
-    from .scattering import symmetrize
-
     N = grid.size
     sectors = []
     for n in range(truncation + 1):
         raw = _complex(rng, (N,) * n)
-        sectors.append(symmetrize(model, raw, grid.points) if n >= 2 else raw)
+        sectors.append(symmetrize(model, grid, raw) if n >= 2 else raw)
     return FockState(grid, sectors)

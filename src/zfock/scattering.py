@@ -3,8 +3,9 @@
 A scattering factor S is a unimodular function of a rapidity difference
 with S(-theta) = conj(S(theta)) = 1/S(theta).  Products of S values over
 inversion pairs turn ordinary permutations of rapidity tuples into a
-unitary representation on lattice tensors; averaging that representation
-gives the S-symmetrization projector.
+unitary representation on lattice tensors (:func:`act_d`).  The subspace
+it fixes, the S-symmetric one, is represented by the orbit basis of
+``zops.symmetric_isometry``, which also projects onto it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -148,10 +149,6 @@ class Permutation:
             raise ValueError(f"not a bijection of 1..{n}: {self.images!r}")
 
     @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
-
-    @classmethod
     def transposition(cls, n: int, i: int, j: int) -> "Permutation":
         images = list(range(1, n + 1))
         images[i - 1], images[j - 1] = j, i
@@ -199,16 +196,6 @@ def all_permutations(n: int) -> tuple[Permutation, ...]:
     return tuple(Permutation(p) for p in itertools.permutations(range(1, n + 1)))
 
 
-def s_sigma(model: ScatteringModel, sigma: Permutation, thetas: Sequence[float]) -> complex:
-    """Product of S over the inversion pairs of sigma at the given rapidities."""
-    if len(thetas) != sigma.n:
-        raise ValueError("rapidity tuple does not match permutation size")
-    out = 1.0 + 0.0j
-    for i, j in sigma.inversion_pairs():
-        out *= model.value(thetas[sigma(i) - 1] - thetas[sigma(j) - 1])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # lattice (grid) versions: tensors over grid^n with one axis per slot
 
@@ -234,7 +221,10 @@ def _axis(N: int, n: int, k: int) -> np.ndarray:
 
 
 def s_sigma_grid(model: ScatteringModel, points: Sequence[float], sigma: Permutation) -> np.ndarray:
-    """s_sigma evaluated on every lattice tuple at once; shape (N,)*n."""
+    """Product of S(theta_sigma(i) - theta_sigma(j)) over the inversion pairs (i, j).
+
+    Evaluated on every lattice tuple theta at once; shape (N,)*n.
+    """
     N = len(points)
     n = sigma.n
     mat = pair_values(model, points)
@@ -257,44 +247,3 @@ def act_d(model: ScatteringModel, sigma: Permutation, values: np.ndarray,
           points: Sequence[float]) -> np.ndarray:
     """Twisted permutation action: S-factor times the rearranged tensor."""
     return s_sigma_grid(model, points, sigma) * permute_tensor(values, sigma)
-
-
-def act_d_subset(model: ScatteringModel, values: np.ndarray, points: Sequence[float],
-                 slots: Sequence[int], sigma: Permutation) -> np.ndarray:
-    """One twisted term of a slot-subset permutation.
-
-    ``slots`` are 1-based positions; ``sigma`` permutes them among
-    themselves.  S-factors are restricted to inverted slot pairs inside
-    the subset, matching the full action when the subset is contiguous.
-    """
-    n = values.ndim
-    N = len(points)
-    mat = pair_values(model, points)
-    images = list(range(1, n + 1))
-    for a in range(1, sigma.n + 1):
-        images[slots[a - 1] - 1] = slots[sigma(a) - 1]
-    term = permute_tensor(values, Permutation(tuple(images)))
-    factor = np.ones((N,) * n, dtype=complex)
-    for a, b in sigma.inversion_pairs():
-        factor = factor * mat[_axis(N, n, slots[sigma(a) - 1] - 1),
-                              _axis(N, n, slots[sigma(b) - 1] - 1)]
-    return factor * term
-
-
-def symmetrize(model: ScatteringModel, values: np.ndarray, points: Sequence[float],
-               subset: Iterable[int] | None = None) -> np.ndarray:
-    """Average of the twisted action over permutations of the given slots.
-
-    ``subset`` lists 1-based slot positions (default: all slots).  Factors are
-    restricted to inverted slot pairs inside the subset, so for a contiguous
-    block this is the block symmetrization with spectator slots untouched.
-    """
-    n = values.ndim
-    slots = tuple(range(1, n + 1)) if subset is None else tuple(sorted(subset))
-    if any(s < 1 or s > n for s in slots) or len(set(slots)) != len(slots):
-        raise ValueError(f"bad slot subset {slots!r}")
-    j = len(slots)
-    out = np.zeros(values.shape, dtype=complex)
-    for sigma in all_permutations(j):
-        out += act_d_subset(model, values, points, slots, sigma)
-    return out / math.factorial(j)

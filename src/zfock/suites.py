@@ -33,12 +33,12 @@ from .expansion import (boost_form, creator_elements, embed_reduced,
                         reconstruct, reflect_conjugate, reflected_coeffs,
                         transform_coeffs_poincare, translate_form)
 from .fock import (Indicatrix, RapidityGrid, apply_omega_weight, boost,
-                   energy_grid, minkowski, reflect, s_symmetry_residual,
-                   sector_momentum, translate)
+                   energy_grid, minkowski, reflect, sector_momentum,
+                   translate)
 from .sampling import keyed_rng, random_form, random_kernel, random_state
 from .scattering import (SINH_EXP, TABLE, Permutation, ScatteringModel, act_d,
-                         act_d_subset, all_permutations, pair_values,
-                         permute_tensor, s_sigma_grid, symmetrize)
+                         all_permutations, pair_values, permute_tensor,
+                         s_sigma_grid)
 from .warped import (GroupingWarning, SkewSymmetricQ, deformed_annihilator,
                      deformed_creator, deformed_fmn_coefficients,
                      momentum_sector_decompose, nested_free_family,
@@ -46,8 +46,8 @@ from .warped import (GroupingWarning, SkewSymmetricQ, deformed_annihilator,
                      warp_spectral)
 from .zops import (KernelTensor, QuadraticForm, annihilator_form, annihilate,
                    create, creator_form, cross_norm, form_residual,
-                   identity_form, kernel_adjoint, qform_norm, sector_norm,
-                   zmzn_form)
+                   identity_form, kernel_adjoint, qform_norm,
+                   s_symmetry_residual, sector_norm, symmetrize, zmzn_form)
 
 _TINY = 1e-300
 
@@ -104,6 +104,17 @@ def _zero_form(grid: RapidityGrid, truncation: int) -> QuadraticForm:
     return QuadraticForm(grid, truncation, {})
 
 
+def _sym_both(model: ScatteringModel, grid: RapidityGrid, values: np.ndarray,
+              m: int, n: int) -> np.ndarray:
+    """Symmetrize the outgoing and incoming slot groups separately."""
+    out = values
+    if m > 1:
+        out = symmetrize(model, grid, out, range(1, m + 1))
+    if n > 1:
+        out = symmetrize(model, grid, out, range(m + 1, m + n + 1))
+    return out
+
+
 def coefficient_bound_constant(m: int, n: int) -> float:
     """Constant sum over contractions: sqrt((m-|C|)! (n-|C|)!)."""
     total = 0.0
@@ -152,22 +163,22 @@ def check_delta_exchange(model: ScatteringModel, grid: RapidityGrid,
     res = 0.0
     for n in range(1, nmax + 1):
         pairing = np.eye(N**n, dtype=complex).reshape((N,) * (2 * n))
-        lhs = symmetrize(model, pairing, grid.points, subset=range(1, n + 1))
-        rhs = symmetrize(inv, pairing, grid.points, subset=range(n + 1, 2 * n + 1))
+        lhs = symmetrize(model, grid, pairing, range(1, n + 1))
+        rhs = symmetrize(inv, grid, pairing, range(n + 1, 2 * n + 1))
         res = max(res, _maxabs(lhs - rhs))
     return res
 
 
 def check_projector_identity(model: ScatteringModel, grid: RapidityGrid,
                              seed: int, count: int = 4) -> float:
-    """The symmetrization average is idempotent on random tensors."""
+    """The S-symmetrization is idempotent on random tensors."""
     res = 0.0
     for i in range(count):
         rng = keyed_rng(seed, "scattering", "projector_identity", i)
         for n in (2, 3):
             f = rng.normal(size=(grid.size,) * n) + 1j * rng.normal(size=(grid.size,) * n)
-            once = symmetrize(model, f, grid.points)
-            twice = symmetrize(model, once, grid.points)
+            once = symmetrize(model, grid, f)
+            twice = symmetrize(model, grid, once)
             res = max(res, _rel(_maxabs(twice - once), _maxabs(once)))
     return res
 
@@ -429,13 +440,9 @@ def check_monomial_symmetrized_kernel(model: ScatteringModel, grid: RapidityGrid
         m, n = degrees[i % len(degrees)]
         rng = keyed_rng(seed, "zops", "monomial_symmetrized_kernel", i)
         f = random_kernel(grid, m, n, rng)
-        sym = f.values
-        if m > 1:
-            sym = symmetrize(model, sym, grid.points, subset=range(1, m + 1))
-        if n > 1:
-            sym = symmetrize(model, sym, grid.points, subset=range(m + 1, m + n + 1))
         lhs = zmzn_form(model, f, grid, truncation)
-        rhs = zmzn_form(model, KernelTensor(m, n, sym), grid, truncation)
+        rhs = zmzn_form(model, KernelTensor(m, n, _sym_both(model, grid, f.values, m, n)),
+                        grid, truncation)
         res = max(res, _form_rel(lhs, rhs))
     return res
 
@@ -677,17 +684,6 @@ def check_binomial_cancellation(mmax: int = 3) -> float:
 # expansion checks
 
 
-def _sym_both(model: ScatteringModel, values: np.ndarray, points, m: int,
-              n: int) -> np.ndarray:
-    """Symmetrize the outgoing and incoming slot groups separately."""
-    out = values
-    if m > 1:
-        out = symmetrize(model, out, points, subset=range(1, m + 1))
-    if n > 1:
-        out = symmetrize(model, out, points, subset=range(m + 1, m + n + 1))
-    return out
-
-
 def check_coefficient_symmetry(model: ScatteringModel, grid: RapidityGrid,
                                truncation: int, seed: int, count: int,
                                cap: int = 4) -> float:
@@ -707,9 +703,9 @@ def check_coefficient_symmetry(model: ScatteringModel, grid: RapidityGrid,
             for start, size in ((1, m), (m + 1, n)):
                 for a in range(1, size + 1):
                     for b in range(a + 1, size + 1):
-                        tau = Permutation.transposition(size, a, b)
-                        slots = tuple(range(start, start + size))
-                        moved = act_d_subset(model, f, grid.points, slots, tau)
+                        tau = Permutation.transposition(m + n, start + a - 1,
+                                                        start + b - 1)
+                        moved = act_d(model, tau, f, grid.points)
                         res = max(res, _rel(_maxabs(moved - f), scale))
     return res
 
@@ -726,7 +722,7 @@ def check_dual_basis(model: ScatteringModel, grid: RapidityGrid,
         g = random_kernel(grid, mp, np_, rng)
         A = zmzn_form(model, g, grid, K)
         expected = math.factorial(mp) * math.factorial(np_) \
-            * _sym_both(model, g.values, grid.points, mp, np_)
+            * _sym_both(model, grid, g.values, mp, np_)
         scale = _maxabs(expected)
         for m in range(K + 1):
             for n in range(K + 1):
@@ -785,7 +781,7 @@ def check_projection_invariance(model: ScatteringModel, grid: RapidityGrid,
                 w = 1.0 / (math.factorial(m) * math.factorial(n))
                 A = A + w * zmzn_form(model, f, grid, K)
         for (m, n), f in kernels.items():
-            want = _sym_both(model, f.values, grid.points, m, n)
+            want = _sym_both(model, grid, f.values, m, n)
             got = fmn_coefficients(model, A, m, n).values
             res = max(res, _rel(_maxabs(got - want), _maxabs(want)))
     return res

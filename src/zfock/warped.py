@@ -86,15 +86,20 @@ def warp(A: QuadraticForm, Q: SkewSymmetricQ) -> QuadraticForm:
     return QuadraticForm(A.grid, A.truncation, blocks, A.truncated)
 
 
+def _phase(Q: SkewSymmetricQ, x0, x1, y0, y1, sign: complex, key) -> np.ndarray:
+    """exp(sign * x . (Q y)), refusing a pairing that overflowed on block ``key``."""
+    angle = Q.pairing_arrays(x0, x1, y0, y1)
+    if not np.isfinite(angle).all():
+        raise ValueError(f"warp phase q . (Q p) is non-finite on block {key}: "
+                         f"a = {Q.a!r} overflows on this lattice")
+    return np.exp(sign * angle)
+
+
 @lru_cache(maxsize=64)
 def _phase_block(grid: RapidityGrid, Q: SkewSymmetricQ, l: int, k: int) -> np.ndarray:
     q0, q1 = sector_momentum(grid, l)
     p0, p1 = sector_momentum(grid, k)
-    angle = Q.pairing_arrays(q0[:, None], q1[:, None], p0[None, :], p1[None, :])
-    if not np.isfinite(angle).all():
-        raise ValueError(f"warp phase q . (Q p) is non-finite on block ({l}, {k}): "
-                         f"a = {Q.a!r} overflows on this lattice")
-    phase = np.exp(1j * angle)
+    phase = _phase(Q, q0[:, None], q1[:, None], p0[None, :], p1[None, :], 1j, (l, k))
     phase.setflags(write=False)
     return phase
 
@@ -190,14 +195,14 @@ def warp_spectral(A: QuadraticForm, Q: SkewSymmetricQ, side: str = "right",
         key_labels = labels[k] if side == "right" else labels[l]
         rep = reps[key_labels]  # one representative momentum per keyed index
         if side == "right":
-            row = np.exp(1j * Q.pairing_arrays(q0[:, None], q1[:, None],
-                                               rep[None, :, 0], rep[None, :, 1]))
-            col = np.exp(-1j * Q.pairing_arrays(p0, p1, rep[:, 0], rep[:, 1]))
+            row = _phase(Q, q0[:, None], q1[:, None], rep[None, :, 0], rep[None, :, 1],
+                         1j, (l, k))
+            col = _phase(Q, p0, p1, rep[:, 0], rep[:, 1], -1j, (l, k))
             blocks[(l, k)] = row * mat * col[None, :]
         else:
-            row = np.exp(1j * Q.pairing_arrays(q0, q1, rep[:, 0], rep[:, 1]))
-            col = np.exp(-1j * Q.pairing_arrays(p0[None, :], p1[None, :],
-                                                rep[:, None, 0], rep[:, None, 1]))
+            row = _phase(Q, q0, q1, rep[:, 0], rep[:, 1], 1j, (l, k))
+            col = _phase(Q, p0[None, :], p1[None, :], rep[:, None, 0], rep[:, None, 1],
+                         -1j, (l, k))
             blocks[(l, k)] = row[:, None] * mat * col
     return QuadraticForm(A.grid, A.truncation, blocks, A.truncated)
 
@@ -340,54 +345,15 @@ def deformed_fmn_coefficients(A: QuadraticForm, Q: SkewSymmetricQ, m: int,
     return fmn_coefficients(Q.scattering_model(), A, m, n, left_mats=left, right_mats=right)
 
 
-def deformed_monomial(grid: RapidityGrid, truncation: int, Q: SkewSymmetricQ,
-                      kernel: KernelTensor) -> QuadraticForm:
-    """Sum over lattice tuples of kernel-weighted deformed creator/annihilator words."""
-    creators, annihilators = _deformed_point_ladder(grid, truncation, Q)
-    N = grid.size
-    m, n = kernel.m, kernel.n
-
-    def words(ops: list[QuadraticForm], depth: int) -> dict[tuple[int, ...], QuadraticForm]:
-        out: dict[tuple[int, ...], QuadraticForm] = {
-            (): None}  # type: ignore[dict-item]
-        for _ in range(depth):
-            new = {}
-            for key, X in out.items():
-                for g in range(N):
-                    new[key + (g,)] = ops[g] if X is None else X @ ops[g]
-            out = new
-        return out
-
-    lefts = words(creators, m)
-    rights = words(annihilators, n)
-    total = QuadraticForm(grid, truncation)
-    flat = kernel.values.reshape((N,) * (m + n)) if m + n else kernel.values
-    for lkey, V in lefts.items():
-        for rkey, W in rights.items():
-            c = complex(flat[lkey + rkey]) if (m + n) else complex(kernel.values)
-            if c == 0:
-                continue
-            if V is None and W is None:
-                from .zops import identity_form
-                word = c * identity_form(ScatteringModel.free(), grid, truncation)
-            elif V is None:
-                word = c * W
-            elif W is None:
-                word = c * V
-            else:
-                word = c * (V @ W)
-            total = total + word
-    return total
-
-
 def _nested_family(A: QuadraticForm, total: int,
                    creators: Sequence[QuadraticForm],
                    annihilators: Sequence[QuadraticForm],
-                   wrap_creator: Callable[[QuadraticForm, QuadraticForm, int], QuadraticForm],
-                   wrap_annihilator: Callable[[QuadraticForm, QuadraticForm, int], QuadraticForm],
+                   bracket: Callable[[QuadraticForm, QuadraticForm, int], QuadraticForm],
                    base_parity: int = 0) -> dict[tuple[int, int], np.ndarray]:
-    """Nested-wrap vacuum tensors for every (m, n) with m + n <= total.
+    """Nested-bracket vacuum tensors for every (m, n) with m + n <= total.
 
+    A node X is wrapped with a creator c as ``bracket(X, c, p)`` and with an
+    annihilator a as ``bracket(a, X, p)``, p being the number parity of X.
     Creator layers are shared between readouts, so the whole family costs
     little more than its deepest members.
 
@@ -420,7 +386,7 @@ def _nested_family(A: QuadraticForm, total: int,
             grown = {}
             for key, X in layer.items():
                 for g in range(N):
-                    grown[(g,) + key] = reachable(wrap_creator(X, creators[g], parity),
+                    grown[(g,) + key] = reachable(bracket(X, creators[g], parity),
                                                   total - n)
             layer = grown
             parity ^= 1
@@ -433,7 +399,7 @@ def _nested_family(A: QuadraticForm, total: int,
                 for key, X in sub.items():
                     for g in range(N):
                         grown[key + (g,)] = reachable(
-                            wrap_annihilator(annihilators[g], X, subparity), total - n - m)
+                            bracket(annihilators[g], X, subparity), total - n - m)
                 sub = grown
                 subparity ^= 1
                 for theta_key, X in sub.items():
@@ -441,57 +407,32 @@ def _nested_family(A: QuadraticForm, total: int,
     return out
 
 
-def _plain_wraps():
-    def wrapc(X, B, _):
-        return X @ B - B @ X
-
-    def wrapa(B, X, _):
-        return B @ X - X @ B
-
-    return wrapc, wrapa
+def _commutator(X: QuadraticForm, Y: QuadraticForm, _parity: int) -> QuadraticForm:
+    return X @ Y - Y @ X
 
 
-def _graded_wraps():
-    def wrapc(X, B, xparity):
-        sign = -1.0 if xparity else 1.0
-        return X @ B - sign * (B @ X)
-
-    def wrapa(B, X, xparity):
-        sign = -1.0 if xparity else 1.0
-        return B @ X - sign * (X @ B)
-
-    return wrapc, wrapa
-
-
-def _q_wraps(Q: SkewSymmetricQ):
-    def wrapc(X, B, _):
-        return q_commutator(X, B, Q)
-
-    def wrapa(B, X, _):
-        return q_commutator(B, X, Q)
-
-    return wrapc, wrapa
+def _graded_commutator(X: QuadraticForm, Y: QuadraticForm, parity: int) -> QuadraticForm:
+    sign = -1.0 if parity else 1.0
+    return X @ Y - sign * (Y @ X)
 
 
 def nested_free_family(A: QuadraticForm, total: int) -> dict[tuple[int, int], KernelTensor]:
     """Plain nested commutator tensors for all m + n <= total, shared layers."""
     creators, annihilators = _point_ladder(ScatteringModel.free(), A.grid, A.truncation)
-    wrapc, wrapa = _plain_wraps()
-    raw = _nested_family(A, total, creators, annihilators, wrapc, wrapa)
+    raw = _nested_family(A, total, creators, annihilators, _commutator)
     return {mn: KernelTensor(mn[0], mn[1], v) for mn, v in raw.items()}
 
 
 def nested_graded_family(A: QuadraticForm, total: int) -> dict[tuple[int, int], KernelTensor]:
     """Graded nested tensors for all m + n <= total, one parity part at a time."""
     creators, annihilators = _point_ladder(ScatteringModel.ising(), A.grid, A.truncation)
-    wrapc, wrapa = _graded_wraps()
     N = A.grid.size
     out = {(m, n): np.zeros((N,) * (m + n), dtype=complex)
            for n in range(total + 1) for m in range(total + 1 - n)}
     for part, par in zip(parity_split(A), (0, 1)):
         if not part.blocks:
             continue
-        raw = _nested_family(part, total, creators, annihilators, wrapc, wrapa,
+        raw = _nested_family(part, total, creators, annihilators, _graded_commutator,
                              base_parity=par)
         for mn, v in raw.items():
             out[mn] += v
@@ -503,6 +444,6 @@ def nested_q_family(A: QuadraticForm, Q: SkewSymmetricQ,
     """Deformed nested tensors for all m + n <= total, shared layers."""
     _check_mass(A, Q)
     creators, annihilators = _deformed_point_ladder(A.grid, A.truncation, Q)
-    wrapc, wrapa = _q_wraps(Q)
-    raw = _nested_family(A, total, creators, annihilators, wrapc, wrapa)
+    raw = _nested_family(A, total, creators, annihilators,
+                         lambda X, Y, _: q_commutator(X, Y, Q))
     return {mn: KernelTensor(mn[0], mn[1], v) for mn, v in raw.items()}

@@ -5,11 +5,12 @@ sector-blocked matrices (:class:`QuadraticForm`) over the full lattice
 tensor basis.  The S-symmetric subspace has one representation: the
 orthonormal orbit basis V of :func:`symmetric_isometry`, built directly
 from the permutation orbits, with one column per admissible multiset.
-Forms built here are sandwiched as V_l ((V_l^H X) V_k) V_k^H, so they
-annihilate the non-symmetric complement and compositions and matrix
-elements agree with the symmetric-subspace operators exactly; no
-N**n x N**n symmetrizer is formed.  Weighted norms are taken on the
-compressed blocks V_l^H A V_k.
+Every symmetrization goes through it: :func:`symmetrize` projects a
+tensor, or a contiguous block of its slots, as V V^H; forms built here
+are sandwiched as V_l ((V_l^H X) V_k) V_k^H, so they annihilate the
+non-symmetric complement and compositions and matrix elements agree with
+the symmetric-subspace operators exactly.  No N**n x N**n symmetrizer is
+formed.  Weighted norms are taken on the compressed blocks V_l^H A V_k.
 """
 
 from __future__ import annotations
@@ -17,13 +18,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Iterable
 
 import numpy as np
 
 from .fock import (FockState, Indicatrix, RapidityGrid, basis_tuples,
                    energy_grid)
 from .scattering import (ScatteringModel, all_permutations, pair_values,
-                         s_sigma_grid, symmetrize)
+                         s_sigma_grid)
 
 
 @dataclass
@@ -107,6 +109,34 @@ def symmetric_isometry(model: ScatteringModel, grid: RapidityGrid,
     V.flags.writeable = False
     reps.flags.writeable = False
     return V, reps
+
+
+def symmetrize(model: ScatteringModel, grid: RapidityGrid, values: np.ndarray,
+               slots: Iterable[int] | None = None) -> np.ndarray:
+    """S-symmetrization of a lattice tensor over one contiguous block of slots.
+
+    ``slots`` lists 1-based slot positions (default: all slots) and must be
+    a contiguous block; the other slots are spectators.  The block's axes
+    are projected with V V^H of :func:`symmetric_isometry`.
+    """
+    n = values.ndim
+    slots = tuple(range(1, n + 1)) if slots is None else tuple(slots)
+    s, j = (slots[0] if slots else 1), len(slots)
+    if slots != tuple(range(s, s + j)) or s < 1 or s + j - 1 > n:
+        raise ValueError(f"slots {slots!r} are not a contiguous block of 1..{n}")
+    N = grid.size
+    V = symmetric_isometry(model, grid, j)[0]
+    x = values.reshape(N**(s - 1), N**j, -1)
+    return (V @ (V.conj().T @ x)).reshape(values.shape)
+
+
+def s_symmetry_residual(model: ScatteringModel, state: FockState) -> float:
+    """Largest deviation of any sector from its own S-symmetrization."""
+    res = 0.0
+    for n in range(2, state.truncation + 1):
+        sym = symmetrize(model, state.grid, state.sector(n))
+        res = max(res, float(np.max(np.abs(sym - state.sector(n)))) if sym.size else 0.0)
+    return res
 
 
 @lru_cache(maxsize=None)
@@ -201,18 +231,6 @@ class QuadraticForm:
     def matrix_element(self, bra: FockState, ket: FockState) -> complex:
         return bra.inner(self.apply(ket))
 
-    def big_matrix(self, nmax: int | None = None) -> np.ndarray:
-        """Single matrix over the direct sum of sectors 0..nmax."""
-        nmax = self.truncation if nmax is None else nmax
-        N = self.grid.size
-        dims = [N**j for j in range(nmax + 1)]
-        offs = np.concatenate([[0], np.cumsum(dims)])
-        out = np.zeros((offs[-1], offs[-1]), dtype=complex)
-        for (l, k), mat in self.blocks.items():
-            if l <= nmax and k <= nmax:
-                out[offs[l]:offs[l + 1], offs[k]:offs[k + 1]] = mat
-        return out
-
     def scale(self) -> float:
         """Largest block Frobenius norm; a size reference for residuals."""
         return max((float(np.linalg.norm(m)) for m in self.blocks.values()), default=0.0)
@@ -280,7 +298,7 @@ def create(model: ScatteringModel, f: np.ndarray, state: FockState) -> FockState
     out = FockState.zeros(grid, K)
     for n in range(1, K + 1):
         raw = np.multiply.outer(f, state.sector(n - 1))
-        out.sectors[n] = math.sqrt(n) * symmetrize(model, raw, grid.points)
+        out.sectors[n] = math.sqrt(n) * symmetrize(model, grid, raw)
     dropped = float(np.max(np.abs(state.sector(K)))) if state.sector(K).size else 0.0
     out.truncated = state.truncated or dropped > 0.0
     return out

@@ -1,19 +1,27 @@
-"""Dense reference constructions of the S-symmetric subspace, for the tests.
+"""Reference constructions for the tests, kept out of the package.
 
 The package represents the symmetric subspace only through the orbit
 isometry ``zops.symmetric_isometry``.  These are the dense oracles it is
 checked against: the N**n x N**n symmetrization projector, summed over all
-permutations as its definition reads, and the multi-creator vector matrices
-built from it.
+permutations as its definition reads, its action on a block of slots, and
+the multi-creator vector matrices built from it.  The pointwise exchange
+and contraction factors are the references of the lattice-wide ones, and
+the vectors and deformed monomials built operator by operator are the
+references of the extracted coefficients.  ``big_matrix`` and ``vacuum``
+are views only the tests need.
 """
 
 import math
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
-from zfock.fock import basis_tuples
-from zfock.scattering import all_permutations, s_sigma_grid
+from zfock.contractions import Contraction, _factor_indices, _sweep_indices
+from zfock.fock import FockState, RapidityGrid, basis_tuples
+from zfock.scattering import Permutation, ScatteringModel, all_permutations, s_sigma_grid
+from zfock.warped import SkewSymmetricQ, _deformed_point_ladder
+from zfock.zops import KernelTensor, QuadraticForm, create, identity_form
 
 
 def _flat(tuples: np.ndarray, N: int) -> np.ndarray:
@@ -44,3 +52,150 @@ def right_vector_matrix(model, grid, j: int) -> np.ndarray:
     """Columns are j-fold creator vectors applied in descending slot order."""
     rev = _flat(basis_tuples(grid.size, j)[:, ::-1], grid.size)
     return left_vector_matrix(model, grid, j)[:, rev]
+
+
+def symmetrize_block(model, grid, values: np.ndarray, slots: Sequence[int]) -> np.ndarray:
+    """The dense P_j applied to the j listed slots (1-based) of a lattice tensor."""
+    axes = [s - 1 for s in slots]
+    j = len(axes)
+    moved = np.moveaxis(values, axes, range(j))
+    flat = symmetrizer_matrix(model, grid, j) @ moved.reshape(grid.size**j, -1)
+    return np.moveaxis(flat.reshape(moved.shape), range(j), axes)
+
+
+def big_matrix(A: QuadraticForm, nmax: int | None = None) -> np.ndarray:
+    """Single matrix of a form over the direct sum of sectors 0..nmax."""
+    nmax = A.truncation if nmax is None else nmax
+    N = A.grid.size
+    dims = [N**j for j in range(nmax + 1)]
+    offs = np.concatenate([[0], np.cumsum(dims)])
+    out = np.zeros((offs[-1], offs[-1]), dtype=complex)
+    for (l, k), mat in A.blocks.items():
+        if l <= nmax and k <= nmax:
+            out[offs[l]:offs[l + 1], offs[k]:offs[k + 1]] = mat
+    return out
+
+
+def s_sigma(model: ScatteringModel, sigma: Permutation, thetas: Sequence[float]) -> complex:
+    """Product of S over the inversion pairs of sigma at the given rapidities."""
+    if len(thetas) != sigma.n:
+        raise ValueError("rapidity tuple does not match permutation size")
+    out = 1.0 + 0.0j
+    for i, j in sigma.inversion_pairs():
+        out *= model.value(thetas[sigma(i) - 1] - thetas[sigma(j) - 1])
+    return out
+
+
+def delta_pairs(C: Contraction, theta: Sequence[float], eta: Sequence[float]) -> int:
+    """Product of lattice deltas over the contracted pairs: 1 on support, else 0."""
+    if len(theta) != C.m or len(eta) != C.n:
+        raise ValueError("tuple lengths do not match the contraction")
+    return int(all(theta[l - 1] == eta[r - C.m - 1] for l, r in C.pairs))
+
+
+def s_c_factor(model: ScatteringModel, C: Contraction, theta: Sequence[float],
+               eta: Sequence[float]) -> complex:
+    """Exchange factor of the contraction at one lattice tuple."""
+    xi = tuple(theta) + tuple(eta)
+    out = 1.0 + 0.0j
+    for a, b in _factor_indices(C):
+        out *= model.value(xi[a - 1] - xi[b - 1])
+    return out
+
+
+def r_c_factor(model: ScatteringModel, C: Contraction, theta: Sequence[float],
+               eta: Sequence[float]) -> complex:
+    """Reflection factor: product over pairs of (1 - full exchange sweep of the left slot).
+
+    The sweep runs over every concatenated slot including the left slot
+    itself, so the S(0) value participates.
+    """
+    xi = tuple(theta) + tuple(eta)
+    out = 1.0 + 0.0j
+    for sweep_pairs in _sweep_indices(C):
+        sweep = 1.0 + 0.0j
+        for a, b in sweep_pairs:
+            sweep *= model.value(xi[a - 1] - xi[b - 1])
+        out *= 1.0 - sweep
+    return out
+
+
+def point_index(grid: RapidityGrid, theta: float) -> int:
+    try:
+        return grid.points.index(float(theta))
+    except ValueError:
+        raise ValueError(f"rapidity {theta!r} is not a lattice point") from None
+
+
+def vacuum(grid: RapidityGrid, truncation: int) -> FockState:
+    out = FockState.zeros(grid, truncation)
+    out.sectors[0] = np.asarray(1.0 + 0.0j)
+    return out
+
+
+def contracted_vector(model: ScatteringModel, side: str, C: Contraction,
+                      args: Sequence[float], grid: RapidityGrid,
+                      truncation: int) -> FockState:
+    """Multi-creator vector with the contracted slots omitted.
+
+    ``args`` is the full tuple for the chosen side; only the entries at
+    free slots are used.  The left vector applies creators in slot order
+    (slot 1 outermost), the right vector in descending slot order.
+    """
+    if side == "left":
+        free = [l - 1 for l in C.free_left]
+        order = list(reversed(free))
+        if len(args) != C.m:
+            raise ValueError("argument tuple must have one entry per outgoing slot")
+    elif side == "right":
+        free = [r - C.m - 1 for r in C.free_right]
+        order = free
+        if len(args) != C.n:
+            raise ValueError("argument tuple must have one entry per incoming slot")
+    else:
+        raise ValueError("side must be 'left' or 'right'")
+    state = vacuum(grid, truncation)
+    for pos in order:
+        e = np.zeros(grid.size, dtype=complex)
+        e[point_index(grid, args[pos])] = 1.0
+        state = create(model, e, state)
+    return state
+
+
+def deformed_monomial(grid: RapidityGrid, truncation: int, Q: SkewSymmetricQ,
+                      kernel: KernelTensor) -> QuadraticForm:
+    """Sum over lattice tuples of kernel-weighted deformed creator/annihilator words."""
+    creators, annihilators = _deformed_point_ladder(grid, truncation, Q)
+    N = grid.size
+    m, n = kernel.m, kernel.n
+
+    def words(ops: list[QuadraticForm], depth: int) -> dict[tuple[int, ...], QuadraticForm]:
+        out: dict[tuple[int, ...], QuadraticForm] = {
+            (): None}  # type: ignore[dict-item]
+        for _ in range(depth):
+            new = {}
+            for key, X in out.items():
+                for g in range(N):
+                    new[key + (g,)] = ops[g] if X is None else X @ ops[g]
+            out = new
+        return out
+
+    lefts = words(creators, m)
+    rights = words(annihilators, n)
+    total = QuadraticForm(grid, truncation)
+    flat = kernel.values.reshape((N,) * (m + n)) if m + n else kernel.values
+    for lkey, V in lefts.items():
+        for rkey, W in rights.items():
+            c = complex(flat[lkey + rkey]) if (m + n) else complex(kernel.values)
+            if c == 0:
+                continue
+            if V is None and W is None:
+                word = c * identity_form(ScatteringModel.free(), grid, truncation)
+            elif V is None:
+                word = c * W
+            elif W is None:
+                word = c * V
+            else:
+                word = c * (V @ W)
+            total = total + word
+    return total

@@ -6,17 +6,17 @@ import numpy as np
 import pytest
 
 from zfock.contractions import Contraction
-from zfock.expansion import (CoefficientFamily, boost_form, contracted_vector,
-                             extract_family, fmn_coefficients,
-                             inversion_residual, reconstruct,
+from zfock.expansion import (CoefficientFamily, boost_form, extract_family,
+                             fmn_coefficients, inversion_residual, reconstruct,
                              reflect_conjugate, reflected_coeffs,
                              transform_coeffs_poincare, translate_form)
 from zfock.fock import minkowski, reflect, sector_momentum
 from zfock.sampling import keyed_rng, random_form, random_kernel, random_state
-from zfock.scattering import ScatteringModel, symmetrize
+from zfock.scattering import ScatteringModel
 from zfock.zops import form_residual, zmzn_form
 
-from reference import left_vector_matrix, right_vector_matrix
+from reference import (contracted_vector, left_vector_matrix, right_vector_matrix,
+                       symmetrize_block)
 
 FREE = ScatteringModel.free()
 
@@ -44,9 +44,7 @@ def test_coefficients_of_monomial(model, grid3):
     g = random_kernel(grid3, 2, 1, rng)
     A = zmzn_form(model, g, grid3, 3)
     got = fmn_coefficients(model, A, 2, 1)
-    want = 2.0 * symmetrize(model, symmetrize(model, g.values, grid3.points,
-                                              subset=(1, 2)),
-                            grid3.points, subset=(3,))
+    want = 2.0 * symmetrize_block(model, grid3, g.values, (1, 2))
     np.testing.assert_allclose(got.values, want, atol=1e-11)
 
 

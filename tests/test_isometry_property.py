@@ -6,10 +6,12 @@ one column per orbit.  The compressed norms ``qform_norm``/``sector_norm``
 must equal the dense spectral norms over all N**n tuples: plainly for
 forms with A = P A P, and sandwiched between symmetrizers for any other
 form.  The form constructors, which sandwich through V, must equal their
-dense P X P references.  Models are free, ising, sinh_exp and a table of
-random unitary values on the lattice differences with S(0) = +1 or -1;
-lattices are random or symmetric, with 2-4 points; the examples are
-derandomized so the run is deterministic.
+dense P X P references, and ``zops.symmetrize`` on any contiguous block of
+slots of a tensor with up to 4 slots must equal the dense P applied to
+that block.  Models are free, ising, sinh_exp and a table of random
+unitary values on the lattice differences with S(0) = +1 or -1; lattices
+are random or symmetric, with 2-4 points; the examples are derandomized
+so the run is deterministic.
 """
 
 import math
@@ -24,9 +26,9 @@ from zfock.sampling import keyed_rng, random_form, random_kernel
 from zfock.scattering import ScatteringModel
 from zfock.zops import (QuadraticForm, annihilator_form, creator_form,
                         identity_form, qform_norm, sector_norm,
-                        symmetric_isometry, zmzn_form)
+                        symmetric_isometry, symmetrize, zmzn_form)
 
-from reference import symmetrizer_matrix
+from reference import big_matrix, symmetrize_block, symmetrizer_matrix
 from test_support_property import lattices
 
 K = 3
@@ -56,7 +58,7 @@ def weights(grid, omega, n, sign):
 
 def dense_qform_norm(model, A, n, omega, sandwich):
     """0.5 (|P A W P| + |P W A P|) over all tuples; P = 1 without ``sandwich``."""
-    M = A.big_matrix(n)
+    M = big_matrix(A, n)
     w = np.concatenate([weights(A.grid, omega, j, -1) for j in range(n + 1)])
     P = np.eye(len(w), dtype=complex)
     if sandwich:
@@ -178,3 +180,32 @@ def test_forms_equal_dense_sandwiches(family, a, grid, seed, degrees):
            for l in range(K + 1) for k in range(K + 1)}
     got = random_form(model, grid, K, keyed_rng(seed, "property", "draws"))
     assert_blocks_match(got, sandwiched(model, grid, raw))
+
+
+@pytest.mark.parametrize("family", sorted(MODELS))
+@settings(max_examples=10, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(a=st.floats(0.1, 1.5), grid=lattices(), seed=st.integers(0, 2**16),
+       rank=st.integers(1, 4))
+def test_block_symmetrizer_equals_dense_projector(family, a, grid, seed, rank):
+    rng = keyed_rng(seed, "property", "symmetrize")
+    model = MODELS[family](a, grid, rng)
+    shape = (grid.size,) * rank
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    # P has norm one, so deviations are measured against the input; with
+    # S(0) = -1 and more slots than points the dense P is rounding noise
+    # where the orbit projection is exactly zero
+    scale = float(np.max(np.abs(values)))
+    for first in range(1, rank + 1):
+        for last in range(first, rank + 1):
+            slots = tuple(range(first, last + 1))
+            want = symmetrize_block(model, grid, values, slots)
+            got = symmetrize(model, grid, values, slots)
+            assert got.shape == shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=REL * scale)
+    np.testing.assert_array_equal(symmetrize(model, grid, values),
+                                  symmetrize(model, grid, values, range(1, rank + 1)))
+    bad = [(2, 1), (0, 1), (rank, rank + 1)] + ([(1, 3)] if rank >= 3 else [])
+    for slots in bad:
+        with pytest.raises(ValueError, match="contiguous block"):
+            symmetrize(model, grid, values, slots)

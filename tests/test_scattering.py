@@ -7,7 +7,10 @@ import pytest
 
 from zfock.scattering import (Permutation, ScatteringModel, act_d,
                               all_permutations, pair_values, permute_tensor,
-                              s_sigma, s_sigma_grid, symmetrize)
+                              s_sigma_grid)
+from zfock.zops import symmetrize
+
+from reference import s_sigma
 
 THETAS = np.array([-1.3, -0.4, 0.0, 0.35, 0.8, 2.1])
 
@@ -48,7 +51,7 @@ def test_corrupted_table_rejected():
 def test_permutation_group():
     sigma = Permutation((2, 3, 1))
     tau = Permutation.transposition(3, 1, 2)
-    assert sigma.compose(sigma.inverse()) == Permutation.identity(3)
+    assert sigma.compose(sigma.inverse()) == Permutation((1, 2, 3))
     assert tau.sign() == -1
     assert sigma.sign() == 1
     assert sigma.apply(("a", "b", "c")) == ("b", "c", "a")
@@ -110,22 +113,21 @@ def test_twisted_action_is_a_representation(model):
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
-def test_symmetrize_projects(model):
+def test_symmetrize_projects(model, grid3):
     rng = np.random.default_rng(7)
-    pts = [-0.8, 0.1, 0.9]
+    pts = grid3.points
     f = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    sym = symmetrize(model, f, pts)
-    np.testing.assert_allclose(symmetrize(model, sym, pts), sym, atol=1e-13)
+    sym = symmetrize(model, grid3, f)
+    np.testing.assert_allclose(symmetrize(model, grid3, sym), sym, atol=1e-13)
     # invariance under every twisted transposition
     for sigma in all_permutations(2):
         np.testing.assert_allclose(act_d(model, sigma, sym, pts), sym, atol=1e-13)
 
 
-def test_subset_symmetrization_keeps_spectators():
+def test_subset_symmetrization_keeps_spectators(grid3):
     model = ScatteringModel.sinh_exp(0.8)
     rng = np.random.default_rng(9)
-    pts = [-0.8, 0.1, 0.9]
     f = rng.normal(size=(3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3))
-    sym = symmetrize(model, f, pts, subset=(2, 3))
-    np.testing.assert_allclose(symmetrize(model, sym, pts, subset=(2, 3)), sym,
+    sym = symmetrize(model, grid3, f, (2, 3))
+    np.testing.assert_allclose(symmetrize(model, grid3, sym, (2, 3)), sym,
                                atol=1e-13)

@@ -18,6 +18,8 @@ from zfock.warped import (GroupingWarning, HomogeneousComponent, SkewSymmetricQ,
                           parity_split, q_commutator, warp, warp_spectral)
 from zfock.zops import annihilator_form, creator_form, form_residual
 
+from reference import deformed_monomial, symmetrize_block
+
 FREE = ScatteringModel.free()
 
 
@@ -87,14 +89,18 @@ def test_warp_mass_guard(grid3):
         warp(A, SkewSymmetricQ(1.0, 2.0))
 
 
-@pytest.mark.parametrize("a", [1e308, -1e308])
-def test_overflowing_phase_raises(grid3, a):
+@pytest.mark.parametrize("a, side", [
+    pytest.param(a, side, id=str(a) if side is None else f"spectral-{side}-{a}")
+    for side in (None, "right", "left") for a in (1e308, -1e308)])
+def test_overflowing_phase_raises(grid3, a, side):
     # at |a| = 1e308 the phase q . (Q p) overflows on 36 of the 169 entries
-    # of a K = 2 form; numpy warns of the overflow and warp refuses the form
-    # instead of returning NaN entries
+    # of a K = 2 form; numpy warns of the overflow, and warp and
+    # warp_spectral (side given) refuse the form instead of returning NaN
+    # entries
     A = random_form(FREE, grid3, 2, keyed_rng(0, "warped", "overflow", 0))
+    Q = SkewSymmetricQ(a, 1.0)
     with pytest.raises(ValueError, match="non-finite"), pytest.warns(RuntimeWarning):
-        warp(A, SkewSymmetricQ(a, 1.0))
+        warp(A, Q) if side is None else warp_spectral(A, Q, side)
 
 
 def test_q_commutator_names_overflow(grid3):
@@ -298,8 +304,6 @@ def test_deformed_dual_basis(grid3):
     # deformed extraction of a deformed monomial returns m! n! times the
     # kernel symmetrized with the factor generated by Q
     from zfock.sampling import random_kernel
-    from zfock.scattering import symmetrize
-    from zfock.warped import deformed_monomial
     Q = SkewSymmetricQ(0.9, 1.0)
     S = Q.scattering_model()
     rng = keyed_rng(0, "warped", "dcoef", 0)
@@ -309,9 +313,8 @@ def test_deformed_dual_basis(grid3):
         got = deformed_fmn_coefficients(A, Q, m, n).values
         sym = kern.values
         if m >= 2:
-            sym = symmetrize(S, sym, grid3.points, subset=tuple(range(1, m + 1)))
+            sym = symmetrize_block(S, grid3, sym, range(1, m + 1))
         if n >= 2:
-            sym = symmetrize(S, sym, grid3.points,
-                             subset=tuple(range(m + 1, m + n + 1)))
+            sym = symmetrize_block(S, grid3, sym, range(m + 1, m + n + 1))
         want = math.factorial(m) * math.factorial(n) * sym
         np.testing.assert_allclose(got, want, atol=1e-12 * max(1.0, A.scale()))

@@ -10,6 +10,8 @@ from zfock.zops import (KernelTensor, annihilate, annihilator_form, create,
                         creator_form, cross_norm, form_residual, identity_form,
                         kernel_adjoint, qform_norm, zmzn_form)
 
+from reference import big_matrix
+
 FREE = ScatteringModel.free()
 
 
@@ -156,7 +158,7 @@ def test_product_block_structure(model, grid3):
 
 def test_big_matrix_layout(model, grid3):
     A = random_form(model, grid3, 2, keyed_rng(0, "zops", "big", 0))
-    M = A.big_matrix(2)
+    M = big_matrix(A, 2)
     assert M.shape == (1 + 3 + 9, 1 + 3 + 9)
     np.testing.assert_array_equal(M[1:4, 4:], A.block(1, 2))
 
