@@ -196,8 +196,9 @@ def add_on_support(out: np.ndarray, model: ScatteringModel, points: Sequence[flo
     The factor is the exchange factor, times the reflection factor when
     ``reflected`` is set, each multiplied in the order of ``s_factor_grid``
     and ``r_factor_grid``.  The update equals adding the dense
-    ``delta_mask * s_factor_grid (* r_factor_grid) * embed_reduced`` term,
-    which is zero off the support, so only the support is touched.
+    ``delta_mask * s_factor_grid (* r_factor_grid)`` term times ``reduced``
+    broadcast over the free slots, which is zero off the support, so only
+    the support is touched.
     """
     free, exchange, sweeps = _support_layout(C)
     if reduced.ndim != len(free):

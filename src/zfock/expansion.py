@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .contractions import Contraction, add_on_support, enumerate_contractions
+from .contractions import add_on_support, enumerate_contractions
 from .fock import RapidityGrid, sector_momentum
 from .scattering import ScatteringModel
 from .zops import (KernelTensor, QuadraticForm, reversal_permutation, sandwich,
@@ -37,51 +37,25 @@ def creator_elements(model: ScatteringModel, grid: RapidityGrid, mat: np.ndarray
     return c * sandwich(model, grid, mat, m, n)[:, reversal_permutation(grid.size, n)]
 
 
-def embed_reduced(C: Contraction, reduced: np.ndarray, N: int) -> np.ndarray:
-    """Broadcast a tensor over the free slots of C to the full slot lattice."""
-    total = C.m + C.n
-    free_axes = [l - 1 for l in C.free_left] + [r - 1 for r in C.free_right]
-    contracted = tuple(sorted(set(range(total)) - set(free_axes)))
-    if reduced.ndim != len(free_axes):
-        raise ValueError("reduced tensor rank does not match the free slots")
-    expanded = np.expand_dims(reduced, contracted) if contracted else reduced
-    return np.broadcast_to(expanded, (N,) * total)
-
-
-def _contracted_elements(model: ScatteringModel, A: QuadraticForm, mh: int, nh: int,
-                         left_mats, right_mats) -> np.ndarray:
-    """Matrix elements of A between the (mh, nh) vectors, on reduced tuples.
-
-    Without vector matrices these are the default creator vectors.
-    """
-    N = A.grid.size
-    if left_mats is None:
-        M = creator_elements(model, A.grid, A.block(mh, nh), mh, nh)
-    else:
-        M = left_mats[mh].conj().T @ A.block(mh, nh) @ right_mats[nh]
-    return M.reshape((N,) * (mh + nh))
-
-
-def fmn_coefficients(model: ScatteringModel, A: QuadraticForm, m: int, n: int,
-                     left_mats: Sequence[np.ndarray] | None = None,
-                     right_mats: Sequence[np.ndarray] | None = None) -> KernelTensor:
+def fmn_coefficients(model: ScatteringModel, A: QuadraticForm, m: int, n: int) -> KernelTensor:
     """Expansion coefficient with m outgoing and n incoming slots.
 
     Alternating sum over contractions: each term carries the lattice delta
     and exchange factor of the contraction and the matrix element of A
-    between the reduced multi-creator vectors.  Custom vector matrices (both
-    lists, indexed by the creator count) may be supplied to extract against
-    a different creator realization.
+    between the reduced multi-creator vectors of ``model``
+    (:func:`creator_elements`).  Only the blocks (l, k) of A with l <= m
+    and k <= n enter.
     """
     grid = A.grid
     N = grid.size
     out = np.zeros((N,) * (m + n), dtype=complex)
     elements = {}  # one matrix element tensor per reduced slot count
     for C in enumerate_contractions(m, n):
-        key = (m - C.size, n - C.size)
-        if key not in elements:
-            elements[key] = _contracted_elements(model, A, *key, left_mats, right_mats)
-        add_on_support(out, model, grid.points, C, elements[key], (-1) ** C.size)
+        mh, nh = m - C.size, n - C.size
+        if (mh, nh) not in elements:
+            M = creator_elements(model, grid, A.block(mh, nh), mh, nh)
+            elements[(mh, nh)] = M.reshape((N,) * (mh + nh))
+        add_on_support(out, model, grid.points, C, elements[(mh, nh)], (-1) ** C.size)
     return KernelTensor(m, n, out)
 
 

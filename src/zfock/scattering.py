@@ -104,7 +104,7 @@ class ScatteringModel:
         if self.family == ISING:
             return -1.0 + 0.0j
         if self.family == SINH_EXP:
-            return complex(np.exp(1j * self.a * math.sinh(theta)))
+            return complex(self._sinh_exp(theta, math.sinh))
         try:
             return dict(self.table)[_key(theta)]
         except KeyError:
@@ -120,13 +120,28 @@ class ScatteringModel:
         if self.family == ISING:
             return -np.ones(thetas.shape, dtype=complex)
         if self.family == SINH_EXP:
-            return np.exp(1j * self.a * np.sinh(thetas))
+            return self._sinh_exp(thetas, np.sinh)
         lookup = dict(self.table)
         flat = [lookup.get(_key(t)) for t in thetas.ravel()]
         if any(v is None for v in flat):
             missing = [t for t, v in zip(thetas.ravel(), flat) if v is None]
             raise ValueError(f"scattering table has no entry at {missing[:3]!r}")
         return np.array(flat, dtype=complex).reshape(thetas.shape)
+
+    def _sinh_exp(self, thetas, sinh) -> np.ndarray:
+        """exp(i a sinh(theta)), refusing a phase a sinh(theta) that overflowed.
+
+        ``sinh`` is math.sinh for one value and np.sinh for arrays: the two
+        can differ in the last place, and each caller keeps its own.
+        """
+        with np.errstate(over="ignore"):
+            angle = self.a * sinh(thetas)
+        bad = ~np.isfinite(angle)
+        if bad.any():
+            raise ValueError(f"scattering phase a * sinh(theta) = "
+                             f"{float(np.asarray(angle)[bad][0])!r} is non-finite for "
+                             f"a = {self.a!r} at theta = {float(np.asarray(thetas)[bad][0])!r}")
+        return np.exp(1j * angle)
 
     def inverse_model(self) -> "ScatteringModel":
         """The model whose factor is 1/S = conj(S)."""
@@ -167,16 +182,6 @@ class Permutation:
             raise ValueError("size mismatch")
         return Permutation(tuple(self.images[other.images[i] - 1] for i in range(self.n)))
 
-    def inverse(self) -> "Permutation":
-        images = [0] * self.n
-        for i, img in enumerate(self.images, start=1):
-            images[img - 1] = i
-        return Permutation(tuple(images))
-
-    def apply(self, seq: Sequence) -> tuple:
-        """Rearranged tuple with entry i drawn from slot sigma(i)."""
-        return tuple(seq[img - 1] for img in self.images)
-
     def inversion_pairs(self) -> list[tuple[int, int]]:
         return [
             (i, j)
@@ -184,9 +189,6 @@ class Permutation:
             for j in range(i + 1, self.n + 1)
             if self.images[i - 1] > self.images[j - 1]
         ]
-
-    def sign(self) -> int:
-        return -1 if len(self.inversion_pairs()) % 2 else 1
 
 
 @lru_cache(maxsize=None)

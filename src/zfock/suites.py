@@ -25,12 +25,12 @@ import numpy as np
 
 from .config import (DEFAULT_EQUALITY_TOL, DEFAULT_EXACT_TOL,
                      DEFAULT_INEQUALITY_SLACK, SUITES, ConfigError, RunConfig)
-from .contractions import (compose, delta_mask, enumerate_contractions,
-                           r_factor_grid, reflect_contraction, s_factor_grid,
-                           sigma_rho)
-from .expansion import (boost_form, creator_elements, embed_reduced,
-                        extract_family, fmn_coefficients, inversion_residual,
-                        reconstruct, reflect_conjugate, reflected_coeffs,
+from .contractions import (add_on_support, compose, delta_mask,
+                           enumerate_contractions, r_factor_grid,
+                           reflect_contraction, s_factor_grid, sigma_rho)
+from .expansion import (boost_form, creator_elements, extract_family,
+                        fmn_coefficients, inversion_residual, reconstruct,
+                        reflect_conjugate, reflected_coeffs,
                         transform_coeffs_poincare, translate_form)
 from .fock import (Indicatrix, RapidityGrid, apply_omega_weight, boost,
                    energy_grid, minkowski, reflect, sector_momentum,
@@ -39,11 +39,11 @@ from .sampling import keyed_rng, random_form, random_kernel, random_state
 from .scattering import (SINH_EXP, TABLE, Permutation, ScatteringModel, act_d,
                          all_permutations, pair_values, permute_tensor,
                          s_sigma_grid)
-from .warped import (GroupingWarning, SkewSymmetricQ, deformed_annihilator,
-                     deformed_creator, deformed_fmn_coefficients,
-                     momentum_sector_decompose, nested_free_family,
-                     nested_graded_family, nested_q_family, q_commutator, warp,
-                     warp_spectral)
+from .warped import (GROUPING_RTOL, GroupingWarning, SkewSymmetricQ,
+                     deformed_annihilator, deformed_creator,
+                     deformed_fmn_coefficients, momentum_sector_decompose,
+                     nested_free_family, nested_graded_family, nested_q_family,
+                     q_commutator, warp, warp_spectral)
 from .zops import (KernelTensor, QuadraticForm, annihilator_form, annihilate,
                    create, creator_form, cross_norm, form_residual,
                    identity_form, kernel_adjoint, qform_norm,
@@ -634,11 +634,11 @@ def check_composition_identity(model: ScatteringModel, grid: RapidityGrid,
             if m + n == 0:
                 continue
             for C in enumerate_contractions(m, n):
-                base = delta_mask(C, N) * s_factor_grid(model, grid.points, C)
                 mh, nh = C.m - C.size, C.n - C.size
                 for C2 in enumerate_contractions(mh, nh):
                     inner = delta_mask(C2, N) * s_factor_grid(model, grid.points, C2)
-                    lhs = base * embed_reduced(C, inner, N)
+                    lhs = np.zeros((N,) * (m + n), dtype=complex)
+                    add_on_support(lhs, model, grid.points, C, inner)
                     D = compose(C, C2)
                     rhs = delta_mask(D, N) * s_factor_grid(model, grid.points, D)
                     res = max(res, _maxabs(lhs - rhs))
@@ -787,6 +787,22 @@ def check_projection_invariance(model: ScatteringModel, grid: RapidityGrid,
     return res
 
 
+def _coefficient_deviation(model: ScatteringModel, B: QuadraticForm, want,
+                           K: int) -> float:
+    """Largest deviation of B's coefficients from the kernels want(m, n), m, n <= K.
+
+    Relative to the largest wanted entry.
+    """
+    err = 0.0
+    mag = _TINY
+    for m in range(K + 1):
+        for n in range(K + 1):
+            wanted = want(m, n).values
+            err = max(err, _maxabs(fmn_coefficients(model, B, m, n).values - wanted))
+            mag = max(mag, _maxabs(wanted))
+    return err / mag
+
+
 def check_translation_covariance(model: ScatteringModel, grid: RapidityGrid,
                                  truncation: int, seed: int, count: int) -> float:
     """Coefficients of the translated operator carry momentum-transfer phases."""
@@ -798,15 +814,7 @@ def check_translation_covariance(model: ScatteringModel, grid: RapidityGrid,
         x = rng.normal(size=2)
         moved = transform_coeffs_poincare(extract_family(model, A), x, 0.0)
         B = translate_form(A, x)
-        err = 0.0
-        mag = _TINY
-        for m in range(K + 1):
-            for n in range(K + 1):
-                got = fmn_coefficients(model, B, m, n).values
-                want = moved.entry(m, n).values
-                err = max(err, _maxabs(got - want))
-                mag = max(mag, _maxabs(want))
-        res = max(res, err / mag)
+        res = max(res, _coefficient_deviation(model, B, moved.entry, K))
     return res
 
 
@@ -823,15 +831,7 @@ def check_boost_covariance(model: ScatteringModel, grid: RapidityGrid,
         lam = float(rng.normal())
         moved = transform_coeffs_poincare(extract_family(model, A), (0.0, 0.0), lam)
         B = boost_form(A, lam)
-        err = 0.0
-        mag = _TINY
-        for m in range(K + 1):
-            for n in range(K + 1):
-                got = fmn_coefficients(model, B, m, n).values
-                want = moved.entry(m, n).values
-                err = max(err, _maxabs(got - want))
-                mag = max(mag, _maxabs(want))
-        res = max(res, err / mag)
+        res = max(res, _coefficient_deviation(model, B, moved.entry, K))
     return res
 
 
@@ -845,15 +845,8 @@ def check_reflection_covariance(model: ScatteringModel, grid: RapidityGrid,
         A = random_form(model, grid, K, rng)
         fam = extract_family(model, A)
         R = reflect_conjugate(A)
-        err = 0.0
-        mag = _TINY
-        for m in range(K + 1):
-            for n in range(K + 1):
-                got = fmn_coefficients(model, R, m, n).values
-                want = reflected_coeffs(model, fam, m, n).values
-                err = max(err, _maxabs(got - want))
-                mag = max(mag, _maxabs(want))
-        res = max(res, err / mag)
+        res = max(res, _coefficient_deviation(
+            model, R, lambda m, n: reflected_coeffs(model, fam, m, n), K))
     return res
 
 
@@ -1020,7 +1013,7 @@ def check_homogeneous_sum(model: ScatteringModel, grid: RapidityGrid,
             t = np.array([comp.transfer for comp in comps])
             gap = np.abs(t[:, None, :] - t[None, :, :]).max(axis=2)
             np.fill_diagonal(gap, np.inf)
-            if gap.min() <= _EXACT * max(1.0, float(np.abs(t).max())):
+            if gap.min() <= GROUPING_RTOL * max(1.0, float(np.abs(t).max())):
                 return float("inf")
         total = _zero_form(grid, truncation)
         for comp in comps:

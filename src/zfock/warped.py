@@ -5,6 +5,16 @@ a skew-symmetric matrix Q acts as an explicit phase on each matrix
 element.  The deformed commutator built from it closes on expansion
 coefficients: nested deformed commutators of an operator with deformed
 creators and annihilators reproduce the contraction-sum coefficients.
+
+On n-particle tuples the deformation is one diagonal phase: with
+phi_Q(t) = exp(i sum_{a<b} p(t_a) . (Q p(t_b))) and D_Q = diag(phi_Q),
+the symmetrizer of the model generated by Q is D_Q^H P_free D_Q.  So the
+deformed-creator coefficients of A are the plain coefficients, under that
+model, of A twisted to D_Q^H A D_Q (:func:`deformed_fmn_coefficients`).
+The graded bracket is linear and parity-free, X Y + sgn(Y X) with sgn
+negating the blocks of odd l - k: against a ladder operator, every output
+block draws on one number-parity class of the other operand, where it is
+the graded commutator of that class.
 """
 
 from __future__ import annotations
@@ -19,8 +29,12 @@ import numpy as np
 
 from .expansion import fmn_coefficients
 from .fock import RapidityGrid, sector_momentum
-from .scattering import ScatteringModel
+from .scattering import ScatteringModel, _axis
 from .zops import (KernelTensor, QuadraticForm, annihilator_form, creator_form)
+
+
+# momenta (and transfers) within this fraction of the largest one share a group
+GROUPING_RTOL = 1e-12
 
 
 class GroupingWarning(UserWarning):
@@ -153,8 +167,8 @@ def _cluster(values: np.ndarray, atol: float) -> tuple[np.ndarray, np.ndarray]:
     return labels, reps
 
 
-def _momentum_clusters(grid: RapidityGrid, truncation: int,
-                       rtol: float = 1e-12) -> tuple[list[np.ndarray], np.ndarray]:
+def _momentum_clusters(grid: RapidityGrid,
+                       truncation: int) -> tuple[list[np.ndarray], np.ndarray]:
     """Cluster the total momenta of all basis tuples up to the truncation.
 
     Returns per-sector label arrays and the representative momenta.
@@ -167,7 +181,7 @@ def _momentum_clusters(grid: RapidityGrid, truncation: int,
         sizes.append(len(p0))
     allmoms = np.concatenate(moms, axis=0)
     scale = max(1.0, float(np.max(np.abs(allmoms))))
-    labels, reps = _cluster(allmoms, rtol * scale)
+    labels, reps = _cluster(allmoms, GROUPING_RTOL * scale)
     out = []
     off = 0
     for size in sizes:
@@ -176,8 +190,7 @@ def _momentum_clusters(grid: RapidityGrid, truncation: int,
     return out, reps
 
 
-def warp_spectral(A: QuadraticForm, Q: SkewSymmetricQ, side: str = "right",
-                  rtol: float = 1e-12) -> QuadraticForm:
+def warp_spectral(A: QuadraticForm, Q: SkewSymmetricQ, side: str = "right") -> QuadraticForm:
     """Deformation computed as the literal spectral sum over momentum clusters.
 
     ``side`` selects whether the momentum projector multiplies from the
@@ -187,7 +200,7 @@ def warp_spectral(A: QuadraticForm, Q: SkewSymmetricQ, side: str = "right",
     _check_mass(A, Q)
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    labels, reps = _momentum_clusters(A.grid, A.truncation, rtol)
+    labels, reps = _momentum_clusters(A.grid, A.truncation)
     blocks = {}
     for (l, k), mat in A.blocks.items():
         q0, q1 = sector_momentum(A.grid, l)
@@ -215,12 +228,12 @@ class HomogeneousComponent:
     form: QuadraticForm
 
 
-def momentum_sector_decompose(A: QuadraticForm, rtol: float = 1e-12) -> list[HomogeneousComponent]:
+def momentum_sector_decompose(A: QuadraticForm) -> list[HomogeneousComponent]:
     """Split an operator by momentum transfer (row momentum minus column momentum).
 
     The pieces sum to A exactly, and each is an eigenvector of translation
     conjugation with phase exp(i transfer . x).  Transfers equal within
-    rtol (relative to the largest) share one piece.
+    GROUPING_RTOL (relative to the largest) share one piece.
     """
     entries = []  # (block key, rows, columns) of the nonzero entries
     transfers = []
@@ -234,7 +247,7 @@ def momentum_sector_decompose(A: QuadraticForm, rtol: float = 1e-12) -> list[Hom
     if not len(arr):
         return []
     scale = max(1.0, float(np.max(np.abs(arr))))
-    labels, reps = _cluster(arr, rtol * scale)
+    labels, reps = _cluster(arr, GROUPING_RTOL * scale)
     comps = [QuadraticForm(A.grid, A.truncation, {}, A.truncated) for _ in reps]
     start = 0
     for key, i, j in entries:
@@ -258,18 +271,6 @@ def q_commutator(A: QuadraticForm, B: QuadraticForm, Q: SkewSymmetricQ) -> Quadr
     back = Q.scaled(-2.0)
     fwd = Q.scaled(2.0)
     return (A @ B) - warp(warp(B, back) @ warp(A, back), fwd)
-
-
-# ---------------------------------------------------------------------------
-# number parity
-
-
-def parity_split(A: QuadraticForm) -> tuple[QuadraticForm, QuadraticForm]:
-    """Even and odd parts under particle-number parity."""
-    even = {key: mat for key, mat in A.blocks.items() if (key[0] - key[1]) % 2 == 0}
-    odd = {key: mat for key, mat in A.blocks.items() if (key[0] - key[1]) % 2 == 1}
-    return (QuadraticForm(A.grid, A.truncation, even, A.truncated),
-            QuadraticForm(A.grid, A.truncation, odd, A.truncated))
 
 
 # ---------------------------------------------------------------------------
@@ -308,28 +309,15 @@ def _deformed_point_ladder(grid: RapidityGrid, truncation: int,
     return ([warp(c, Q) for c in creators], [warp(a, Q) for a in annihilators])
 
 
-def deformed_vector_matrices(grid: RapidityGrid, truncation: int, Q: SkewSymmetricQ,
-                             jmax: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Columns are products of deformed creators applied to the vacuum.
-
-    The left list applies creators in slot order (slot 1 outermost), the
-    right list in descending slot order, matching the contracted vectors
-    of the coefficient formula.
-    """
-    creators, _ = _deformed_point_ladder(grid, truncation, Q)
+def _tuple_phases(grid: RapidityGrid, Q: SkewSymmetricQ, n: int) -> np.ndarray:
+    """phi_Q(t) = exp(i sum_{a<b} p(t_a) . (Q p(t_b))) on every n-tuple, row-major."""
+    pair = _phase_block(grid, Q, 1, 1)  # exp(i p(g) . (Q p(h))) over lattice points
     N = grid.size
-    left = [np.ones((1, 1), dtype=complex)]
-    right = [np.ones((1, 1), dtype=complex)]
-    for j in range(1, jmax + 1):
-        L = np.zeros((N**j, N**j), dtype=complex)
-        R = np.zeros((N**j, N**j), dtype=complex)
-        for g in range(N):
-            block = creators[g].block(j, j - 1)
-            L[:, g * N**(j - 1):(g + 1) * N**(j - 1)] = block @ left[j - 1]
-            R[:, g::N] = block @ right[j - 1]
-        left.append(L)
-        right.append(R)
-    return left, right
+    out = np.ones((N,) * n, dtype=complex)
+    for a in range(n):
+        for b in range(a + 1, n):
+            out = out * pair[_axis(N, n, a), _axis(N, n, b)]
+    return out.ravel()
 
 
 def deformed_fmn_coefficients(A: QuadraticForm, Q: SkewSymmetricQ, m: int,
@@ -338,24 +326,29 @@ def deformed_fmn_coefficients(A: QuadraticForm, Q: SkewSymmetricQ, m: int,
 
     Exchange factors use the scattering model generated by Q, so this is
     the coefficient formula of the interacting theory realized on the
-    ordinary symmetric space.
+    ordinary symmetric space.  Since that model's symmetrizer is
+    D_Q^H P_free D_Q, these are the plain coefficients of the twist
+    D_Q^H A D_Q, of which only the blocks (l, k) with l <= m, k <= n enter.
     """
     _check_mass(A, Q)
-    left, right = deformed_vector_matrices(A.grid, A.truncation, Q, max(m, n))
-    return fmn_coefficients(Q.scattering_model(), A, m, n, left_mats=left, right_mats=right)
+    phases = [_tuple_phases(A.grid, Q, j) for j in range(max(m, n) + 1)]
+    blocks = {(l, k): phases[l].conj()[:, None] * mat * phases[k][None, :]
+              for (l, k), mat in A.blocks.items() if l <= m and k <= n}
+    twisted = QuadraticForm(A.grid, A.truncation, blocks, A.truncated)
+    return fmn_coefficients(Q.scattering_model(), twisted, m, n)
 
 
 def _nested_family(A: QuadraticForm, total: int,
                    creators: Sequence[QuadraticForm],
                    annihilators: Sequence[QuadraticForm],
-                   bracket: Callable[[QuadraticForm, QuadraticForm, int], QuadraticForm],
-                   base_parity: int = 0) -> dict[tuple[int, int], np.ndarray]:
+                   bracket: Callable[[QuadraticForm, QuadraticForm], QuadraticForm]
+                   ) -> dict[tuple[int, int], KernelTensor]:
     """Nested-bracket vacuum tensors for every (m, n) with m + n <= total.
 
-    A node X is wrapped with a creator c as ``bracket(X, c, p)`` and with an
-    annihilator a as ``bracket(a, X, p)``, p being the number parity of X.
-    Creator layers are shared between readouts, so the whole family costs
-    little more than its deepest members.
+    A node X is wrapped with a creator c as ``bracket(X, c)`` and with an
+    annihilator a as ``bracket(a, X)``.  Creator layers are shared between
+    readouts, so the whole family costs little more than its deepest
+    members.
 
     Only the (0, 0) entry of each nested commutator is read, and each wrap
     with one ladder operator moves a block (l, k) to blocks with l + k
@@ -380,63 +373,48 @@ def _nested_family(A: QuadraticForm, total: int,
         return QuadraticForm(X.grid, X.truncation, blocks, X.truncated)
 
     layer: dict[tuple[int, ...], QuadraticForm] = {(): reachable(A, total)}
-    parity = base_parity
     for n in range(total + 1):
         if n:
-            grown = {}
-            for key, X in layer.items():
-                for g in range(N):
-                    grown[(g,) + key] = reachable(bracket(X, creators[g], parity),
-                                                  total - n)
-            layer = grown
-            parity ^= 1
+            layer = {(g,) + key: reachable(bracket(X, creators[g]), total - n)
+                     for key, X in layer.items() for g in range(N)}
         for eta_key, X0 in layer.items():
             out[(0, n)][eta_key] = vac(X0)
             sub: dict[tuple[int, ...], QuadraticForm] = {(): X0}
-            subparity = parity
             for m in range(1, total + 1 - n):
-                grown = {}
-                for key, X in sub.items():
-                    for g in range(N):
-                        grown[key + (g,)] = reachable(
-                            bracket(annihilators[g], X, subparity), total - n - m)
-                sub = grown
-                subparity ^= 1
+                sub = {key + (g,): reachable(bracket(annihilators[g], X), total - n - m)
+                       for key, X in sub.items() for g in range(N)}
                 for theta_key, X in sub.items():
                     out[(m, n)][theta_key + eta_key] = vac(X)
-    return out
+    return {mn: KernelTensor(mn[0], mn[1], v) for mn, v in out.items()}
 
 
-def _commutator(X: QuadraticForm, Y: QuadraticForm, _parity: int) -> QuadraticForm:
+def _commutator(X: QuadraticForm, Y: QuadraticForm) -> QuadraticForm:
     return X @ Y - Y @ X
 
 
-def _graded_commutator(X: QuadraticForm, Y: QuadraticForm, parity: int) -> QuadraticForm:
-    sign = -1.0 if parity else 1.0
-    return X @ Y - sign * (Y @ X)
+def _graded_commutator(X: QuadraticForm, Y: QuadraticForm) -> QuadraticForm:
+    """X Y + sgn(Y X), sgn negating the blocks (l, k) with odd l - k.
+
+    With a ladder operator on one side, the blocks of odd l - k come from
+    the even part of the other operand and the rest from its odd part, so
+    this is X Y - Y X on the even part and X Y + Y X on the odd one.
+    """
+    YX = Y @ X
+    signed = {(l, k): (-1.0) * mat if (l - k) % 2 else mat
+              for (l, k), mat in YX.blocks.items()}
+    return X @ Y + QuadraticForm(YX.grid, YX.truncation, signed, YX.truncated)
 
 
 def nested_free_family(A: QuadraticForm, total: int) -> dict[tuple[int, int], KernelTensor]:
     """Plain nested commutator tensors for all m + n <= total, shared layers."""
     creators, annihilators = _point_ladder(ScatteringModel.free(), A.grid, A.truncation)
-    raw = _nested_family(A, total, creators, annihilators, _commutator)
-    return {mn: KernelTensor(mn[0], mn[1], v) for mn, v in raw.items()}
+    return _nested_family(A, total, creators, annihilators, _commutator)
 
 
 def nested_graded_family(A: QuadraticForm, total: int) -> dict[tuple[int, int], KernelTensor]:
-    """Graded nested tensors for all m + n <= total, one parity part at a time."""
+    """Graded nested tensors for all m + n <= total, shared layers."""
     creators, annihilators = _point_ladder(ScatteringModel.ising(), A.grid, A.truncation)
-    N = A.grid.size
-    out = {(m, n): np.zeros((N,) * (m + n), dtype=complex)
-           for n in range(total + 1) for m in range(total + 1 - n)}
-    for part, par in zip(parity_split(A), (0, 1)):
-        if not part.blocks:
-            continue
-        raw = _nested_family(part, total, creators, annihilators, _graded_commutator,
-                             base_parity=par)
-        for mn, v in raw.items():
-            out[mn] += v
-    return {mn: KernelTensor(mn[0], mn[1], v) for mn, v in out.items()}
+    return _nested_family(A, total, creators, annihilators, _graded_commutator)
 
 
 def nested_q_family(A: QuadraticForm, Q: SkewSymmetricQ,
@@ -444,6 +422,5 @@ def nested_q_family(A: QuadraticForm, Q: SkewSymmetricQ,
     """Deformed nested tensors for all m + n <= total, shared layers."""
     _check_mass(A, Q)
     creators, annihilators = _deformed_point_ladder(A.grid, A.truncation, Q)
-    raw = _nested_family(A, total, creators, annihilators,
-                         lambda X, Y, _: q_commutator(X, Y, Q))
-    return {mn: KernelTensor(mn[0], mn[1], v) for mn, v in raw.items()}
+    return _nested_family(A, total, creators, annihilators,
+                          lambda X, Y: q_commutator(X, Y, Q))

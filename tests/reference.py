@@ -5,10 +5,11 @@ isometry ``zops.symmetric_isometry``.  These are the dense oracles it is
 checked against: the N**n x N**n symmetrization projector, summed over all
 permutations as its definition reads, its action on a block of slots, and
 the multi-creator vector matrices built from it.  The pointwise exchange
-and contraction factors are the references of the lattice-wide ones, and
-the vectors and deformed monomials built operator by operator are the
-references of the extracted coefficients.  ``big_matrix`` and ``vacuum``
-are views only the tests need.
+and contraction factors and the dense broadcast of a reduced tensor are the
+references of the lattice-wide ones, and the vectors, deformed creator
+vectors and deformed monomials built operator by operator are the
+references of the extracted coefficients.  ``big_matrix``, ``vacuum`` and
+the permutation ``sign`` are views only the tests need.
 """
 
 import math
@@ -76,6 +77,11 @@ def big_matrix(A: QuadraticForm, nmax: int | None = None) -> np.ndarray:
     return out
 
 
+def sign(sigma: Permutation) -> int:
+    """Sign of a permutation: -1 for an odd number of inversion pairs."""
+    return -1 if len(sigma.inversion_pairs()) % 2 else 1
+
+
 def s_sigma(model: ScatteringModel, sigma: Permutation, thetas: Sequence[float]) -> complex:
     """Product of S over the inversion pairs of sigma at the given rapidities."""
     if len(thetas) != sigma.n:
@@ -91,6 +97,17 @@ def delta_pairs(C: Contraction, theta: Sequence[float], eta: Sequence[float]) ->
     if len(theta) != C.m or len(eta) != C.n:
         raise ValueError("tuple lengths do not match the contraction")
     return int(all(theta[l - 1] == eta[r - C.m - 1] for l, r in C.pairs))
+
+
+def embed_reduced(C: Contraction, reduced: np.ndarray, N: int) -> np.ndarray:
+    """Broadcast a tensor over the free slots of C to the full slot lattice."""
+    total = C.m + C.n
+    free_axes = [l - 1 for l in C.free_left] + [r - 1 for r in C.free_right]
+    contracted = tuple(sorted(set(range(total)) - set(free_axes)))
+    if reduced.ndim != len(free_axes):
+        raise ValueError("reduced tensor rank does not match the free slots")
+    expanded = np.expand_dims(reduced, contracted) if contracted else reduced
+    return np.broadcast_to(expanded, (N,) * total)
 
 
 def s_c_factor(model: ScatteringModel, C: Contraction, theta: Sequence[float],
@@ -160,6 +177,30 @@ def contracted_vector(model: ScatteringModel, side: str, C: Contraction,
         e[point_index(grid, args[pos])] = 1.0
         state = create(model, e, state)
     return state
+
+
+def deformed_vector_matrices(grid: RapidityGrid, truncation: int, Q: SkewSymmetricQ,
+                             jmax: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Columns are products of deformed creators applied to the vacuum.
+
+    The left list applies creators in slot order (slot 1 outermost), the
+    right list in descending slot order, matching the contracted vectors
+    of the coefficient formula.
+    """
+    creators, _ = _deformed_point_ladder(grid, truncation, Q)
+    N = grid.size
+    left = [np.ones((1, 1), dtype=complex)]
+    right = [np.ones((1, 1), dtype=complex)]
+    for j in range(1, jmax + 1):
+        L = np.zeros((N**j, N**j), dtype=complex)
+        R = np.zeros((N**j, N**j), dtype=complex)
+        for g in range(N):
+            block = creators[g].block(j, j - 1)
+            L[:, g * N**(j - 1):(g + 1) * N**(j - 1)] = block @ left[j - 1]
+            R[:, g::N] = block @ right[j - 1]
+        left.append(L)
+        right.append(R)
+    return left, right
 
 
 def deformed_monomial(grid: RapidityGrid, truncation: int, Q: SkewSymmetricQ,

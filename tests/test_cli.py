@@ -114,6 +114,18 @@ def test_verify_fail_fast_on_broken_table(tmp_path, capsys):
     assert all(row.split(",")[2] == "skipped" for row in rows[1:])
 
 
+def test_verify_names_overflowing_scattering_phase(tmp_path, capsys):
+    # a = 1e308 is finite, but a * sinh(theta) overflows on the lattice
+    # differences: the gate check fails naming the value, the rest is skipped
+    doc = base_config(scattering={"family": "sinh_exp", "a": 1e308})
+    cfg = write_config(tmp_path, doc)
+    assert main(["verify", "--config", str(cfg), "--json"]) == 1
+    gate, *rest = json.loads(capsys.readouterr().out)
+    assert (gate["check"], gate["status"]) == ("model_axioms", "fail")
+    assert "a * sinh(theta) = -inf is non-finite" in gate["note"]
+    assert rest and all(record["status"] == "skipped" for record in rest)
+
+
 def test_verify_rejects_bad_config(tmp_path, capsys):
     cfg = write_config(tmp_path, base_config(truncation=-1))
     assert main(["verify", "--config", str(cfg)]) == 2

@@ -16,13 +16,13 @@ from hypothesis import strategies as st
 
 from zfock.contractions import (delta_mask, enumerate_contractions,
                                 r_factor_grid, s_factor_grid)
-from zfock.expansion import (creator_elements, embed_reduced, extract_family,
-                             inversion_residual, reflected_coeffs)
+from zfock.expansion import (creator_elements, extract_family, inversion_residual,
+                             reflected_coeffs)
 from zfock.fock import RapidityGrid
 from zfock.sampling import keyed_rng, random_form
 from zfock.scattering import ScatteringModel
 
-from reference import left_vector_matrix, right_vector_matrix
+from reference import embed_reduced, left_vector_matrix, right_vector_matrix
 
 K = 3
 

@@ -15,8 +15,8 @@ from zfock.warped import (GroupingWarning, HomogeneousComponent, SkewSymmetricQ,
                           deformed_annihilator, deformed_creator,
                           deformed_fmn_coefficients, momentum_sector_decompose,
                           nested_free_family, nested_graded_family, nested_q_family,
-                          parity_split, q_commutator, warp, warp_spectral)
-from zfock.zops import annihilator_form, creator_form, form_residual
+                          q_commutator, warp, warp_spectral)
+from zfock.zops import QuadraticForm, annihilator_form, creator_form, form_residual
 
 from reference import deformed_monomial, symmetrize_block
 
@@ -90,17 +90,24 @@ def test_warp_mass_guard(grid3):
 
 
 @pytest.mark.parametrize("a, side", [
-    pytest.param(a, side, id=str(a) if side is None else f"spectral-{side}-{a}")
-    for side in (None, "right", "left") for a in (1e308, -1e308)])
+    pytest.param(a, side, id=str(a) if side is None else f"{side}-{a}")
+    for side in (None, "spectral-right", "spectral-left", "deformed")
+    for a in (1e308, -1e308)])
 def test_overflowing_phase_raises(grid3, a, side):
     # at |a| = 1e308 the phase q . (Q p) overflows on 36 of the 169 entries
     # of a K = 2 form; numpy warns of the overflow, and warp and
-    # warp_spectral (side given) refuse the form instead of returning NaN
-    # entries
+    # warp_spectral refuse the form instead of returning NaN entries.  The
+    # deformed coefficients twist only by pair phases of single points,
+    # which stay finite; the factor a sinh(theta) of the model generated by
+    # Q overflows instead, and is refused without a warning
     A = random_form(FREE, grid3, 2, keyed_rng(0, "warped", "overflow", 0))
     Q = SkewSymmetricQ(a, 1.0)
+    if side == "deformed":
+        with pytest.raises(ValueError, match="non-finite"):
+            deformed_fmn_coefficients(A, Q, 2, 1)
+        return
     with pytest.raises(ValueError, match="non-finite"), pytest.warns(RuntimeWarning):
-        warp(A, Q) if side is None else warp_spectral(A, Q, side)
+        warp(A, Q) if side is None else warp_spectral(A, Q, side.split("-")[1])
 
 
 def test_q_commutator_names_overflow(grid3):
@@ -260,9 +267,17 @@ def _full_nested(A, total, creators, annihilators, wrapc, wrapa, parity=0):
     return out
 
 
+def _parity_part(A, parity):
+    """The blocks (l, k) of A with l - k of the given number parity."""
+    return QuadraticForm(A.grid, A.truncation,
+                         {key: mat for key, mat in A.blocks.items()
+                          if (key[0] - key[1]) % 2 == parity}, A.truncated)
+
+
 def test_nested_families_equal_unpruned_commutators(grid3):
     # the families keep only the blocks that can still reach the vacuum;
-    # the readouts must be bitwise those of the full nested commutators
+    # the readouts must be bitwise those of the full nested commutators,
+    # and the graded ones those of each number-parity part nested apart
     K, total = 3, 3
     units = np.eye(grid3.size, dtype=complex)
     rng = keyed_rng(0, "warped", "pruned", 0)
@@ -282,10 +297,10 @@ def test_nested_families_equal_unpruned_commutators(grid3):
     creators = [creator_form(ising, grid3, K, e) for e in units]
     annihilators = [annihilator_form(ising, grid3, K, e) for e in units]
     A = random_form(ising, grid3, K, rng)
-    parts = [_full_nested(part, total, creators, annihilators,
+    parts = [_full_nested(_parity_part(A, par), total, creators, annihilators,
                           lambda X, B, par: X @ B - sign(par) * (B @ X),
                           lambda B, X, par: B @ X - sign(par) * (X @ B), par)
-             for part, par in zip(parity_split(A), (0, 1))]
+             for par in (0, 1)]
     for mn, kern in nested_graded_family(A, total).items():
         assert np.array_equal(kern.values, parts[0][mn] + parts[1][mn]), ("graded", mn)
 
