@@ -5,12 +5,22 @@ entries are [re, im] pairs.  Every file carries its lattice so results
 are self-describing.  Values are finite: a non-finite tensor is refused
 before its file is opened, and ``NaN`` or ``Infinity`` tokens are refused
 on load.
+
+A file holds exactly the bytes of ``json.dumps`` of its document with the
+tensors as nested ``[re, im]`` lists.  The tensor payloads are encoded and
+decoded by orjson, and any valid JSON of the same layout loads, whatever
+its whitespace; everything else goes through the stdlib ``json``.  orjson
+is imported by the functions that use it, so ``import zfock`` leaves it
+unloaded.
 """
 
 from __future__ import annotations
 
 import json
+import json.scanner
+import math
 import os
+import re
 
 import numpy as np
 
@@ -24,10 +34,10 @@ def complex_to_nested(arr: np.ndarray) -> list:
 
 
 def nested_to_complex(data, shape: tuple[int, ...]) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
+    arr = np.ascontiguousarray(data, dtype=float)
     if arr.shape != shape + (2,):
         raise ValueError(f"payload shape {arr.shape} does not match {shape + (2,)}")
-    return arr[..., 0] + 1j * arr[..., 1]
+    return arr.view(complex)[..., 0]  # keeps the sign of a zero, unlike re + 1j * im
 
 
 def _write_json(fh, obj) -> None:
@@ -51,9 +61,21 @@ def _write_json(fh, obj) -> None:
             _write_json(fh, item)
         fh.write("]")
     elif isinstance(obj, np.ndarray) and obj.ndim:
+        import orjson
+
         fh.write("[")
         for i, row in enumerate(obj):
-            fh.write((", " if i else "") + json.dumps(complex_to_nested(row)))
+            pairs = np.stack([row.real, row.imag], axis=-1)
+            size = np.abs(pairs)
+            # orjson prints the digits of repr, but not repr's exponent form,
+            # which repr takes for nonzero |x| < 1e-4 and for |x| >= 1e16
+            fixed = (size == 0) | ((size >= 1e-4) & (size < 1e16))
+            if pairs.dtype == np.float64 and fixed.all():
+                text = orjson.dumps(pairs, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+                text = text.replace(",", ", ")
+            else:
+                text = json.dumps(pairs.tolist())
+            fh.write((", " if i else "") + text)
         fh.write("]")
     else:
         fh.write(json.dumps(complex_to_nested(obj) if isinstance(obj, np.ndarray) else obj))
@@ -65,13 +87,76 @@ def _require_finite(path, tensors) -> None:
             raise ValueError(f"{path}: refusing to write non-finite values")
 
 
+_LEADING = re.compile(r"(?:\[[ \t\n\r]*)+")
+_NUMBER_CHARS = str.maketrans("", "", "0123456789.eE+- \t\n\r")
+_UNBRACKET = str.maketrans("[]", "  ")
+
+
+def _skeleton(shape) -> str:
+    """The brackets and commas of a JSON array of ``shape``, without its numbers."""
+    text = ""
+    for n in reversed(shape):
+        text = "[" + ",".join([text] * n) + "]"
+    return text
+
+
+def _shape_of(skeleton: str) -> tuple[int, ...]:
+    """The shape whose skeleton begins as ``skeleton`` does, read off its first elements."""
+    depth = len(skeleton) - len(skeleton.lstrip("["))
+    shape, inner = [], 0
+    for k in reversed(range(depth)):
+        # the first array at depth k ends at the first run of depth - k closing brackets
+        length = skeleton.find("]" * (depth - k)) + depth - 2 * k
+        shape.insert(0, (length - 1) // (inner + 1))
+        inner = length
+    return tuple(shape)
+
+
+def _parse_array(s_and_end, scan_once):
+    """Read a regular all-number array of depth >= 2 as a float ndarray, with orjson.
+
+    Regular means its brackets and commas are those of some shape.  Any
+    other array, and one whose numbers orjson refuses, is read by
+    ``json.decoder.JSONArray``, so json's errors and NaN handling stay.
+    """
+    import orjson
+
+    s, end = s_and_end
+    depth = _LEADING.match(s, end - 1).group().count("[")
+    # the first run of depth closing brackets ends a regular array
+    closer = re.compile(r"\](?:[ \t\n\r]*\]){%d}" % (depth - 1))
+    if depth > 1 and (close := closer.search(s, end)):
+        skeleton = s[end - 1:close.end()].translate(_NUMBER_CHARS)
+        shape = _shape_of(skeleton)
+        if skeleton == _skeleton(shape):
+            try:
+                flat = orjson.loads("[%s]" % s[end:close.end()].translate(_UNBRACKET))
+            except orjson.JSONDecodeError:
+                flat = ()
+            if len(flat) == math.prod(shape):
+                return np.array(flat, dtype=float).reshape(shape), close.end()
+    return json.decoder.JSONArray(s_and_end, scan_once)
+
+
+class _TensorDecoder(json.JSONDecoder):
+    """json's decoder with ``_parse_array``, through the scanner that calls it.
+
+    The C scanner ignores ``parse_array``; the pure-Python one calls it.
+    """
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.parse_array = _parse_array
+        self.scan_once = json.scanner.py_make_scanner(self)
+
+
 def _load_json(path):
     """Parse a JSON file, refusing the NaN and Infinity tokens json accepts."""
     def reject(token):
         raise ValueError(f"{path}: non-finite number {token}")
 
     with open(path) as fh:
-        return json.load(fh, parse_constant=reject)
+        return json.load(fh, cls=_TensorDecoder, parse_constant=reject)
 
 
 def _grid_header(grid: RapidityGrid) -> dict:

@@ -135,7 +135,10 @@ class ScatteringModel:
         can differ in the last place, and each caller keeps its own.
         """
         with np.errstate(over="ignore"):
-            angle = self.a * sinh(thetas)
+            try:
+                angle = self.a * sinh(thetas)
+            except OverflowError:  # math.sinh past |theta| ~ 710, where np.sinh is inf
+                angle = self.a * np.sinh(thetas)
         bad = ~np.isfinite(angle)
         if bad.any():
             raise ValueError(f"scattering phase a * sinh(theta) = "

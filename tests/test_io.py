@@ -1,6 +1,10 @@
 """File formats roundtrip exactly and reject foreign payloads."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,3 +165,15 @@ def test_non_finite_tokens_are_rejected(tmp_path, grid3, token):
         path.write_text(head[: -len(number)] + token + sep + tail)
         with pytest.raises(ValueError, match=f"non-finite number {token}"):
             load(path)
+
+
+def test_import_leaves_orjson_unloaded():
+    # io imports orjson inside the functions that use it, so a run that
+    # reads and writes no tensor file (verify, the norms) never loads it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c",
+                          "import zfock, sys; print('orjson' in sys.modules)"],
+                         env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -54,6 +54,19 @@ def test_overflowing_sinh_phase_raises(a):
     assert model.value(0.5) == pytest.approx(np.exp(1j * a * math.sinh(0.5)), abs=1e-15)
 
 
+@pytest.mark.parametrize("theta", [800.0, -800.0])
+def test_overflowing_sinh_raises_the_same_error_for_one_value(theta):
+    # math.sinh itself overflows past |theta| ~ 710; value must still name
+    # the non-finite phase, as values does
+    model = ScatteringModel.sinh_exp(1.0)
+    with pytest.raises(ValueError) as want:
+        model.values(np.array([theta]))
+    with pytest.raises(ValueError) as got:
+        model.value(theta)
+    assert str(got.value) == str(want.value)
+    assert "a * sinh(theta)" in str(got.value)
+
+
 def test_corrupted_table_rejected():
     with pytest.raises(ValueError, match="differs from 1"):
         ScatteringModel.tabulated([0.4, -0.4], [2.0, 0.5])
