@@ -188,9 +188,9 @@ def _pair_product(mat: np.ndarray, pairs: bytes, V: int) -> np.ndarray:
 
 
 def add_on_support(out: np.ndarray, model: ScatteringModel, points: Sequence[float],
-                   C: Contraction, reduced: np.ndarray, sign: int = 1,
+                   C: Contraction, reduced: np.ndarray,
                    reflected: bool = False) -> None:
-    """Add sign * factor * reduced to ``out`` on the delta support of C.
+    """Add factor * reduced to ``out`` on the delta support of C.
 
     ``reduced`` is indexed by the free outgoing then free incoming slots.
     The factor is the exchange factor, times the reflection factor when
@@ -198,7 +198,8 @@ def add_on_support(out: np.ndarray, model: ScatteringModel, points: Sequence[flo
     and ``r_factor_grid``.  The update equals adding the dense
     ``delta_mask * s_factor_grid (* r_factor_grid)`` term times ``reduced``
     broadcast over the free slots, which is zero off the support, so only
-    the support is touched.
+    the support is touched.  Signs and weights of a contraction sum are
+    applied by the caller, once per nesting level (``expansion``).
     """
     free, exchange, sweeps = _support_layout(C)
     if reduced.ndim != len(free):
@@ -215,7 +216,7 @@ def add_on_support(out: np.ndarray, model: ScatteringModel, points: Sequence[flo
         for sweep in sweeps:
             refl = refl * (1.0 - _pair_product(mat, sweep, V))
         factor = factor * refl
-    view += sign * factor * reduced.reshape(reduced.shape + (1,) * C.size)
+    view += factor * reduced.reshape(reduced.shape + (1,) * C.size)
 
 
 def compose(C: Contraction, D: Contraction) -> Contraction:

@@ -6,13 +6,29 @@ vectors, decorated with lattice deltas and exchange factors.  The series
 reconstructs the operator exactly on the truncated space, and the
 coefficients transform covariantly under translations, boosts, and the
 antiunitary reflection.
+
+The contraction sums are nested by contraction depth
+(:func:`_contraction_sum`).  Let K add every single-pair insertion: K g is
+the sum of the terms ``delta * S (* R) * g`` over the m' n' one-pair
+contractions of the current (m', n') slots, g living on the slots each
+pair leaves free.  By the composition identity
+(:func:`~zfock.contractions.compose`, checked by
+``suites.check_composition_identity``), inserting a pair into the term of
+a contraction of the free slots gives the term of the composed
+contraction, delta and exchange factor included.  The reflection factor
+composes the same way: on the support of a pair (l, r), x_l = x_r, and
+the sweep of any other left slot a meets it as
+S(x_a - x_l) S(x_r - x_a) = 1.  A c-pair contraction arises from exactly
+c! orders of its pairs, so K^c g = c! sum_{|C|=c} delta_C S_C g, and the
+sum over all contractions with weights s^|C| is the Horner form
+term(0) + s K(term(1) + (s/2) K(term(2) + (s/3) K(...))).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -37,6 +53,34 @@ def creator_elements(model: ScatteringModel, grid: RapidityGrid, mat: np.ndarray
     return c * sandwich(model, grid, mat, m, n)[:, reversal_permutation(grid.size, n)]
 
 
+def _contraction_sum(model: ScatteringModel, points: Sequence[float], m: int, n: int,
+                     term: Callable[[int], np.ndarray], sign: int,
+                     reflected: bool = False) -> np.ndarray:
+    """Sum over contractions C of (m, n) of sign**|C| delta_C S_C (R_C) term(|C|).
+
+    ``term(c)`` is the tensor on the (m - c, n - c) free slots, built when
+    its level is reached; the reflection factor R_C enters when ``reflected``
+    is set.  Nested from the deepest level out (see the module docstring):
+    each level adds the single-pair insertions of the level below into a
+    fresh buffer, scales it by sign / c and adds its own term, in place.
+    (4, 4) takes 16 + 9 + 4 + 1 = 30 insertions for its 209 contractions.
+    """
+    # a copy, so that a sum without contractions never aliases term(0)
+    total = np.array(term(min(m, n)), dtype=complex)
+    for c in range(min(m, n), 0, -1):
+        a, b = m - c + 1, n - c + 1
+        # the term first: its temporaries then never coexist with the buffer
+        own = term(c - 1)
+        lower = np.zeros((len(points),) * (a + b), dtype=complex)
+        # the a * b single-pair contractions follow the empty one
+        for C in enumerate_contractions(a, b)[1:1 + a * b]:
+            add_on_support(lower, model, points, C, total, reflected=reflected)
+        lower *= sign / c
+        lower += own
+        total = lower
+    return total
+
+
 def fmn_coefficients(model: ScatteringModel, A: QuadraticForm, m: int, n: int) -> KernelTensor:
     """Expansion coefficient with m outgoing and n incoming slots.
 
@@ -44,19 +88,17 @@ def fmn_coefficients(model: ScatteringModel, A: QuadraticForm, m: int, n: int) -
     and exchange factor of the contraction and the matrix element of A
     between the reduced multi-creator vectors of ``model``
     (:func:`creator_elements`).  Only the blocks (l, k) of A with l <= m
-    and k <= n enter.
+    and k <= n enter.  The sum is nested by contraction depth
+    (:func:`_contraction_sum`, sign -1), one matrix element tensor per depth.
     """
     grid = A.grid
     N = grid.size
-    out = np.zeros((N,) * (m + n), dtype=complex)
-    elements = {}  # one matrix element tensor per reduced slot count
-    for C in enumerate_contractions(m, n):
-        mh, nh = m - C.size, n - C.size
-        if (mh, nh) not in elements:
-            M = creator_elements(model, grid, A.block(mh, nh), mh, nh)
-            elements[(mh, nh)] = M.reshape((N,) * (mh + nh))
-        add_on_support(out, model, grid.points, C, elements[(mh, nh)], (-1) ** C.size)
-    return KernelTensor(m, n, out)
+
+    def elements(c: int) -> np.ndarray:
+        M = creator_elements(model, grid, A.block(m - c, n - c), m - c, n - c)
+        return M.reshape((N,) * (m + n - 2 * c))
+
+    return KernelTensor(m, n, _contraction_sum(model, grid.points, m, n, elements, -1))
 
 
 @dataclass
@@ -109,20 +151,19 @@ def inversion_residual(model: ScatteringModel, A: QuadraticForm, m: int, n: int,
 
     The uncontracted multi-creator matrix elements of A must equal the sum
     over contractions of delta and exchange factors times the reduced
-    coefficients.
+    coefficients, taken from ``family`` where it holds them.  The sum is
+    nested by contraction depth (:func:`_contraction_sum`, sign +1).
     """
     grid = A.grid
     N = grid.size
     lhs = creator_elements(model, grid, A.block(m, n), m, n).reshape((N,) * (m + n))
-    rhs = np.zeros((N,) * (m + n), dtype=complex)
-    reduced = {}  # one coefficient per reduced slot count
-    for C in enumerate_contractions(m, n):
-        key = (m - C.size, n - C.size)
-        if key not in reduced:
-            known = family is not None and key in family.entries
-            reduced[key] = (family.entry(*key) if known
-                            else fmn_coefficients(model, A, *key)).values
-        add_on_support(rhs, model, grid.points, C, reduced[key])
+
+    def reduced(c: int) -> np.ndarray:
+        key = (m - c, n - c)
+        known = family is not None and key in family.entries
+        return (family.entry(*key) if known else fmn_coefficients(model, A, *key)).values
+
+    rhs = _contraction_sum(model, grid.points, m, n, reduced, 1)
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -188,15 +229,15 @@ def reflected_coeffs(model: ScatteringModel, family: CoefficientFamily,
     """Coefficient of the reflected adjoint from the original family.
 
     Alternating sum over contractions with the extra reflection factor;
-    the reduced coefficients enter with slot groups exchanged.
+    the reduced coefficients enter with slot groups exchanged.  The sum is
+    nested by contraction depth (:func:`_contraction_sum`, sign -1, with the
+    reflection factor, which composes like the exchange factor).
     """
-    grid = family.grid
-    N = grid.size
-    out = np.zeros((N,) * (m + n), dtype=complex)
-    for C in enumerate_contractions(m, n):
-        mh, nh = C.m - C.size, C.n - C.size
+
+    def reduced(c: int) -> np.ndarray:
+        mh, nh = m - c, n - c
         g = family.entry(nh, mh).values
-        reduced = g.transpose(tuple(range(nh, nh + mh)) + tuple(range(nh)))
-        add_on_support(out, model, grid.points, C, reduced, (-1) ** C.size,
-                       reflected=True)
-    return KernelTensor(m, n, out)
+        return g.transpose(tuple(range(nh, nh + mh)) + tuple(range(nh)))
+
+    return KernelTensor(m, n, _contraction_sum(model, family.grid.points, m, n, reduced,
+                                               -1, reflected=True))

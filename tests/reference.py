@@ -8,8 +8,9 @@ the multi-creator vector matrices built from it.  The pointwise exchange
 and contraction factors and the dense broadcast of a reduced tensor are the
 references of the lattice-wide ones, and the vectors, deformed creator
 vectors and deformed monomials built operator by operator are the
-references of the extracted coefficients.  ``big_matrix``, ``vacuum`` and
-the permutation ``sign`` are views only the tests need.
+references of the extracted coefficients.  ``tabulated`` draws a table
+model of random unitary values on a lattice's differences.  ``big_matrix``,
+``vacuum`` and the permutation ``sign`` are views only the tests need.
 """
 
 import math
@@ -135,6 +136,17 @@ def r_c_factor(model: ScatteringModel, C: Contraction, theta: Sequence[float],
             sweep *= model.value(xi[a - 1] - xi[b - 1])
         out *= 1.0 - sweep
     return out
+
+
+def tabulated(grid: RapidityGrid, rng: np.random.Generator) -> ScatteringModel:
+    """Unitary values S(-d) = conj S(d) on every lattice difference, S(0) = +-1."""
+    pts = grid.array()
+    keys = {round(float(d), 12) for d in (pts[:, None] - pts[None, :]).ravel()}
+    diffs = sorted(key for key in keys if key > 0)
+    phases = np.exp(1j * rng.uniform(-np.pi, np.pi, len(diffs)))
+    thetas = [0.0] + diffs + [-d for d in diffs]
+    values = [float(rng.choice([-1.0, 1.0]))] + list(phases) + list(np.conj(phases))
+    return ScatteringModel.tabulated(thetas, values)
 
 
 def point_index(grid: RapidityGrid, theta: float) -> int:

@@ -23,33 +23,15 @@ from hypothesis import strategies as st
 
 from zfock.fock import Indicatrix, basis_tuples, energy_grid
 from zfock.sampling import keyed_rng, random_form, random_kernel
-from zfock.scattering import ScatteringModel
 from zfock.zops import (QuadraticForm, annihilator_form, creator_form,
                         identity_form, qform_norm, sector_norm,
                         symmetric_isometry, symmetrize, zmzn_form)
 
 from reference import big_matrix, symmetrize_block, symmetrizer_matrix
-from test_support_property import lattices
+from test_support_property import MODELS, lattices
 
 K = 3
 REL = 1e-12
-
-
-def tabulated(grid, rng):
-    """Unitary values S(-d) = conj S(d) on every lattice difference, S(0) = +-1."""
-    pts = grid.array()
-    keys = {round(float(d), 12) for d in (pts[:, None] - pts[None, :]).ravel()}
-    diffs = sorted(key for key in keys if key > 0)
-    phases = np.exp(1j * rng.uniform(-np.pi, np.pi, len(diffs)))
-    thetas = [0.0] + diffs + [-d for d in diffs]
-    values = [float(rng.choice([-1.0, 1.0]))] + list(phases) + list(np.conj(phases))
-    return ScatteringModel.tabulated(thetas, values)
-
-
-MODELS = {"free": lambda a, grid, rng: ScatteringModel.free(),
-          "ising": lambda a, grid, rng: ScatteringModel.ising(),
-          "sinh_exp": lambda a, grid, rng: ScatteringModel.sinh_exp(a),
-          "table": lambda a, grid, rng: tabulated(grid, rng)}
 
 
 def weights(grid, omega, n, sign):

@@ -1,12 +1,20 @@
-"""Property: the support-view contraction sums equal the dense masked sums exactly.
+"""Property: the contraction sums equal the dense masked sums over all contractions.
 
 The dense references rebuild each term as ``delta_mask * s_factor_grid
-(* r_factor_grid) * embed_reduced`` over all (N,)*(m+n) tuples, the way the
-coefficient formulas read.  They are fed the same matrix elements as the
-package (``creator_elements``), so the sums must agree bitwise; the elements
-themselves are checked against the dense L^H A R of ``reference`` at rel
-1e-12.  Lattices are random or symmetric, with 2-4 points; the examples are
-derandomized so the run is deterministic.
+(* r_factor_grid) * embed_reduced`` over all (N,)*(m+n) tuples and sum them
+contraction by contraction, the way the coefficient formulas read.  A
+single ``add_on_support`` insertion, plain or reflected, must add exactly
+its dense term, for every contraction through (3, 3).  The
+package nests its sums by contraction depth, one single-pair insertion at a
+time, so its coefficients (``extract_family``), inversion residuals and
+reflected coefficients are compared with the dense sums at rel 1e-12 of the
+family's largest entry; they are fed the same matrix elements
+(``creator_elements``), which are themselves checked against the dense
+L^H A R of ``reference`` at rel 1e-12.  Models are free, ising, sinh_exp and
+a table of random unitary values with S(0) = +1 or -1.  Lattices are random
+or symmetric, with 2-4 points at truncation 3 and 2-3 points at truncation
+4, where four nesting levels run; the examples are derandomized so the run
+is deterministic.
 """
 
 import numpy as np
@@ -14,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from zfock.contractions import (delta_mask, enumerate_contractions,
+from zfock.contractions import (add_on_support, delta_mask, enumerate_contractions,
                                 r_factor_grid, s_factor_grid)
 from zfock.expansion import (creator_elements, extract_family, inversion_residual,
                              reflected_coeffs)
@@ -22,19 +30,21 @@ from zfock.fock import RapidityGrid
 from zfock.sampling import keyed_rng, random_form
 from zfock.scattering import ScatteringModel
 
-from reference import embed_reduced, left_vector_matrix, right_vector_matrix
+from reference import embed_reduced, left_vector_matrix, right_vector_matrix, tabulated
 
 K = 3
+REL = 1e-12
 
-MODELS = {"free": lambda a: ScatteringModel.free(),
-          "ising": lambda a: ScatteringModel.ising(),
-          "sinh_exp": ScatteringModel.sinh_exp}
+MODELS = {"free": lambda a, grid, rng: ScatteringModel.free(),
+          "ising": lambda a, grid, rng: ScatteringModel.ising(),
+          "sinh_exp": lambda a, grid, rng: ScatteringModel.sinh_exp(a),
+          "table": lambda a, grid, rng: tabulated(grid, rng)}
 
 
 @st.composite
-def lattices(draw):
-    """Strictly increasing lattices of 2-4 points, half of them symmetric about 0."""
-    size = draw(st.integers(2, 4))
+def lattices(draw, max_size=4):
+    """Strictly increasing lattices of 2 to max_size points, half of them symmetric about 0."""
+    size = draw(st.integers(2, max_size))
     if draw(st.booleans()):
         half = draw(st.lists(st.floats(0.05, 1.5), min_size=size // 2,
                              max_size=size // 2, unique=True))
@@ -45,43 +55,88 @@ def lattices(draw):
     return RapidityGrid(tuple(sorted(pts)), 1.0)
 
 
-def _dense_term(model, grid, C, reduced, reflected=False):
-    N = grid.size
-    term = delta_mask(C, N) * s_factor_grid(model, grid.points, C)
-    if reflected:
-        term = term * r_factor_grid(model, grid.points, C)
-    return term * embed_reduced(C, reduced, N)
-
-
-def dense_fmn(model, A, m, n):
-    grid, N = A.grid, A.grid.size
-    out = np.zeros((N,) * (m + n), dtype=complex)
+def dense_factors(model, grid, m, n):
+    """Per contraction of (m, n), the dense delta_mask * s_factor_grid, without
+    and with the r_factor_grid factor."""
+    out = {}
     for C in enumerate_contractions(m, n):
-        mh, nh = m - C.size, n - C.size
-        M = creator_elements(model, grid, A.block(mh, nh), mh, nh)
-        out += ((-1) ** C.size) * _dense_term(model, grid, C, M.reshape((N,) * (mh + nh)))
+        plain = delta_mask(C, grid.size) * s_factor_grid(model, grid.points, C)
+        out[C] = (plain, plain * r_factor_grid(model, grid.points, C))
     return out
 
 
-def dense_inversion(model, A, m, n, family):
+def dense_fmn(model, A, m, n, factors):
+    grid, N = A.grid, A.grid.size
+    out = np.zeros((N,) * (m + n), dtype=complex)
+    for C, (factor, _) in factors.items():
+        mh, nh = m - C.size, n - C.size
+        M = creator_elements(model, grid, A.block(mh, nh), mh, nh)
+        out += ((-1) ** C.size) * (factor * embed_reduced(C, M.reshape((N,) * (mh + nh)), N))
+    return out
+
+
+def dense_inversion(model, A, m, n, family, factors):
     grid, N = A.grid, A.grid.size
     lhs = creator_elements(model, grid, A.block(m, n), m, n).reshape((N,) * (m + n))
     rhs = np.zeros_like(lhs)
-    for C in enumerate_contractions(m, n):
+    for C, (factor, _) in factors.items():
         reduced = family.entry(m - C.size, n - C.size).values
-        rhs += _dense_term(model, grid, C, reduced)
+        rhs += factor * embed_reduced(C, reduced, N)
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def dense_reflected(model, family, m, n):
+def dense_reflected(family, m, n, factors):
     N = family.grid.size
     out = np.zeros((N,) * (m + n), dtype=complex)
-    for C in enumerate_contractions(m, n):
+    for C, (_, factor) in factors.items():
         mh, nh = m - C.size, n - C.size
         g = family.entry(nh, mh).values
         reduced = g.transpose(tuple(range(nh, nh + mh)) + tuple(range(nh)))
-        out += ((-1) ** C.size) * _dense_term(model, family.grid, C, reduced, True)
+        out += ((-1) ** C.size) * (factor * embed_reduced(C, reduced, N))
     return out
+
+
+def assert_insertions_equal_dense_terms(model, family, factors, rng):
+    """One ``add_on_support`` insertion adds exactly its dense term: bitwise,
+    plain and reflected, with the target left as it was off the support."""
+    grid, N = family.grid, family.grid.size
+    for (m, n), terms in factors.items():
+        # np.array keeps the 0-slot target an array that can be written through
+        base = np.array(rng.standard_normal((N,) * (m + n))
+                        + 1j * rng.standard_normal((N,) * (m + n)))
+        for C, dense in terms.items():
+            reduced = family.entry(m - C.size, n - C.size).values
+            for reflected, factor in zip((False, True), dense):
+                got = base.copy()
+                add_on_support(got, model, grid.points, C, reduced, reflected=reflected)
+                np.testing.assert_array_equal(got, base + factor * embed_reduced(C, reduced, N))
+
+
+def assert_sums_match_dense(model, grid, truncation, seed):
+    """Coefficients, inversion residuals and reflected coefficients of a random
+    form against the dense sums; returns the family and the dense factors."""
+    A = random_form(model, grid, truncation, keyed_rng(seed, "property", "support"))
+    fam = extract_family(model, A)
+    slots = [(m, n) for m in range(truncation + 1) for n in range(truncation + 1)]
+    for m, n in slots:
+        dense = left_vector_matrix(model, grid, m).conj().T @ A.block(m, n) \
+            @ right_vector_matrix(model, grid, n)
+        np.testing.assert_allclose(creator_elements(model, grid, A.block(m, n), m, n),
+                                   dense, rtol=0, atol=REL * np.max(np.abs(dense)))
+    factors = {mn: dense_factors(model, grid, *mn) for mn in slots}
+    want = {mn: dense_fmn(model, A, *mn, factors[mn]) for mn in slots}
+    scale = max(float(np.max(np.abs(f))) for f in want.values())
+    for m, n in slots:
+        np.testing.assert_allclose(fam.entry(m, n).values, want[(m, n)],
+                                   rtol=0, atol=REL * scale)
+        assert inversion_residual(model, A, m, n, fam) == pytest.approx(
+            dense_inversion(model, A, m, n, fam, factors[(m, n)]), rel=0, abs=REL * scale)
+    reflected = {mn: dense_reflected(fam, *mn, factors[mn]) for mn in slots}
+    scale = max(float(np.max(np.abs(f))) for f in reflected.values())
+    for m, n in slots:
+        np.testing.assert_allclose(reflected_coeffs(model, fam, m, n).values,
+                                   reflected[(m, n)], rtol=0, atol=REL * scale)
+    return fam, factors
 
 
 @pytest.mark.parametrize("family", sorted(MODELS))
@@ -89,18 +144,16 @@ def dense_reflected(model, family, m, n):
           suppress_health_check=[HealthCheck.too_slow])
 @given(a=st.floats(0.1, 1.5), grid=lattices(), seed=st.integers(0, 2**16))
 def test_support_sums_equal_dense_sums(family, a, grid, seed):
-    model = MODELS[family](a)
-    A = random_form(model, grid, K, keyed_rng(seed, "property", "support"))
-    fam = extract_family(model, A)
-    for m in range(K + 1):
-        for n in range(K + 1):
-            dense = left_vector_matrix(model, grid, m).conj().T @ A.block(m, n) \
-                @ right_vector_matrix(model, grid, n)
-            np.testing.assert_allclose(creator_elements(model, grid, A.block(m, n), m, n),
-                                       dense, rtol=0, atol=1e-12 * np.max(np.abs(dense)))
-            np.testing.assert_array_equal(fam.entry(m, n).values,
-                                          dense_fmn(model, A, m, n))
-            assert inversion_residual(model, A, m, n, fam) \
-                == dense_inversion(model, A, m, n, fam)
-            np.testing.assert_array_equal(reflected_coeffs(model, fam, m, n).values,
-                                          dense_reflected(model, fam, m, n))
+    model = MODELS[family](a, grid, keyed_rng(seed, "property", "table"))
+    fam, factors = assert_sums_match_dense(model, grid, K, seed)
+    assert_insertions_equal_dense_terms(model, fam, factors, keyed_rng(seed, "property", "base"))
+
+
+@pytest.mark.parametrize("family", sorted(MODELS))
+@settings(max_examples=4, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(a=st.floats(0.1, 1.5), grid=lattices(max_size=3), seed=st.integers(0, 2**16))
+def test_depth_four_sums_equal_dense_sums(family, a, grid, seed):
+    model = MODELS[family](a, grid, keyed_rng(seed, "property", "table"))
+    assert_sums_match_dense(model, grid, 4, seed)
+
