@@ -69,8 +69,11 @@ def _is_number(value) -> bool:
 
 
 def _is_finite(value) -> bool:
-    """JSON numbers other than NaN and the infinities."""
-    return _is_number(value) and math.isfinite(value)
+    """JSON numbers other than NaN, the infinities and integers beyond a float."""
+    try:
+        return _is_number(value) and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _check_scattering(data, problems: list[str]) -> dict:
@@ -138,14 +141,18 @@ def parse_config(text: str) -> RunConfig:
     if not _is_number(mass):
         problems.append(f"mass must be a number, got {mass!r}")
         mass = 1.0
-    try:
-        pts = data.get("grid")
-        if pts is None:
-            problems.append("missing grid")
-        else:
+    pts = data.get("grid")
+    if pts is None:
+        problems.append("missing grid")
+    elif not (isinstance(pts, list) and all(_is_number(p) for p in pts)):
+        problems.append(f"grid must be a list of JSON numbers, got {pts!r}")
+    else:
+        try:
             grid = RapidityGrid(tuple(float(p) for p in pts), float(mass))
-    except (ValueError, TypeError) as exc:
-        problems.append(str(exc))
+        except ValueError as exc:
+            problems.append(str(exc))
+        except OverflowError:
+            problems.append("grid points and mass must fit in a float")
 
     truncation = data.get("truncation")
     if not _is_int(truncation) or truncation < 1:

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .scattering import Permutation, ScatteringModel, _axis, pair_values
+from .scattering import Permutation, ScatteringModel, pair_values
 
 
 @dataclass(frozen=True)
@@ -66,15 +66,6 @@ def enumerate_contractions(m: int, n: int) -> tuple[Contraction, ...]:
     return tuple(sorted(out, key=lambda c: (c.size, c.pairs)))
 
 
-def delta_mask(C: Contraction, N: int) -> np.ndarray:
-    """Boolean support tensor over the (m+n)-slot lattice."""
-    total = C.m + C.n
-    out = np.ones((N,) * total, dtype=bool)
-    for l, r in C.pairs:
-        out = out & (_axis(N, total, l - 1) == _axis(N, total, r - 1))
-    return out
-
-
 def _crossed(a: int, b: int, m: int) -> bool:
     """Whether exactly one of the two concatenated-slot indices is outgoing."""
     return (a <= m) != (b <= m)
@@ -104,17 +95,6 @@ def _factor_indices(C: Contraction) -> list[tuple[int, int]]:
     return out
 
 
-def s_factor_grid(model: ScatteringModel, points: Sequence[float], C: Contraction) -> np.ndarray:
-    """Exchange factor on every lattice tuple; shape (N,)*(m+n)."""
-    N = len(points)
-    total = C.m + C.n
-    mat = pair_values(model, points)
-    out = np.ones((N,) * total, dtype=complex)
-    for a, b in _factor_indices(C):
-        out = out * mat[_axis(N, total, a - 1), _axis(N, total, b - 1)]
-    return out
-
-
 def _sweep_indices(C: Contraction) -> list[list[tuple[int, int]]]:
     """Per contracted pair, the (a, b) pairs of the full exchange sweep of its left slot.
 
@@ -130,20 +110,6 @@ def _sweep_indices(C: Contraction) -> list[list[tuple[int, int]]]:
                 a, b = b, a
             sweep.append((a, b))
         out.append(sweep)
-    return out
-
-
-def r_factor_grid(model: ScatteringModel, points: Sequence[float], C: Contraction) -> np.ndarray:
-    """Reflection factor on every lattice tuple; shape (N,)*(m+n)."""
-    N = len(points)
-    total = C.m + C.n
-    mat = pair_values(model, points)
-    out = np.ones((N,) * total, dtype=complex)
-    for sweep_pairs in _sweep_indices(C):
-        sweep = np.ones((N,) * total, dtype=complex)
-        for a, b in sweep_pairs:
-            sweep = sweep * mat[_axis(N, total, a - 1), _axis(N, total, b - 1)]
-        out = out * (1.0 - sweep)
     return out
 
 
@@ -193,12 +159,15 @@ def add_on_support(out: np.ndarray, model: ScatteringModel, points: Sequence[flo
     """Add factor * reduced to ``out`` on the delta support of C.
 
     ``reduced`` is indexed by the free outgoing then free incoming slots.
-    The factor is the exchange factor, times the reflection factor when
-    ``reflected`` is set, each multiplied in the order of ``s_factor_grid``
-    and ``r_factor_grid``.  The update equals adding the dense
-    ``delta_mask * s_factor_grid (* r_factor_grid)`` term times ``reduced``
+    The factor is the exchange factor (the pairs of ``_factor_indices``),
+    times the reflection factor (one ``1 - sweep`` per pair of
+    ``_sweep_indices``) when ``reflected`` is set, each multiplied in
+    list order.  The update equals adding the dense term
+    ``delta_mask * s_factor_grid (* r_factor_grid)`` times ``reduced``
     broadcast over the free slots, which is zero off the support, so only
-    the support is touched.  Signs and weights of a contraction sum are
+    the support is touched; those dense oracles live in
+    ``tests/reference.py``, and this is the only implementation of the
+    term in the package.  Signs and weights of a contraction sum are
     applied by the caller, once per nesting level (``expansion``).
     """
     free, exchange, sweeps = _support_layout(C)

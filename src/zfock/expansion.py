@@ -33,10 +33,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .contractions import add_on_support, enumerate_contractions
-from .fock import RapidityGrid, sector_momentum
+from .fock import RapidityGrid, translation_phases
 from .scattering import ScatteringModel
-from .zops import (KernelTensor, QuadraticForm, reversal_permutation, sandwich,
-                   zmzn_form)
+from .zops import KernelTensor, QuadraticForm, sandwich, zmzn_form
 
 
 def creator_elements(model: ScatteringModel, grid: RapidityGrid, mat: np.ndarray,
@@ -47,10 +46,12 @@ def creator_elements(model: ScatteringModel, grid: RapidityGrid, mat: np.ndarray
     in slot order; column u with the n-fold one, applied in descending slot
     order.  A j-fold creator vector is sqrt(j!) times the symmetrizer column
     of its tuple, so this is sqrt(m! n!) (P_m mat P_n)[:, rev], with rev the
-    tuple reversal.
+    tuple reversal, read by reversing the column slot axes.
     """
+    N = grid.size
     c = math.sqrt(math.factorial(m) * math.factorial(n))
-    return c * sandwich(model, grid, mat, m, n)[:, reversal_permutation(grid.size, n)]
+    scaled = (c * sandwich(model, grid, mat, m, n)).reshape((N**m,) + (N,) * n)
+    return scaled.transpose((0,) + tuple(range(n, 0, -1))).reshape(N**m, N**n)
 
 
 def _contraction_sum(model: ScatteringModel, points: Sequence[float], m: int, n: int,
@@ -120,22 +121,18 @@ class CoefficientFamily:
         self.entries[(kernel.m, kernel.n)] = kernel
 
 
-def extract_family(model: ScatteringModel, A: QuadraticForm,
-                   mmax: int | None = None, nmax: int | None = None) -> CoefficientFamily:
-    """All coefficients with slot counts up to the truncation (or given bounds)."""
-    mmax = A.truncation if mmax is None else mmax
-    nmax = A.truncation if nmax is None else nmax
+def extract_family(model: ScatteringModel, A: QuadraticForm) -> CoefficientFamily:
+    """All coefficients with slot counts up to the truncation."""
     family = CoefficientFamily(A.grid, A.truncation)
-    for m in range(mmax + 1):
-        for n in range(nmax + 1):
+    for m in range(A.truncation + 1):
+        for n in range(A.truncation + 1):
             family.set_entry(fmn_coefficients(model, A, m, n))
     return family
 
 
-def reconstruct(model: ScatteringModel, family: CoefficientFamily,
-                truncation: int | None = None) -> QuadraticForm:
+def reconstruct(model: ScatteringModel, family: CoefficientFamily) -> QuadraticForm:
     """Sum of normal-ordered monomials weighted by 1/(m! n!)."""
-    K = family.truncation if truncation is None else truncation
+    K = family.truncation
     total = QuadraticForm(family.grid, K)
     for (m, n), kernel in sorted(family.entries.items()):
         if m > K or n > K:
@@ -146,24 +143,19 @@ def reconstruct(model: ScatteringModel, family: CoefficientFamily,
 
 
 def inversion_residual(model: ScatteringModel, A: QuadraticForm, m: int, n: int,
-                       family: CoefficientFamily | None = None) -> float:
+                       family: CoefficientFamily) -> float:
     """Defect of the inversion identity on the (m, n) matrix elements.
 
     The uncontracted multi-creator matrix elements of A must equal the sum
     over contractions of delta and exchange factors times the reduced
-    coefficients, taken from ``family`` where it holds them.  The sum is
-    nested by contraction depth (:func:`_contraction_sum`, sign +1).
+    coefficients, read from ``family``, which must hold every (m - c, n - c).
+    The sum is nested by contraction depth (:func:`_contraction_sum`, sign +1).
     """
     grid = A.grid
     N = grid.size
     lhs = creator_elements(model, grid, A.block(m, n), m, n).reshape((N,) * (m + n))
-
-    def reduced(c: int) -> np.ndarray:
-        key = (m - c, n - c)
-        known = family is not None and key in family.entries
-        return (family.entry(*key) if known else fmn_coefficients(model, A, *key)).values
-
-    rhs = _contraction_sum(model, grid.points, m, n, reduced, 1)
+    rhs = _contraction_sum(model, grid.points, m, n,
+                           lambda c: family.entries[(m - c, n - c)].values, 1)
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -176,10 +168,8 @@ def translate_form(A: QuadraticForm, x: Sequence[float]) -> QuadraticForm:
     x = np.asarray(x, dtype=float)
     blocks = {}
     for (l, k), mat in A.blocks.items():
-        q0, q1 = sector_momentum(A.grid, l)
-        p0, p1 = sector_momentum(A.grid, k)
-        row = np.exp(1j * (q0 * x[0] - q1 * x[1]))
-        col = np.exp(-1j * (p0 * x[0] - p1 * x[1]))
+        row = translation_phases(A.grid, l, x)
+        col = translation_phases(A.grid, k, -x)
         blocks[(l, k)] = row[:, None] * mat * col[None, :]
     return QuadraticForm(A.grid, A.truncation, blocks, A.truncated)
 
@@ -194,13 +184,12 @@ def reflect_conjugate(A: QuadraticForm) -> QuadraticForm:
     """The reflected adjoint J A* J, realized blockwise.
 
     Its matrix elements satisfy <psi| J A* J |chi> = <J chi| A |J psi>.
+    Reversing the row and column tuples of the transpose reverses every
+    slot axis of the (k + j)-slot tensor of the block.
     """
     N = A.grid.size
-    blocks = {}
-    for (k, j), mat in A.blocks.items():
-        revj = reversal_permutation(N, j)
-        revk = reversal_permutation(N, k)
-        blocks[(j, k)] = mat.T[np.ix_(revj, revk)]
+    blocks = {(j, k): mat.reshape((N,) * (k + j)).T.reshape(N**j, N**k)
+              for (k, j), mat in A.blocks.items()}
     return QuadraticForm(A.grid, A.truncation, blocks, A.truncated)
 
 
@@ -216,10 +205,8 @@ def transform_coeffs_poincare(family: CoefficientFamily, x: Sequence[float],
     N = new_grid.size
     out = CoefficientFamily(new_grid, family.truncation)
     for (m, n), kernel in family.entries.items():
-        q0, q1 = sector_momentum(new_grid, m)
-        p0, p1 = sector_momentum(new_grid, n)
-        row = np.exp(1j * (q0 * x[0] - q1 * x[1])).reshape((N,) * m + (1,) * n)
-        col = np.exp(-1j * (p0 * x[0] - p1 * x[1])).reshape((1,) * m + (N,) * n)
+        row = translation_phases(new_grid, m, x).reshape((N,) * m + (1,) * n)
+        col = translation_phases(new_grid, n, -x).reshape((1,) * m + (N,) * n)
         out.set_entry(KernelTensor(m, n, row * col * kernel.values))
     return out
 

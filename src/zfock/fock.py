@@ -186,17 +186,25 @@ class FockState:
     __rmul__ = __mul__
 
 
+def translation_phases(grid: RapidityGrid, n: int, x: Sequence[float]) -> np.ndarray:
+    """exp(i p(tuple) . x) of every n-tuple, flat over the sector basis."""
+    p0, p1 = sector_momentum(grid, n)
+    return np.exp(1j * (p0 * x[0] - p1 * x[1]))
+
+
+def energy_weights(grid: RapidityGrid, omega: Indicatrix, n: int, sign: int) -> np.ndarray:
+    """exp(sign * omega(energy)) of every n-tuple, flat over the sector basis."""
+    return np.exp(sign * omega.weight(energy_grid(grid, n)))
+
+
 def translate(state: FockState, x: Sequence[float]) -> FockState:
     """Phase rotation by exp(i p(tuple) . x) in every sector."""
     x = np.asarray(x, dtype=float)
     if x.shape != (2,):
         raise ValueError("spacetime shift must be a 2-vector")
     N = state.grid.size
-    out = []
-    for n, sec in enumerate(state.sectors):
-        p0, p1 = sector_momentum(state.grid, n)
-        phase = np.exp(1j * (p0 * x[0] - p1 * x[1])).reshape((N,) * n)
-        out.append(phase * sec)
+    out = [translation_phases(state.grid, n, x).reshape((N,) * n) * sec
+           for n, sec in enumerate(state.sectors)]
     return FockState(state.grid, out, state.truncated)
 
 
@@ -219,8 +227,6 @@ def apply_omega_weight(state: FockState, omega: Indicatrix, sign: int) -> FockSt
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     N = state.grid.size
-    out = []
-    for n, sec in enumerate(state.sectors):
-        w = np.exp(sign * omega.weight(energy_grid(state.grid, n))).reshape((N,) * n)
-        out.append(w * sec)
+    out = [energy_weights(state.grid, omega, n, sign).reshape((N,) * n) * sec
+           for n, sec in enumerate(state.sectors)]
     return FockState(state.grid, out, state.truncated)

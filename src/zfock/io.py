@@ -4,7 +4,9 @@ Complex tensors are stored as nested row-major lists whose innermost
 entries are [re, im] pairs.  Every file carries its lattice so results
 are self-describing.  Values are finite: a non-finite tensor is refused
 before its file is opened, and ``NaN`` or ``Infinity`` tokens are refused
-on load.
+on load.  A file of the wrong structure (not a JSON object of the expected
+kind, or with a missing or ill-typed field) is refused with a ValueError
+that names it.
 
 A file holds exactly the bytes of ``json.dumps`` of its document with the
 tensors as nested ``[re, im]`` lists.  The tensor payloads are encoded and
@@ -16,6 +18,7 @@ unloaded.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import json.scanner
 import math
@@ -159,6 +162,24 @@ def _load_json(path):
         return json.load(fh, cls=_TensorDecoder, parse_constant=reject)
 
 
+@contextlib.contextmanager
+def _document(path, kind: str, what: str):
+    """The JSON object of a ``kind`` file, for reading its fields.
+
+    Any other document, and a missing or ill-typed field read in the
+    ``with`` body, raise a ValueError naming the file.
+    """
+    doc = _load_json(path)
+    if not isinstance(doc, dict) or doc.get("kind") != kind:
+        raise ValueError(f"{path} is not a {what}")
+    try:
+        yield doc
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed field: {exc}") from None
+
+
 def _grid_header(grid: RapidityGrid) -> dict:
     return {"grid": list(grid.points), "mass": grid.mass}
 
@@ -181,12 +202,10 @@ def save_state(path: str, state: FockState) -> None:
 
 
 def load_state(path: str) -> FockState:
-    doc = _load_json(path)
-    if doc.get("kind") != "fock_state":
-        raise ValueError(f"{path} is not a state file")
-    grid = _grid_from_header(doc)
-    N = grid.size
-    sectors = [nested_to_complex(sec, (N,) * n) for n, sec in enumerate(doc["sectors"])]
+    with _document(path, "fock_state", "state file") as doc:
+        grid = _grid_from_header(doc)
+        N = grid.size
+        sectors = [nested_to_complex(sec, (N,) * n) for n, sec in enumerate(doc["sectors"])]
     return FockState(grid, sectors)
 
 
@@ -204,12 +223,10 @@ def save_kernel(path: str, kernel: KernelTensor, grid: RapidityGrid) -> None:
 
 
 def load_kernel(path: str) -> tuple[KernelTensor, RapidityGrid]:
-    doc = _load_json(path)
-    if doc.get("kind") != "kernel_tensor":
-        raise ValueError(f"{path} is not a kernel file")
-    grid = _grid_from_header(doc)
-    m, n = int(doc["m"]), int(doc["n"])
-    values = nested_to_complex(doc["values"], (grid.size,) * (m + n))
+    with _document(path, "kernel_tensor", "kernel file") as doc:
+        grid = _grid_from_header(doc)
+        m, n = int(doc["m"]), int(doc["n"])
+        values = nested_to_complex(doc["values"], (grid.size,) * (m + n))
     return KernelTensor(m, n, values), grid
 
 
@@ -230,16 +247,14 @@ def save_form(path: str, form: QuadraticForm) -> None:
 
 
 def load_form(path: str) -> QuadraticForm:
-    doc = _load_json(path)
-    if doc.get("kind") != "quadratic_form":
-        raise ValueError(f"{path} is not a quadratic form file")
-    grid = _grid_from_header(doc)
-    N = grid.size
-    K = int(doc["truncation"])
-    blocks = {}
-    for rec in doc["blocks"]:
-        l, k = int(rec["rows"]), int(rec["cols"])
-        blocks[(l, k)] = nested_to_complex(rec["values"], (N**l, N**k))
+    with _document(path, "quadratic_form", "quadratic form file") as doc:
+        grid = _grid_from_header(doc)
+        N = grid.size
+        K = int(doc["truncation"])
+        blocks = {}
+        for rec in doc["blocks"]:
+            l, k = int(rec["rows"]), int(rec["cols"])
+            blocks[(l, k)] = nested_to_complex(rec["values"], (N**l, N**k))
     return QuadraticForm(grid, K, blocks, bool(doc.get("truncated", False)))
 
 
@@ -263,16 +278,17 @@ def save_family(directory: str, family: CoefficientFamily) -> None:
 
 
 def load_family(directory: str) -> CoefficientFamily:
-    manifest = _load_json(os.path.join(directory, "manifest.json"))
-    if manifest.get("kind") != "coefficient_family":
-        raise ValueError(f"{directory} holds no coefficient family manifest")
-    grid = _grid_from_header(manifest)
-    family = CoefficientFamily(grid, int(manifest["truncation"]))
-    for rec in manifest["entries"]:
-        kernel, kgrid = load_kernel(os.path.join(directory, rec["file"]))
+    path = os.path.join(directory, "manifest.json")
+    with _document(path, "coefficient_family", "coefficient family manifest") as manifest:
+        grid = _grid_from_header(manifest)
+        family = CoefficientFamily(grid, int(manifest["truncation"]))
+        entries = [(os.path.join(directory, rec["file"]), int(rec["m"]), int(rec["n"]))
+                   for rec in manifest["entries"]]
+    for file, m, n in entries:
+        kernel, kgrid = load_kernel(file)
         if kgrid != grid:
-            raise ValueError(f"kernel {rec['file']} lattice differs from the manifest")
-        if (kernel.m, kernel.n) != (int(rec["m"]), int(rec["n"])):
-            raise ValueError(f"kernel {rec['file']} slot counts differ from the manifest")
+            raise ValueError(f"kernel {file} lattice differs from the manifest")
+        if (kernel.m, kernel.n) != (m, n):
+            raise ValueError(f"kernel {file} slot counts differ from the manifest")
         family.set_entry(kernel)
     return family

@@ -25,28 +25,28 @@ import numpy as np
 
 from .config import (DEFAULT_EQUALITY_TOL, DEFAULT_EXACT_TOL,
                      DEFAULT_INEQUALITY_SLACK, SUITES, ConfigError, RunConfig)
-from .contractions import (add_on_support, compose, delta_mask,
-                           enumerate_contractions, r_factor_grid,
-                           reflect_contraction, s_factor_grid, sigma_rho)
+from .contractions import (Contraction, add_on_support, compose,
+                           enumerate_contractions, reflect_contraction,
+                           sigma_rho)
 from .expansion import (boost_form, creator_elements, extract_family,
                         fmn_coefficients, inversion_residual, reconstruct,
                         reflect_conjugate, reflected_coeffs,
                         transform_coeffs_poincare, translate_form)
 from .fock import (Indicatrix, RapidityGrid, apply_omega_weight, boost,
-                   energy_grid, minkowski, reflect, sector_momentum,
-                   translate)
+                   energy_grid, energy_weights, minkowski, reflect,
+                   sector_momentum, translate, translation_phases)
 from .sampling import keyed_rng, random_form, random_kernel, random_state
 from .scattering import (SINH_EXP, TABLE, Permutation, ScatteringModel, act_d,
                          all_permutations, pair_values, permute_tensor,
                          s_sigma_grid)
 from .warped import (GROUPING_RTOL, GroupingWarning, SkewSymmetricQ,
-                     deformed_annihilator, deformed_creator,
-                     deformed_fmn_coefficients, momentum_sector_decompose,
+                     deformed_fmn_coefficients, deformed_point_ladder,
+                     momentum_sector_decompose,
                      nested_free_family, nested_graded_family, nested_q_family,
                      q_commutator, warp, warp_spectral)
 from .zops import (KernelTensor, QuadraticForm, annihilator_form, annihilate,
                    create, creator_form, cross_norm, form_residual,
-                   identity_form, kernel_adjoint, qform_norm,
+                   identity_form, kernel_adjoint, point_ladder, qform_norm,
                    s_symmetry_residual, sector_norm, symmetrize, zmzn_form)
 
 _TINY = 1e-300
@@ -282,7 +282,7 @@ def check_weight_involution(model: ScatteringModel, grid: RapidityGrid,
         res = max(res, _rel((back - psi).norm(), nrm))
         up = apply_omega_weight(psi, omega, +1)
         for n in range(truncation + 1):
-            w = np.exp(omega.weight(energy_grid(grid, n))).reshape((grid.size,) * n)
+            w = energy_weights(grid, omega, n, 1).reshape((grid.size,) * n)
             res = max(res, _rel(_maxabs(up.sector(n) - w * psi.sector(n)), nrm))
     return res
 
@@ -308,12 +308,6 @@ def check_sector_stability(model: ScatteringModel, grid: RapidityGrid,
 
 # ---------------------------------------------------------------------------
 # zops checks
-
-
-def _point_basis(N: int, g: int) -> np.ndarray:
-    e = np.zeros(N, dtype=complex)
-    e[g] = 1.0
-    return e
 
 
 def _exchange_residual(S: np.ndarray, cre, ann, ident: QuadraticForm,
@@ -356,10 +350,8 @@ def _exchange_residual(S: np.ndarray, cre, ann, ident: QuadraticForm,
 def check_exchange_relations(model: ScatteringModel, grid: RapidityGrid,
                              truncation: int) -> float:
     """Exchange algebra of the ladder operators, blockwise on admissible sectors."""
-    N = grid.size
     S = pair_values(model, grid.points)
-    cre = [creator_form(model, grid, truncation, _point_basis(N, g)) for g in range(N)]
-    ann = [annihilator_form(model, grid, truncation, _point_basis(N, g)) for g in range(N)]
+    cre, ann = point_ladder(model, grid, truncation)
     ident = identity_form(model, grid, truncation)
     return _exchange_residual(S, cre, ann, ident, truncation)
 
@@ -447,17 +439,13 @@ def check_monomial_symmetrized_kernel(model: ScatteringModel, grid: RapidityGrid
     return res
 
 
-def _plus_weights(grid: RapidityGrid, omega: Indicatrix, n: int) -> np.ndarray:
-    return np.exp(omega.weight(energy_grid(grid, n)))
-
-
 def check_creator_weight_bound(model: ScatteringModel, grid: RapidityGrid,
                                truncation: int, omega: Indicatrix, seed: int,
                                count: int) -> float:
     """Weighted norms of single ladder operators against the damped source sectors."""
     K = truncation
     res = 0.0
-    wplus = [_plus_weights(grid, omega, n) for n in range(K + 1)]
+    wplus = [energy_weights(grid, omega, n, 1) for n in range(K + 1)]
     for i in range(count):
         rng = keyed_rng(seed, "zops", "creator_weight_bound", i)
         f = rng.normal(size=grid.size) + 1j * rng.normal(size=grid.size)
@@ -494,7 +482,7 @@ def check_monomial_source_bound(model: ScatteringModel, grid: RapidityGrid,
         sig = {}
         for j in range(n, kmax + 1):
             l = j - n + m
-            wm = np.exp(-omega.weight(energy_grid(grid, j)))
+            wm = energy_weights(grid, omega, j, -1)
             sig[j] = sector_norm(model, grid, F.block(l, j), l, j, np.ones(grid.size**l), wm)
         for k in range(n, kmax + 1):
             lhs = max(sig[j] for j in range(n, k + 1))
@@ -572,8 +560,8 @@ def check_kernel_norm_comparison(grid: RapidityGrid, omega: Indicatrix,
         rng = keyed_rng(seed, "zops", "kernel_norm_comparison", i)
         f = random_kernel(grid, m, n, rng)
         F = f.matrix()
-        wl = np.exp(-omega.weight(energy_grid(grid, m)))
-        wr = np.exp(-omega.weight(energy_grid(grid, n)))
+        wl = energy_weights(grid, omega, m, -1)
+        wr = energy_weights(grid, omega, n, -1)
         lhs = cross_norm(f, grid, omega)
         rhs = 0.5 * (float(np.linalg.norm(wl[:, None] * F))
                      + float(np.linalg.norm(F * wr[None, :])))
@@ -605,22 +593,37 @@ def check_enumeration_count(mmax: int = 3) -> float:
     return bad
 
 
+def _term(model: ScatteringModel, grid: RapidityGrid, C: Contraction,
+          reflected: bool = False) -> np.ndarray:
+    """delta_C S_C (times R_C when ``reflected``) on every lattice tuple.
+
+    Built as the package builds every contraction term, by
+    ``add_on_support`` of a reduced tensor of ones into zeros.  Under the
+    free model every factor is 1, so this is the support delta_C.
+    """
+    N = grid.size
+    out = np.zeros((N,) * (C.m + C.n), dtype=complex)
+    ones = np.ones((N,) * (C.m + C.n - 2 * C.size), dtype=complex)
+    add_on_support(out, model, grid.points, C, ones, reflected=reflected)
+    return out
+
+
 def check_pair_exchange(model: ScatteringModel, grid: RapidityGrid,
                         mmax: int = 3) -> float:
     """On supported tuples the contraction factor splits into slot-group factors."""
     N = grid.size
+    free = ScatteringModel.free()
     res = 0.0
     for m in range(mmax + 1):
         for n in range(mmax + 1):
             if m + n == 0:
                 continue
             for C in enumerate_contractions(m, n):
-                mask = delta_mask(C, N)
-                lhs = mask * s_factor_grid(model, grid.points, C)
                 sigma, rho = sigma_rho(C)
                 st = s_sigma_grid(model, grid.points, sigma).reshape((N,) * m + (1,) * n)
                 sr = s_sigma_grid(model, grid.points, rho).reshape((1,) * m + (N,) * n)
-                res = max(res, _maxabs(lhs - mask * st * sr))
+                rhs = _term(free, grid, C) * st * sr
+                res = max(res, _maxabs(_term(model, grid, C) - rhs))
     return res
 
 
@@ -636,11 +639,9 @@ def check_composition_identity(model: ScatteringModel, grid: RapidityGrid,
             for C in enumerate_contractions(m, n):
                 mh, nh = C.m - C.size, C.n - C.size
                 for C2 in enumerate_contractions(mh, nh):
-                    inner = delta_mask(C2, N) * s_factor_grid(model, grid.points, C2)
                     lhs = np.zeros((N,) * (m + n), dtype=complex)
-                    add_on_support(lhs, model, grid.points, C, inner)
-                    D = compose(C, C2)
-                    rhs = delta_mask(D, N) * s_factor_grid(model, grid.points, D)
+                    add_on_support(lhs, model, grid.points, C, _term(model, grid, C2))
+                    rhs = _term(model, grid, compose(C, C2))
                     res = max(res, _maxabs(lhs - rhs))
     return res
 
@@ -648,18 +649,14 @@ def check_composition_identity(model: ScatteringModel, grid: RapidityGrid,
 def check_reflection_alternation(model: ScatteringModel, grid: RapidityGrid,
                                  mmax: int = 3) -> float:
     """The reflected contraction reproduces the factor with swapped slot groups."""
-    N = grid.size
     res = 0.0
     for m in range(mmax + 1):
         for n in range(mmax + 1):
             if m + n == 0:
                 continue
             for C in enumerate_contractions(m, n):
-                T = delta_mask(C, N) * s_factor_grid(model, grid.points, C) \
-                    * r_factor_grid(model, grid.points, C)
-                CJ = reflect_contraction(C)
-                TJ = delta_mask(CJ, N) * s_factor_grid(model, grid.points, CJ) \
-                    * r_factor_grid(model, grid.points, CJ)
+                T = _term(model, grid, C, reflected=True)
+                TJ = _term(model, grid, reflect_contraction(C), reflected=True)
                 swapped = np.moveaxis(T, tuple(range(m)), tuple(range(n, n + m)))
                 res = max(res, _maxabs(TJ - ((-1.0) ** C.size) * swapped))
     return res
@@ -893,7 +890,7 @@ def check_vector_energy_bound(model: ScatteringModel, grid: RapidityGrid,
         rng = keyed_rng(seed, "expansion", "vector_energy_bound", i)
         for j in range(truncation + 1):
             v = rng.normal(size=grid.size**j) + 1j * rng.normal(size=grid.size**j)
-            w = np.exp(omega.weight(energy_grid(grid, j))).ravel()
+            w = energy_weights(grid, omega, j, 1)
             # the creator vectors applied to v: sqrt(j!) P_j v
             Lv = creator_elements(model, grid, v[:, None], j, 0).ravel()
             lhs = float(np.linalg.norm(w * Lv))
@@ -939,10 +936,7 @@ def check_warp_compose(model: ScatteringModel, grid: RapidityGrid,
 def _translation_form(grid: RapidityGrid, truncation: int,
                       x) -> QuadraticForm:
     """Diagonal form implementing translation by x on every sector."""
-    blocks = {}
-    for k in range(truncation + 1):
-        q0, q1 = sector_momentum(grid, k)
-        blocks[(k, k)] = np.diag(np.exp(1j * (q0 * x[0] - q1 * x[1])))
+    blocks = {(k, k): np.diag(translation_phases(grid, k, x)) for k in range(truncation + 1)}
     return QuadraticForm(grid, truncation, blocks)
 
 
@@ -1107,8 +1101,7 @@ def check_deformed_exchange(grid: RapidityGrid, truncation: int, seed: int,
         a = float(rng.uniform(0.3, 2.0))
         Q = SkewSymmetricQ(a, grid.mass)
         S = pair_values(Q.scattering_model(), grid.points)
-        cre = [deformed_creator(grid, K, _point_basis(N, g), Q) for g in range(N)]
-        ann = [deformed_annihilator(grid, K, _point_basis(N, g), Q) for g in range(N)]
+        cre, ann = deformed_point_ladder(grid, K, Q)
         res = max(res, _exchange_residual(S, cre, ann, ident, K))
         cc_keys = [(k + 2, k) for k in range(K - 1)]
         aa_keys = [(k, k + 2) for k in range(K - 1)]
@@ -1142,9 +1135,7 @@ def check_qcomm_algebra(grid: RapidityGrid, truncation: int, seed: int,
     """
     K = truncation
     N = grid.size
-    free = ScatteringModel.free()
-    cre = [creator_form(free, grid, K, _point_basis(N, g)) for g in range(N)]
-    ann = [annihilator_form(free, grid, K, _point_basis(N, g)) for g in range(N)]
+    cre, ann = point_ladder(ScatteringModel.free(), grid, K)
     res = 0.0
     for i in range(count):
         rng = keyed_rng(seed, "warped", "qcomm_algebra", i)

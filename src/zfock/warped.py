@@ -30,7 +30,8 @@ import numpy as np
 from .expansion import fmn_coefficients
 from .fock import RapidityGrid, sector_momentum
 from .scattering import ScatteringModel, _axis
-from .zops import (KernelTensor, QuadraticForm, annihilator_form, creator_form)
+from .zops import (KernelTensor, QuadraticForm, annihilator_form, creator_form,
+                   point_ladder)
 
 
 # momenta (and transfers) within this fraction of the largest one share a group
@@ -58,8 +59,7 @@ class SkewSymmetricQ:
 
     def pairing(self, x: Sequence[float], y: Sequence[float]) -> float:
         """Minkowski product x . (Q y)."""
-        c = -self.a / (2.0 * self.mass**2)
-        return c * (float(x[0]) * float(y[1]) - float(x[1]) * float(y[0]))
+        return float(self.pairing_arrays(x[0], x[1], y[0], y[1]))
 
     def pairing_arrays(self, x0, x1, y0, y1) -> np.ndarray:
         c = -self.a / (2.0 * self.mass**2)
@@ -277,20 +277,6 @@ def q_commutator(A: QuadraticForm, B: QuadraticForm, Q: SkewSymmetricQ) -> Quadr
 # deformed creators and the nested-commutator coefficients
 
 
-@lru_cache(maxsize=None)
-def _point_ladder(model: ScatteringModel, grid: RapidityGrid,
-                  truncation: int) -> tuple[tuple[QuadraticForm, ...], tuple[QuadraticForm, ...]]:
-    """Creator and annihilator forms at every lattice point."""
-    creators = []
-    annihilators = []
-    for g in range(grid.size):
-        e = np.zeros(grid.size, dtype=complex)
-        e[g] = 1.0
-        creators.append(creator_form(model, grid, truncation, e))
-        annihilators.append(annihilator_form(model, grid, truncation, e))
-    return tuple(creators), tuple(annihilators)
-
-
 def deformed_creator(grid: RapidityGrid, truncation: int, f: np.ndarray,
                      Q: SkewSymmetricQ) -> QuadraticForm:
     """Deformation of the ordinary (symmetric) creator smeared with f."""
@@ -303,10 +289,12 @@ def deformed_annihilator(grid: RapidityGrid, truncation: int, f: np.ndarray,
     return warp(annihilator_form(ScatteringModel.free(), grid, truncation, f), Q)
 
 
-def _deformed_point_ladder(grid: RapidityGrid, truncation: int,
-                           Q: SkewSymmetricQ) -> tuple[list[QuadraticForm], list[QuadraticForm]]:
-    creators, annihilators = _point_ladder(ScatteringModel.free(), grid, truncation)
-    return ([warp(c, Q) for c in creators], [warp(a, Q) for a in annihilators])
+def deformed_point_ladder(grid: RapidityGrid, truncation: int,
+                          Q: SkewSymmetricQ) -> tuple[list[QuadraticForm], list[QuadraticForm]]:
+    """Deformed creator and annihilator forms at every lattice point."""
+    points = np.eye(grid.size, dtype=complex)
+    return ([deformed_creator(grid, truncation, e, Q) for e in points],
+            [deformed_annihilator(grid, truncation, e, Q) for e in points])
 
 
 def _tuple_phases(grid: RapidityGrid, Q: SkewSymmetricQ, n: int) -> np.ndarray:
@@ -407,13 +395,13 @@ def _graded_commutator(X: QuadraticForm, Y: QuadraticForm) -> QuadraticForm:
 
 def nested_free_family(A: QuadraticForm, total: int) -> dict[tuple[int, int], KernelTensor]:
     """Plain nested commutator tensors for all m + n <= total, shared layers."""
-    creators, annihilators = _point_ladder(ScatteringModel.free(), A.grid, A.truncation)
+    creators, annihilators = point_ladder(ScatteringModel.free(), A.grid, A.truncation)
     return _nested_family(A, total, creators, annihilators, _commutator)
 
 
 def nested_graded_family(A: QuadraticForm, total: int) -> dict[tuple[int, int], KernelTensor]:
     """Graded nested tensors for all m + n <= total, shared layers."""
-    creators, annihilators = _point_ladder(ScatteringModel.ising(), A.grid, A.truncation)
+    creators, annihilators = point_ladder(ScatteringModel.ising(), A.grid, A.truncation)
     return _nested_family(A, total, creators, annihilators, _graded_commutator)
 
 
@@ -421,6 +409,6 @@ def nested_q_family(A: QuadraticForm, Q: SkewSymmetricQ,
                     total: int) -> dict[tuple[int, int], KernelTensor]:
     """Deformed nested tensors for all m + n <= total, shared layers."""
     _check_mass(A, Q)
-    creators, annihilators = _deformed_point_ladder(A.grid, A.truncation, Q)
+    creators, annihilators = deformed_point_ladder(A.grid, A.truncation, Q)
     return _nested_family(A, total, creators, annihilators,
                           lambda X, Y: q_commutator(X, Y, Q))

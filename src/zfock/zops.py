@@ -23,9 +23,9 @@ from typing import Iterable
 import numpy as np
 
 from .fock import (FockState, Indicatrix, RapidityGrid, basis_tuples,
-                   energy_grid)
+                   energy_weights)
 from .scattering import (ScatteringModel, all_permutations, pair_values,
-                         s_sigma_grid)
+                         permute_tensor, s_sigma_grid)
 
 
 @dataclass
@@ -61,18 +61,6 @@ def kernel_adjoint(kernel: KernelTensor) -> KernelTensor:
 
 
 @lru_cache(maxsize=None)
-def _perm_flat(N: int, n: int, images: tuple[int, ...]) -> np.ndarray:
-    """Flat index of tuple^sigma for every flat tuple index."""
-    tuples = basis_tuples(N, n)
-    zero_based = [img - 1 for img in images]
-    strides = N ** np.arange(n - 1, -1, -1) if n else np.zeros(0, dtype=int)
-    out = tuples[:, zero_based] @ strides if n else np.zeros(1, dtype=int)
-    out = np.asarray(out, dtype=int)
-    out.flags.writeable = False
-    return out
-
-
-@lru_cache(maxsize=None)
 def symmetric_isometry(model: ScatteringModel, grid: RapidityGrid,
                        n: int) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal basis V of the S-symmetric n-particle subspace, and its orbits.
@@ -99,8 +87,10 @@ def symmetric_isometry(model: ScatteringModel, grid: RapidityGrid,
     column[reps] = np.arange(len(reps))
     column = column[sorted_flat]
     entry = np.zeros(N**n, dtype=complex)
+    flat = np.arange(N**n).reshape((N,) * n)
     for sigma in all_permutations(n):
-        hits = _perm_flat(N, n, sigma.images) == sorted_flat
+        # the flat index of tuple^sigma, read by an axis transpose
+        hits = permute_tensor(flat, sigma).ravel() == sorted_flat
         entry[hits] += s_sigma_grid(model, grid.points, sigma).ravel()[hits]
     rows = np.flatnonzero(column >= 0)
     V = np.zeros((N**n, len(reps)), dtype=complex)
@@ -137,12 +127,6 @@ def s_symmetry_residual(model: ScatteringModel, state: FockState) -> float:
         sym = symmetrize(model, state.grid, state.sector(n))
         res = max(res, float(np.max(np.abs(sym - state.sector(n)))) if sym.size else 0.0)
     return res
-
-
-@lru_cache(maxsize=None)
-def reversal_permutation(N: int, n: int) -> np.ndarray:
-    """Flat index of the reversed tuple for every flat tuple index."""
-    return _perm_flat(N, n, tuple(range(n, 0, -1)))
 
 
 @dataclass
@@ -335,6 +319,14 @@ def annihilator_form(model: ScatteringModel, grid: RapidityGrid, truncation: int
     return QuadraticForm(grid, truncation, blocks)
 
 
+def point_ladder(model: ScatteringModel, grid: RapidityGrid,
+                 truncation: int) -> tuple[list[QuadraticForm], list[QuadraticForm]]:
+    """Creator and annihilator forms at every lattice point."""
+    points = np.eye(grid.size, dtype=complex)
+    return ([creator_form(model, grid, truncation, e) for e in points],
+            [annihilator_form(model, grid, truncation, e) for e in points])
+
+
 def zmzn_form(model: ScatteringModel, kernel: KernelTensor, grid: RapidityGrid,
               truncation: int) -> QuadraticForm:
     """Normal-ordered monomial with m creators and n annihilators smeared by the kernel.
@@ -370,10 +362,6 @@ def zmzn_form(model: ScatteringModel, kernel: KernelTensor, grid: RapidityGrid,
 # norms
 
 
-def _side_weights(grid: RapidityGrid, omega: Indicatrix, n: int) -> np.ndarray:
-    return np.exp(-omega.weight(energy_grid(grid, n)))
-
-
 def cross_norm(kernel: KernelTensor, grid: RapidityGrid, omega: Indicatrix) -> float:
     """Weighted cross norm: half the sum of the two one-sided weighted spectral norms.
 
@@ -381,8 +369,8 @@ def cross_norm(kernel: KernelTensor, grid: RapidityGrid, omega: Indicatrix) -> f
     each term damps one side by exp(-omega(energy)).
     """
     F = kernel.matrix()
-    wl = _side_weights(grid, omega, kernel.m)
-    wr = _side_weights(grid, omega, kernel.n)
+    wl = energy_weights(grid, omega, kernel.m, -1)
+    wr = energy_weights(grid, omega, kernel.n, -1)
     left = np.linalg.norm(wl[:, None] * F, ord=2)
     right = np.linalg.norm(F * wr[None, :], ord=2)
     return 0.5 * float(left + right)
@@ -424,7 +412,7 @@ def qform_norm(model: ScatteringModel, A: QuadraticForm, n: int, omega: Indicatr
         if l <= n and k <= n:
             C[offs[l]:offs[l + 1], offs[k]:offs[k + 1]] = \
                 bases[l][0].conj().T @ mat @ bases[k][0]
-    w = np.concatenate([_side_weights(A.grid, omega, j)[reps]
+    w = np.concatenate([energy_weights(A.grid, omega, j, -1)[reps]
                         for j, (_, reps) in enumerate(bases)])
     left = np.linalg.norm(C * w[None, :], ord=2)
     right = np.linalg.norm(w[:, None] * C, ord=2)

@@ -4,13 +4,17 @@ The package represents the symmetric subspace only through the orbit
 isometry ``zops.symmetric_isometry``.  These are the dense oracles it is
 checked against: the N**n x N**n symmetrization projector, summed over all
 permutations as its definition reads, its action on a block of slots, and
-the multi-creator vector matrices built from it.  The pointwise exchange
-and contraction factors and the dense broadcast of a reduced tensor are the
-references of the lattice-wide ones, and the vectors, deformed creator
-vectors and deformed monomials built operator by operator are the
-references of the extracted coefficients.  ``tabulated`` draws a table
-model of random unitary values on a lattice's differences.  ``big_matrix``,
-``vacuum`` and the permutation ``sign`` are views only the tests need.
+the multi-creator vector matrices built from it.  The contraction terms
+have one implementation in the package, ``contractions.add_on_support``,
+which touches only the delta support; its oracles here are the dense
+lattice-wide delta mask, exchange factor and reflection factor
+(``delta_mask``, ``s_factor_grid``, ``r_factor_grid``), their pointwise
+versions, and the dense broadcast of a reduced tensor.  The vectors,
+deformed creator vectors and deformed monomials built operator by
+operator are the references of the extracted coefficients.
+``tabulated`` draws a table model of random unitary values on a
+lattice's differences.  ``big_matrix``, ``vacuum`` and the permutation
+``sign`` are views only the tests need.
 """
 
 import math
@@ -21,8 +25,9 @@ import numpy as np
 
 from zfock.contractions import Contraction, _factor_indices, _sweep_indices
 from zfock.fock import FockState, RapidityGrid, basis_tuples
-from zfock.scattering import Permutation, ScatteringModel, all_permutations, s_sigma_grid
-from zfock.warped import SkewSymmetricQ, _deformed_point_ladder
+from zfock.scattering import (Permutation, ScatteringModel, _axis, all_permutations,
+                              pair_values, s_sigma_grid)
+from zfock.warped import SkewSymmetricQ, deformed_point_ladder
 from zfock.zops import KernelTensor, QuadraticForm, create, identity_form
 
 
@@ -109,6 +114,40 @@ def embed_reduced(C: Contraction, reduced: np.ndarray, N: int) -> np.ndarray:
         raise ValueError("reduced tensor rank does not match the free slots")
     expanded = np.expand_dims(reduced, contracted) if contracted else reduced
     return np.broadcast_to(expanded, (N,) * total)
+
+
+def delta_mask(C: Contraction, N: int) -> np.ndarray:
+    """Boolean support tensor over the (m+n)-slot lattice."""
+    total = C.m + C.n
+    out = np.ones((N,) * total, dtype=bool)
+    for l, r in C.pairs:
+        out = out & (_axis(N, total, l - 1) == _axis(N, total, r - 1))
+    return out
+
+
+def s_factor_grid(model: ScatteringModel, points: Sequence[float], C: Contraction) -> np.ndarray:
+    """Exchange factor on every lattice tuple; shape (N,)*(m+n)."""
+    N = len(points)
+    total = C.m + C.n
+    mat = pair_values(model, points)
+    out = np.ones((N,) * total, dtype=complex)
+    for a, b in _factor_indices(C):
+        out = out * mat[_axis(N, total, a - 1), _axis(N, total, b - 1)]
+    return out
+
+
+def r_factor_grid(model: ScatteringModel, points: Sequence[float], C: Contraction) -> np.ndarray:
+    """Reflection factor on every lattice tuple; shape (N,)*(m+n)."""
+    N = len(points)
+    total = C.m + C.n
+    mat = pair_values(model, points)
+    out = np.ones((N,) * total, dtype=complex)
+    for sweep_pairs in _sweep_indices(C):
+        sweep = np.ones((N,) * total, dtype=complex)
+        for a, b in sweep_pairs:
+            sweep = sweep * mat[_axis(N, total, a - 1), _axis(N, total, b - 1)]
+        out = out * (1.0 - sweep)
+    return out
 
 
 def s_c_factor(model: ScatteringModel, C: Contraction, theta: Sequence[float],
@@ -199,7 +238,7 @@ def deformed_vector_matrices(grid: RapidityGrid, truncation: int, Q: SkewSymmetr
     right list in descending slot order, matching the contracted vectors
     of the coefficient formula.
     """
-    creators, _ = _deformed_point_ladder(grid, truncation, Q)
+    creators, _ = deformed_point_ladder(grid, truncation, Q)
     N = grid.size
     left = [np.ones((1, 1), dtype=complex)]
     right = [np.ones((1, 1), dtype=complex)]
@@ -218,7 +257,7 @@ def deformed_vector_matrices(grid: RapidityGrid, truncation: int, Q: SkewSymmetr
 def deformed_monomial(grid: RapidityGrid, truncation: int, Q: SkewSymmetricQ,
                       kernel: KernelTensor) -> QuadraticForm:
     """Sum over lattice tuples of kernel-weighted deformed creator/annihilator words."""
-    creators, annihilators = _deformed_point_ladder(grid, truncation, Q)
+    creators, annihilators = deformed_point_ladder(grid, truncation, Q)
     N = grid.size
     m, n = kernel.m, kernel.n
 

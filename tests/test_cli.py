@@ -149,10 +149,15 @@ def test_verify_rejects_bad_config(tmp_path, capsys):
     {"scattering": {"family": "sinh_exp", "a": float("-inf")}},
     {"omega": {"family": "log", "alpha": float("nan")}},
     {"omega": {"family": "sqrt", "alpha": float("inf")}},
+    {"grid": ["-0.8", 0.1, 0.9]},
+    {"grid": [-0.8, 0.1, True]},
+    {"grid": [-0.8, 0.1, 10**400]},
+    {"scattering": {"family": "sinh_exp", "a": 10**400}},
 ], ids=["bool_truncation", "bool_seed", "bool_instances", "bool_tolerance",
         "negative_tolerance", "nan_tolerance", "inf_tolerance", "unknown_check",
         "bool_mass", "bool_sinh_exp_a", "bool_omega_alpha", "nan_sinh_exp_a",
-        "inf_sinh_exp_a", "neg_inf_sinh_exp_a", "nan_omega_alpha", "inf_omega_alpha"])
+        "inf_sinh_exp_a", "neg_inf_sinh_exp_a", "nan_omega_alpha", "inf_omega_alpha",
+        "string_grid_point", "bool_grid_point", "huge_grid_point", "huge_sinh_exp_a"])
 def test_verify_rejects_invalid_values(tmp_path, capsys, extra):
     cfg = write_config(tmp_path, base_config(**extra))
     assert main(["verify", "--config", str(cfg)]) == 2
@@ -271,4 +276,30 @@ def test_qcomm_names_overflowing_deformation(tmp_path, capsys, grid3):
     err = capsys.readouterr().err
     assert "non-finite" in err
     assert "needs finite a" not in err
+    assert not out.exists()
+
+
+def _drop_cols(doc):
+    del doc["blocks"][0]["cols"]
+    return doc
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda doc: {k: v for k, v in doc.items() if k != "truncation"},
+    lambda doc: {k: v for k, v in doc.items() if k != "blocks"},
+    _drop_cols,
+    lambda doc: [doc],
+    lambda doc: dict(doc, mass=None),
+    lambda doc: dict(doc, grid="abc"),
+], ids=["no_truncation", "no_blocks", "block_without_cols", "top_level_array",
+        "null_mass", "string_grid"])
+def test_warp_rejects_malformed_form(tmp_path, capsys, grid3, corrupt):
+    # a file of the wrong structure is bad input (exit 2), not a failed check
+    src = tmp_path / "A.json"
+    save_form(src, random_form(ScatteringModel.free(), grid3, 1,
+                               keyed_rng(3, "cli", "malformed", 0)))
+    src.write_text(json.dumps(corrupt(json.loads(src.read_text()))))
+    out = tmp_path / "out.json"
+    assert main(["warp", "--a", "0.5", "--in", str(src), "--out", str(out)]) == 2
+    assert str(src) in capsys.readouterr().err
     assert not out.exists()

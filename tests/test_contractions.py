@@ -6,12 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from zfock.contractions import (Contraction, compose, delta_mask,
-                                enumerate_contractions, r_factor_grid,
-                                reflect_contraction, s_factor_grid, sigma_rho)
+from zfock import contractions, suites
+from zfock.contractions import (Contraction, compose, enumerate_contractions,
+                                reflect_contraction, sigma_rho)
+from zfock.fock import RapidityGrid
 from zfock.scattering import ScatteringModel, s_sigma_grid
 
-from reference import delta_pairs, r_c_factor, s_c_factor
+from reference import (delta_mask, delta_pairs, r_c_factor, r_factor_grid, s_c_factor,
+                       s_factor_grid)
 
 SINH = ScatteringModel.sinh_exp(0.8)
 PTS = [-0.8, 0.1, 0.9]
@@ -125,3 +127,26 @@ def test_ising_reflection_factor_in_zero_two():
         total = C.m + C.n
         want = (1.0 - (-1.0) ** total) ** C.size
         np.testing.assert_allclose(vals, want, atol=1e-14)
+
+
+def _pair_product_unordered(mat, pairs, V):
+    """A faulty ``_pair_product``: it reads mat[x_u, x_v] also where u > v needs mat.T."""
+    N = mat.shape[0]
+    out = np.ones((1,) * V, dtype=complex)
+    flat = iter(pairs)
+    for u, v in zip(flat, flat):
+        shape = [1] * V
+        shape[u] = shape[v] = N
+        out = out * (np.diagonal(mat) if u == v else mat).reshape(shape)
+    return out
+
+
+def test_contraction_checks_run_on_add_on_support(monkeypatch):
+    # the checks must measure the package's one implementation of the
+    # contraction terms, so a fault in it shows in their residuals
+    grid = RapidityGrid(tuple(PTS), 1.0)
+    model = ScatteringModel.sinh_exp(0.7)
+    checks = (suites.check_pair_exchange, suites.check_reflection_alternation)
+    assert all(check(model, grid) <= 1e-12 for check in checks)
+    monkeypatch.setattr(contractions, "_pair_product", _pair_product_unordered)
+    assert all(check(model, grid) > 1e-12 for check in checks)

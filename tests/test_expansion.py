@@ -66,9 +66,10 @@ def test_roundtrip(model, grid3):
 
 def test_inversion_residual_small(model, grid3):
     A = random_form(model, grid3, 2, keyed_rng(0, "expansion", "inv", 0))
+    fam = extract_family(model, A)
     for m in range(3):
         for n in range(3):
-            assert inversion_residual(model, A, m, n) <= 1e-10 * A.scale()
+            assert inversion_residual(model, A, m, n, fam) <= 1e-10 * A.scale()
 
 
 def test_family_bookkeeping(grid3):

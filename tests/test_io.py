@@ -95,6 +95,29 @@ def test_family_manifest_mismatch(tmp_path, grid3):
         load_family(tmp_path / "fam")
 
 
+@pytest.mark.parametrize("kind,field", [("state", "sectors"), ("state", "mass"),
+                                        ("kernel", "m"), ("kernel", "grid"),
+                                        ("family", "entries"), ("family", "truncation")])
+def test_missing_field_names_the_file(tmp_path, grid3, kind, field):
+    rng = keyed_rng(0, "io", "missing", 0)
+    if kind == "state":
+        path = tmp_path / "psi.json"
+        save_state(path, random_state(FREE, grid3, 1, rng))
+    elif kind == "kernel":
+        path = tmp_path / "k.json"
+        save_kernel(path, random_kernel(grid3, 1, 1, rng), grid3)
+    else:
+        save_family(tmp_path, extract_family(FREE, random_form(FREE, grid3, 1, rng)))
+        path = tmp_path / "manifest.json"
+    doc = json.loads(path.read_text())
+    del doc[field]
+    path.write_text(json.dumps(doc))
+    load = {"state": load_state, "kernel": load_kernel, "family": load_family}[kind]
+    with pytest.raises(ValueError, match=f"missing field '{field}'") as err:
+        load(tmp_path if kind == "family" else path)
+    assert str(path) in str(err.value)
+
+
 def test_saved_bytes_equal_json_dumps(tmp_path, grid3):
     # the streamed writers produce exactly the text of json.dumps of the document
     header = {"grid": list(grid3.points), "mass": grid3.mass}

@@ -22,15 +22,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from zfock.contractions import (add_on_support, delta_mask, enumerate_contractions,
-                                r_factor_grid, s_factor_grid)
+from zfock.contractions import add_on_support, enumerate_contractions
 from zfock.expansion import (creator_elements, extract_family, inversion_residual,
                              reflected_coeffs)
 from zfock.fock import RapidityGrid
 from zfock.sampling import keyed_rng, random_form
 from zfock.scattering import ScatteringModel
 
-from reference import embed_reduced, left_vector_matrix, right_vector_matrix, tabulated
+from reference import (delta_mask, embed_reduced, left_vector_matrix, r_factor_grid,
+                       right_vector_matrix, s_factor_grid, tabulated)
 
 K = 3
 REL = 1e-12

@@ -17,12 +17,13 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from zfock.contractions import delta_mask, enumerate_contractions, s_factor_grid
+from zfock.contractions import enumerate_contractions
 from zfock.sampling import keyed_rng, random_form
 from zfock.scattering import ScatteringModel
 from zfock.warped import SkewSymmetricQ, _tuple_phases, deformed_fmn_coefficients
 
-from reference import deformed_vector_matrices, embed_reduced, symmetrizer_matrix
+from reference import (deformed_vector_matrices, delta_mask, embed_reduced, s_factor_grid,
+                       symmetrizer_matrix)
 from test_support_property import lattices
 
 K = 3
