@@ -3,8 +3,8 @@
 Complex tensors are stored as nested row-major lists whose innermost
 entries are [re, im] pairs.  Every file carries its lattice so results
 are self-describing.  Values are finite: a non-finite tensor is refused
-before its file is opened, and ``NaN`` or ``Infinity`` tokens are refused
-on load.  A file of the wrong structure (not a JSON object of the expected
+before its file is opened, and ``NaN`` or ``Infinity`` tokens, and numbers
+beyond the float range, are refused on load.  A file of the wrong structure (not a JSON object of the expected
 kind, or with a missing or ill-typed field) is refused with a ValueError
 that names it.
 
@@ -27,6 +27,7 @@ import re
 
 import numpy as np
 
+from .config import _is_finite, _is_int
 from .expansion import CoefficientFamily
 from .fock import FockState, RapidityGrid
 from .zops import KernelTensor, QuadraticForm
@@ -154,12 +155,22 @@ class _TensorDecoder(json.JSONDecoder):
 
 
 def _load_json(path):
-    """Parse a JSON file, refusing the NaN and Infinity tokens json accepts."""
+    """Parse a JSON file, refusing the NaN and Infinity tokens json accepts.
+
+    A number beyond the float range, such as 1e400, which json reads as an
+    infinity, is refused too.
+    """
     def reject(token):
         raise ValueError(f"{path}: non-finite number {token}")
 
+    def finite(token):
+        value = float(token)
+        if not math.isfinite(value):
+            reject(token)
+        return value
+
     with open(path) as fh:
-        return json.load(fh, cls=_TensorDecoder, parse_constant=reject)
+        return json.load(fh, cls=_TensorDecoder, parse_constant=reject, parse_float=finite)
 
 
 @contextlib.contextmanager
@@ -176,8 +187,20 @@ def _document(path, kind: str, what: str):
         yield doc
     except KeyError as exc:
         raise ValueError(f"{path}: missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: malformed field: {exc}") from None
+
+
+def _field(data: dict, key: str, accept, what: str):
+    """``data[key]``, refused with a TypeError unless ``accept`` holds for it."""
+    value = data[key]
+    if not accept(value):
+        raise TypeError(f"{key} must be {what}, got {value!r}")
+    return value
+
+
+def _int_field(data: dict, key: str) -> int:
+    return _field(data, key, _is_int, "a JSON integer")
 
 
 def _grid_header(grid: RapidityGrid) -> dict:
@@ -185,11 +208,13 @@ def _grid_header(grid: RapidityGrid) -> dict:
 
 
 def _grid_from_header(data: dict) -> RapidityGrid:
-    return RapidityGrid(tuple(data["grid"]), float(data["mass"]))
+    points = _field(data, "grid", lambda v: isinstance(v, list) and all(map(_is_finite, v)),
+                    "a list of finite JSON numbers")
+    mass = _field(data, "mass", _is_finite, "a finite JSON number")
+    return RapidityGrid(tuple(points), float(mass))
 
 
 def save_state(path: str, state: FockState) -> None:
-    N = state.grid.size
     doc = {
         "kind": "fock_state",
         **_grid_header(state.grid),
@@ -205,8 +230,11 @@ def load_state(path: str) -> FockState:
     with _document(path, "fock_state", "state file") as doc:
         grid = _grid_from_header(doc)
         N = grid.size
+        K = _int_field(doc, "truncation")
         sectors = [nested_to_complex(sec, (N,) * n) for n, sec in enumerate(doc["sectors"])]
-    return FockState(grid, sectors)
+        if len(sectors) != K + 1:
+            raise ValueError(f"truncation {K} does not match {len(sectors)} sectors")
+        return FockState(grid, sectors)
 
 
 def save_kernel(path: str, kernel: KernelTensor, grid: RapidityGrid) -> None:
@@ -225,9 +253,9 @@ def save_kernel(path: str, kernel: KernelTensor, grid: RapidityGrid) -> None:
 def load_kernel(path: str) -> tuple[KernelTensor, RapidityGrid]:
     with _document(path, "kernel_tensor", "kernel file") as doc:
         grid = _grid_from_header(doc)
-        m, n = int(doc["m"]), int(doc["n"])
+        m, n = _int_field(doc, "m"), _int_field(doc, "n")
         values = nested_to_complex(doc["values"], (grid.size,) * (m + n))
-    return KernelTensor(m, n, values), grid
+        return KernelTensor(m, n, values), grid
 
 
 def save_form(path: str, form: QuadraticForm) -> None:
@@ -250,12 +278,14 @@ def load_form(path: str) -> QuadraticForm:
     with _document(path, "quadratic_form", "quadratic form file") as doc:
         grid = _grid_from_header(doc)
         N = grid.size
-        K = int(doc["truncation"])
+        K = _int_field(doc, "truncation")
+        truncated = (_field(doc, "truncated", lambda v: isinstance(v, bool), "a JSON boolean")
+                     if "truncated" in doc else False)
         blocks = {}
         for rec in doc["blocks"]:
-            l, k = int(rec["rows"]), int(rec["cols"])
+            l, k = _int_field(rec, "rows"), _int_field(rec, "cols")
             blocks[(l, k)] = nested_to_complex(rec["values"], (N**l, N**k))
-    return QuadraticForm(grid, K, blocks, bool(doc.get("truncated", False)))
+        return QuadraticForm(grid, K, blocks, truncated)
 
 
 def save_family(directory: str, family: CoefficientFamily) -> None:
@@ -281,9 +311,9 @@ def load_family(directory: str) -> CoefficientFamily:
     path = os.path.join(directory, "manifest.json")
     with _document(path, "coefficient_family", "coefficient family manifest") as manifest:
         grid = _grid_from_header(manifest)
-        family = CoefficientFamily(grid, int(manifest["truncation"]))
-        entries = [(os.path.join(directory, rec["file"]), int(rec["m"]), int(rec["n"]))
-                   for rec in manifest["entries"]]
+        family = CoefficientFamily(grid, _int_field(manifest, "truncation"))
+        entries = [(os.path.join(directory, rec["file"]), _int_field(rec, "m"),
+                    _int_field(rec, "n")) for rec in manifest["entries"]]
     for file, m, n in entries:
         kernel, kgrid = load_kernel(file)
         if kgrid != grid:

@@ -8,7 +8,8 @@ bound holds everywhere).  The runner reads ``SUITE_CHECKS``, one row per
 check: its name, its default tolerance and any inputs that deviate from
 the run config.  Checks take their inputs under shared parameter names,
 so the runner binds them by name and the runner and the tests drive
-exactly the same code.
+exactly the same code.  Instance i of a check draws from a generator keyed
+by (seed, suite, check, i), so a check reproduces on its own.
 """
 
 from __future__ import annotations
@@ -100,8 +101,15 @@ def _keys_residual(A: QuadraticForm, B: QuadraticForm, keys) -> tuple[float, flo
     return err, mag
 
 
-def _zero_form(grid: RapidityGrid, truncation: int) -> QuadraticForm:
-    return QuadraticForm(grid, truncation, {})
+def _instances(seed: int, name: str, count: int):
+    """The random generators of instances 0, ..., count - 1 of check ``name``.
+
+    Instance i draws from Philox keyed by (seed, suite, name, i), so every
+    check, and every instance of it, reproduces on its own.
+    """
+    suite = _SUITE_OF[name]
+    for i in range(count):
+        yield keyed_rng(seed, suite, name, i)
 
 
 def _sym_both(model: ScatteringModel, grid: RapidityGrid, values: np.ndarray,
@@ -136,11 +144,10 @@ def check_model_axioms(model: ScatteringModel, grid: RapidityGrid) -> float:
     return res
 
 
-def check_composition_law(model: ScatteringModel, grid: RapidityGrid,
-                          nmax: int = 4) -> float:
-    """Cocycle law of the exchange factors over every permutation pair."""
+def check_composition_law(model: ScatteringModel, grid: RapidityGrid) -> float:
+    """Cocycle law of the exchange factors over every permutation pair, up to S4."""
     res = 0.0
-    for n in range(2, nmax + 1):
+    for n in range(2, 5):
         cache = {sigma: s_sigma_grid(model, grid.points, sigma)
                  for sigma in all_permutations(n)}
         for sigma in all_permutations(n):
@@ -151,17 +158,16 @@ def check_composition_law(model: ScatteringModel, grid: RapidityGrid,
     return res
 
 
-def check_delta_exchange(model: ScatteringModel, grid: RapidityGrid,
-                         nmax: int = 3) -> float:
+def check_delta_exchange(model: ScatteringModel, grid: RapidityGrid) -> float:
     """Symmetrizing the lattice pairing over one slot group or the other.
 
-    The twisted average over the first n slots must agree with the average
-    over the last n slots taken with the inverse model.
+    The twisted average over the first n <= 3 slots must agree with the
+    average over the last n slots taken with the inverse model.
     """
     N = grid.size
     inv = model.inverse_model()
     res = 0.0
-    for n in range(1, nmax + 1):
+    for n in range(1, 4):
         pairing = np.eye(N**n, dtype=complex).reshape((N,) * (2 * n))
         lhs = symmetrize(model, grid, pairing, range(1, n + 1))
         rhs = symmetrize(inv, grid, pairing, range(n + 1, 2 * n + 1))
@@ -173,8 +179,7 @@ def check_projector_identity(model: ScatteringModel, grid: RapidityGrid,
                              seed: int, count: int = 4) -> float:
     """The S-symmetrization is idempotent on random tensors."""
     res = 0.0
-    for i in range(count):
-        rng = keyed_rng(seed, "scattering", "projector_identity", i)
+    for rng in _instances(seed, "projector_identity", count):
         for n in (2, 3):
             f = rng.normal(size=(grid.size,) * n) + 1j * rng.normal(size=(grid.size,) * n)
             once = symmetrize(model, grid, f)
@@ -184,14 +189,14 @@ def check_projector_identity(model: ScatteringModel, grid: RapidityGrid,
 
 
 def check_twisted_representation(model: ScatteringModel, grid: RapidityGrid,
-                                 seed: int, n: int = 3) -> float:
-    """Composing twisted slot actions matches acting with the composed permutation."""
-    rng = keyed_rng(seed, "scattering", "twisted_representation", 0)
-    f = rng.normal(size=(grid.size,) * n) + 1j * rng.normal(size=(grid.size,) * n)
+                                 seed: int) -> float:
+    """Composing twisted slot actions on 3 slots matches acting with the composition."""
+    rng = next(_instances(seed, "twisted_representation", 1))
+    f = rng.normal(size=(grid.size,) * 3) + 1j * rng.normal(size=(grid.size,) * 3)
     scale = _maxabs(f)
     res = 0.0
-    for sigma in all_permutations(n):
-        for rho in all_permutations(n):
+    for sigma in all_permutations(3):
+        for rho in all_permutations(3):
             lhs = act_d(model, sigma.compose(rho), f, grid.points)
             rhs = act_d(model, sigma, act_d(model, rho, f, grid.points), grid.points)
             res = max(res, _rel(_maxabs(lhs - rhs), scale))
@@ -218,8 +223,7 @@ def check_translation_group(model: ScatteringModel, grid: RapidityGrid,
                             truncation: int, seed: int, count: int) -> float:
     """Additivity, unitarity, and energy phases of the translation action."""
     res = 0.0
-    for i in range(count):
-        rng = keyed_rng(seed, "fock", "translation_group", i)
+    for rng in _instances(seed, "translation_group", count):
         psi = random_state(model, grid, truncation, rng)
         x = rng.normal(size=2)
         y = rng.normal(size=2)
@@ -241,8 +245,7 @@ def check_boost_roundtrip(model: ScatteringModel, grid: RapidityGrid,
                           truncation: int, seed: int, count: int) -> float:
     """Boosting back and forth restores the lattice and the amplitudes."""
     res = 0.0
-    for i in range(count):
-        rng = keyed_rng(seed, "fock", "boost_roundtrip", i)
+    for rng in _instances(seed, "boost_roundtrip", count):
         psi = random_state(model, grid, truncation, rng)
         lam = float(rng.normal())
         out = boost(boost(psi, lam), -lam)
@@ -258,8 +261,7 @@ def check_reflection_antiunitary(model: ScatteringModel, grid: RapidityGrid,
                                  truncation: int, seed: int, count: int) -> float:
     """The reflection is an involution and conjugates inner products."""
     res = 0.0
-    for i in range(count):
-        rng = keyed_rng(seed, "fock", "reflection_antiunitary", i)
+    for rng in _instances(seed, "reflection_antiunitary", count):
         psi = random_state(model, grid, truncation, rng)
         chi = random_state(model, grid, truncation, rng)
         scale = psi.norm() * chi.norm()
@@ -274,8 +276,7 @@ def check_weight_involution(model: ScatteringModel, grid: RapidityGrid,
                             count: int) -> float:
     """Opposite-sign energy weights cancel; weights act diagonally per sector."""
     res = 0.0
-    for i in range(count):
-        rng = keyed_rng(seed, "fock", "weight_involution", i)
+    for rng in _instances(seed, "weight_involution", count):
         psi = random_state(model, grid, truncation, rng)
         nrm = psi.norm()
         back = apply_omega_weight(apply_omega_weight(psi, omega, +1), omega, -1)
@@ -292,8 +293,7 @@ def check_sector_stability(model: ScatteringModel, grid: RapidityGrid,
                            count: int, boosts: bool = True) -> float:
     """Symmetry of the sectors survives translations, weights, reflection, boosts."""
     res = 0.0
-    for i in range(count):
-        rng = keyed_rng(seed, "fock", "sector_stability", i)
+    for rng in _instances(seed, "sector_stability", count):
         psi = random_state(model, grid, truncation, rng)
         amp = max(_maxabs(sec) for sec in psi.sectors)
         states = [translate(psi, rng.normal(size=2)),
@@ -310,40 +310,37 @@ def check_sector_stability(model: ScatteringModel, grid: RapidityGrid,
 # zops checks
 
 
+def _exchange_words(cre, ann, K: int):
+    """The three exchange relations at every pair (i, j) of lattice points.
+
+    Yields (i, j, X, Y, keys, delta) with X Y = cre_i cre_j, ann_i ann_j
+    and ann_j cre_i in turn.  ``keys`` are the blocks where both X Y and
+    Y X stay in the truncated space, and ``delta`` marks the mixed relation
+    at i = j, which carries the identity.
+    """
+    cc_keys = [(k + 2, k) for k in range(K - 1)]
+    aa_keys = [(k, k + 2) for k in range(K - 1)]
+    mm_keys = [(k, k) for k in range(K)]
+    for i in range(len(cre)):
+        for j in range(len(cre)):
+            yield i, j, cre[i], cre[j], cc_keys, False
+            yield i, j, ann[i], ann[j], aa_keys, False
+            yield i, j, ann[j], cre[i], mm_keys, i == j
+
+
 def _exchange_residual(S: np.ndarray, cre, ann, ident: QuadraticForm,
                        truncation: int) -> float:
     """Shared exchange-algebra residual over the admissible sector windows.
 
-    Creator pairs swap against the exchange factor, annihilator pairs
-    likewise, and the mixed product differs from its swap by the lattice
-    delta times the identity.  Keys near the truncation edge where a
-    product leaves the space are excluded.
+    Each word X Y equals S[i, j] Y X, plus the identity for the mixed
+    relation at i = j.
     """
-    K = truncation
-    N = len(cre)
-    cc_keys = [(k + 2, k) for k in range(K - 1)]
-    aa_keys = [(k, k + 2) for k in range(K - 1)]
-    mm_keys = [(k, k) for k in range(K)]
     err = 0.0
     mag = 0.0
-    for i in range(N):
-        for j in range(N):
-            lhs = cre[i] @ cre[j]
-            rhs = (cre[j] @ cre[i]) * S[i, j]
-            e, m = _keys_residual(lhs, rhs, cc_keys)
-            err, mag = max(err, e), max(mag, m)
-
-            lhs = ann[i] @ ann[j]
-            rhs = (ann[j] @ ann[i]) * S[i, j]
-            e, m = _keys_residual(lhs, rhs, aa_keys)
-            err, mag = max(err, e), max(mag, m)
-
-            lhs = ann[j] @ cre[i]
-            rhs = (cre[i] @ ann[j]) * S[i, j]
-            if i == j:
-                rhs = rhs + ident
-            e, m = _keys_residual(lhs, rhs, mm_keys)
-            err, mag = max(err, e), max(mag, m)
+    for i, j, X, Y, keys, delta in _exchange_words(cre, ann, truncation):
+        rhs = (Y @ X) * S[i, j]
+        e, m = _keys_residual(X @ Y, rhs + ident if delta else rhs, keys)
+        err, mag = max(err, e), max(mag, m)
     return _rel(err, mag)
 
 
@@ -360,8 +357,7 @@ def check_ladder_adjoint(model: ScatteringModel, grid: RapidityGrid,
                          truncation: int, seed: int, count: int) -> float:
     """Creation against a bra equals annihilation with the conjugate vector."""
     res = 0.0
-    for i in range(count):
-        rng = keyed_rng(seed, "zops", "ladder_adjoint", i)
+    for rng in _instances(seed, "ladder_adjoint", count):
         f = rng.normal(size=grid.size) + 1j * rng.normal(size=grid.size)
         psi = random_state(model, grid, truncation, rng)
         chi = random_state(model, grid, truncation, rng)
@@ -379,7 +375,7 @@ def _degree_cycle(pairs, K: int):
     usable = [(m, n) for m, n in pairs if m <= K and n <= K]
     if not usable:
         raise SkipCheck("truncation too small for any monomial degree")
-    return usable
+    return itertools.cycle(usable)
 
 
 def check_monomial_ladder_product(model: ScatteringModel, grid: RapidityGrid,
@@ -387,9 +383,7 @@ def check_monomial_ladder_product(model: ScatteringModel, grid: RapidityGrid,
     """Monomials with factorized kernels match the ordered ladder product."""
     degrees = _degree_cycle([(1, 1), (2, 1), (1, 2), (2, 2)], truncation)
     res = 0.0
-    for i in range(count):
-        m, n = degrees[i % len(degrees)]
-        rng = keyed_rng(seed, "zops", "monomial_ladder_product", i)
+    for (m, n), rng in zip(degrees, _instances(seed, "monomial_ladder_product", count)):
         gs = [rng.normal(size=grid.size) + 1j * rng.normal(size=grid.size)
               for _ in range(m)]
         hs = [rng.normal(size=grid.size) + 1j * rng.normal(size=grid.size)
@@ -412,9 +406,7 @@ def check_monomial_adjoint(model: ScatteringModel, grid: RapidityGrid,
     """The adjoint monomial carries the slot-reversed conjugate kernel."""
     degrees = _degree_cycle([(1, 1), (2, 1), (1, 2), (2, 2)], truncation)
     res = 0.0
-    for i in range(count):
-        m, n = degrees[i % len(degrees)]
-        rng = keyed_rng(seed, "zops", "monomial_adjoint", i)
+    for (m, n), rng in zip(degrees, _instances(seed, "monomial_adjoint", count)):
         f = random_kernel(grid, m, n, rng)
         lhs = zmzn_form(model, f, grid, truncation).adjoint()
         rhs = zmzn_form(model, kernel_adjoint(f), grid, truncation)
@@ -428,9 +420,7 @@ def check_monomial_symmetrized_kernel(model: ScatteringModel, grid: RapidityGrid
     """A monomial only sees the doubly symmetrized part of its kernel."""
     degrees = _degree_cycle([(2, 1), (1, 2), (2, 2)], truncation)
     res = 0.0
-    for i in range(count):
-        m, n = degrees[i % len(degrees)]
-        rng = keyed_rng(seed, "zops", "monomial_symmetrized_kernel", i)
+    for (m, n), rng in zip(degrees, _instances(seed, "monomial_symmetrized_kernel", count)):
         f = random_kernel(grid, m, n, rng)
         lhs = zmzn_form(model, f, grid, truncation)
         rhs = zmzn_form(model, KernelTensor(m, n, _sym_both(model, grid, f.values, m, n)),
@@ -446,8 +436,7 @@ def check_creator_weight_bound(model: ScatteringModel, grid: RapidityGrid,
     K = truncation
     res = 0.0
     wplus = [energy_weights(grid, omega, n, 1) for n in range(K + 1)]
-    for i in range(count):
-        rng = keyed_rng(seed, "zops", "creator_weight_bound", i)
+    for rng in _instances(seed, "creator_weight_bound", count):
         f = rng.normal(size=grid.size) + 1j * rng.normal(size=grid.size)
         fnorm = float(np.linalg.norm(wplus[1] * f))
         A = creator_form(model, grid, K, f)
@@ -472,9 +461,7 @@ def check_monomial_source_bound(model: ScatteringModel, grid: RapidityGrid,
     K = truncation
     degrees = _degree_cycle([(1, 1), (2, 1), (1, 2), (2, 2)], truncation)
     res = 0.0
-    for i in range(count):
-        m, n = degrees[i % len(degrees)]
-        rng = keyed_rng(seed, "zops", "monomial_source_bound", i)
+    for (m, n), rng in zip(degrees, _instances(seed, "monomial_source_bound", count)):
         f = random_kernel(grid, m, n, rng)
         F = zmzn_form(model, f, grid, K)
         fw = cross_norm(f, grid, omega)
@@ -499,9 +486,7 @@ def check_monomial_sector_bound(model: ScatteringModel, grid: RapidityGrid,
     K = truncation
     degrees = _degree_cycle([(1, 1), (2, 1), (1, 2), (2, 2)], truncation)
     res = 0.0
-    for i in range(count):
-        m, n = degrees[i % len(degrees)]
-        rng = keyed_rng(seed, "zops", "monomial_sector_bound", i)
+    for (m, n), rng in zip(degrees, _instances(seed, "monomial_sector_bound", count)):
         f = random_kernel(grid, m, n, rng)
         F = zmzn_form(model, f, grid, K)
         fw = cross_norm(f, grid, omega)
@@ -514,12 +499,10 @@ def check_monomial_sector_bound(model: ScatteringModel, grid: RapidityGrid,
 def check_bounded_factor_rule(grid: RapidityGrid, omega: Indicatrix, seed: int,
                               count: int) -> float:
     """Multiplying a kernel by bounded slot functions scales its norm at most."""
-    degrees = [(1, 1), (2, 1), (1, 2), (2, 2)]
+    degrees = itertools.cycle([(1, 1), (2, 1), (1, 2), (2, 2)])
     res = 0.0
     N = grid.size
-    for i in range(count):
-        m, n = degrees[i % len(degrees)]
-        rng = keyed_rng(seed, "zops", "bounded_factor_rule", i)
+    for (m, n), rng in zip(degrees, _instances(seed, "bounded_factor_rule", count)):
         f = random_kernel(grid, m, n, rng)
         fl = rng.normal(size=(N,) * m) + 1j * rng.normal(size=(N,) * m)
         fr = rng.normal(size=(N,) * n) + 1j * rng.normal(size=(N,) * n)
@@ -533,11 +516,9 @@ def check_bounded_factor_rule(grid: RapidityGrid, omega: Indicatrix, seed: int,
 def check_independent_product_rule(grid: RapidityGrid, omega: Indicatrix,
                                    seed: int, count: int) -> float:
     """Outer products in fresh slots multiply the norms submultiplicatively."""
-    shapes = [((1, 1), (1, 1)), ((2, 1), (1, 0)), ((1, 2), (0, 1)), ((2, 0), (0, 2))]
+    shapes = itertools.cycle([(1, 1, 1, 1), (2, 1, 1, 0), (1, 2, 0, 1), (2, 0, 0, 2)])
     res = 0.0
-    for i in range(count):
-        (m, n), (m2, n2) = shapes[i % len(shapes)]
-        rng = keyed_rng(seed, "zops", "independent_product_rule", i)
+    for (m, n, m2, n2), rng in zip(shapes, _instances(seed, "independent_product_rule", count)):
         f = random_kernel(grid, m, n, rng)
         f2 = random_kernel(grid, m2, n2, rng)
         raw = np.multiply.outer(f.values, f2.values)
@@ -553,11 +534,9 @@ def check_independent_product_rule(grid: RapidityGrid, omega: Indicatrix,
 def check_kernel_norm_comparison(grid: RapidityGrid, omega: Indicatrix,
                                  seed: int, count: int) -> float:
     """The weighted cross norm is dominated by the weighted lattice 2-norms."""
-    degrees = [(1, 1), (2, 1), (1, 2), (2, 2)]
+    degrees = itertools.cycle([(1, 1), (2, 1), (1, 2), (2, 2)])
     res = 0.0
-    for i in range(count):
-        m, n = degrees[i % len(degrees)]
-        rng = keyed_rng(seed, "zops", "kernel_norm_comparison", i)
+    for (m, n), rng in zip(degrees, _instances(seed, "kernel_norm_comparison", count)):
         f = random_kernel(grid, m, n, rng)
         F = f.matrix()
         wl = energy_weights(grid, omega, m, -1)
@@ -573,11 +552,11 @@ def check_kernel_norm_comparison(grid: RapidityGrid, omega: Indicatrix,
 # contraction checks
 
 
-def check_enumeration_count(mmax: int = 3) -> float:
-    """Contraction enumeration against a direct combinatorial construction."""
+def check_enumeration_count() -> float:
+    """Contraction enumeration against a direct combinatorial construction, m, n <= 3."""
     bad = 0.0
-    for m in range(mmax + 1):
-        for n in range(mmax + 1):
+    for m in range(4):
+        for n in range(4):
             listed = enumerate_contractions(m, n)
             expected = sum(math.comb(m, k) * math.comb(n, k) * math.factorial(k)
                            for k in range(min(m, n) + 1))
@@ -608,22 +587,29 @@ def _term(model: ScatteringModel, grid: RapidityGrid, C: Contraction,
     return out
 
 
+def _contractions(mmax: int):
+    """Every contraction of m outgoing and n incoming slots, m, n <= mmax, in (m, n) order.
+
+    The empty contraction of no slots comes first; its term is 1 on both
+    sides of every contraction identity.
+    """
+    for m in range(mmax + 1):
+        for n in range(mmax + 1):
+            yield from enumerate_contractions(m, n)
+
+
 def check_pair_exchange(model: ScatteringModel, grid: RapidityGrid,
                         mmax: int = 3) -> float:
     """On supported tuples the contraction factor splits into slot-group factors."""
     N = grid.size
     free = ScatteringModel.free()
     res = 0.0
-    for m in range(mmax + 1):
-        for n in range(mmax + 1):
-            if m + n == 0:
-                continue
-            for C in enumerate_contractions(m, n):
-                sigma, rho = sigma_rho(C)
-                st = s_sigma_grid(model, grid.points, sigma).reshape((N,) * m + (1,) * n)
-                sr = s_sigma_grid(model, grid.points, rho).reshape((1,) * m + (N,) * n)
-                rhs = _term(free, grid, C) * st * sr
-                res = max(res, _maxabs(_term(model, grid, C) - rhs))
+    for C in _contractions(mmax):
+        sigma, rho = sigma_rho(C)
+        st = s_sigma_grid(model, grid.points, sigma).reshape((N,) * C.m + (1,) * C.n)
+        sr = s_sigma_grid(model, grid.points, rho).reshape((1,) * C.m + (N,) * C.n)
+        rhs = _term(free, grid, C) * st * sr
+        res = max(res, _maxabs(_term(model, grid, C) - rhs))
     return res
 
 
@@ -632,17 +618,12 @@ def check_composition_identity(model: ScatteringModel, grid: RapidityGrid,
     """Stacking a contraction of the leftovers composes the deltas and factors."""
     N = grid.size
     res = 0.0
-    for m in range(mmax + 1):
-        for n in range(mmax + 1):
-            if m + n == 0:
-                continue
-            for C in enumerate_contractions(m, n):
-                mh, nh = C.m - C.size, C.n - C.size
-                for C2 in enumerate_contractions(mh, nh):
-                    lhs = np.zeros((N,) * (m + n), dtype=complex)
-                    add_on_support(lhs, model, grid.points, C, _term(model, grid, C2))
-                    rhs = _term(model, grid, compose(C, C2))
-                    res = max(res, _maxabs(lhs - rhs))
+    for C in _contractions(mmax):
+        for C2 in enumerate_contractions(C.m - C.size, C.n - C.size):
+            lhs = np.zeros((N,) * (C.m + C.n), dtype=complex)
+            add_on_support(lhs, model, grid.points, C, _term(model, grid, C2))
+            rhs = _term(model, grid, compose(C, C2))
+            res = max(res, _maxabs(lhs - rhs))
     return res
 
 
@@ -650,31 +631,22 @@ def check_reflection_alternation(model: ScatteringModel, grid: RapidityGrid,
                                  mmax: int = 3) -> float:
     """The reflected contraction reproduces the factor with swapped slot groups."""
     res = 0.0
-    for m in range(mmax + 1):
-        for n in range(mmax + 1):
-            if m + n == 0:
-                continue
-            for C in enumerate_contractions(m, n):
-                T = _term(model, grid, C, reflected=True)
-                TJ = _term(model, grid, reflect_contraction(C), reflected=True)
-                swapped = np.moveaxis(T, tuple(range(m)), tuple(range(n, n + m)))
-                res = max(res, _maxabs(TJ - ((-1.0) ** C.size) * swapped))
+    for C in _contractions(mmax):
+        T = _term(model, grid, C, reflected=True)
+        TJ = _term(model, grid, reflect_contraction(C), reflected=True)
+        swapped = np.moveaxis(T, tuple(range(C.m)), tuple(range(C.n, C.n + C.m)))
+        res = max(res, _maxabs(TJ - ((-1.0) ** C.size) * swapped))
     return res
 
 
-def check_binomial_cancellation(mmax: int = 3) -> float:
-    """Signed decompositions of a contraction cancel unless it is empty."""
-    res = 0.0
-    for m in range(mmax + 1):
-        for n in range(mmax + 1):
-            sums = {C: 0.0 for C in enumerate_contractions(m, n)}
-            for C in enumerate_contractions(m, n):
-                mh, nh = C.m - C.size, C.n - C.size
-                for C2 in enumerate_contractions(mh, nh):
-                    sums[compose(C, C2)] += (-1.0) ** C2.size
-            for D, value in sums.items():
-                res = max(res, abs(value - (1.0 if D.size == 0 else 0.0)))
-    return res
+def check_binomial_cancellation() -> float:
+    """Signed decompositions of a contraction cancel unless it is empty, m, n <= 3."""
+    sums = {}
+    for C in _contractions(3):
+        for C2 in enumerate_contractions(C.m - C.size, C.n - C.size):
+            D = compose(C, C2)
+            sums[D] = sums.get(D, 0.0) + (-1.0) ** C2.size
+    return max(abs(value - (1.0 if D.size == 0 else 0.0)) for D, value in sums.items())
 
 
 # ---------------------------------------------------------------------------
@@ -682,17 +654,15 @@ def check_binomial_cancellation(mmax: int = 3) -> float:
 
 
 def check_coefficient_symmetry(model: ScatteringModel, grid: RapidityGrid,
-                               truncation: int, seed: int, count: int,
-                               cap: int = 4) -> float:
-    """Every coefficient is invariant under twisted transpositions in each group."""
+                               truncation: int, seed: int, count: int) -> float:
+    """Coefficients of degree m + n <= 4 are invariant under twisted transpositions."""
     K = truncation
-    cap = min(cap, 2 * K)
+    cap = min(4, 2 * K)
     pairs = [(m, n) for m in range(min(K, cap) + 1)
              for n in range(min(K, cap) + 1)
              if m + n <= cap and max(m, n) >= 2]
     res = 0.0
-    for i in range(count):
-        rng = keyed_rng(seed, "expansion", "coefficient_symmetry", i)
+    for rng in _instances(seed, "coefficient_symmetry", count):
         A = random_form(model, grid, K, rng)
         for m, n in pairs:
             f = fmn_coefficients(model, A, m, n).values
@@ -713,9 +683,7 @@ def check_dual_basis(model: ScatteringModel, grid: RapidityGrid,
     K = truncation
     degrees = _degree_cycle([(1, 1), (2, 1), (1, 2), (2, 2), (0, 2), (2, 0)], K)
     res = 0.0
-    for i in range(count):
-        mp, np_ = degrees[i % len(degrees)]
-        rng = keyed_rng(seed, "expansion", "dual_basis", i)
+    for (mp, np_), rng in zip(degrees, _instances(seed, "dual_basis", count)):
         g = random_kernel(grid, mp, np_, rng)
         A = zmzn_form(model, g, grid, K)
         expected = math.factorial(mp) * math.factorial(np_) \
@@ -734,8 +702,7 @@ def check_inversion(model: ScatteringModel, grid: RapidityGrid,
     """Contraction resummation of the coefficients recovers the raw elements."""
     K = truncation
     res = 0.0
-    for i in range(count):
-        rng = keyed_rng(seed, "expansion", "inversion", i)
+    for rng in _instances(seed, "inversion", count):
         A = random_form(model, grid, K, rng)
         fam = extract_family(model, A)
         err = 0.0
@@ -752,8 +719,7 @@ def check_roundtrip(model: ScatteringModel, grid: RapidityGrid,
                     truncation: int, seed: int, count: int) -> float:
     """Extract then reconstruct is the identity on the truncated space."""
     res = 0.0
-    for i in range(count):
-        rng = keyed_rng(seed, "expansion", "roundtrip", i)
+    for rng in _instances(seed, "roundtrip", count):
         A = random_form(model, grid, truncation, rng)
         B = reconstruct(model, extract_family(model, A))
         res = max(res, _form_rel(A, B))
@@ -761,14 +727,12 @@ def check_roundtrip(model: ScatteringModel, grid: RapidityGrid,
 
 
 def check_projection_invariance(model: ScatteringModel, grid: RapidityGrid,
-                                truncation: int, seed: int, count: int,
-                                total: int | None = None) -> float:
-    """Extraction undoes a weighted monomial sum, returning symmetrized kernels."""
+                                truncation: int, seed: int, count: int) -> float:
+    """Extraction undoes a weighted monomial sum of degree <= 3, giving symmetrized kernels."""
     K = truncation
-    total = min(K, 3) if total is None else total
+    total = min(K, 3)
     res = 0.0
-    for i in range(count):
-        rng = keyed_rng(seed, "expansion", "projection_invariance", i)
+    for rng in _instances(seed, "projection_invariance", count):
         kernels = {}
         A = QuadraticForm(grid, K)
         for m in range(total + 1):
@@ -805,8 +769,7 @@ def check_translation_covariance(model: ScatteringModel, grid: RapidityGrid,
     """Coefficients of the translated operator carry momentum-transfer phases."""
     K = truncation
     res = 0.0
-    for i in range(count):
-        rng = keyed_rng(seed, "expansion", "translation_covariance", i)
+    for rng in _instances(seed, "translation_covariance", count):
         A = random_form(model, grid, K, rng)
         x = rng.normal(size=2)
         moved = transform_coeffs_poincare(extract_family(model, A), x, 0.0)
@@ -822,8 +785,7 @@ def check_boost_covariance(model: ScatteringModel, grid: RapidityGrid,
         raise SkipCheck("tabulated scattering values are pinned to one lattice")
     K = truncation
     res = 0.0
-    for i in range(count):
-        rng = keyed_rng(seed, "expansion", "boost_covariance", i)
+    for rng in _instances(seed, "boost_covariance", count):
         A = random_form(model, grid, K, rng)
         lam = float(rng.normal())
         moved = transform_coeffs_poincare(extract_family(model, A), (0.0, 0.0), lam)
@@ -837,8 +799,7 @@ def check_reflection_covariance(model: ScatteringModel, grid: RapidityGrid,
     """Coefficients of the reflected adjoint from the original family."""
     K = truncation
     res = 0.0
-    for i in range(count):
-        rng = keyed_rng(seed, "expansion", "reflection_covariance", i)
+    for rng in _instances(seed, "reflection_covariance", count):
         A = random_form(model, grid, K, rng)
         fam = extract_family(model, A)
         R = reflect_conjugate(A)
@@ -851,8 +812,7 @@ def check_reflected_adjoint(model: ScatteringModel, grid: RapidityGrid,
                             truncation: int, seed: int, count: int) -> float:
     """Defining matrix elements of the reflected adjoint on random states."""
     res = 0.0
-    for i in range(count):
-        rng = keyed_rng(seed, "expansion", "reflected_adjoint", i)
+    for rng in _instances(seed, "reflected_adjoint", count):
         A = random_form(model, grid, truncation, rng)
         psi = random_state(model, grid, truncation, rng)
         chi = random_state(model, grid, truncation, rng)
@@ -868,8 +828,7 @@ def check_coefficient_bound(model: ScatteringModel, grid: RapidityGrid,
     """Weighted norm of each coefficient against the sector-weighted form norm."""
     K = truncation
     res = 0.0
-    for i in range(count):
-        rng = keyed_rng(seed, "expansion", "coefficient_bound", i)
+    for rng in _instances(seed, "coefficient_bound", count):
         A = random_form(model, grid, K, rng)
         norms = [qform_norm(model, A, s, omega) for s in range(K + 1)]
         for m in range(K + 1):
@@ -886,8 +845,7 @@ def check_vector_energy_bound(model: ScatteringModel, grid: RapidityGrid,
                               count: int) -> float:
     """Multi-creator vectors raise weighted norms by at most the factorial."""
     res = 0.0
-    for i in range(count):
-        rng = keyed_rng(seed, "expansion", "vector_energy_bound", i)
+    for rng in _instances(seed, "vector_energy_bound", count):
         for j in range(truncation + 1):
             v = rng.normal(size=grid.size**j) + 1j * rng.normal(size=grid.size**j)
             w = energy_weights(grid, omega, j, 1)
@@ -922,8 +880,7 @@ def check_warp_compose(model: ScatteringModel, grid: RapidityGrid,
     kmax = min(2, truncation)
     zero = SkewSymmetricQ(0.0, grid.mass)
     res = 0.0
-    for i in range(count):
-        rng = keyed_rng(seed, "warped", "warp_compose", i)
+    for rng in _instances(seed, "warp_compose", count):
         A = random_form(model, grid, truncation, rng, kmax=kmax)
         Q1 = SkewSymmetricQ(float(rng.normal()), grid.mass)
         Q2 = SkewSymmetricQ(float(rng.normal()), grid.mass)
@@ -945,8 +902,7 @@ def check_warp_translation(model: ScatteringModel, grid: RapidityGrid,
     """Warping commutes with translation, and translation forms are warp fixed points."""
     kmax = min(2, truncation)
     res = 0.0
-    for i in range(count):
-        rng = keyed_rng(seed, "warped", "warp_translation", i)
+    for rng in _instances(seed, "warp_translation", count):
         A = random_form(model, grid, truncation, rng, kmax=kmax)
         Q = SkewSymmetricQ(float(rng.normal()), grid.mass)
         x = rng.normal(size=2)
@@ -962,8 +918,7 @@ def check_warp_star_linear(model: ScatteringModel, grid: RapidityGrid,
     """The warp is linear and commutes with the adjoint."""
     kmax = min(2, truncation)
     res = 0.0
-    for i in range(count):
-        rng = keyed_rng(seed, "warped", "warp_star_linear", i)
+    for rng in _instances(seed, "warp_star_linear", count):
         A = random_form(model, grid, truncation, rng, kmax=kmax)
         B = random_form(model, grid, truncation, rng, kmax=kmax)
         Q = SkewSymmetricQ(float(rng.normal()), grid.mass)
@@ -979,8 +934,7 @@ def check_ordering_agreement(model: ScatteringModel, grid: RapidityGrid,
     """Entrywise warp agrees with the left and right spectral sums."""
     Q = _model_deformation(model, grid)
     res = 0.0
-    for i in range(count):
-        rng = keyed_rng(seed, "warped", "ordering_agreement", i)
+    for rng in _instances(seed, "ordering_agreement", count):
         A = random_form(model, grid, truncation, rng)
         W = warp(A, Q)
         with warnings.catch_warnings():
@@ -999,8 +953,7 @@ def check_homogeneous_sum(model: ScatteringModel, grid: RapidityGrid,
     """
     kmax = min(2, truncation)
     res = 0.0
-    for i in range(count):
-        rng = keyed_rng(seed, "warped", "homogeneous_sum", i)
+    for rng in _instances(seed, "homogeneous_sum", count):
         A = random_form(model, grid, truncation, rng, kmax=kmax)
         comps = _sectors(A)
         if len(comps) > 1:
@@ -1009,9 +962,7 @@ def check_homogeneous_sum(model: ScatteringModel, grid: RapidityGrid,
             np.fill_diagonal(gap, np.inf)
             if gap.min() <= GROUPING_RTOL * max(1.0, float(np.abs(t).max())):
                 return float("inf")
-        total = _zero_form(grid, truncation)
-        for comp in comps:
-            total = total + comp.form
+        total = sum((comp.form for comp in comps), QuadraticForm(grid, truncation))
         res = max(res, _form_rel(total, A))
         x = rng.normal(size=2)
         scale = max(A.scale(), _TINY)
@@ -1029,8 +980,7 @@ def check_vector_phase(model: ScatteringModel, grid: RapidityGrid,
     Q = _model_deformation(model, grid)
     kmax = min(2, truncation)
     res = 0.0
-    for i in range(count):
-        rng = keyed_rng(seed, "warped", "vector_phase", i)
+    for rng in _instances(seed, "vector_phase", count):
         A = random_form(model, grid, truncation, rng, kmax=kmax)
         comps = _sectors(A)
         step = max(1, len(comps) // 4)
@@ -1055,8 +1005,7 @@ def check_product_phase(model: ScatteringModel, grid: RapidityGrid,
     Q = _model_deformation(model, grid)
     kmax = min(2, truncation)
     res = 0.0
-    for i in range(count):
-        rng = keyed_rng(seed, "warped", "product_phase", i)
+    for rng in _instances(seed, "product_phase", count):
         A = random_form(model, grid, truncation, rng, kmax=kmax)
         B = random_form(model, grid, truncation, rng, kmax=kmax)
         for ci in _sectors(A)[:3]:
@@ -1069,12 +1018,13 @@ def check_product_phase(model: ScatteringModel, grid: RapidityGrid,
     return res
 
 
-def check_scattering_identification(grid: RapidityGrid, seed: int,
-                                    count: int = 100) -> float:
-    """The pairing phase of two mass-shell momenta is the induced exchange factor."""
+def check_scattering_identification(grid: RapidityGrid, seed: int) -> float:
+    """The pairing phase of two mass-shell momenta is the induced exchange factor.
+
+    Checked on 100 random strengths and rapidity pairs.
+    """
     res = 0.0
-    for i in range(count):
-        rng = keyed_rng(seed, "warped", "scattering_identification", i)
+    for rng in _instances(seed, "scattering_identification", 100):
         a = float(rng.uniform(0.2, 3.0))
         Q = SkewSymmetricQ(a, grid.mass)
         S = Q.scattering_model()
@@ -1092,35 +1042,22 @@ def check_deformed_exchange(grid: RapidityGrid, truncation: int, seed: int,
     whose phase cancels against the induced factor.
     """
     K = truncation
-    N = grid.size
-    free = ScatteringModel.free()
-    ident = identity_form(free, grid, K)
+    ident = identity_form(ScatteringModel.free(), grid, K)
+    zero = QuadraticForm(grid, K)
     res = 0.0
-    for i in range(count):
-        rng = keyed_rng(seed, "warped", "deformed_exchange", i)
+    for rng in _instances(seed, "deformed_exchange", count):
         a = float(rng.uniform(0.3, 2.0))
         Q = SkewSymmetricQ(a, grid.mass)
         S = pair_values(Q.scattering_model(), grid.points)
         cre, ann = deformed_point_ladder(grid, K, Q)
         res = max(res, _exchange_residual(S, cre, ann, ident, K))
-        cc_keys = [(k + 2, k) for k in range(K - 1)]
-        aa_keys = [(k, k + 2) for k in range(K - 1)]
-        mm_keys = [(k, k) for k in range(K)]
-        zero = _zero_form(grid, K)
         err = 0.0
         mag = _TINY
-        for gi in range(N):
-            for gj in range(N):
-                e, _ = _keys_residual(q_commutator(cre[gi], cre[gj], Q), zero, cc_keys)
-                _, m = _keys_residual(cre[gi] @ cre[gj], zero, cc_keys)
-                err, mag = max(err, e), max(mag, m)
-                e, _ = _keys_residual(q_commutator(ann[gi], ann[gj], Q), zero, aa_keys)
-                _, m = _keys_residual(ann[gi] @ ann[gj], zero, aa_keys)
-                err, mag = max(err, e), max(mag, m)
-                want = ident if gi == gj else zero
-                e, _ = _keys_residual(q_commutator(ann[gj], cre[gi], Q), want, mm_keys)
-                _, m = _keys_residual(ann[gj] @ cre[gi], want, mm_keys)
-                err, mag = max(err, e), max(mag, m)
+        for _, _, X, Y, keys, delta in _exchange_words(cre, ann, K):
+            want = ident if delta else zero
+            e, _ = _keys_residual(q_commutator(X, Y, Q), want, keys)
+            _, m = _keys_residual(X @ Y, want, keys)
+            err, mag = max(err, e), max(mag, m)
         res = max(res, err / mag)
     return res
 
@@ -1137,8 +1074,7 @@ def check_qcomm_algebra(grid: RapidityGrid, truncation: int, seed: int,
     N = grid.size
     cre, ann = point_ladder(ScatteringModel.free(), grid, K)
     res = 0.0
-    for i in range(count):
-        rng = keyed_rng(seed, "warped", "qcomm_algebra", i)
+    for rng in _instances(seed, "qcomm_algebra", count):
         Q = SkewSymmetricQ(float(rng.uniform(0.3, 2.0)), grid.mass)
         idx = [int(v) for v in rng.integers(N, size=6)]
         ops = []
@@ -1187,8 +1123,7 @@ def check_nested_free(grid: RapidityGrid, truncation: int, seed: int,
     free = ScatteringModel.free()
     total = min(truncation, 2) if total is None else total
     res = 0.0
-    for i in range(count):
-        rng = keyed_rng(seed, "warped", "nested_free", i)
+    for rng in _instances(seed, "nested_free", count):
         A = random_form(free, grid, truncation, rng)
         fam = nested_free_family(A, total)
         direct = {mn: fmn_coefficients(free, A, mn[0], mn[1]) for mn in fam}
@@ -1202,8 +1137,7 @@ def check_nested_graded(grid: RapidityGrid, truncation: int, seed: int,
     ising = ScatteringModel.ising()
     total = min(truncation, 2) if total is None else total
     res = 0.0
-    for i in range(count):
-        rng = keyed_rng(seed, "warped", "nested_graded", i)
+    for rng in _instances(seed, "nested_graded", count):
         A = random_form(ising, grid, truncation, rng)
         fam = nested_graded_family(A, total)
         direct = {mn: fmn_coefficients(ising, A, mn[0], mn[1]) for mn in fam}
@@ -1218,8 +1152,7 @@ def check_nested_deformed(grid: RapidityGrid, truncation: int, seed: int,
     Q = SkewSymmetricQ(a, grid.mass)
     total = min(truncation, 2) if total is None else total
     res = 0.0
-    for i in range(count):
-        rng = keyed_rng(seed, "warped", "nested_deformed", i)
+    for rng in _instances(seed, "nested_deformed", count):
         # a free-model form: on Q-model-symmetric ones a twist by conj(phi_Q)
         # reads the same as one by phi_Q
         A = random_form(ScatteringModel.free(), grid, truncation, rng)
@@ -1367,6 +1300,9 @@ SUITE_CHECKS = {
     ],
 }
 
+# check name -> suite, the suite being part of the key of the check's instances
+_SUITE_OF = {name: suite for suite, rows in SUITE_CHECKS.items() for name, _, _ in rows}
+
 # The check whose failure invalidates every other one.
 _GATE = ("scattering", "model_axioms")
 
@@ -1397,8 +1333,7 @@ def run_suites(cfg: RunConfig) -> Report:
     as skipped rather than run against a broken factor.  Tolerance
     overrides naming no check raise ConfigError before anything runs.
     """
-    known = {name for rows in SUITE_CHECKS.values() for name, _, _ in rows}
-    unknown = sorted(set(cfg.tolerances) - known)
+    unknown = sorted(set(cfg.tolerances) - _SUITE_OF.keys())
     if unknown:
         raise ConfigError([f"tolerances name unknown checks {unknown!r}"])
 

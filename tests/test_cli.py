@@ -284,6 +284,20 @@ def _drop_cols(doc):
     return doc
 
 
+def _huge_entry(doc):
+    # block (0, 0) holds one [re, im] pair; json reads 10**400 as an int
+    doc["blocks"][0]["values"] = [[[10**400, 0.0]]]
+    return doc
+
+
+def _last_block(**fields):
+    # the last block is (1, 1), so a field read as 1 keeps its shape
+    def corrupt(doc):
+        doc["blocks"][-1].update(fields)
+        return doc
+    return corrupt
+
+
 @pytest.mark.parametrize("corrupt", [
     lambda doc: {k: v for k, v in doc.items() if k != "truncation"},
     lambda doc: {k: v for k, v in doc.items() if k != "blocks"},
@@ -291,8 +305,22 @@ def _drop_cols(doc):
     lambda doc: [doc],
     lambda doc: dict(doc, mass=None),
     lambda doc: dict(doc, grid="abc"),
+    lambda doc: dict(doc, truncation=1.9),
+    lambda doc: dict(doc, truncation="1"),
+    lambda doc: dict(doc, truncation=True),
+    lambda doc: dict(doc, truncated="no"),
+    lambda doc: dict(doc, mass="1.0"),
+    lambda doc: dict(doc, mass=10**400),
+    lambda doc: dict(doc, truncation=-1),
+    lambda doc: dict(doc, grid=[-0.8, 0.1, True]),
+    _last_block(rows=1.0),
+    _last_block(cols=True),
+    _huge_entry,
 ], ids=["no_truncation", "no_blocks", "block_without_cols", "top_level_array",
-        "null_mass", "string_grid"])
+        "null_mass", "string_grid", "fractional_truncation", "string_truncation",
+        "boolean_truncation", "string_truncated", "string_mass", "huge_integer_mass",
+        "negative_truncation", "boolean_grid_entry", "float_rows", "boolean_cols",
+        "huge_integer_entry"])
 def test_warp_rejects_malformed_form(tmp_path, capsys, grid3, corrupt):
     # a file of the wrong structure is bad input (exit 2), not a failed check
     src = tmp_path / "A.json"

@@ -95,10 +95,31 @@ def test_family_manifest_mismatch(tmp_path, grid3):
         load_family(tmp_path / "fam")
 
 
-@pytest.mark.parametrize("kind,field", [("state", "sectors"), ("state", "mass"),
-                                        ("kernel", "m"), ("kernel", "grid"),
-                                        ("family", "entries"), ("family", "truncation")])
-def test_missing_field_names_the_file(tmp_path, grid3, kind, field):
+MISSING = object()
+
+
+@pytest.mark.parametrize("kind,field,value", [
+    pytest.param("state", "sectors", MISSING, id="state-sectors"),
+    pytest.param("state", "mass", MISSING, id="state-mass"),
+    pytest.param("kernel", "m", MISSING, id="kernel-m"),
+    pytest.param("kernel", "grid", MISSING, id="kernel-grid"),
+    pytest.param("family", "entries", MISSING, id="family-entries"),
+    pytest.param("family", "truncation", MISSING, id="family-truncation"),
+    pytest.param("state", "mass", "1.0", id="state-string_mass"),
+    pytest.param("state", "truncation", "1", id="state-string_truncation"),
+    pytest.param("state", "truncation", 2, id="state-truncation_beyond_sectors"),
+    pytest.param("state", "grid", [-0.8, 0.1, True], id="state-boolean_grid_entry"),
+    pytest.param("kernel", "m", 1.0, id="kernel-float_m"),
+    pytest.param("kernel", "n", True, id="kernel-boolean_n"),
+    pytest.param("family", "truncation", "1", id="family-string_truncation"),
+    pytest.param("family", "truncation", 1.5, id="family-fractional_truncation"),
+    pytest.param("family", "entries", [{"m": 0.0, "n": 0, "file": "coeff_0_0.json"}],
+                 id="family-float_entry_m"),
+    pytest.param("family", "entries", [{"m": 0, "n": False, "file": "coeff_0_0.json"}],
+                 id="family-boolean_entry_n"),
+])
+def test_missing_field_names_the_file(tmp_path, grid3, kind, field, value):
+    # a missing or ill-typed field is refused with the file named
     rng = keyed_rng(0, "io", "missing", 0)
     if kind == "state":
         path = tmp_path / "psi.json"
@@ -110,10 +131,15 @@ def test_missing_field_names_the_file(tmp_path, grid3, kind, field):
         save_family(tmp_path, extract_family(FREE, random_form(FREE, grid3, 1, rng)))
         path = tmp_path / "manifest.json"
     doc = json.loads(path.read_text())
-    del doc[field]
+    if value is MISSING:
+        del doc[field]
+        message = f"missing field '{field}'"
+    else:
+        doc[field] = value
+        message = "malformed field"
     path.write_text(json.dumps(doc))
     load = {"state": load_state, "kernel": load_kernel, "family": load_family}[kind]
-    with pytest.raises(ValueError, match=f"missing field '{field}'") as err:
+    with pytest.raises(ValueError, match=message) as err:
         load(tmp_path if kind == "family" else path)
     assert str(path) in str(err.value)
 
@@ -173,7 +199,7 @@ def test_non_finite_tensors_are_not_written(tmp_path, grid3):
         assert not (tmp_path / path).exists()
 
 
-@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"])
 def test_non_finite_tokens_are_rejected(tmp_path, grid3, token):
     rng = keyed_rng(0, "io", "token", 0)
     files = (("psi.json", save_state, load_state, (random_state(FREE, grid3, 1, rng),)),
