@@ -3,7 +3,10 @@
 Subcommands: ``verify`` runs the property suites from a JSON config and
 emits a CSV or JSON report; ``expand`` and ``reconstruct`` convert between
 saved quadratic forms and coefficient families; ``warp`` and ``qcomm``
-apply the deformation and the deformed commutator to saved forms.
+apply the deformation and the deformed commutator to saved forms.  Forms
+and families carry their scattering model: ``expand`` and ``reconstruct``
+refuse a file whose model differs from the config's, and ``qcomm`` two
+forms of different models.
 
 Exit status: 0 on success, 1 when a verification check fails, 2 on
 configuration or file errors.
@@ -14,7 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import ConfigError, parse_config
+from .config import ConfigError, parse_config, scattering_config
 from .expansion import extract_family, reconstruct
 from .io import load_family, load_form, save_family, save_form
 from .suites import Report, run_suites
@@ -60,11 +63,18 @@ def _require_same_lattice(grid, other, what: str) -> None:
                          f"vs points {list(grid.points)} mass {grid.mass})")
 
 
+def _require_same_model(model, other, what: str) -> None:
+    if model != other:
+        raise ValueError(f"{what}: scattering model {scattering_config(other)} does not "
+                         f"match {scattering_config(model)}")
+
+
 def _cmd_expand(args) -> int:
     cfg = _load_config(args.config)
     model = cfg.build_model()
     form = load_form(args.infile)
     _require_same_lattice(cfg.grid, form.grid, args.infile)
+    _require_same_model(model, form.model, args.infile)
     save_family(args.out, extract_family(model, form))
     return 0
 
@@ -74,6 +84,7 @@ def _cmd_reconstruct(args) -> int:
     model = cfg.build_model()
     family = load_family(args.infile)
     _require_same_lattice(cfg.grid, family.grid, args.infile)
+    _require_same_model(model, family.model, args.infile)
     save_form(args.out, reconstruct(model, family))
     return 0
 
@@ -89,6 +100,7 @@ def _cmd_qcomm(args) -> int:
     lhs = load_form(args.lhs)
     rhs = load_form(args.rhs)
     _require_same_lattice(lhs.grid, rhs.grid, args.rhs)
+    _require_same_model(lhs.model, rhs.model, args.rhs)
     if lhs.truncation != rhs.truncation:
         raise ValueError(f"{args.rhs}: truncation {rhs.truncation} does not "
                          f"match {args.lhs} truncation {lhs.truncation}")

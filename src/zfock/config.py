@@ -46,16 +46,30 @@ class RunConfig:
         Tabulated values are validated here rather than at parse time, so a
         corrupted table surfaces as a failing scattering check.
         """
-        data = self.scattering
-        family = data["family"]
-        if family == "free":
-            return ScatteringModel.free()
-        if family == "ising":
-            return ScatteringModel.ising()
-        if family == "sinh_exp":
-            return ScatteringModel.sinh_exp(float(data.get("a", 0.0)))
-        values = [complex(re, im) for re, im in data.get("values", [])]
-        return ScatteringModel.tabulated(data.get("thetas", []), values)
+        return build_scattering(self.scattering)
+
+
+def build_scattering(data: dict) -> ScatteringModel:
+    """The model of a ``scattering`` object that ``_check_scattering`` accepted."""
+    family = data["family"]
+    if family == "free":
+        return ScatteringModel.free()
+    if family == "ising":
+        return ScatteringModel.ising()
+    if family == "sinh_exp":
+        return ScatteringModel.sinh_exp(float(data.get("a", 0.0)))
+    values = [complex(re, im) for re, im in data.get("values", [])]
+    return ScatteringModel.tabulated(data.get("thetas", []), values)
+
+
+def scattering_config(model: ScatteringModel) -> dict:
+    """The ``scattering`` object of a config that builds ``model``."""
+    if model.family == "sinh_exp":
+        return {"family": model.family, "a": model.a}
+    if model.family == "table":
+        return {"family": model.family, "thetas": [t for t, _ in model.table],
+                "values": [[v.real, v.imag] for _, v in model.table]}
+    return {"family": model.family}
 
 
 def _is_int(value) -> bool:

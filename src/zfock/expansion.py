@@ -35,23 +35,24 @@ import numpy as np
 from .contractions import add_on_support, enumerate_contractions
 from .fock import RapidityGrid, translation_phases
 from .scattering import ScatteringModel
-from .zops import KernelTensor, QuadraticForm, sandwich, zmzn_form
+from .zops import (KernelTensor, QuadraticForm, _require_model, symmetric_isometry,
+                   zmzn_form)
 
 
-def creator_elements(model: ScatteringModel, grid: RapidityGrid, mat: np.ndarray,
-                     m: int, n: int) -> np.ndarray:
-    """Matrix elements of an (m, n) block between the multi-creator vectors.
+def creator_elements(A: QuadraticForm, m: int, n: int) -> np.ndarray:
+    """Matrix elements of the (m, n) block of A between the multi-creator vectors.
 
-    Row t pairs with the m-fold creator vector of tuple t, creators applied
-    in slot order; column u with the n-fold one, applied in descending slot
-    order.  A j-fold creator vector is sqrt(j!) times the symmetrizer column
-    of its tuple, so this is sqrt(m! n!) (P_m mat P_n)[:, rev], with rev the
-    tuple reversal, read by reversing the column slot axes.
+    Entry (t, u), one slot axis per slot, pairs the m-fold creator vector
+    of tuple t, creators applied in slot order, with the n-fold one of u,
+    applied in descending slot order.  A j-fold creator vector is sqrt(j!)
+    times the symmetrizer column of its tuple, so this is sqrt(m! n!) times
+    the dense block V_m C V_n^H with its column tuples reversed, read by
+    reversing the column slot axes.
     """
-    N = grid.size
+    N = A.grid.size
     c = math.sqrt(math.factorial(m) * math.factorial(n))
-    scaled = (c * sandwich(model, grid, mat, m, n)).reshape((N**m,) + (N,) * n)
-    return scaled.transpose((0,) + tuple(range(n, 0, -1))).reshape(N**m, N**n)
+    scaled = (c * A.block(m, n)).reshape((N,) * (m + n))
+    return scaled.transpose(tuple(range(m)) + tuple(range(m + n - 1, m - 1, -1)))
 
 
 def _contraction_sum(model: ScatteringModel, points: Sequence[float], m: int, n: int,
@@ -82,30 +83,33 @@ def _contraction_sum(model: ScatteringModel, points: Sequence[float], m: int, n:
     return total
 
 
+def _coefficient(model: ScatteringModel, grid: RapidityGrid, m: int, n: int,
+                 elements: Callable[[int, int], np.ndarray]) -> KernelTensor:
+    """The (m, n) coefficient from the element tensors ``elements(m - c, n - c)``."""
+    return KernelTensor(m, n, _contraction_sum(model, grid.points, m, n,
+                                               lambda c: elements(m - c, n - c), -1))
+
+
 def fmn_coefficients(model: ScatteringModel, A: QuadraticForm, m: int, n: int) -> KernelTensor:
     """Expansion coefficient with m outgoing and n incoming slots.
 
     Alternating sum over contractions: each term carries the lattice delta
     and exchange factor of the contraction and the matrix element of A
     between the reduced multi-creator vectors of ``model``
-    (:func:`creator_elements`).  Only the blocks (l, k) of A with l <= m
-    and k <= n enter.  The sum is nested by contraction depth
-    (:func:`_contraction_sum`, sign -1), one matrix element tensor per depth.
+    (:func:`creator_elements`), which must be the model A is stored under.
+    Only the blocks (l, k) of A with l <= m and k <= n enter.  The sum is
+    nested by contraction depth (:func:`_contraction_sum`, sign -1), one
+    matrix element tensor per depth.
     """
-    grid = A.grid
-    N = grid.size
-
-    def elements(c: int) -> np.ndarray:
-        M = creator_elements(model, grid, A.block(m - c, n - c), m - c, n - c)
-        return M.reshape((N,) * (m + n - 2 * c))
-
-    return KernelTensor(m, n, _contraction_sum(model, grid.points, m, n, elements, -1))
+    _require_model(model, A)
+    return _coefficient(model, A.grid, m, n, lambda l, k: creator_elements(A, l, k))
 
 
 @dataclass
 class CoefficientFamily:
-    """Expansion coefficients indexed by (outgoing, incoming) slot counts."""
+    """Expansion coefficients under ``model``, indexed by (outgoing, incoming) slot counts."""
 
+    model: ScatteringModel
     grid: RapidityGrid
     truncation: int
     entries: dict[tuple[int, int], KernelTensor] = field(default_factory=dict)
@@ -121,19 +125,43 @@ class CoefficientFamily:
         self.entries[(kernel.m, kernel.n)] = kernel
 
 
+def element_tensors(model: ScatteringModel,
+                    A: QuadraticForm) -> dict[tuple[int, int], np.ndarray]:
+    """:func:`creator_elements` of every block (l, k) of A, l, k <= the truncation.
+
+    A family of coefficients reaches every block, each from several
+    (m, n); this builds each block's elements once.
+    """
+    _require_model(model, A)
+    K = A.truncation
+    return {(l, k): creator_elements(A, l, k) for l in range(K + 1) for k in range(K + 1)}
+
+
+def family_from_elements(model: ScatteringModel, grid: RapidityGrid, truncation: int,
+                         elements: dict[tuple[int, int], np.ndarray]) -> CoefficientFamily:
+    """All coefficients with slot counts up to the truncation, from :func:`element_tensors`."""
+    family = CoefficientFamily(model, grid, truncation)
+    for m in range(truncation + 1):
+        for n in range(truncation + 1):
+            family.set_entry(_coefficient(model, grid, m, n, lambda l, k: elements[(l, k)]))
+    return family
+
+
 def extract_family(model: ScatteringModel, A: QuadraticForm) -> CoefficientFamily:
     """All coefficients with slot counts up to the truncation."""
-    family = CoefficientFamily(A.grid, A.truncation)
-    for m in range(A.truncation + 1):
-        for n in range(A.truncation + 1):
-            family.set_entry(fmn_coefficients(model, A, m, n))
-    return family
+    return family_from_elements(model, A.grid, A.truncation, element_tensors(model, A))
+
+
+def _require_family_model(model: ScatteringModel, family: CoefficientFamily) -> None:
+    if family.model != model:
+        raise ValueError(f"coefficients were extracted under {family.model}, not {model}")
 
 
 def reconstruct(model: ScatteringModel, family: CoefficientFamily) -> QuadraticForm:
     """Sum of normal-ordered monomials weighted by 1/(m! n!)."""
+    _require_family_model(model, family)
     K = family.truncation
-    total = QuadraticForm(family.grid, K)
+    total = QuadraticForm(model, family.grid, K)
     for (m, n), kernel in sorted(family.entries.items()):
         if m > K or n > K:
             continue
@@ -142,21 +170,20 @@ def reconstruct(model: ScatteringModel, family: CoefficientFamily) -> QuadraticF
     return total
 
 
-def inversion_residual(model: ScatteringModel, A: QuadraticForm, m: int, n: int,
+def inversion_residual(model: ScatteringModel, elements: np.ndarray, m: int, n: int,
                        family: CoefficientFamily) -> float:
     """Defect of the inversion identity on the (m, n) matrix elements.
 
-    The uncontracted multi-creator matrix elements of A must equal the sum
-    over contractions of delta and exchange factors times the reduced
+    The uncontracted multi-creator matrix elements ``elements`` of a form's
+    (m, n) block (:func:`creator_elements`) must equal the sum over
+    contractions of delta and exchange factors times the reduced
     coefficients, read from ``family``, which must hold every (m - c, n - c).
     The sum is nested by contraction depth (:func:`_contraction_sum`, sign +1).
     """
-    grid = A.grid
-    N = grid.size
-    lhs = creator_elements(model, grid, A.block(m, n), m, n).reshape((N,) * (m + n))
-    rhs = _contraction_sum(model, grid.points, m, n,
+    _require_family_model(model, family)
+    rhs = _contraction_sum(model, family.grid.points, m, n,
                            lambda c: family.entries[(m - c, n - c)].values, 1)
-    return float(np.max(np.abs(lhs - rhs)))
+    return float(np.max(np.abs(elements - rhs)))
 
 
 # ---------------------------------------------------------------------------
@@ -164,33 +191,43 @@ def inversion_residual(model: ScatteringModel, A: QuadraticForm, m: int, n: int,
 
 
 def translate_form(A: QuadraticForm, x: Sequence[float]) -> QuadraticForm:
-    """Conjugation by the translation unitary: phases on rows and columns."""
+    """Conjugation by the translation unitary: phases on rows and columns.
+
+    The phase of a tuple depends on its total momentum alone, so it is
+    constant on orbits and read at the orbit representatives.
+    """
     x = np.asarray(x, dtype=float)
     blocks = {}
-    for (l, k), mat in A.blocks.items():
-        row = translation_phases(A.grid, l, x)
-        col = translation_phases(A.grid, k, -x)
-        blocks[(l, k)] = row[:, None] * mat * col[None, :]
-    return QuadraticForm(A.grid, A.truncation, blocks, A.truncated)
+    for (l, k), C in A.orbit_blocks.items():
+        row = translation_phases(A.grid, l, x)[symmetric_isometry(A.model, A.grid, l)[1]]
+        col = translation_phases(A.grid, k, -x)[symmetric_isometry(A.model, A.grid, k)[1]]
+        blocks[(l, k)] = row[:, None] * C * col[None, :]
+    return A._like(blocks)
 
 
 def boost_form(A: QuadraticForm, lam: float) -> QuadraticForm:
-    """Conjugation by the boost: identical blocks over the shifted lattice."""
-    return QuadraticForm(A.grid.shifted(lam), A.truncation,
-                         {key: mat.copy() for key, mat in A.blocks.items()}, A.truncated)
+    """Conjugation by the boost: identical blocks over the shifted lattice.
+
+    The exchange factors depend on rapidity differences only, so the orbit
+    bases of the shifted lattice carry the same compressed blocks.
+    """
+    return QuadraticForm(A.model, A.grid.shifted(lam), A.truncation,
+                         {key: C.copy() for key, C in A.orbit_blocks.items()}, A.truncated)
 
 
 def reflect_conjugate(A: QuadraticForm) -> QuadraticForm:
-    """The reflected adjoint J A* J, realized blockwise.
+    """The reflected adjoint J A* J, realized blockwise on the dense views.
 
     Its matrix elements satisfy <psi| J A* J |chi> = <J chi| A |J psi>.
     Reversing the row and column tuples of the transpose reverses every
-    slot axis of the (k + j)-slot tensor of the block.
+    slot axis of the (k + j)-slot tensor of the block.  Reversal keeps each
+    tuple in its orbit, so the result is symmetric again and is stored on
+    the orbits of the same model.
     """
     N = A.grid.size
-    blocks = {(j, k): mat.reshape((N,) * (k + j)).T.reshape(N**j, N**k)
-              for (k, j), mat in A.blocks.items()}
-    return QuadraticForm(A.grid, A.truncation, blocks, A.truncated)
+    blocks = {(j, k): A.block(k, j).reshape((N,) * (k + j)).T.reshape(N**j, N**k)
+              for (k, j) in A.orbit_blocks}
+    return QuadraticForm.from_dense(A.model, A.grid, A.truncation, blocks, A.truncated)
 
 
 def transform_coeffs_poincare(family: CoefficientFamily, x: Sequence[float],
@@ -203,7 +240,7 @@ def transform_coeffs_poincare(family: CoefficientFamily, x: Sequence[float],
     x = np.asarray(x, dtype=float)
     new_grid = family.grid.shifted(lam)
     N = new_grid.size
-    out = CoefficientFamily(new_grid, family.truncation)
+    out = CoefficientFamily(family.model, new_grid, family.truncation)
     for (m, n), kernel in family.entries.items():
         row = translation_phases(new_grid, m, x).reshape((N,) * m + (1,) * n)
         col = translation_phases(new_grid, n, -x).reshape((1,) * m + (N,) * n)

@@ -4,9 +4,17 @@ Complex tensors are stored as nested row-major lists whose innermost
 entries are [re, im] pairs.  Every file carries its lattice so results
 are self-describing.  Values are finite: a non-finite tensor is refused
 before its file is opened, and ``NaN`` or ``Infinity`` tokens, and numbers
-beyond the float range, are refused on load.  A file of the wrong structure (not a JSON object of the expected
-kind, or with a missing or ill-typed field) is refused with a ValueError
-that names it.
+beyond the float range, are refused on load.  A file of the wrong
+structure (not a JSON object of the expected kind, or with a missing or
+ill-typed field) is refused with a ValueError that names it.
+
+A form file holds the full dense blocks V_l C V_k^H of the form over all
+tuples, and its header carries the scattering model as the ``scattering``
+object of a run config, because the orbit basis V depends on it.  Loading
+stores each block on the orbits of that model again; a file without a
+model, or with a block that differs from its own symmetric part by more
+than ``FORM_SYMMETRY_RTOL`` of the block's largest entry, is refused.  A
+coefficient family's manifest carries its model the same way.
 
 A file holds exactly the bytes of ``json.dumps`` of its document with the
 tensors as nested ``[re, im]`` lists.  The tensor payloads are encoded and
@@ -27,10 +35,18 @@ import re
 
 import numpy as np
 
-from .config import _is_finite, _is_int
+from .config import (_check_scattering, _is_finite, _is_int, build_scattering,
+                     scattering_config)
 from .expansion import CoefficientFamily
 from .fock import FockState, RapidityGrid
+from .scattering import ScatteringModel
 from .zops import KernelTensor, QuadraticForm
+
+# a loaded block may differ from its S-symmetric part by this much of its largest entry
+FORM_SYMMETRY_RTOL = 1e-10
+
+# numbers per orjson call when a tensor is written: about 256 KB of text
+_SLAB_NUMBERS = 10_000
 
 
 def complex_to_nested(arr: np.ndarray) -> list:
@@ -44,12 +60,37 @@ def nested_to_complex(data, shape: tuple[int, ...]) -> np.ndarray:
     return arr.view(complex)[..., 0]  # keeps the sign of a zero, unlike re + 1j * im
 
 
+def _repr_tokens(text: str) -> str:
+    """orjson's array text with each number as repr writes it.
+
+    orjson prints the digits of repr, but not repr's exponent form, which
+    repr takes for nonzero |x| < 1e-4 and for |x| >= 1e16: orjson writes
+    those as 0.0000... or with an exponent of its own layout.  Only the
+    tokens holding an ``e`` or ``0.0000`` are rewritten.
+    """
+    parts = []
+    start = 0
+    while True:
+        hits = [i for i in (text.find("e", start), text.find("0.0000", start)) if i >= 0]
+        if not hits:
+            break
+        hit = min(hits)
+        first = max(text.rfind("[", 0, hit), text.rfind(",", 0, hit)) + 1
+        comma = text.find(",", hit)
+        end = text.find("]", hit)
+        end = end if comma < 0 else min(comma, end)
+        parts += [text[start:first], repr(float(text[first:end]))]
+        start = end
+    parts.append(text[start:])
+    return "".join(parts)
+
+
 def _write_json(fh, obj) -> None:
     """Write what ``json.dump`` writes, with ndarrays as ``complex_to_nested`` lists.
 
     Keys and scalars go through the C encoder of ``json.dumps``; a tensor
-    is encoded one row at a time, so no whole document is held as nested
-    lists or as text.
+    is encoded by orjson in slabs of rows of about ``_SLAB_NUMBERS``
+    numbers, so no whole document is held as nested lists or as text.
     """
     if isinstance(obj, dict):
         fh.write("{")
@@ -67,19 +108,14 @@ def _write_json(fh, obj) -> None:
     elif isinstance(obj, np.ndarray) and obj.ndim:
         import orjson
 
+        arr = np.asarray(obj, dtype=complex)
+        pairs = np.ascontiguousarray(np.stack([arr.real, arr.imag], axis=-1))
+        rows = max(1, _SLAB_NUMBERS * len(pairs) // max(1, pairs.size))
         fh.write("[")
-        for i, row in enumerate(obj):
-            pairs = np.stack([row.real, row.imag], axis=-1)
-            size = np.abs(pairs)
-            # orjson prints the digits of repr, but not repr's exponent form,
-            # which repr takes for nonzero |x| < 1e-4 and for |x| >= 1e16
-            fixed = (size == 0) | ((size >= 1e-4) & (size < 1e16))
-            if pairs.dtype == np.float64 and fixed.all():
-                text = orjson.dumps(pairs, option=orjson.OPT_SERIALIZE_NUMPY).decode()
-                text = text.replace(",", ", ")
-            else:
-                text = json.dumps(pairs.tolist())
-            fh.write((", " if i else "") + text)
+        for i in range(0, len(pairs), rows):
+            text = orjson.dumps(pairs[i:i + rows], option=orjson.OPT_SERIALIZE_NUMPY).decode()
+            # the slab's rows, without the brackets of the slab
+            fh.write((", " if i else "") + _repr_tokens(text)[1:-1].replace(",", ", "))
         fh.write("]")
     else:
         fh.write(json.dumps(complex_to_nested(obj) if isinstance(obj, np.ndarray) else obj))
@@ -258,34 +294,64 @@ def load_kernel(path: str) -> tuple[KernelTensor, RapidityGrid]:
         return KernelTensor(m, n, values), grid
 
 
+def _model_from_header(data: dict) -> ScatteringModel:
+    scattering = _field(data, "scattering", lambda v: isinstance(v, dict),
+                        "a scattering object")
+    # a table's [re, im] pairs arrive as an array from the tensor decoder
+    scattering = {key: value.tolist() if isinstance(value, np.ndarray) else value
+                  for key, value in scattering.items()}
+    problems: list[str] = []
+    _check_scattering(scattering, problems)
+    if problems:
+        raise ValueError("; ".join(problems))
+    return build_scattering(scattering)
+
+
 def save_form(path: str, form: QuadraticForm) -> None:
+    """Write the dense blocks of a form, with its lattice and scattering model."""
+    _require_finite(path, form.orbit_blocks.values())
+    blocks = form.blocks
     doc = {
         "kind": "quadratic_form",
         **_grid_header(form.grid),
+        "scattering": scattering_config(form.model),
         "truncation": form.truncation,
         "truncated": form.truncated,
         "blocks": [
             {"rows": l, "cols": k, "values": mat}
-            for (l, k), mat in sorted(form.blocks.items())
+            for (l, k), mat in sorted(blocks.items())
         ],
     }
-    _require_finite(path, form.blocks.values())
     with open(path, "w") as fh:
         _write_json(fh, doc)
 
 
 def load_form(path: str) -> QuadraticForm:
+    """Read a form file and store its blocks on the orbits of the file's model.
+
+    A block that is not S-symmetric under that model, to within
+    ``FORM_SYMMETRY_RTOL`` of its largest entry, is refused.
+    """
     with _document(path, "quadratic_form", "quadratic form file") as doc:
         grid = _grid_from_header(doc)
+        model = _model_from_header(doc)
         N = grid.size
         K = _int_field(doc, "truncation")
         truncated = (_field(doc, "truncated", lambda v: isinstance(v, bool), "a JSON boolean")
                      if "truncated" in doc else False)
-        blocks = {}
+        dense = {}
         for rec in doc["blocks"]:
             l, k = _int_field(rec, "rows"), _int_field(rec, "cols")
-            blocks[(l, k)] = nested_to_complex(rec["values"], (N**l, N**k))
-        return QuadraticForm(grid, K, blocks, truncated)
+            dense[(l, k)] = nested_to_complex(rec["values"], (N**l, N**k))
+        form = QuadraticForm.from_dense(model, grid, K, dense, truncated)
+    for key, mat in dense.items():
+        size = float(np.max(np.abs(mat))) if mat.size else 0.0
+        err = float(np.max(np.abs(mat - form.block(*key)))) if mat.size else 0.0
+        if err > FORM_SYMMETRY_RTOL * size:
+            raise ValueError(f"{path}: block {key} is not symmetric under the file's "
+                             f"scattering model: it differs from its symmetric part by "
+                             f"{err / size:.3e} of its largest entry")
+    return form
 
 
 def save_family(directory: str, family: CoefficientFamily) -> None:
@@ -300,6 +366,7 @@ def save_family(directory: str, family: CoefficientFamily) -> None:
     manifest = {
         "kind": "coefficient_family",
         **_grid_header(family.grid),
+        "scattering": scattering_config(family.model),
         "truncation": family.truncation,
         "entries": entries,
     }
@@ -311,7 +378,8 @@ def load_family(directory: str) -> CoefficientFamily:
     path = os.path.join(directory, "manifest.json")
     with _document(path, "coefficient_family", "coefficient family manifest") as manifest:
         grid = _grid_from_header(manifest)
-        family = CoefficientFamily(grid, _int_field(manifest, "truncation"))
+        family = CoefficientFamily(_model_from_header(manifest), grid,
+                                   _int_field(manifest, "truncation"))
         entries = [(os.path.join(directory, rec["file"]), _int_field(rec, "m"),
                     _int_field(rec, "n")) for rec in manifest["entries"]]
     for file, m, n in entries:

@@ -2,7 +2,9 @@
 
 Generators are counter-based (Philox) and keyed by a seed together with
 string labels and an instance index, so any check can be reproduced in
-isolation without replaying the runs before it.
+isolation without replaying the runs before it.  Random forms are drawn
+on orbit pairs, so the numbers a form takes from its generator depend on
+the scattering model, through its orbit counts.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import numpy as np
 
 from .fock import FockState, RapidityGrid
 from .scattering import ScatteringModel
-from .zops import KernelTensor, QuadraticForm, sandwich, symmetrize
+from .zops import KernelTensor, QuadraticForm, orbit_dimension, symmetrize
 
 
 def keyed_rng(seed: int, *labels) -> np.random.Generator:
@@ -39,18 +41,19 @@ def random_form(model: ScatteringModel, grid: RapidityGrid, truncation: int,
     """Dense random operator supported on the symmetric subspace.
 
     Blocks up to ``kmax`` (default: the truncation) are drawn complex
-    gaussian over all N**l x N**k tuple pairs, in row-major (l, k) order,
-    and sandwiched between the sector symmetrizers through the orbit basis
-    (``zops.sandwich``).  The draws, and so the random stream, do not depend
-    on the model.
+    gaussian on orbit pairs, in row-major (l, k) order: V^H G V of an iid
+    complex gaussian G over all tuple pairs is again iid complex gaussian,
+    so this is the distribution of the symmetric part of a gaussian over
+    all N**l x N**k tuple pairs.  The draw sizes are the orbit counts of
+    ``model`` (``zops.orbit_dimension``), so the random stream depends on
+    the model.
     """
     kmax = truncation if kmax is None else kmax
     N = grid.size
-    blocks = {}
-    for l in range(kmax + 1):
-        for k in range(kmax + 1):
-            blocks[(l, k)] = sandwich(model, grid, _complex(rng, (N**l, N**k)), l, k)
-    return QuadraticForm(grid, truncation, blocks)
+    dims = [orbit_dimension(model, N, n) for n in range(kmax + 1)]
+    blocks = {(l, k): _complex(rng, (dims[l], dims[k]))
+              for l in range(kmax + 1) for k in range(kmax + 1)}
+    return QuadraticForm(model, grid, truncation, blocks)
 
 
 def random_state(model: ScatteringModel, grid: RapidityGrid, truncation: int,

@@ -29,10 +29,11 @@ from .config import (DEFAULT_EQUALITY_TOL, DEFAULT_EXACT_TOL,
 from .contractions import (Contraction, add_on_support, compose,
                            enumerate_contractions, reflect_contraction,
                            sigma_rho)
-from .expansion import (boost_form, creator_elements, extract_family,
-                        fmn_coefficients, inversion_residual, reconstruct,
-                        reflect_conjugate, reflected_coeffs,
-                        transform_coeffs_poincare, translate_form)
+from .expansion import (boost_form, element_tensors, extract_family,
+                        family_from_elements, fmn_coefficients,
+                        inversion_residual, reconstruct, reflect_conjugate,
+                        reflected_coeffs, transform_coeffs_poincare,
+                        translate_form)
 from .fock import (Indicatrix, RapidityGrid, apply_omega_weight, boost,
                    energy_grid, energy_weights, minkowski, reflect,
                    sector_momentum, translate, translation_phases)
@@ -47,8 +48,9 @@ from .warped import (GROUPING_RTOL, GroupingWarning, SkewSymmetricQ,
                      q_commutator, warp, warp_spectral)
 from .zops import (KernelTensor, QuadraticForm, annihilator_form, annihilate,
                    create, creator_form, cross_norm, form_residual,
-                   identity_form, kernel_adjoint, point_ladder, qform_norm,
-                   s_symmetry_residual, sector_norm, symmetrize, zmzn_form)
+                   identity_form, kernel_adjoint, peak_abs, peak_weights, point_ladder,
+                   qform_norm, s_symmetry_residual, sector_norm,
+                   symmetric_isometry, symmetrize, zmzn_form)
 
 _TINY = 1e-300
 
@@ -83,21 +85,20 @@ def _form_rel(A: QuadraticForm, B: QuadraticForm) -> float:
     return _rel(form_residual(A, B), max(A.scale(), B.scale()))
 
 
-def _keys_residual(A: QuadraticForm, B: QuadraticForm, keys) -> tuple[float, float]:
-    """(max deviation, max magnitude) over the given block keys."""
+def _keys_residual(A: QuadraticForm, B: QuadraticForm, window: dict) -> tuple[float, float]:
+    """(max deviation, max magnitude) of the dense blocks with the keys of ``window``.
+
+    Read from the compressed blocks through ``peak_abs``; ``window`` maps
+    each key to its ``peak_weights``.
+    """
     err = 0.0
     mag = 0.0
-    for key in keys:
-        a = A.blocks.get(key)
-        b = B.blocks.get(key)
-        if a is None and b is None:
+    for key, w in window.items():
+        if key not in A.orbit_blocks and key not in B.orbit_blocks:
             continue
-        if a is None:
-            a = np.zeros_like(b)
-        if b is None:
-            b = np.zeros_like(a)
-        err = max(err, _maxabs(a - b))
-        mag = max(mag, _maxabs(a), _maxabs(b))
+        a, b = A.orbit_block(*key), B.orbit_block(*key)
+        err = max(err, peak_abs(a - b, w))
+        mag = max(mag, peak_abs(a, w), peak_abs(b, w))
     return err, mag
 
 
@@ -313,19 +314,24 @@ def check_sector_stability(model: ScatteringModel, grid: RapidityGrid,
 def _exchange_words(cre, ann, K: int):
     """The three exchange relations at every pair (i, j) of lattice points.
 
-    Yields (i, j, X, Y, keys, delta) with X Y = cre_i cre_j, ann_i ann_j
-    and ann_j cre_i in turn.  ``keys`` are the blocks where both X Y and
-    Y X stay in the truncated space, and ``delta`` marks the mixed relation
-    at i = j, which carries the identity.
+    Yields (i, j, X, Y, window, delta) with X Y = cre_i cre_j, ann_i ann_j
+    and ann_j cre_i in turn.  ``window`` maps the blocks where both X Y and
+    Y X stay in the truncated space to their ``peak_weights``, and
+    ``delta`` marks the mixed relation at i = j, which carries the identity.
     """
-    cc_keys = [(k + 2, k) for k in range(K - 1)]
-    aa_keys = [(k, k + 2) for k in range(K - 1)]
-    mm_keys = [(k, k) for k in range(K)]
+    model, grid = cre[0].model, cre[0].grid
+
+    def window(keys):
+        return {key: peak_weights(model, grid, key) for key in keys}
+
+    cc = window([(k + 2, k) for k in range(K - 1)])
+    aa = window([(k, k + 2) for k in range(K - 1)])
+    mm = window([(k, k) for k in range(K)])
     for i in range(len(cre)):
         for j in range(len(cre)):
-            yield i, j, cre[i], cre[j], cc_keys, False
-            yield i, j, ann[i], ann[j], aa_keys, False
-            yield i, j, ann[j], cre[i], mm_keys, i == j
+            yield i, j, cre[i], cre[j], cc, False
+            yield i, j, ann[i], ann[j], aa, False
+            yield i, j, ann[j], cre[i], mm, i == j
 
 
 def _exchange_residual(S: np.ndarray, cre, ann, ident: QuadraticForm,
@@ -337,9 +343,9 @@ def _exchange_residual(S: np.ndarray, cre, ann, ident: QuadraticForm,
     """
     err = 0.0
     mag = 0.0
-    for i, j, X, Y, keys, delta in _exchange_words(cre, ann, truncation):
+    for i, j, X, Y, window, delta in _exchange_words(cre, ann, truncation):
         rhs = (Y @ X) * S[i, j]
-        e, m = _keys_residual(X @ Y, rhs + ident if delta else rhs, keys)
+        e, m = _keys_residual(X @ Y, rhs + ident if delta else rhs, window)
         err, mag = max(err, e), max(mag, m)
     return _rel(err, mag)
 
@@ -441,9 +447,9 @@ def check_creator_weight_bound(model: ScatteringModel, grid: RapidityGrid,
         fnorm = float(np.linalg.norm(wplus[1] * f))
         A = creator_form(model, grid, K, f)
         B = annihilator_form(model, grid, K, f)
-        up = [sector_norm(model, grid, A.block(j + 1, j), j + 1, j,
+        up = [sector_norm(model, grid, A.orbit_block(j + 1, j), j + 1, j,
                           wplus[j + 1], 1.0 / wplus[j]) for j in range(K)]
-        down = [sector_norm(model, grid, B.block(j, j + 1), j, j + 1,
+        down = [sector_norm(model, grid, B.orbit_block(j, j + 1), j, j + 1,
                             wplus[j], 1.0 / wplus[j + 1]) for j in range(K)]
         for k in range(K):
             lhs = max(up[: k + 1])
@@ -470,7 +476,8 @@ def check_monomial_source_bound(model: ScatteringModel, grid: RapidityGrid,
         for j in range(n, kmax + 1):
             l = j - n + m
             wm = energy_weights(grid, omega, j, -1)
-            sig[j] = sector_norm(model, grid, F.block(l, j), l, j, np.ones(grid.size**l), wm)
+            sig[j] = sector_norm(model, grid, F.orbit_block(l, j), l, j,
+                                 np.ones(grid.size**l), wm)
         for k in range(n, kmax + 1):
             lhs = max(sig[j] for j in range(n, k + 1))
             c = 2.0 * math.sqrt(math.factorial(k) * math.factorial(k - n + m)) \
@@ -689,9 +696,10 @@ def check_dual_basis(model: ScatteringModel, grid: RapidityGrid,
         expected = math.factorial(mp) * math.factorial(np_) \
             * _sym_both(model, grid, g.values, mp, np_)
         scale = _maxabs(expected)
+        family = extract_family(model, A)
         for m in range(K + 1):
             for n in range(K + 1):
-                got = fmn_coefficients(model, A, m, n).values
+                got = family.entry(m, n).values
                 want = expected if (m, n) == (mp, np_) else np.zeros_like(got)
                 res = max(res, _rel(_maxabs(got - want), scale))
     return res
@@ -704,13 +712,13 @@ def check_inversion(model: ScatteringModel, grid: RapidityGrid,
     res = 0.0
     for rng in _instances(seed, "inversion", count):
         A = random_form(model, grid, K, rng)
-        fam = extract_family(model, A)
+        elements = element_tensors(model, A)
+        fam = family_from_elements(model, grid, K, elements)
         err = 0.0
         mag = _TINY
-        for m in range(K + 1):
-            for n in range(K + 1):
-                mag = max(mag, _maxabs(creator_elements(model, grid, A.block(m, n), m, n)))
-                err = max(err, inversion_residual(model, A, m, n, fam))
+        for (m, n), lhs in elements.items():
+            mag = max(mag, _maxabs(lhs))
+            err = max(err, inversion_residual(model, lhs, m, n, fam))
         res = max(res, err / mag)
     return res
 
@@ -734,7 +742,7 @@ def check_projection_invariance(model: ScatteringModel, grid: RapidityGrid,
     res = 0.0
     for rng in _instances(seed, "projection_invariance", count):
         kernels = {}
-        A = QuadraticForm(grid, K)
+        A = QuadraticForm(model, grid, K)
         for m in range(total + 1):
             for n in range(total + 1 - m):
                 f = random_kernel(grid, m, n, rng)
@@ -756,10 +764,11 @@ def _coefficient_deviation(model: ScatteringModel, B: QuadraticForm, want,
     """
     err = 0.0
     mag = _TINY
+    family = extract_family(model, B)
     for m in range(K + 1):
         for n in range(K + 1):
             wanted = want(m, n).values
-            err = max(err, _maxabs(fmn_coefficients(model, B, m, n).values - wanted))
+            err = max(err, _maxabs(family.entry(m, n).values - wanted))
             mag = max(mag, _maxabs(wanted))
     return err / mag
 
@@ -850,7 +859,8 @@ def check_vector_energy_bound(model: ScatteringModel, grid: RapidityGrid,
             v = rng.normal(size=grid.size**j) + 1j * rng.normal(size=grid.size**j)
             w = energy_weights(grid, omega, j, 1)
             # the creator vectors applied to v: sqrt(j!) P_j v
-            Lv = creator_elements(model, grid, v[:, None], j, 0).ravel()
+            Lv = math.sqrt(math.factorial(j)) \
+                * symmetrize(model, grid, v.reshape((grid.size,) * j)).ravel()
             lhs = float(np.linalg.norm(w * Lv))
             rhs = math.sqrt(math.factorial(j)) * float(np.linalg.norm(w * v))
             res = max(res, _excess(lhs, rhs))
@@ -890,11 +900,15 @@ def check_warp_compose(model: ScatteringModel, grid: RapidityGrid,
     return res
 
 
-def _translation_form(grid: RapidityGrid, truncation: int,
+def _translation_form(model: ScatteringModel, grid: RapidityGrid, truncation: int,
                       x) -> QuadraticForm:
-    """Diagonal form implementing translation by x on every sector."""
-    blocks = {(k, k): np.diag(translation_phases(grid, k, x)) for k in range(truncation + 1)}
-    return QuadraticForm(grid, truncation, blocks)
+    """Diagonal form implementing translation by x on every symmetric sector.
+
+    The phase is constant on orbits, so it is diagonal on orbits too.
+    """
+    reps = [symmetric_isometry(model, grid, k)[1] for k in range(truncation + 1)]
+    blocks = {(k, k): np.diag(translation_phases(grid, k, x)[r]) for k, r in enumerate(reps)}
+    return QuadraticForm(model, grid, truncation, blocks)
 
 
 def check_warp_translation(model: ScatteringModel, grid: RapidityGrid,
@@ -908,7 +922,7 @@ def check_warp_translation(model: ScatteringModel, grid: RapidityGrid,
         x = rng.normal(size=2)
         res = max(res, _form_rel(translate_form(warp(A, Q), x),
                                  warp(translate_form(A, x), Q)))
-        U = _translation_form(grid, truncation, x)
+        U = _translation_form(model, grid, truncation, x)
         res = max(res, _form_rel(warp(U, Q), U))
     return res
 
@@ -962,7 +976,7 @@ def check_homogeneous_sum(model: ScatteringModel, grid: RapidityGrid,
             np.fill_diagonal(gap, np.inf)
             if gap.min() <= GROUPING_RTOL * max(1.0, float(np.abs(t).max())):
                 return float("inf")
-        total = sum((comp.form for comp in comps), QuadraticForm(grid, truncation))
+        total = sum((comp.form for comp in comps), QuadraticForm(model, grid, truncation))
         res = max(res, _form_rel(total, A))
         x = rng.normal(size=2)
         scale = max(A.scale(), _TINY)
@@ -989,12 +1003,14 @@ def check_vector_phase(model: ScatteringModel, grid: RapidityGrid,
             f0, f1 = comp.transfer
             err = 0.0
             mag = _TINY
-            for (l, k), mat in comp.form.blocks.items():
+            for (l, k), C in comp.form.orbit_blocks.items():
+                reps = symmetric_isometry(model, grid, k)[1]
                 p0, p1 = sector_momentum(grid, k)
-                col = np.exp(1j * Q.pairing_arrays(f0, f1, p0, p1))
-                want = mat * col[None, :]
-                err = max(err, _maxabs(W.block(l, k) - want))
-                mag = max(mag, _maxabs(want))
+                col = np.exp(1j * Q.pairing_arrays(f0, f1, p0[reps], p1[reps]))
+                want = C * col[None, :]
+                w = peak_weights(model, grid, (l, k))
+                err = max(err, peak_abs(W.orbit_block(l, k) - want, w))
+                mag = max(mag, peak_abs(want, w))
             res = max(res, err / mag)
     return res
 
@@ -1043,7 +1059,7 @@ def check_deformed_exchange(grid: RapidityGrid, truncation: int, seed: int,
     """
     K = truncation
     ident = identity_form(ScatteringModel.free(), grid, K)
-    zero = QuadraticForm(grid, K)
+    zero = QuadraticForm(ScatteringModel.free(), grid, K)
     res = 0.0
     for rng in _instances(seed, "deformed_exchange", count):
         a = float(rng.uniform(0.3, 2.0))
@@ -1053,10 +1069,10 @@ def check_deformed_exchange(grid: RapidityGrid, truncation: int, seed: int,
         res = max(res, _exchange_residual(S, cre, ann, ident, K))
         err = 0.0
         mag = _TINY
-        for _, _, X, Y, keys, delta in _exchange_words(cre, ann, K):
+        for _, _, X, Y, window, delta in _exchange_words(cre, ann, K):
             want = ident if delta else zero
-            e, _ = _keys_residual(q_commutator(X, Y, Q), want, keys)
-            _, m = _keys_residual(X @ Y, want, keys)
+            e, _ = _keys_residual(q_commutator(X, Y, Q), want, window)
+            _, m = _keys_residual(X @ Y, want, window)
             err, mag = max(err, e), max(mag, m)
         res = max(res, err / mag)
     return res
@@ -1117,49 +1133,57 @@ def _family_residual(fam: dict, direct: dict) -> float:
     return _rel(err, scale)
 
 
+def _nested_residual(instances, draw: ScatteringModel, nested, direct,
+                     grid: RapidityGrid, truncation: int, total: int | None) -> float:
+    """Nested-bracket families against the directly extracted coefficients.
+
+    Each generator of ``instances`` draws a form under ``draw``; its family
+    ``nested(A, total)`` is compared with ``direct(A, m, n)`` for each of
+    its (m, n).
+    """
+    total = min(truncation, 2) if total is None else total
+    res = 0.0
+    for rng in instances:
+        A = random_form(draw, grid, truncation, rng)
+        fam = nested(A, total)
+        res = max(res, _family_residual(fam, {mn: direct(A, *mn) for mn in fam}))
+    return res
+
+
 def check_nested_free(grid: RapidityGrid, truncation: int, seed: int,
                       count: int, total: int | None = None) -> float:
     """Nested plain commutators recover the coefficients of the trivial factor."""
     free = ScatteringModel.free()
-    total = min(truncation, 2) if total is None else total
-    res = 0.0
-    for rng in _instances(seed, "nested_free", count):
-        A = random_form(free, grid, truncation, rng)
-        fam = nested_free_family(A, total)
-        direct = {mn: fmn_coefficients(free, A, mn[0], mn[1]) for mn in fam}
-        res = max(res, _family_residual(fam, direct))
-    return res
+    return _nested_residual(_instances(seed, "nested_free", count), free,
+                            nested_free_family,
+                            lambda A, m, n: fmn_coefficients(free, A, m, n),
+                            grid, truncation, total)
 
 
 def check_nested_graded(grid: RapidityGrid, truncation: int, seed: int,
                         count: int, total: int | None = None) -> float:
     """Nested graded commutators recover the coefficients of the sign factor."""
     ising = ScatteringModel.ising()
-    total = min(truncation, 2) if total is None else total
-    res = 0.0
-    for rng in _instances(seed, "nested_graded", count):
-        A = random_form(ising, grid, truncation, rng)
-        fam = nested_graded_family(A, total)
-        direct = {mn: fmn_coefficients(ising, A, mn[0], mn[1]) for mn in fam}
-        res = max(res, _family_residual(fam, direct))
-    return res
+    return _nested_residual(_instances(seed, "nested_graded", count), ising,
+                            nested_graded_family,
+                            lambda A, m, n: fmn_coefficients(ising, A, m, n),
+                            grid, truncation, total)
 
 
 def check_nested_deformed(grid: RapidityGrid, truncation: int, seed: int,
                           count: int, a: float = 1.0,
                           total: int | None = None) -> float:
-    """Nested deformed commutators recover the deformed-creator coefficients."""
+    """Nested deformed commutators recover the deformed-creator coefficients.
+
+    The forms are drawn under the free model: on Q-model-symmetric ones a
+    twist by conj(phi_Q) reads the same as one by phi_Q.
+    """
     Q = SkewSymmetricQ(a, grid.mass)
-    total = min(truncation, 2) if total is None else total
-    res = 0.0
-    for rng in _instances(seed, "nested_deformed", count):
-        # a free-model form: on Q-model-symmetric ones a twist by conj(phi_Q)
-        # reads the same as one by phi_Q
-        A = random_form(ScatteringModel.free(), grid, truncation, rng)
-        fam = nested_q_family(A, Q, total)
-        direct = {mn: deformed_fmn_coefficients(A, Q, mn[0], mn[1]) for mn in fam}
-        res = max(res, _family_residual(fam, direct))
-    return res
+    return _nested_residual(_instances(seed, "nested_deformed", count),
+                            ScatteringModel.free(),
+                            lambda A, total: nested_q_family(A, Q, total),
+                            lambda A, m, n: deformed_fmn_coefficients(A, Q, m, n),
+                            grid, truncation, total)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,13 @@ element.  The deformed commutator built from it closes on expansion
 coefficients: nested deformed commutators of an operator with deformed
 creators and annihilators reproduce the contraction-sum coefficients.
 
+Forms are stored on orbit pairs (``zops.QuadraticForm``), and the total
+momentum of a tuple is constant on its permutation orbit, so the warp,
+its spectral sums and the split by momentum transfer act on the
+compressed blocks, through the momenta of the orbit representatives.
+This is the warped-convolution structure: every phase is a function of
+the bra and ket momenta alone.
+
 On n-particle tuples the deformation is one diagonal phase: with
 phi_Q(t) = exp(i sum_{a<b} p(t_a) . (Q p(t_b))) and D_Q = diag(phi_Q),
 the symmetrizer of the model generated by Q is D_Q^H P_free D_Q.  So the
@@ -31,7 +38,7 @@ from .expansion import fmn_coefficients
 from .fock import RapidityGrid, sector_momentum
 from .scattering import ScatteringModel, _axis
 from .zops import (KernelTensor, QuadraticForm, annihilator_form, creator_form,
-                   point_ladder)
+                   point_ladder, symmetric_isometry)
 
 
 # momenta (and transfers) within this fraction of the largest one share a group
@@ -86,18 +93,26 @@ def _check_mass(A: QuadraticForm, Q: SkewSymmetricQ) -> None:
         raise ValueError("deformation mass differs from the lattice mass")
 
 
+def _orbit_momentum(model: ScatteringModel, grid: RapidityGrid,
+                    n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Total two-momentum of the orbit representatives of the n-particle sector."""
+    reps = symmetric_isometry(model, grid, n)[1]
+    p0, p1 = sector_momentum(grid, n)
+    return p0[reps], p1[reps]
+
+
 def warp(A: QuadraticForm, Q: SkewSymmetricQ) -> QuadraticForm:
     """Deformed operator: each matrix element picks up exp(i q . (Q p)).
 
     q and p are the total momenta of the row and column basis tuples.  This
     is the spectral sum over momentum projectors evaluated exactly, and the
-    left and right orderings agree because Q is skew.
+    left and right orderings agree because Q is skew.  The momenta are
+    constant on orbits, so the phase multiplies each compressed block
+    entrywise, read at the orbit representatives.
     """
     _check_mass(A, Q)
-    blocks = {}
-    for (l, k), mat in A.blocks.items():
-        blocks[(l, k)] = _phase_block(A.grid, Q, l, k) * mat
-    return QuadraticForm(A.grid, A.truncation, blocks, A.truncated)
+    return A._like({(l, k): _phase_block(A.model, A.grid, Q, l, k) * C
+                    for (l, k), C in A.orbit_blocks.items()})
 
 
 def _phase(Q: SkewSymmetricQ, x0, x1, y0, y1, sign: complex, key) -> np.ndarray:
@@ -110,9 +125,11 @@ def _phase(Q: SkewSymmetricQ, x0, x1, y0, y1, sign: complex, key) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _phase_block(grid: RapidityGrid, Q: SkewSymmetricQ, l: int, k: int) -> np.ndarray:
-    q0, q1 = sector_momentum(grid, l)
-    p0, p1 = sector_momentum(grid, k)
+def _phase_block(model: ScatteringModel, grid: RapidityGrid, Q: SkewSymmetricQ,
+                 l: int, k: int) -> np.ndarray:
+    """exp(i q . (Q p)) over the orbit representatives of sectors l and k."""
+    q0, q1 = _orbit_momentum(model, grid, l)
+    p0, p1 = _orbit_momentum(model, grid, k)
     phase = _phase(Q, q0[:, None], q1[:, None], p0[None, :], p1[None, :], 1j, (l, k))
     phase.setflags(write=False)
     return phase
@@ -167,16 +184,16 @@ def _cluster(values: np.ndarray, atol: float) -> tuple[np.ndarray, np.ndarray]:
     return labels, reps
 
 
-def _momentum_clusters(grid: RapidityGrid,
+def _momentum_clusters(model: ScatteringModel, grid: RapidityGrid,
                        truncation: int) -> tuple[list[np.ndarray], np.ndarray]:
-    """Cluster the total momenta of all basis tuples up to the truncation.
+    """Cluster the total momenta of all orbit representatives up to the truncation.
 
     Returns per-sector label arrays and the representative momenta.
     """
     moms = []
     sizes = []
     for s in range(truncation + 1):
-        p0, p1 = sector_momentum(grid, s)
+        p0, p1 = _orbit_momentum(model, grid, s)
         moms.append(np.stack([p0, p1], axis=1))
         sizes.append(len(p0))
     allmoms = np.concatenate(moms, axis=0)
@@ -200,11 +217,11 @@ def warp_spectral(A: QuadraticForm, Q: SkewSymmetricQ, side: str = "right") -> Q
     _check_mass(A, Q)
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    labels, reps = _momentum_clusters(A.grid, A.truncation)
+    labels, reps = _momentum_clusters(A.model, A.grid, A.truncation)
     blocks = {}
-    for (l, k), mat in A.blocks.items():
-        q0, q1 = sector_momentum(A.grid, l)
-        p0, p1 = sector_momentum(A.grid, k)
+    for (l, k), mat in A.orbit_blocks.items():
+        q0, q1 = _orbit_momentum(A.model, A.grid, l)
+        p0, p1 = _orbit_momentum(A.model, A.grid, k)
         key_labels = labels[k] if side == "right" else labels[l]
         rep = reps[key_labels]  # one representative momentum per keyed index
         if side == "right":
@@ -217,7 +234,7 @@ def warp_spectral(A: QuadraticForm, Q: SkewSymmetricQ, side: str = "right") -> Q
             col = _phase(Q, p0[None, :], p1[None, :], rep[:, None, 0], rep[:, None, 1],
                          -1j, (l, k))
             blocks[(l, k)] = row[:, None] * mat * col
-    return QuadraticForm(A.grid, A.truncation, blocks, A.truncated)
+    return A._like(blocks)
 
 
 @dataclass
@@ -233,13 +250,15 @@ def momentum_sector_decompose(A: QuadraticForm) -> list[HomogeneousComponent]:
 
     The pieces sum to A exactly, and each is an eigenvector of translation
     conjugation with phase exp(i transfer . x).  Transfers equal within
-    GROUPING_RTOL (relative to the largest) share one piece.
+    GROUPING_RTOL (relative to the largest) share one piece.  The transfer
+    is constant on each pair of orbits, so the compressed blocks are split
+    by the transfers of their representative pairs.
     """
     entries = []  # (block key, rows, columns) of the nonzero entries
     transfers = []
-    for (l, k), mat in A.blocks.items():
-        q0, q1 = sector_momentum(A.grid, l)
-        p0, p1 = sector_momentum(A.grid, k)
+    for (l, k), mat in A.orbit_blocks.items():
+        q0, q1 = _orbit_momentum(A.model, A.grid, l)
+        p0, p1 = _orbit_momentum(A.model, A.grid, k)
         i, j = np.nonzero(mat)
         entries.append(((l, k), i, j))
         transfers.append(np.stack([q0[i] - p0[j], q1[i] - p1[j]], axis=1))
@@ -248,16 +267,17 @@ def momentum_sector_decompose(A: QuadraticForm) -> list[HomogeneousComponent]:
         return []
     scale = max(1.0, float(np.max(np.abs(arr))))
     labels, reps = _cluster(arr, GROUPING_RTOL * scale)
-    comps = [QuadraticForm(A.grid, A.truncation, {}, A.truncated) for _ in reps]
+    comps = [A._like({}) for _ in reps]
     start = 0
     for key, i, j in entries:
         block_labels = labels[start:start + len(i)]
         start += len(i)
+        mat = A.orbit_blocks[key]
         for lab in np.flatnonzero(np.bincount(block_labels)):
             hit = block_labels == lab
-            piece = np.zeros_like(A.blocks[key])
-            piece[i[hit], j[hit]] = A.blocks[key][i[hit], j[hit]]
-            comps[lab].blocks[key] = piece
+            piece = np.zeros_like(mat)
+            piece[i[hit], j[hit]] = mat[i[hit], j[hit]]
+            comps[lab].orbit_blocks[key] = piece
     order = np.lexsort((reps[:, 1], reps[:, 0]))
     return [HomogeneousComponent((float(reps[lab][0]), float(reps[lab][1])), comps[lab])
             for lab in order]
@@ -299,7 +319,8 @@ def deformed_point_ladder(grid: RapidityGrid, truncation: int,
 
 def _tuple_phases(grid: RapidityGrid, Q: SkewSymmetricQ, n: int) -> np.ndarray:
     """phi_Q(t) = exp(i sum_{a<b} p(t_a) . (Q p(t_b))) on every n-tuple, row-major."""
-    pair = _phase_block(grid, Q, 1, 1)  # exp(i p(g) . (Q p(h))) over lattice points
+    # exp(i p(g) . (Q p(h))) over lattice points: every point is a one-tuple orbit
+    pair = _phase_block(ScatteringModel.free(), grid, Q, 1, 1)
     N = grid.size
     out = np.ones((N,) * n, dtype=complex)
     for a in range(n):
@@ -317,13 +338,16 @@ def deformed_fmn_coefficients(A: QuadraticForm, Q: SkewSymmetricQ, m: int,
     ordinary symmetric space.  Since that model's symmetrizer is
     D_Q^H P_free D_Q, these are the plain coefficients of the twist
     D_Q^H A D_Q, of which only the blocks (l, k) with l <= m, k <= n enter.
+    The twist is taken on the dense views of those blocks and stored on the
+    orbits of that model.
     """
     _check_mass(A, Q)
     phases = [_tuple_phases(A.grid, Q, j) for j in range(max(m, n) + 1)]
-    blocks = {(l, k): phases[l].conj()[:, None] * mat * phases[k][None, :]
-              for (l, k), mat in A.blocks.items() if l <= m and k <= n}
-    twisted = QuadraticForm(A.grid, A.truncation, blocks, A.truncated)
-    return fmn_coefficients(Q.scattering_model(), twisted, m, n)
+    blocks = {(l, k): phases[l].conj()[:, None] * A.block(l, k) * phases[k][None, :]
+              for (l, k) in A.orbit_blocks if l <= m and k <= n}
+    model = Q.scattering_model()
+    twisted = QuadraticForm.from_dense(model, A.grid, A.truncation, blocks, A.truncated)
+    return fmn_coefficients(model, twisted, m, n)
 
 
 def _nested_family(A: QuadraticForm, total: int,
@@ -353,12 +377,12 @@ def _nested_family(A: QuadraticForm, total: int,
            for n in range(total + 1) for m in range(total + 1 - n)}
 
     def vac(X: QuadraticForm) -> complex:
-        blk = X.blocks.get((0, 0))
+        # the vacuum is its own orbit, with V_0 = [[1]]
+        blk = X.orbit_blocks.get((0, 0))
         return complex(blk[0, 0]) if blk is not None else 0.0
 
     def reachable(X: QuadraticForm, r: int) -> QuadraticForm:
-        blocks = {(l, k): mat for (l, k), mat in X.blocks.items() if l + k <= r}
-        return QuadraticForm(X.grid, X.truncation, blocks, X.truncated)
+        return X._like({(l, k): C for (l, k), C in X.orbit_blocks.items() if l + k <= r})
 
     layer: dict[tuple[int, ...], QuadraticForm] = {(): reachable(A, total)}
     for n in range(total + 1):
@@ -388,9 +412,8 @@ def _graded_commutator(X: QuadraticForm, Y: QuadraticForm) -> QuadraticForm:
     this is X Y - Y X on the even part and X Y + Y X on the odd one.
     """
     YX = Y @ X
-    signed = {(l, k): (-1.0) * mat if (l - k) % 2 else mat
-              for (l, k), mat in YX.blocks.items()}
-    return X @ Y + QuadraticForm(YX.grid, YX.truncation, signed, YX.truncated)
+    return X @ Y + YX._like({(l, k): (-1.0) * C if (l - k) % 2 else C
+                             for (l, k), C in YX.orbit_blocks.items()})
 
 
 def nested_free_family(A: QuadraticForm, total: int) -> dict[tuple[int, int], KernelTensor]:

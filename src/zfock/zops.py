@@ -1,16 +1,16 @@
 """Creation and annihilation operators with S-twisted exchange, and their forms.
 
 Operators are realized either as actions on :class:`FockState` or as
-sector-blocked matrices (:class:`QuadraticForm`) over the full lattice
-tensor basis.  The S-symmetric subspace has one representation: the
-orthonormal orbit basis V of :func:`symmetric_isometry`, built directly
-from the permutation orbits, with one column per admissible multiset.
-Every symmetrization goes through it: :func:`symmetrize` projects a
-tensor, or a contiguous block of its slots, as V V^H; forms built here
-are sandwiched as V_l ((V_l^H X) V_k) V_k^H, so they annihilate the
-non-symmetric complement and compositions and matrix elements agree with
-the symmetric-subspace operators exactly.  No N**n x N**n symmetrizer is
-formed.  Weighted norms are taken on the compressed blocks V_l^H A V_k.
+sector-blocked forms (:class:`QuadraticForm`) on the S-symmetric
+subspace.  That subspace has one representation: the orthonormal orbit
+basis V of :func:`symmetric_isometry`, built directly from the
+permutation orbits, with one column per admissible multiset.  A form
+stores each block on orbit pairs, as C = V_l^H A V_k, and every form
+operation acts on C: sums, products, adjoints, the constructors, the
+draws, the norms and the full-basis residuals.  The dense block
+V_l C V_k^H over all N**l x N**k tuples is a view computed on access.
+:func:`symmetrize` projects a tensor, or a contiguous block of its
+slots, as V V^H.  No N**n x N**n symmetrizer is formed.
 """
 
 from __future__ import annotations
@@ -60,10 +60,19 @@ def kernel_adjoint(kernel: KernelTensor) -> KernelTensor:
     return KernelTensor(n, m, np.conj(kernel.values).transpose(perm))
 
 
+def orbit_dimension(model: ScatteringModel, N: int, n: int) -> int:
+    """Columns of the orbit basis of the n-particle sector on N lattice points.
+
+    C(N + n - 1, n) multisets when S(0) = +1; when S(0) = -1 only the
+    strictly increasing tuples remain, C(N, n) of them.
+    """
+    return math.comb(N, n) if model.value(0.0).real < 0 else math.comb(N + n - 1, n)
+
+
 @lru_cache(maxsize=None)
 def symmetric_isometry(model: ScatteringModel, grid: RapidityGrid,
-                       n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal basis V of the S-symmetric n-particle subspace, and its orbits.
+                       n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orthonormal basis V of the S-symmetric n-particle subspace, its orbits and peaks.
 
     There is one column per admissible multiset, built from its permutation
     orbit: the entry of an orbit tuple t is the sum of s_sigma(t) over the
@@ -73,8 +82,10 @@ def symmetric_isometry(model: ScatteringModel, grid: RapidityGrid,
     S(0) = +1; when S(0) = -1 the symmetrizer kills repeated entries and
     only strictly increasing tuples remain.  Distinct orbits have disjoint
     supports, so V^H V = I and V V^H is the symmetrizer, and no
-    N**n x N**n array is formed.  Returns V, of shape (N**n, orbits), and
-    the flat indices of the sorted tuples.
+    N**n x N**n array is formed.  Returns V, of shape (N**n, orbits), the
+    flat indices of the sorted tuples, and the largest |V| of each column.
+    Each row of V has at most one nonzero, so the largest entry of
+    V_l C V_k^H is max_ab |C_ab| peaks_l[a] peaks_k[b] (:func:`peak_abs`).
     """
     N = grid.size
     tuples = basis_tuples(N, n)
@@ -96,9 +107,29 @@ def symmetric_isometry(model: ScatteringModel, grid: RapidityGrid,
     V = np.zeros((N**n, len(reps)), dtype=complex)
     V[rows, column[rows]] = entry[rows]
     V /= np.linalg.norm(V, axis=0)
-    V.flags.writeable = False
-    reps.flags.writeable = False
-    return V, reps
+    peaks = np.abs(V).max(axis=0, initial=0.0)
+    for arr in (V, reps, peaks):
+        arr.flags.writeable = False
+    return V, reps, peaks
+
+
+def peak_weights(model: ScatteringModel, grid: RapidityGrid,
+                 key: tuple[int, int]) -> np.ndarray:
+    """w_l[a] w_k[b] over the orbit pairs of block key, w the largest |V| of each column.
+
+    A tuple lies in one orbit, so each row of V has at most one nonzero,
+    and the dense entry of the tuples (t, u) is V[t, a] C[a, b] conj(V[u, b])
+    for their orbits a and b: the largest |entry| of V_l C V_k^H over all
+    tuples is max_ab |C_ab| w_l[a] w_k[b] (:func:`peak_abs`).
+    """
+    wl = symmetric_isometry(model, grid, key[0])[2]
+    wk = symmetric_isometry(model, grid, key[1])[2]
+    return wl[:, None] * wk[None, :]
+
+
+def peak_abs(C: np.ndarray, weights: np.ndarray) -> float:
+    """Largest |entry| of the dense block V_l C V_k^H, read from C and its :func:`peak_weights`."""
+    return float(np.max(np.abs(C) * weights)) if C.size else 0.0
 
 
 def symmetrize(model: ScatteringModel, grid: RapidityGrid, values: np.ndarray,
@@ -131,84 +162,130 @@ def s_symmetry_residual(model: ScatteringModel, state: FockState) -> float:
 
 @dataclass
 class QuadraticForm:
-    """Sector-blocked operator on the truncated space, dense per block.
+    """Sector-blocked operator on the truncated S-symmetric space, stored on orbit pairs.
 
-    ``blocks[(l, k)]`` maps sector k to sector l as an (N**l, N**k) matrix.
-    Missing blocks are zero.  ``truncated`` marks possibly incomplete
+    ``orbit_blocks[(l, k)]`` maps sector k to sector l as the compressed
+    block C = V_l^H A V_k on the orbit bases of ``model``
+    (:func:`symmetric_isometry`), of shape (orbits_l, orbits_k).  Missing
+    blocks are zero.  ``blocks`` and :meth:`block` are the dense views
+    V_l C V_k^H over all N**l x N**k tuples, computed on access; the form
+    acts on states through them.  ``truncated`` marks possibly incomplete
     content (some construction discarded sectors above the truncation).
     """
 
+    model: ScatteringModel
     grid: RapidityGrid
     truncation: int
-    blocks: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
+    orbit_blocks: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
     truncated: bool = False
 
     def __post_init__(self):
         N = self.grid.size
+        dims = [orbit_dimension(self.model, N, j) for j in range(self.truncation + 1)]
         fixed = {}
-        for (l, k), mat in self.blocks.items():
+        for (l, k), C in self.orbit_blocks.items():
             if not (0 <= l <= self.truncation and 0 <= k <= self.truncation):
                 raise ValueError(f"block {(l, k)} outside truncation {self.truncation}")
-            arr = np.asarray(mat, dtype=complex)
-            if arr.shape != (N**l, N**k):
-                raise ValueError(f"block {(l, k)} has shape {arr.shape}")
+            arr = np.asarray(C, dtype=complex)
+            if arr.shape != (dims[l], dims[k]):
+                raise ValueError(f"orbit block {(l, k)} has shape {arr.shape}, "
+                                 f"expected {(dims[l], dims[k])}")
             fixed[(l, k)] = arr
-        self.blocks = fixed
+        self.orbit_blocks = fixed
+
+    @classmethod
+    def from_dense(cls, model: ScatteringModel, grid: RapidityGrid, truncation: int,
+                   blocks: dict[tuple[int, int], np.ndarray],
+                   truncated: bool = False) -> "QuadraticForm":
+        """The form whose dense blocks are P_l X P_k: C = V_l^H X V_k of each block X."""
+        orbit_blocks = {}
+        for (l, k), X in blocks.items():
+            Vl = symmetric_isometry(model, grid, l)[0]
+            Vk = symmetric_isometry(model, grid, k)[0]
+            orbit_blocks[(l, k)] = (Vl.conj().T @ X) @ Vk
+        return cls(model, grid, truncation, orbit_blocks, truncated)
+
+    def _like(self, orbit_blocks: dict, truncated: bool | None = None) -> "QuadraticForm":
+        """A form on the same space, with the same truncated flag unless given.
+
+        For the form operations: their complex blocks keep the shapes of
+        checked ones, so they are not checked again.
+        """
+        out = object.__new__(QuadraticForm)
+        out.model, out.grid, out.truncation = self.model, self.grid, self.truncation
+        out.orbit_blocks = orbit_blocks
+        out.truncated = self.truncated if truncated is None else truncated
+        return out
+
+    def orbit_block(self, l: int, k: int) -> np.ndarray:
+        """The compressed block (l, k), zeros when it is not stored."""
+        got = self.orbit_blocks.get((l, k))
+        if got is not None:
+            return got
+        N = self.grid.size
+        return np.zeros((orbit_dimension(self.model, N, l),
+                         orbit_dimension(self.model, N, k)), dtype=complex)
 
     def block(self, l: int, k: int) -> np.ndarray:
-        N = self.grid.size
-        got = self.blocks.get((l, k))
-        return got if got is not None else np.zeros((N**l, N**k), dtype=complex)
+        """The dense view V_l C V_k^H of block (l, k) over all tuples."""
+        Vl = symmetric_isometry(self.model, self.grid, l)[0]
+        Vk = symmetric_isometry(self.model, self.grid, k)[0]
+        return (Vl @ self.orbit_block(l, k)) @ Vk.conj().T
+
+    @property
+    def blocks(self) -> dict[tuple[int, int], np.ndarray]:
+        """Dense views of the stored blocks, computed on access."""
+        return {key: self.block(*key) for key in self.orbit_blocks}
 
     def _check_space(self, other: "QuadraticForm") -> None:
-        if self.grid != other.grid or self.truncation != other.truncation:
+        if (self.grid != other.grid or self.truncation != other.truncation
+                or self.model != other.model):
             raise ValueError("forms live on different spaces")
 
     def __add__(self, other: "QuadraticForm") -> "QuadraticForm":
         self._check_space(other)
-        keys = set(self.blocks) | set(other.blocks)
-        blocks = {key: self.block(*key) + other.block(*key) for key in keys}
-        return QuadraticForm(self.grid, self.truncation, blocks,
-                             self.truncated or other.truncated)
+        mine, theirs = self.orbit_blocks, other.orbit_blocks
+        blocks = {}
+        for key in dict.fromkeys([*mine, *theirs]):
+            a, b = mine.get(key), theirs.get(key)
+            blocks[key] = b if a is None else a if b is None else a + b
+        return self._like(blocks, self.truncated or other.truncated)
 
     def __sub__(self, other: "QuadraticForm") -> "QuadraticForm":
         return self + (-1.0) * other
 
     def __mul__(self, c) -> "QuadraticForm":
-        return QuadraticForm(self.grid, self.truncation,
-                             {key: c * mat for key, mat in self.blocks.items()},
-                             self.truncated)
+        return self._like({key: c * C for key, C in self.orbit_blocks.items()})
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "QuadraticForm") -> "QuadraticForm":
         self._check_space(other)
+        rows: dict[int, list] = {}
+        for (j, k), b in other.orbit_blocks.items():
+            rows.setdefault(j, []).append((k, b))
         blocks: dict[tuple[int, int], np.ndarray] = {}
-        for (l, j), a in self.blocks.items():
-            for (jj, k), b in other.blocks.items():
-                if jj != j:
-                    continue
-                key = (l, k)
+        for (l, j), a in self.orbit_blocks.items():
+            for k, b in rows.get(j, ()):
                 prod = a @ b
-                if key in blocks:
-                    blocks[key] = blocks[key] + prod
-                else:
-                    blocks[key] = prod
-        return QuadraticForm(self.grid, self.truncation, blocks,
-                             self.truncated or other.truncated)
+                got = blocks.get((l, k))
+                blocks[(l, k)] = prod if got is None else got + prod
+        return self._like(blocks, self.truncated or other.truncated)
 
     def adjoint(self) -> "QuadraticForm":
-        return QuadraticForm(self.grid, self.truncation,
-                             {(k, l): mat.conj().T for (l, k), mat in self.blocks.items()},
-                             self.truncated)
+        return self._like({(k, l): C.conj().T for (l, k), C in self.orbit_blocks.items()})
 
     def apply(self, state: FockState) -> FockState:
+        """The dense view acting on a state, as V_l (C (V_k^H psi_k))."""
         if state.grid != self.grid or state.truncation != self.truncation:
             raise ValueError("state and form live on different spaces")
         N = self.grid.size
         out = FockState.zeros(self.grid, self.truncation)
-        for (l, k), mat in self.blocks.items():
-            out.sectors[l] = out.sectors[l] + (mat @ state.sector(k).ravel()).reshape((N,) * l)
+        for (l, k), C in self.orbit_blocks.items():
+            Vl = symmetric_isometry(self.model, self.grid, l)[0]
+            Vk = symmetric_isometry(self.model, self.grid, k)[0]
+            image = Vl @ (C @ (Vk.conj().T @ state.sector(k).ravel()))
+            out.sectors[l] = out.sectors[l] + image.reshape((N,) * l)
         out.truncated = state.truncated or self.truncated
         return out
 
@@ -216,51 +293,43 @@ class QuadraticForm:
         return bra.inner(self.apply(ket))
 
     def scale(self) -> float:
-        """Largest block Frobenius norm; a size reference for residuals."""
-        return max((float(np.linalg.norm(m)) for m in self.blocks.values()), default=0.0)
-
-
-def sandwich(model: ScatteringModel, grid: RapidityGrid, mat: np.ndarray,
-             l: int, k: int) -> np.ndarray:
-    """P_l mat P_k, with P the symmetrizers, as V_l ((V_l^H mat) V_k) V_k^H."""
-    Vl = symmetric_isometry(model, grid, l)[0]
-    Vk = symmetric_isometry(model, grid, k)[0]
-    return Vl @ ((Vl.conj().T @ mat) @ Vk) @ Vk.conj().T
+        """Largest block Frobenius norm, which V keeps; a size reference for residuals."""
+        return max((float(np.linalg.norm(C)) for C in self.orbit_blocks.values()),
+                   default=0.0)
 
 
 def _ladder_block(model: ScatteringModel, grid: RapidityGrid, fmat: np.ndarray,
                   l: int, k: int) -> np.ndarray:
-    """P_l (fmat kron 1) P_k, the identity acting on the trailing slots.
+    """The compressed block V_l^H (fmat kron 1) V_k, the identity acting on the trailing slots.
 
-    The compressed block V_l^H (fmat kron 1) V_k is contracted from the
-    reshaped bases, so the Kronecker product is never formed.
+    It is contracted from the reshaped bases, so the Kronecker product is
+    never formed.
     """
     Vl = symmetric_isometry(model, grid, l)[0]
     Vk = symmetric_isometry(model, grid, k)[0]
     a, b = fmat.shape
     r = Vl.shape[0] // a
     left = np.tensordot(Vl.conj().T.reshape(Vl.shape[1], a, r), fmat, axes=(1, 0))
-    C = np.tensordot(left, Vk.reshape(b, r, Vk.shape[1]), axes=([2, 1], [0, 1]))
-    return Vl @ C @ Vk.conj().T
+    return np.tensordot(left, Vk.reshape(b, r, Vk.shape[1]), axes=([2, 1], [0, 1]))
 
 
 def identity_form(model: ScatteringModel, grid: RapidityGrid, truncation: int) -> QuadraticForm:
-    """Identity of the symmetric subspace: the symmetrizer V V^H per sector."""
-    blocks = {}
-    for n in range(truncation + 1):
-        V = symmetric_isometry(model, grid, n)[0]
-        blocks[(n, n)] = V @ V.conj().T
-    return QuadraticForm(grid, truncation, blocks)
+    """Identity of the symmetric subspace: the identity on the orbits of every sector."""
+    blocks = {(n, n): np.eye(orbit_dimension(model, grid.size, n), dtype=complex)
+              for n in range(truncation + 1)}
+    return QuadraticForm(model, grid, truncation, blocks)
 
 
 def form_residual(A: QuadraticForm, B: QuadraticForm) -> float:
-    """Largest absolute entry of A - B over the union of stored blocks."""
-    keys = set(A.blocks) | set(B.blocks)
+    """Largest absolute entry of the dense A - B over the union of stored blocks.
+
+    Read from the compressed difference through :func:`peak_abs`.
+    """
+    A._check_space(B)
     res = 0.0
-    for key in keys:
-        diff = A.block(*key) - B.block(*key)
-        if diff.size:
-            res = max(res, float(np.max(np.abs(diff))))
+    for key in dict.fromkeys([*A.orbit_blocks, *B.orbit_blocks]):
+        diff = A.orbit_block(*key) - B.orbit_block(*key)
+        res = max(res, peak_abs(diff, peak_weights(A.model, A.grid, key)))
     return res
 
 
@@ -303,20 +372,20 @@ def annihilate(f: np.ndarray, state: FockState) -> FockState:
 
 def creator_form(model: ScatteringModel, grid: RapidityGrid, truncation: int,
                  f: np.ndarray) -> QuadraticForm:
-    """Matrix form of the creation operator, sandwiched between symmetrizers."""
+    """Matrix form of the creation operator on the symmetric subspace."""
     f = np.asarray(f, dtype=complex).reshape(grid.size, 1)
     blocks = {(k + 1, k): math.sqrt(k + 1) * _ladder_block(model, grid, f, k + 1, k)
               for k in range(truncation)}
-    return QuadraticForm(grid, truncation, blocks)
+    return QuadraticForm(model, grid, truncation, blocks)
 
 
 def annihilator_form(model: ScatteringModel, grid: RapidityGrid, truncation: int,
                      f: np.ndarray) -> QuadraticForm:
-    """Matrix form of the annihilation operator, sandwiched between symmetrizers."""
+    """Matrix form of the annihilation operator on the symmetric subspace."""
     f = np.asarray(f, dtype=complex).reshape(1, grid.size)
     blocks = {(k, k + 1): math.sqrt(k + 1) * _ladder_block(model, grid, f, k, k + 1)
               for k in range(truncation)}
-    return QuadraticForm(grid, truncation, blocks)
+    return QuadraticForm(model, grid, truncation, blocks)
 
 
 def point_ladder(model: ScatteringModel, grid: RapidityGrid,
@@ -355,7 +424,7 @@ def zmzn_form(model: ScatteringModel, kernel: KernelTensor, grid: RapidityGrid,
             continue
         c = math.sqrt(math.factorial(k) * math.factorial(l)) / math.factorial(k - n)
         blocks[(l, k)] = c * _ladder_block(model, grid, fmat, l, k)
-    return QuadraticForm(grid, K, blocks, truncated=dropped)
+    return QuadraticForm(model, grid, K, blocks, truncated=dropped)
 
 
 # ---------------------------------------------------------------------------
@@ -376,21 +445,25 @@ def cross_norm(kernel: KernelTensor, grid: RapidityGrid, omega: Indicatrix) -> f
     return 0.5 * float(left + right)
 
 
-def sector_norm(model: ScatteringModel, grid: RapidityGrid, mat: np.ndarray,
-                l: int, k: int, wl: np.ndarray, wr: np.ndarray) -> float:
-    """Spectral norm of diag(wl) mat diag(wr) on the S-symmetric sectors, l <- k.
+def _require_model(model: ScatteringModel, A: QuadraticForm) -> None:
+    if A.model != model:
+        raise ValueError(f"form is stored on the orbits of {A.model}, not of {model}")
 
+
+def sector_norm(model: ScatteringModel, grid: RapidityGrid, C: np.ndarray,
+                l: int, k: int, wl: np.ndarray, wr: np.ndarray) -> float:
+    """Spectral norm of diag(wl) A diag(wr) on the S-symmetric sectors, l <- k.
+
+    ``C`` is the compressed block V_l^H A V_k of ``symmetric_isometry``.
     ``wl`` and ``wr`` weigh the N**l and N**k tuples and must be constant on
-    permutation orbits, as functions of the energy are.  The result is the
-    norm of P_l diag(wl) mat diag(wr) P_k, with P the symmetrizers, taken
-    on the compressed block V_l^H mat V_k of ``symmetric_isometry``: there
-    diag(w) V = V diag(w[reps]).  For a block with mat = P_l mat P_k, as
-    every block built here, it equals the norm over all tuples.
+    permutation orbits, as functions of the energy are, so that
+    diag(w) V = V diag(w[reps]).  The result is the norm of
+    P_l diag(wl) A diag(wr) P_k, with P the symmetrizers; for a form with
+    A = P_l A P_k, as every form is, it equals the norm over all tuples.
     """
-    Vl, rl = symmetric_isometry(model, grid, l)
-    Vk, rk = symmetric_isometry(model, grid, k)
-    C = wl[rl, None] * (Vl.conj().T @ mat @ Vk) * wr[rk]
-    return float(np.linalg.norm(C, ord=2))
+    rl = symmetric_isometry(model, grid, l)[1]
+    rk = symmetric_isometry(model, grid, k)[1]
+    return float(np.linalg.norm(wl[rl, None] * C * wr[rk], ord=2))
 
 
 def qform_norm(model: ScatteringModel, A: QuadraticForm, n: int, omega: Indicatrix) -> float:
@@ -398,22 +471,21 @@ def qform_norm(model: ScatteringModel, A: QuadraticForm, n: int, omega: Indicatr
 
     With W = exp(-omega(energy)) over sectors 0..n and P the symmetrizer,
     this is half the sum of the spectral norms of P A W P and P W A P.  It
-    is taken on the blocks V_l^H A_lk V_k of ``symmetric_isometry``; W is
-    constant on orbits, so W V = V diag(w[reps]) and no singular value is
-    lost.  For a form with A = P A P, as every form built here, it equals
-    the norm of A W and W A over all tuples.
+    is taken on the compressed blocks of A; W is constant on orbits, so
+    W V = V diag(w[reps]) and no singular value is lost.  Every form has
+    A = P A P, so this is the norm of A W and W A over all tuples.
     """
+    _require_model(model, A)
     if not 0 <= n <= A.truncation:
         raise ValueError(f"sector bound {n} outside 0..{A.truncation}")
-    bases = [symmetric_isometry(model, A.grid, j) for j in range(n + 1)]
-    offs = np.cumsum([0] + [len(reps) for _, reps in bases])
+    reps = [symmetric_isometry(model, A.grid, j)[1] for j in range(n + 1)]
+    offs = np.cumsum([0] + [len(r) for r in reps])
     C = np.zeros((offs[-1], offs[-1]), dtype=complex)
-    for (l, k), mat in A.blocks.items():
+    for (l, k), blk in A.orbit_blocks.items():
         if l <= n and k <= n:
-            C[offs[l]:offs[l + 1], offs[k]:offs[k + 1]] = \
-                bases[l][0].conj().T @ mat @ bases[k][0]
-    w = np.concatenate([energy_weights(A.grid, omega, j, -1)[reps]
-                        for j, (_, reps) in enumerate(bases)])
+            C[offs[l]:offs[l + 1], offs[k]:offs[k + 1]] = blk
+    w = np.concatenate([energy_weights(A.grid, omega, j, -1)[r]
+                        for j, r in enumerate(reps)])
     left = np.linalg.norm(C * w[None, :], ord=2)
     right = np.linalg.norm(w[:, None] * C, ord=2)
     return 0.5 * float(left + right)

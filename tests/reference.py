@@ -14,7 +14,10 @@ deformed creator vectors and deformed monomials built operator by
 operator are the references of the extracted coefficients.
 ``tabulated`` draws a table model of random unitary values on a
 lattice's differences.  ``big_matrix``, ``vacuum`` and the permutation
-``sign`` are views only the tests need.
+``sign`` are views only the tests need.  The ``dense_*`` functions are the
+form operations on dense blocks over all tuples, the way the package
+computed them before forms were stored on orbit pairs: the references of
+the compressed operations.
 """
 
 import math
@@ -24,10 +27,10 @@ from typing import Sequence
 import numpy as np
 
 from zfock.contractions import Contraction, _factor_indices, _sweep_indices
-from zfock.fock import FockState, RapidityGrid, basis_tuples
+from zfock.fock import FockState, RapidityGrid, basis_tuples, sector_momentum
 from zfock.scattering import (Permutation, ScatteringModel, _axis, all_permutations,
                               pair_values, s_sigma_grid)
-from zfock.warped import SkewSymmetricQ, deformed_point_ladder
+from zfock.warped import GROUPING_RTOL, SkewSymmetricQ, _cluster, deformed_point_ladder
 from zfock.zops import KernelTensor, QuadraticForm, create, identity_form
 
 
@@ -177,14 +180,19 @@ def r_c_factor(model: ScatteringModel, C: Contraction, theta: Sequence[float],
     return out
 
 
-def tabulated(grid: RapidityGrid, rng: np.random.Generator) -> ScatteringModel:
-    """Unitary values S(-d) = conj S(d) on every lattice difference, S(0) = +-1."""
+def tabulated(grid: RapidityGrid, rng: np.random.Generator,
+              s0: float | None = None) -> ScatteringModel:
+    """Unitary values S(-d) = conj S(d) on every lattice difference, S(0) = s0.
+
+    s0 is drawn from +-1 when not given.
+    """
     pts = grid.array()
     keys = {round(float(d), 12) for d in (pts[:, None] - pts[None, :]).ravel()}
     diffs = sorted(key for key in keys if key > 0)
     phases = np.exp(1j * rng.uniform(-np.pi, np.pi, len(diffs)))
     thetas = [0.0] + diffs + [-d for d in diffs]
-    values = [float(rng.choice([-1.0, 1.0]))] + list(phases) + list(np.conj(phases))
+    s0 = float(rng.choice([-1.0, 1.0])) if s0 is None else s0
+    values = [s0] + list(phases) + list(np.conj(phases))
     return ScatteringModel.tabulated(thetas, values)
 
 
@@ -274,7 +282,7 @@ def deformed_monomial(grid: RapidityGrid, truncation: int, Q: SkewSymmetricQ,
 
     lefts = words(creators, m)
     rights = words(annihilators, n)
-    total = QuadraticForm(grid, truncation)
+    total = QuadraticForm(ScatteringModel.free(), grid, truncation)
     flat = kernel.values.reshape((N,) * (m + n)) if m + n else kernel.values
     for lkey, V in lefts.items():
         for rkey, W in rights.items():
@@ -291,3 +299,91 @@ def deformed_monomial(grid: RapidityGrid, truncation: int, Q: SkewSymmetricQ,
                 word = c * (V @ W)
             total = total + word
     return total
+
+
+# ---------------------------------------------------------------------------
+# form operations on dense blocks over all tuples
+
+
+def dense_matmul(a: dict, b: dict) -> dict:
+    """Blocks of the product: sum over j of a[(l, j)] @ b[(j, k)]."""
+    out: dict = {}
+    for (l, j), x in a.items():
+        for (jj, k), y in b.items():
+            if jj == j:
+                out[(l, k)] = out.get((l, k), 0) + x @ y
+    return out
+
+
+def dense_phased(blocks: dict, grid: RapidityGrid, phase) -> dict:
+    """Each block times ``phase(q0, q1, p0, p1)`` of its row and column tuple momenta."""
+    out = {}
+    for (l, k), mat in blocks.items():
+        q0, q1 = sector_momentum(grid, l)
+        p0, p1 = sector_momentum(grid, k)
+        out[(l, k)] = phase(q0[:, None], q1[:, None], p0[None, :], p1[None, :]) * mat
+    return out
+
+
+def dense_warp(blocks: dict, grid: RapidityGrid, Q: SkewSymmetricQ) -> dict:
+    """exp(i q . (Q p)) on every entry, q and p the row and column tuple momenta."""
+    return dense_phased(blocks, grid, lambda q0, q1, p0, p1:
+                        np.exp(1j * Q.pairing_arrays(q0, q1, p0, p1)))
+
+
+def dense_translate(blocks: dict, grid: RapidityGrid, x) -> dict:
+    """exp(i (q - p) . x) on every entry."""
+    return dense_phased(blocks, grid, lambda q0, q1, p0, p1:
+                        np.exp(1j * ((q0 - p0) * x[0] - (q1 - p1) * x[1])))
+
+
+def dense_warp_spectral(blocks: dict, grid: RapidityGrid, truncation: int,
+                        Q: SkewSymmetricQ, side: str) -> dict:
+    """The spectral sum over momentum clusters of all tuples, on one side."""
+    moms = [np.stack(sector_momentum(grid, s), axis=1) for s in range(truncation + 1)]
+    allmoms = np.concatenate(moms)
+    labels, reps = _cluster(allmoms, GROUPING_RTOL * max(1.0, float(np.max(np.abs(allmoms)))))
+    offs = np.cumsum([0] + [len(m) for m in moms])
+    out = {}
+    for (l, k), mat in blocks.items():
+        q, p = moms[l], moms[k]
+        if side == "right":
+            rep = reps[labels[offs[k]:offs[k + 1]]]
+            row = np.exp(1j * Q.pairing_arrays(q[:, None, 0], q[:, None, 1],
+                                               rep[None, :, 0], rep[None, :, 1]))
+            col = np.exp(-1j * Q.pairing_arrays(p[:, 0], p[:, 1], rep[:, 0], rep[:, 1]))
+            out[(l, k)] = row * mat * col[None, :]
+        else:
+            rep = reps[labels[offs[l]:offs[l + 1]]]
+            row = np.exp(1j * Q.pairing_arrays(q[:, 0], q[:, 1], rep[:, 0], rep[:, 1]))
+            col = np.exp(-1j * Q.pairing_arrays(p[None, :, 0], p[None, :, 1],
+                                                rep[:, None, 0], rep[:, None, 1]))
+            out[(l, k)] = row[:, None] * mat * col
+    return out
+
+
+def dense_reflect(blocks: dict, N: int) -> dict:
+    """J A* J: block (j, k) from block (k, j), every slot axis of its tensor reversed."""
+    return {(j, k): mat.reshape((N,) * (k + j)).T.reshape(N**j, N**k)
+            for (k, j), mat in blocks.items()}
+
+
+def dense_graded(blocks: dict) -> dict:
+    """The blocks (l, k) of odd l - k negated."""
+    return {(l, k): -mat if (l - k) % 2 else mat for (l, k), mat in blocks.items()}
+
+
+def dense_transfer_piece(blocks: dict, grid: RapidityGrid, transfer, atol: float) -> dict:
+    """The entries of each block whose tuple transfer q - p lies within atol of ``transfer``."""
+    return dense_phased(blocks, grid, lambda q0, q1, p0, p1:
+                        (np.abs(q0 - p0 - transfer[0]) <= atol)
+                        & (np.abs(q1 - p1 - transfer[1]) <= atol))
+
+
+def dense_apply(blocks: dict, state: FockState) -> FockState:
+    """The dense blocks acting on a state."""
+    N = state.grid.size
+    out = FockState.zeros(state.grid, state.truncation)
+    for (l, k), mat in blocks.items():
+        out.sectors[l] = out.sectors[l] + (mat @ state.sector(k).ravel()).reshape((N,) * l)
+    return out

@@ -202,6 +202,31 @@ def test_expand_rejects_foreign_lattice(tmp_path, grid4):
     assert code == 2
 
 
+def test_commands_refuse_a_foreign_model(tmp_path, capsys, grid3):
+    # the free config meets files of the ising model: expand, reconstruct
+    # and qcomm exit 2 and name the file
+    cfg = write_config(tmp_path, base_config())
+    ising = write_config(tmp_path, base_config(scattering={"family": "ising"}), "ising.json")
+    rng = keyed_rng(3, "cli", "model", 0)
+    A = tmp_path / "A.json"
+    save_form(A, random_form(ScatteringModel.ising(), grid3, 2, rng))
+    B = tmp_path / "B.json"
+    save_form(B, random_form(ScatteringModel.free(), grid3, 2, rng))
+    fam = tmp_path / "fam"
+    assert main(["expand", "--config", str(ising), "--in", str(A), "--out", str(fam)]) == 0
+    capsys.readouterr()
+    runs = [(["expand", "--config", str(cfg), "--in", str(A), "--out", str(tmp_path / "f")], A),
+            (["reconstruct", "--config", str(cfg), "--in", str(fam),
+              "--out", str(tmp_path / "R.json")], fam),
+            (["qcomm", "--a", "0.6", "--lhs", str(B), "--rhs", str(A),
+              "--out", str(tmp_path / "C.json")], A)]
+    for argv, named in runs:
+        assert main(argv) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert "scattering model" in err and str(named) in err, argv[0]
+    assert not (tmp_path / "R.json").exists() and not (tmp_path / "C.json").exists()
+
+
 def test_warp_inverse_roundtrip(tmp_path, grid3):
     A = random_form(ScatteringModel.free(), grid3, 2,
                     keyed_rng(3, "cli", "warp", 0))

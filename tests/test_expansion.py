@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from zfock.contractions import Contraction
-from zfock.expansion import (CoefficientFamily, boost_form, extract_family,
+from zfock.expansion import (CoefficientFamily, boost_form, element_tensors,
+                             extract_family, family_from_elements,
                              fmn_coefficients, inversion_residual, reconstruct,
                              reflect_conjugate, reflected_coeffs,
                              transform_coeffs_poincare, translate_form)
@@ -66,14 +67,14 @@ def test_roundtrip(model, grid3):
 
 def test_inversion_residual_small(model, grid3):
     A = random_form(model, grid3, 2, keyed_rng(0, "expansion", "inv", 0))
-    fam = extract_family(model, A)
-    for m in range(3):
-        for n in range(3):
-            assert inversion_residual(model, A, m, n, fam) <= 1e-10 * A.scale()
+    elements = element_tensors(model, A)
+    fam = family_from_elements(model, grid3, 2, elements)
+    for (m, n), lhs in elements.items():
+        assert inversion_residual(model, lhs, m, n, fam) <= 1e-10 * A.scale()
 
 
 def test_family_bookkeeping(grid3):
-    fam = CoefficientFamily(grid3, 2)
+    fam = CoefficientFamily(FREE, grid3, 2)
     kern = random_kernel(grid3, 1, 2, keyed_rng(0, "expansion", "fam", 0))
     fam.set_entry(kern)
     assert fam.entry(1, 2) is kern

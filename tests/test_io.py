@@ -42,14 +42,69 @@ def test_kernel_roundtrip(tmp_path, grid3):
 
 
 def test_form_roundtrip(tmp_path, grid3):
+    # the file holds the dense views; loading stores them on the orbits of
+    # the file's model again, which recovers the blocks up to rounding
     A = random_form(SINH, grid3, 2, keyed_rng(0, "io", "form", 0))
     path = tmp_path / "A.json"
     save_form(path, A)
     back = load_form(path)
     assert back.grid == A.grid
+    assert back.model == A.model
     assert back.truncation == A.truncation
-    for key, mat in A.blocks.items():
-        np.testing.assert_array_equal(back.block(*key), mat)
+    assert set(back.orbit_blocks) == set(A.orbit_blocks)
+    for key, C in A.orbit_blocks.items():
+        np.testing.assert_allclose(back.orbit_blocks[key], C, rtol=0, atol=1e-14 * A.scale())
+    doc = json.loads(path.read_text())
+    assert doc["scattering"] == {"family": "sinh_exp", "a": 0.7}
+    for rec in doc["blocks"]:
+        payload = np.array(rec["values"]).view(complex)[..., 0]
+        np.testing.assert_array_equal(payload, A.block(rec["rows"], rec["cols"]))
+
+
+@pytest.mark.parametrize("model", [ScatteringModel.ising(), SINH,
+                                   ScatteringModel.tabulated([0.0, 0.9, -0.9, 1.7, -1.7,
+                                                              0.8, -0.8],
+                                                             [-1, 1j, -1j, 1, 1, -1, -1])],
+                         ids=["ising", "sinh_exp", "table"])
+def test_form_file_carries_its_model(tmp_path, grid3, model):
+    A = random_form(model, grid3, 2, keyed_rng(0, "io", "model", 0))
+    save_form(tmp_path / "A.json", A)
+    assert load_form(tmp_path / "A.json").model == model
+
+
+def test_form_without_model_is_refused(tmp_path, grid3):
+    path = tmp_path / "A.json"
+    save_form(path, random_form(FREE, grid3, 1, keyed_rng(0, "io", "headless", 0)))
+    doc = json.loads(path.read_text())
+    del doc["scattering"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="missing field 'scattering'") as err:
+        load_form(path)
+    assert str(path) in str(err.value)
+    doc["scattering"] = {"family": "nope"}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="unknown scattering family") as err:
+        load_form(path)
+    assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("change", [1e-9, 1e-11])
+def test_non_symmetric_block_is_refused(tmp_path, grid3, change):
+    # one entry of a free form moved off its symmetric part by change times
+    # the block's largest entry: refused beyond 1e-10 of it, read below
+    path = tmp_path / "A.json"
+    save_form(path, random_form(FREE, grid3, 2, keyed_rng(0, "io", "symmetric", 0)))
+    doc = json.loads(path.read_text())
+    rec = next(r for r in doc["blocks"] if (r["rows"], r["cols"]) == (2, 1))
+    size = np.max(np.abs(np.array(rec["values"]).view(complex)))
+    rec["values"][1][0][0] += 2 * change * size
+    path.write_text(json.dumps(doc))
+    if change > 1e-10:
+        with pytest.raises(ValueError, match=r"block \(2, 1\) is not symmetric") as err:
+            load_form(path)
+        assert str(path) in str(err.value)
+    else:
+        load_form(path)
 
 
 def test_family_roundtrip(tmp_path, grid3):
@@ -105,6 +160,8 @@ MISSING = object()
     pytest.param("kernel", "grid", MISSING, id="kernel-grid"),
     pytest.param("family", "entries", MISSING, id="family-entries"),
     pytest.param("family", "truncation", MISSING, id="family-truncation"),
+    pytest.param("family", "scattering", MISSING, id="family-scattering"),
+    pytest.param("family", "scattering", "free", id="family-string_scattering"),
     pytest.param("state", "mass", "1.0", id="state-string_mass"),
     pytest.param("state", "truncation", "1", id="state-string_truncation"),
     pytest.param("state", "truncation", 2, id="state-truncation_beyond_sectors"),
@@ -161,7 +218,8 @@ def test_saved_bytes_equal_json_dumps(tmp_path, grid3):
 
     A = random_form(SINH, grid3, 2, keyed_rng(0, "io", "bytes", 2))
     save_form(tmp_path / "A.json", A)
-    want = {"kind": "quadratic_form", **header, "truncation": 2,
+    model = {"scattering": {"family": "sinh_exp", "a": 0.7}}
+    want = {"kind": "quadratic_form", **header, **model, "truncation": 2,
             "truncated": A.truncated,
             "blocks": [{"rows": l, "cols": k, "values": complex_to_nested(mat)}
                        for (l, k), mat in sorted(A.blocks.items())]}
@@ -176,7 +234,7 @@ def test_saved_bytes_equal_json_dumps(tmp_path, grid3):
                 "values": complex_to_nested(kernel.values)}
         assert (tmp_path / "fam" / name).read_text() == json.dumps(want)
         entries.append({"m": m, "n": n, "file": name})
-    want = {"kind": "coefficient_family", **header, "truncation": 2,
+    want = {"kind": "coefficient_family", **header, **model, "truncation": 2,
             "entries": entries}
     assert (tmp_path / "fam" / "manifest.json").read_text() == json.dumps(want)
 
@@ -187,7 +245,7 @@ def test_non_finite_tensors_are_not_written(tmp_path, grid3):
     kern = random_kernel(grid3, 1, 1, keyed_rng(0, "io", "finite", 1))
     kern.values[0, 0] = np.inf
     A = random_form(FREE, grid3, 2, keyed_rng(0, "io", "finite", 2))
-    A.blocks[(2, 1)][0, 0] = complex(0.0, -np.inf)
+    A.orbit_blocks[(2, 1)][0, 0] = complex(0.0, -np.inf)
     fam = extract_family(FREE, random_form(FREE, grid3, 1, keyed_rng(0, "io", "finite", 3)))
     fam.set_entry(KernelTensor(1, 0, np.full(3, np.nan)))
     for save, path, obj in ((save_state, "psi.json", (psi,)),

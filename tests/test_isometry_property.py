@@ -5,8 +5,11 @@ be an isometry onto the range of the dense symmetrizer P of ``reference``,
 one column per orbit.  The compressed norms ``qform_norm``/``sector_norm``
 must equal the dense spectral norms over all N**n tuples: plainly for
 forms with A = P A P, and sandwiched between symmetrizers for any other
-form.  The form constructors, which sandwich through V, must equal their
-dense P X P references, and ``zops.symmetrize`` on any contiguous block of
+form, which is stored through ``QuadraticForm.from_dense``.  The dense
+views of the form constructors, which build the compressed blocks
+directly, must equal their dense P X P references; ``random_form`` must
+draw its compressed blocks in row-major order with one entry per orbit
+pair, and ``zops.symmetrize`` on any contiguous block of
 slots of a tensor with up to 4 slots must equal the dense P applied to
 that block.  Models are free, ising, sinh_exp and a table of random
 unitary values on the lattice differences with S(0) = +1 or -1; lattices
@@ -27,7 +30,7 @@ from zfock.zops import (QuadraticForm, annihilator_form, creator_form,
                         identity_form, qform_norm, sector_norm,
                         symmetric_isometry, symmetrize, zmzn_form)
 
-from reference import big_matrix, symmetrize_block, symmetrizer_matrix
+from reference import symmetrize_block, symmetrizer_matrix
 from test_support_property import MODELS, lattices
 
 K = 3
@@ -38,15 +41,18 @@ def weights(grid, omega, n, sign):
     return np.exp(sign * omega.weight(energy_grid(grid, n)))
 
 
-def dense_qform_norm(model, A, n, omega, sandwich):
+def dense_qform_norm(model, grid, blocks, n, omega, sandwich):
     """0.5 (|P A W P| + |P W A P|) over all tuples; P = 1 without ``sandwich``."""
-    M = big_matrix(A, n)
-    w = np.concatenate([weights(A.grid, omega, j, -1) for j in range(n + 1)])
+    offs = np.cumsum([0] + [grid.size**j for j in range(n + 1)])
+    M = np.zeros((offs[-1], offs[-1]), dtype=complex)
+    for (l, k), mat in blocks.items():
+        if l <= n and k <= n:
+            M[offs[l]:offs[l + 1], offs[k]:offs[k + 1]] = mat
+    w = np.concatenate([weights(grid, omega, j, -1) for j in range(n + 1)])
     P = np.eye(len(w), dtype=complex)
     if sandwich:
-        offs = np.cumsum([0] + [A.grid.size**j for j in range(n + 1)])
         for j in range(n + 1):
-            P[offs[j]:offs[j + 1], offs[j]:offs[j + 1]] = symmetrizer_matrix(model, A.grid, j)
+            P[offs[j]:offs[j + 1], offs[j]:offs[j + 1]] = symmetrizer_matrix(model, grid, j)
     return 0.5 * float(np.linalg.norm(P @ (M * w[None, :]) @ P, ord=2)
                        + np.linalg.norm(P @ (w[:, None] * M) @ P, ord=2))
 
@@ -60,18 +66,19 @@ def dense_sector_norm(model, grid, mat, l, k, wl, wr, sandwich):
     return float(np.linalg.norm(weighted, ord=2))
 
 
-def assert_norms_match(model, A, omega, sandwich):
-    """Equal at rel 1e-12; a block that vanishes on the symmetric subspace may
-    keep rounding noise of the dense symmetrizer, so it is compared at 1e-12
-    of the largest block norm instead."""
+def assert_norms_match(model, A, omega, blocks, sandwich):
+    """The norms of A against the dense ones of ``blocks``, equal at rel 1e-12;
+    a block that vanishes on the symmetric subspace may keep rounding noise
+    of the dense symmetrizer, so it is compared at 1e-12 of the largest
+    block norm instead."""
     grid = A.grid
     for n in range(K + 1):
         assert qform_norm(model, A, n, omega) == pytest.approx(
-            dense_qform_norm(model, A, n, omega, sandwich), rel=REL)
+            dense_qform_norm(model, grid, blocks, n, omega, sandwich), rel=REL)
     dense = {}
-    for (l, k), mat in A.blocks.items():
+    for (l, k), mat in blocks.items():
         wl, wr = weights(grid, omega, l, 1), weights(grid, omega, k, -1)
-        dense[(l, k)] = (sector_norm(model, grid, mat, l, k, wl, wr),
+        dense[(l, k)] = (sector_norm(model, grid, A.orbit_block(l, k), l, k, wl, wr),
                          dense_sector_norm(model, grid, mat, l, k, wl, wr, sandwich))
     scale = max(want for _, want in dense.values())
     for got, want in dense.values():
@@ -91,9 +98,10 @@ def test_orbit_isometry_keeps_norms(family, a, grid, seed, alpha, log, degrees):
     N = grid.size
     strict = model.value(0.0).real < 0
     for n in range(K + 1):
-        V, reps = symmetric_isometry(model, grid, n)
+        V, reps, peaks = symmetric_isometry(model, grid, n)
         P = symmetrizer_matrix(model, grid, n)
         assert V.shape == (N**n, math.comb(N, n) if strict else math.comb(N + n - 1, n))
+        np.testing.assert_array_equal(peaks, np.abs(V).max(axis=0, initial=0.0))
         np.testing.assert_allclose(V.conj().T @ V, np.eye(len(reps)), rtol=0, atol=REL)
         np.testing.assert_allclose(V @ V.conj().T, P, rtol=0, atol=REL)
         tuples = basis_tuples(N, n)
@@ -102,13 +110,15 @@ def test_orbit_isometry_keeps_norms(family, a, grid, seed, alpha, log, degrees):
             assert (orbit == tuples[rep]).all()
             assert (np.diff(tuples[rep]) > (0 if strict else -1)).all()
 
-    assert_norms_match(model, random_form(model, grid, K, rng), omega, sandwich=False)
+    A = random_form(model, grid, K, rng)
+    assert_norms_match(model, A, omega, A.blocks, sandwich=False)
     kernel = random_kernel(grid, *degrees, rng)
-    assert_norms_match(model, zmzn_form(model, kernel, grid, K), omega, sandwich=False)
-    raw = QuadraticForm(grid, K, {(l, k): rng.standard_normal((N**l, N**k))
-                                  + 1j * rng.standard_normal((N**l, N**k))
-                                  for l in range(K + 1) for k in range(K + 1)})
-    assert_norms_match(model, raw, omega, sandwich=True)
+    A = zmzn_form(model, kernel, grid, K)
+    assert_norms_match(model, A, omega, A.blocks, sandwich=False)
+    raw = {(l, k): rng.standard_normal((N**l, N**k)) + 1j * rng.standard_normal((N**l, N**k))
+           for l in range(K + 1) for k in range(K + 1)}
+    assert_norms_match(model, QuadraticForm.from_dense(model, grid, K, raw), omega, raw,
+                       sandwich=True)
 
 
 def sandwiched(model, grid, raw):
@@ -156,12 +166,18 @@ def test_forms_equal_dense_sandwiches(family, a, grid, seed, degrees):
         (n, n): np.eye(N**n) for n in range(K + 1)}))
     kernel = random_kernel(grid, *degrees, rng)
     assert_blocks_match(zmzn_form(model, kernel, grid, K), dense_zmzn(model, kernel, grid))
-    # the same draws as random_form, sandwiched densely
+    # random_form draws its compressed blocks, one entry per orbit pair,
+    # in row-major (l, k) order, and its dense views are symmetric
     draws = keyed_rng(seed, "property", "draws")
-    raw = {(l, k): draws.standard_normal((N**l, N**k)) + 1j * draws.standard_normal((N**l, N**k))
-           for l in range(K + 1) for k in range(K + 1)}
+    strict = model.value(0.0).real < 0
+    dims = [math.comb(N, n) if strict else math.comb(N + n - 1, n) for n in range(K + 1)]
     got = random_form(model, grid, K, keyed_rng(seed, "property", "draws"))
-    assert_blocks_match(got, sandwiched(model, grid, raw))
+    for l in range(K + 1):
+        for k in range(K + 1):
+            shape = (dims[l], dims[k])
+            want = draws.standard_normal(shape) + 1j * draws.standard_normal(shape)
+            np.testing.assert_array_equal(got.orbit_blocks[(l, k)], want)
+    assert_blocks_match(got, sandwiched(model, grid, got.blocks))
 
 
 @pytest.mark.parametrize("family", sorted(MODELS))

@@ -66,18 +66,18 @@ def dense_factors(model, grid, m, n):
 
 
 def dense_fmn(model, A, m, n, factors):
-    grid, N = A.grid, A.grid.size
+    N = A.grid.size
     out = np.zeros((N,) * (m + n), dtype=complex)
     for C, (factor, _) in factors.items():
         mh, nh = m - C.size, n - C.size
-        M = creator_elements(model, grid, A.block(mh, nh), mh, nh)
-        out += ((-1) ** C.size) * (factor * embed_reduced(C, M.reshape((N,) * (mh + nh)), N))
+        M = creator_elements(A, mh, nh)
+        out += ((-1) ** C.size) * (factor * embed_reduced(C, M, N))
     return out
 
 
 def dense_inversion(model, A, m, n, family, factors):
-    grid, N = A.grid, A.grid.size
-    lhs = creator_elements(model, grid, A.block(m, n), m, n).reshape((N,) * (m + n))
+    N = A.grid.size
+    lhs = creator_elements(A, m, n)
     rhs = np.zeros_like(lhs)
     for C, (factor, _) in factors.items():
         reduced = family.entry(m - C.size, n - C.size).values
@@ -121,7 +121,7 @@ def assert_sums_match_dense(model, grid, truncation, seed):
     for m, n in slots:
         dense = left_vector_matrix(model, grid, m).conj().T @ A.block(m, n) \
             @ right_vector_matrix(model, grid, n)
-        np.testing.assert_allclose(creator_elements(model, grid, A.block(m, n), m, n),
+        np.testing.assert_allclose(creator_elements(A, m, n).reshape(dense.shape),
                                    dense, rtol=0, atol=REL * np.max(np.abs(dense)))
     factors = {mn: dense_factors(model, grid, *mn) for mn in slots}
     want = {mn: dense_fmn(model, A, *mn, factors[mn]) for mn in slots}
@@ -129,7 +129,7 @@ def assert_sums_match_dense(model, grid, truncation, seed):
     for m, n in slots:
         np.testing.assert_allclose(fam.entry(m, n).values, want[(m, n)],
                                    rtol=0, atol=REL * scale)
-        assert inversion_residual(model, A, m, n, fam) == pytest.approx(
+        assert inversion_residual(model, creator_elements(A, m, n), m, n, fam) == pytest.approx(
             dense_inversion(model, A, m, n, fam, factors[(m, n)]), rel=0, abs=REL * scale)
     reflected = {mn: dense_reflected(fam, *mn, factors[mn]) for mn in slots}
     scale = max(float(np.max(np.abs(f))) for f in reflected.values())

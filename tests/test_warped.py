@@ -269,8 +269,8 @@ def _full_nested(A, total, creators, annihilators, wrapc, wrapa, parity=0):
 
 def _parity_part(A, parity):
     """The blocks (l, k) of A with l - k of the given number parity."""
-    return QuadraticForm(A.grid, A.truncation,
-                         {key: mat for key, mat in A.blocks.items()
+    return QuadraticForm(A.model, A.grid, A.truncation,
+                         {key: C for key, C in A.orbit_blocks.items()
                           if (key[0] - key[1]) % 2 == parity}, A.truncated)
 
 
@@ -307,7 +307,8 @@ def test_nested_families_equal_unpruned_commutators(grid3):
     Q = SkewSymmetricQ(0.9, 1.0)
     creators = [deformed_creator(grid3, K, e, Q) for e in units]
     annihilators = [deformed_annihilator(grid3, K, e, Q) for e in units]
-    A = random_form(Q.scattering_model(), grid3, K, rng)
+    # the deformed ladder acts on the free symmetric space, so A is drawn there
+    A = random_form(FREE, grid3, K, rng)
     want = _full_nested(A, total, creators, annihilators,
                         lambda X, B, _: q_commutator(X, B, Q),
                         lambda B, X, _: q_commutator(B, X, Q))
