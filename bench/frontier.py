@@ -10,10 +10,13 @@ the CSV report and an exit status: "ok", "fail" (a check failed),
 
     python3 bench/frontier.py --label change --out BENCH_6.json
     python3 bench/frontier.py --label parent --src path/to/parent/src --out BENCH_6.json
+    python3 bench/frontier.py --label change --cases 5x4,6x4 --repeat 3 --out BENCH_14.json
 
 ``--src`` is the package source to measure (default: this checkout's
-``src``).  Rows are appended to the ``rows`` list of ``--out``, so one file
-can hold the runs of several source trees.
+``src``).  ``--cases`` picks rungs as NxK (default: all of them) and
+``--repeat R`` runs the picked rungs R times, round after round; each row
+carries its round as ``repeat``, from 0.  Rows are appended to the ``rows``
+list of ``--out``, so one file can hold the runs of several source trees.
 """
 
 from __future__ import annotations
@@ -124,23 +127,52 @@ def run_case(src: Path, N: int, K: int, work: Path) -> dict:
     return row
 
 
+def parse_cases(text: str) -> list[tuple[int, int]]:
+    """Rungs from "NxK,NxK,...", each N a lattice of ``LATTICES`` and K >= 1."""
+    cases = []
+    for item in text.split(","):
+        try:
+            N, K = (int(part) for part in item.strip().split("x"))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"case {item!r} is not NxK") from None
+        if N not in LATTICES or K < 1:
+            raise argparse.ArgumentTypeError(
+                f"case {item!r}: N must be one of {sorted(LATTICES)} and K >= 1")
+        cases.append((N, K))
+    return cases
+
+
+def positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive count")
+    return value
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="name of the measured source tree")
     parser.add_argument("--src", type=Path, default=ROOT / "src")
     parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--cases", type=parse_cases, default=list(CASES),
+                        help="rungs to run, as NxK,NxK,... (default: all)")
+    parser.add_argument("--repeat", type=positive, default=1,
+                        help="rounds over the rungs (default: 1)")
     args = parser.parse_args(argv)
     src = args.src.resolve()
     doc = json.loads(args.out.read_text()) if args.out.exists() else {"rows": []}
-    doc["cases"] = {f"{n}x{k}": case_config(n, k) for n, k in CASES}
+    doc.setdefault("cases", {}).update(
+        {f"{n}x{k}": case_config(n, k) for n, k in args.cases})
     prov = provenance(src)
     with tempfile.TemporaryDirectory() as tmp:
-        for N, K in CASES:
-            row = {"label": args.label, **run_case(src, N, K, Path(tmp)),
-                   "timeout_s": TIMEOUT_S, "cap_mb": CAP_MB, **prov}
-            print(json.dumps(row), flush=True)
-            doc["rows"].append(row)
-            args.out.write_text(json.dumps(doc, indent=1) + "\n")
+        for repeat in range(args.repeat):
+            for N, K in args.cases:
+                row = {"label": args.label, "repeat": repeat,
+                       **run_case(src, N, K, Path(tmp)),
+                       "timeout_s": TIMEOUT_S, "cap_mb": CAP_MB, **prov}
+                print(json.dumps(row), flush=True)
+                doc["rows"].append(row)
+                args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
 

@@ -139,11 +139,15 @@ def element_tensors(model: ScatteringModel,
 
 def family_from_elements(model: ScatteringModel, grid: RapidityGrid, truncation: int,
                          elements: dict[tuple[int, int], np.ndarray]) -> CoefficientFamily:
-    """All coefficients with slot counts up to the truncation, from :func:`element_tensors`."""
+    """The coefficient of every key (m, n) of ``elements``, from its element tensors.
+
+    Each (m, n) reads the tensors of (m - c, n - c) for every depth c, so
+    ``elements`` holds them all: every block up to the truncation, as
+    :func:`element_tensors` returns, or every block with l + k <= s.
+    """
     family = CoefficientFamily(model, grid, truncation)
-    for m in range(truncation + 1):
-        for n in range(truncation + 1):
-            family.set_entry(_coefficient(model, grid, m, n, lambda l, k: elements[(l, k)]))
+    for m, n in elements:
+        family.set_entry(_coefficient(model, grid, m, n, lambda l, k: elements[(l, k)]))
     return family
 
 

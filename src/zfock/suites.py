@@ -29,7 +29,7 @@ from .config import (DEFAULT_EQUALITY_TOL, DEFAULT_EXACT_TOL,
 from .contractions import (Contraction, add_on_support, compose,
                            enumerate_contractions, reflect_contraction,
                            sigma_rho)
-from .expansion import (boost_form, element_tensors, extract_family,
+from .expansion import (boost_form, creator_elements, element_tensors, extract_family,
                         family_from_elements, fmn_coefficients,
                         inversion_residual, reconstruct, reflect_conjugate,
                         reflected_coeffs, transform_coeffs_poincare,
@@ -47,9 +47,9 @@ from .warped import (GROUPING_RTOL, GroupingWarning, SkewSymmetricQ,
                      nested_free_family, nested_graded_family, nested_q_family,
                      q_commutator, warp, warp_spectral)
 from .zops import (KernelTensor, QuadraticForm, annihilator_form, annihilate,
-                   create, creator_form, cross_norm, form_residual,
+                   create, creator_form, cross_norms, form_residual,
                    identity_form, kernel_adjoint, peak_abs, peak_weights, point_ladder,
-                   qform_norm, s_symmetry_residual, sector_norm,
+                   qform_norms, s_symmetry_residual, sector_norms,
                    symmetric_isometry, symmetrize, zmzn_form)
 
 _TINY = 1e-300
@@ -440,17 +440,24 @@ def check_creator_weight_bound(model: ScatteringModel, grid: RapidityGrid,
                                count: int) -> float:
     """Weighted norms of single ladder operators against the damped source sectors."""
     K = truncation
-    res = 0.0
     wplus = [energy_weights(grid, omega, n, 1) for n in range(K + 1)]
-    for rng in _instances(seed, "creator_weight_bound", count):
-        f = rng.normal(size=grid.size) + 1j * rng.normal(size=grid.size)
-        fnorm = float(np.linalg.norm(wplus[1] * f))
+    winv = [1.0 / w for w in wplus]
+    fs = [rng.normal(size=grid.size) + 1j * rng.normal(size=grid.size)
+          for rng in _instances(seed, "creator_weight_bound", count)]
+    blocks = []
+    for f in fs:
         A = creator_form(model, grid, K, f)
         B = annihilator_form(model, grid, K, f)
-        up = [sector_norm(model, grid, A.orbit_block(j + 1, j), j + 1, j,
-                          wplus[j + 1], 1.0 / wplus[j]) for j in range(K)]
-        down = [sector_norm(model, grid, B.orbit_block(j, j + 1), j, j + 1,
-                            wplus[j], 1.0 / wplus[j + 1]) for j in range(K)]
+        blocks += [(A.orbit_block(j + 1, j), j + 1, j, wplus[j + 1], winv[j])
+                   for j in range(K)]
+        blocks += [(B.orbit_block(j, j + 1), j, j + 1, wplus[j], winv[j + 1])
+                   for j in range(K)]
+    norms = iter(sector_norms(model, grid, blocks))
+    res = 0.0
+    for f in fs:
+        fnorm = float(np.linalg.norm(wplus[1] * f))
+        up = [next(norms) for _ in range(K)]
+        down = [next(norms) for _ in range(K)]
         for k in range(K):
             lhs = max(up[: k + 1])
             res = max(res, _excess(lhs, math.sqrt(k + 1) * fnorm))
@@ -460,25 +467,40 @@ def check_creator_weight_bound(model: ScatteringModel, grid: RapidityGrid,
     return res
 
 
+def _monomial_draws(model: ScatteringModel, grid: RapidityGrid, truncation: int,
+                    rngs) -> list[tuple[KernelTensor, QuadraticForm]]:
+    """Kernel and monomial of each instance, the degrees cycling (1,1), (2,1), (1,2), (2,2)."""
+    degrees = _degree_cycle([(1, 1), (2, 1), (1, 2), (2, 2)], truncation)
+    draws = []
+    for (m, n), rng in zip(degrees, rngs):
+        f = random_kernel(grid, m, n, rng)
+        draws.append((f, zmzn_form(model, f, grid, truncation)))
+    return draws
+
+
 def check_monomial_source_bound(model: ScatteringModel, grid: RapidityGrid,
                                 truncation: int, omega: Indicatrix, seed: int,
                                 count: int) -> float:
     """Monomial acting on damped sources, against the weighted kernel norm."""
     K = truncation
-    degrees = _degree_cycle([(1, 1), (2, 1), (1, 2), (2, 2)], truncation)
-    res = 0.0
-    for (m, n), rng in zip(degrees, _instances(seed, "monomial_source_bound", count)):
-        f = random_kernel(grid, m, n, rng)
-        F = zmzn_form(model, f, grid, K)
-        fw = cross_norm(f, grid, omega)
+    draws = _monomial_draws(model, grid, K,
+                            _instances(seed, "monomial_source_bound", count))
+    fws = cross_norms([f for f, _ in draws], grid, omega)
+    wminus = [energy_weights(grid, omega, j, -1) for j in range(K + 1)]
+    ones = [np.ones(grid.size**j) for j in range(K + 1)]
+    blocks, spans = [], []
+    for f, F in draws:
+        m, n = f.m, f.n
         kmax = K if m <= n else K - (m - n)
-        sig = {}
-        for j in range(n, kmax + 1):
-            l = j - n + m
-            wm = energy_weights(grid, omega, j, -1)
-            sig[j] = sector_norm(model, grid, F.orbit_block(l, j), l, j,
-                                 np.ones(grid.size**l), wm)
-        for k in range(n, kmax + 1):
+        spans.append(range(n, kmax + 1))
+        blocks += [(F.orbit_block(j - n + m, j), j - n + m, j, ones[j - n + m], wminus[j])
+                   for j in range(n, kmax + 1)]
+    norms = iter(sector_norms(model, grid, blocks))
+    res = 0.0
+    for (f, _), fw, js in zip(draws, fws, spans):
+        m, n = f.m, f.n
+        sig = {j: next(norms) for j in js}
+        for k in js:
             lhs = max(sig[j] for j in range(n, k + 1))
             c = 2.0 * math.sqrt(math.factorial(k) * math.factorial(k - n + m)) \
                 / math.factorial(k - n)
@@ -491,15 +513,17 @@ def check_monomial_sector_bound(model: ScatteringModel, grid: RapidityGrid,
                                 count: int) -> float:
     """Sector-restricted form norm of a monomial against the kernel norm."""
     K = truncation
-    degrees = _degree_cycle([(1, 1), (2, 1), (1, 2), (2, 2)], truncation)
+    draws = _monomial_draws(model, grid, K,
+                            _instances(seed, "monomial_sector_bound", count))
+    fws = cross_norms([f for f, _ in draws], grid, omega)
+    queries = [(F, k) for f, F in draws for k in range(max(f.m, f.n), K + 1)]
+    norms = iter(qform_norms(model, queries, omega))
     res = 0.0
-    for (m, n), rng in zip(degrees, _instances(seed, "monomial_sector_bound", count)):
-        f = random_kernel(grid, m, n, rng)
-        F = zmzn_form(model, f, grid, K)
-        fw = cross_norm(f, grid, omega)
-        for k in range(max(m, n), K + 1):
-            c = 2.0 * math.factorial(k) / math.factorial(k - max(m, n))
-            res = max(res, _excess(qform_norm(model, F, k, omega), c * fw))
+    for (f, _), fw in zip(draws, fws):
+        top = max(f.m, f.n)
+        for k in range(top, K + 1):
+            c = 2.0 * math.factorial(k) / math.factorial(k - top)
+            res = max(res, _excess(next(norms), c * fw))
     return res
 
 
@@ -507,16 +531,19 @@ def check_bounded_factor_rule(grid: RapidityGrid, omega: Indicatrix, seed: int,
                               count: int) -> float:
     """Multiplying a kernel by bounded slot functions scales its norm at most."""
     degrees = itertools.cycle([(1, 1), (2, 1), (1, 2), (2, 2)])
-    res = 0.0
     N = grid.size
+    kernels, bounds = [], []
     for (m, n), rng in zip(degrees, _instances(seed, "bounded_factor_rule", count)):
         f = random_kernel(grid, m, n, rng)
         fl = rng.normal(size=(N,) * m) + 1j * rng.normal(size=(N,) * m)
         fr = rng.normal(size=(N,) * n) + 1j * rng.normal(size=(N,) * n)
         g = fl.reshape(fl.shape + (1,) * n) * f.values * fr.reshape((1,) * m + fr.shape)
-        lhs = cross_norm(KernelTensor(m, n, g), grid, omega)
-        rhs = _maxabs(fl) * cross_norm(f, grid, omega) * _maxabs(fr)
-        res = max(res, _excess(lhs, rhs))
+        kernels += [KernelTensor(m, n, g), f]
+        bounds.append((_maxabs(fl), _maxabs(fr)))
+    norms = cross_norms(kernels, grid, omega)
+    res = 0.0
+    for lhs, fw, (left, right) in zip(norms[::2], norms[1::2], bounds):
+        res = max(res, _excess(lhs, left * fw * right))
     return res
 
 
@@ -524,17 +551,20 @@ def check_independent_product_rule(grid: RapidityGrid, omega: Indicatrix,
                                    seed: int, count: int) -> float:
     """Outer products in fresh slots multiply the norms submultiplicatively."""
     shapes = itertools.cycle([(1, 1, 1, 1), (2, 1, 1, 0), (1, 2, 0, 1), (2, 0, 0, 2)])
-    res = 0.0
+    kernels, seconds = [], []
     for (m, n, m2, n2), rng in zip(shapes, _instances(seed, "independent_product_rule", count)):
         f = random_kernel(grid, m, n, rng)
         f2 = random_kernel(grid, m2, n2, rng)
         raw = np.multiply.outer(f.values, f2.values)
         order = (tuple(range(m)) + tuple(range(m + n, m + n + m2))
                  + tuple(range(m, m + n)) + tuple(range(m + n + m2, m + n + m2 + n2)))
-        g = KernelTensor(m + m2, n + n2, raw.transpose(order))
-        lhs = cross_norm(g, grid, omega)
-        rhs = cross_norm(f, grid, omega) * cross_norm(f2, grid, Indicatrix.zero())
-        res = max(res, _excess(lhs, rhs))
+        kernels += [KernelTensor(m + m2, n + n2, raw.transpose(order)), f]
+        seconds.append(f2)
+    norms = cross_norms(kernels, grid, omega)
+    plain = cross_norms(seconds, grid, Indicatrix.zero())
+    res = 0.0
+    for lhs, fw, f2w in zip(norms[::2], norms[1::2], plain):
+        res = max(res, _excess(lhs, fw * f2w))
     return res
 
 
@@ -542,15 +572,15 @@ def check_kernel_norm_comparison(grid: RapidityGrid, omega: Indicatrix,
                                  seed: int, count: int) -> float:
     """The weighted cross norm is dominated by the weighted lattice 2-norms."""
     degrees = itertools.cycle([(1, 1), (2, 1), (1, 2), (2, 2)])
+    kernels = [random_kernel(grid, m, n, rng) for (m, n), rng
+               in zip(degrees, _instances(seed, "kernel_norm_comparison", count))]
+    weights = {j: energy_weights(grid, omega, j, -1)
+               for j in {f.m for f in kernels} | {f.n for f in kernels}}
     res = 0.0
-    for (m, n), rng in zip(degrees, _instances(seed, "kernel_norm_comparison", count)):
-        f = random_kernel(grid, m, n, rng)
+    for f, lhs in zip(kernels, cross_norms(kernels, grid, omega)):
         F = f.matrix()
-        wl = energy_weights(grid, omega, m, -1)
-        wr = energy_weights(grid, omega, n, -1)
-        lhs = cross_norm(f, grid, omega)
-        rhs = 0.5 * (float(np.linalg.norm(wl[:, None] * F))
-                     + float(np.linalg.norm(F * wr[None, :])))
+        rhs = 0.5 * (float(np.linalg.norm(weights[f.m][:, None] * F))
+                     + float(np.linalg.norm(F * weights[f.n][None, :])))
         res = max(res, _excess(lhs, rhs))
     return res
 
@@ -836,16 +866,23 @@ def check_coefficient_bound(model: ScatteringModel, grid: RapidityGrid,
                             count: int) -> float:
     """Weighted norm of each coefficient against the sector-weighted form norm."""
     K = truncation
-    res = 0.0
+    # the (m, n) with m + n <= K, and the element blocks their coefficients read
+    keys = [(m, n) for m in range(K + 1) for n in range(K + 1 - m)]
+    constants = [coefficient_bound_constant(m, n) for m, n in keys]
+    kernels, queries = [], []
     for rng in _instances(seed, "coefficient_bound", count):
         A = random_form(model, grid, K, rng)
-        norms = [qform_norm(model, A, s, omega) for s in range(K + 1)]
-        for m in range(K + 1):
-            for n in range(K + 1 - m):
-                f = fmn_coefficients(model, A, m, n)
-                lhs = cross_norm(f, grid, omega)
-                rhs = coefficient_bound_constant(m, n) * norms[m + n]
-                res = max(res, _excess(lhs, rhs))
+        fam = family_from_elements(model, grid, K,
+                                   {key: creator_elements(A, *key) for key in keys})
+        kernels += [fam.entry(m, n) for m, n in keys]
+        queries += [(A, s) for s in range(K + 1)]
+    lhs = iter(cross_norms(kernels, grid, omega))
+    form_norms = iter(qform_norms(model, queries, omega))
+    res = 0.0
+    for _ in range(count):
+        norms = [next(form_norms) for _ in range(K + 1)]
+        for (m, n), c in zip(keys, constants):
+            res = max(res, _excess(next(lhs), c * norms[m + n]))
     return res
 
 

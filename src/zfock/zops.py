@@ -9,6 +9,9 @@ stores each block on orbit pairs, as C = V_l^H A V_k, and every form
 operation acts on C: sums, products, adjoints, the constructors, the
 draws, the norms and the full-basis residuals.  The dense block
 V_l C V_k^H over all N**l x N**k tuples is a view computed on access.
+The norms take lists (:func:`cross_norms`, :func:`sector_norms`,
+:func:`qform_norms`), and each call takes all its spectral norms in one
+batched SVD per matrix shape (:func:`_spectral_norms`).
 :func:`symmetrize` projects a tensor, or a contiguous block of its
 slots, as V V^H.  No N**n x N**n symmetrizer is formed.
 """
@@ -18,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -431,18 +434,48 @@ def zmzn_form(model: ScatteringModel, kernel: KernelTensor, grid: RapidityGrid,
 # norms
 
 
-def cross_norm(kernel: KernelTensor, grid: RapidityGrid, omega: Indicatrix) -> float:
-    """Weighted cross norm: half the sum of the two one-sided weighted spectral norms.
+def _spectral_norms(mats: Sequence[np.ndarray]) -> list[float]:
+    """Largest singular value of each matrix, in input order.
 
-    The kernel is read as a matrix from incoming to outgoing slot groups;
-    each term damps one side by exp(-omega(energy)).
+    Matrices of one shape and dtype go through one batched SVD, which runs
+    the LAPACK routine of ``np.linalg.norm(M, ord=2)`` on each of them, so
+    every value equals that norm to the bit.  A matrix with no entries has
+    norm 0.0, as in numpy; its batched SVD would have no column 0.
     """
-    F = kernel.matrix()
-    wl = energy_weights(grid, omega, kernel.m, -1)
-    wr = energy_weights(grid, omega, kernel.n, -1)
-    left = np.linalg.norm(wl[:, None] * F, ord=2)
-    right = np.linalg.norm(F * wr[None, :], ord=2)
-    return 0.5 * float(left + right)
+    groups: dict[tuple, list[int]] = {}
+    for i, M in enumerate(mats):
+        groups.setdefault((M.shape, M.dtype), []).append(i)
+    out = [0.0] * len(mats)
+    for (shape, _), idx in groups.items():
+        if 0 in shape:
+            continue
+        top = np.linalg.svd(np.stack([mats[i] for i in idx]), compute_uv=False)[:, 0]
+        for i, s in zip(idx, top.tolist()):
+            out[i] = s
+    return out
+
+
+def _halved_pair_sums(s: list[float]) -> list[float]:
+    """0.5 * (s[2i] + s[2i + 1]) for each i: the two one-sided norms of one operand."""
+    return [0.5 * (a + b) for a, b in zip(s[::2], s[1::2])]
+
+
+def cross_norms(kernels: Sequence[KernelTensor], grid: RapidityGrid,
+                omega: Indicatrix) -> list[float]:
+    """Weighted cross norm of each kernel: half the sum of its two one-sided spectral norms.
+
+    A kernel is read as a matrix from incoming to outgoing slot groups;
+    each term damps one side by exp(-omega(energy)).  The weights of each
+    slot count are computed once, and all the spectral norms are taken in
+    one :func:`_spectral_norms` call.
+    """
+    weights = {j: energy_weights(grid, omega, j, -1)
+               for j in dict.fromkeys(d for f in kernels for d in (f.m, f.n))}
+    mats = []
+    for f in kernels:
+        F = f.matrix()
+        mats += [weights[f.m][:, None] * F, F * weights[f.n][None, :]]
+    return _halved_pair_sums(_spectral_norms(mats))
 
 
 def _require_model(model: ScatteringModel, A: QuadraticForm) -> None:
@@ -450,9 +483,10 @@ def _require_model(model: ScatteringModel, A: QuadraticForm) -> None:
         raise ValueError(f"form is stored on the orbits of {A.model}, not of {model}")
 
 
-def sector_norm(model: ScatteringModel, grid: RapidityGrid, C: np.ndarray,
-                l: int, k: int, wl: np.ndarray, wr: np.ndarray) -> float:
-    """Spectral norm of diag(wl) A diag(wr) on the S-symmetric sectors, l <- k.
+def sector_norms(model: ScatteringModel, grid: RapidityGrid,
+                 blocks: Sequence[tuple[np.ndarray, int, int, np.ndarray, np.ndarray]]
+                 ) -> list[float]:
+    """Norm of diag(wl) A diag(wr) on the S-symmetric sectors l <- k, of each (C, l, k, wl, wr).
 
     ``C`` is the compressed block V_l^H A V_k of ``symmetric_isometry``.
     ``wl`` and ``wr`` weigh the N**l and N**k tuples and must be constant on
@@ -460,32 +494,56 @@ def sector_norm(model: ScatteringModel, grid: RapidityGrid, C: np.ndarray,
     diag(w) V = V diag(w[reps]).  The result is the norm of
     P_l diag(wl) A diag(wr) P_k, with P the symmetrizers; for a form with
     A = P_l A P_k, as every form is, it equals the norm over all tuples.
+    A block or weights of the wrong size raise ValueError.  All the norms
+    are taken in one :func:`_spectral_norms` call.
     """
-    rl = symmetric_isometry(model, grid, l)[1]
-    rk = symmetric_isometry(model, grid, k)[1]
-    return float(np.linalg.norm(wl[rl, None] * C * wr[rk], ord=2))
+    N = grid.size
+    mats = []
+    for C, l, k, wl, wr in blocks:
+        rl = symmetric_isometry(model, grid, l)[1]
+        rk = symmetric_isometry(model, grid, k)[1]
+        want = ((len(rl), len(rk)), (N**l,), (N**k,))
+        got = (np.shape(C), np.shape(wl), np.shape(wr))
+        if got != want:
+            raise ValueError(f"sector block {(l, k)}: expected a compressed block of shape "
+                             f"{want[0]} and weights of lengths {N**l} and {N**k}, got "
+                             f"shapes {got[0]}, {got[1]} and {got[2]}")
+        mats.append(wl[rl, None] * C * wr[rk])
+    return _spectral_norms(mats)
 
 
-def qform_norm(model: ScatteringModel, A: QuadraticForm, n: int, omega: Indicatrix) -> float:
-    """Sector-n form norm on the S-symmetric Fock space, damped on either side.
+def qform_norms(model: ScatteringModel, queries: Sequence[tuple[QuadraticForm, int]],
+                omega: Indicatrix) -> list[float]:
+    """Sector-n form norm on the S-symmetric Fock space, damped on either side, of each (A, n).
 
     With W = exp(-omega(energy)) over sectors 0..n and P the symmetrizer,
     this is half the sum of the spectral norms of P A W P and P W A P.  It
     is taken on the compressed blocks of A; W is constant on orbits, so
     W V = V diag(w[reps]) and no singular value is lost.  Every form has
-    A = P A P, so this is the norm of A W and W A over all tuples.
+    A = P A P, so this is the norm of A W and W A over all tuples.  Each
+    form is laid out once, as one matrix over the orbits of sectors 0 to
+    its truncation, and sectors 0..n are a leading principal block of it.
+    All the spectral norms are taken in one :func:`_spectral_norms` call.
     """
-    _require_model(model, A)
-    if not 0 <= n <= A.truncation:
-        raise ValueError(f"sector bound {n} outside 0..{A.truncation}")
-    reps = [symmetric_isometry(model, A.grid, j)[1] for j in range(n + 1)]
-    offs = np.cumsum([0] + [len(r) for r in reps])
-    C = np.zeros((offs[-1], offs[-1]), dtype=complex)
-    for (l, k), blk in A.orbit_blocks.items():
-        if l <= n and k <= n:
-            C[offs[l]:offs[l + 1], offs[k]:offs[k + 1]] = blk
-    w = np.concatenate([energy_weights(A.grid, omega, j, -1)[r]
-                        for j, r in enumerate(reps)])
-    left = np.linalg.norm(C * w[None, :], ord=2)
-    right = np.linalg.norm(w[:, None] * C, ord=2)
-    return 0.5 * float(left + right)
+    weights: dict[tuple[RapidityGrid, int], np.ndarray] = {}
+    layouts: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    mats = []
+    for A, n in queries:
+        _require_model(model, A)
+        if not 0 <= n <= A.truncation:
+            raise ValueError(f"sector bound {n} outside 0..{A.truncation}")
+        if id(A) not in layouts:
+            reps = [symmetric_isometry(model, A.grid, j)[1] for j in range(A.truncation + 1)]
+            offs = np.cumsum([0] + [len(r) for r in reps])
+            C = np.zeros((offs[-1], offs[-1]), dtype=complex)
+            for (l, k), blk in A.orbit_blocks.items():
+                C[offs[l]:offs[l + 1], offs[k]:offs[k + 1]] = blk
+            key = (A.grid, A.truncation)
+            if key not in weights:
+                weights[key] = np.concatenate([energy_weights(A.grid, omega, j, -1)[r]
+                                               for j, r in enumerate(reps)])
+            layouts[id(A)] = (C, weights[key], offs)
+        C, w, offs = layouts[id(A)]
+        d = offs[n + 1]
+        mats += [C[:d, :d] * w[None, :d], w[:d, None] * C[:d, :d]]
+    return _halved_pair_sums(_spectral_norms(mats))

@@ -17,7 +17,12 @@ lattice's differences.  ``big_matrix``, ``vacuum`` and the permutation
 ``sign`` are views only the tests need.  The ``dense_*`` functions are the
 form operations on dense blocks over all tuples, the way the package
 computed them before forms were stored on orbit pairs: the references of
-the compressed operations.
+the compressed operations.  ``cross_norm``, ``sector_norm`` and
+``qform_norm`` take one spectral norm per ``np.linalg.norm`` call, and the
+``loop_*`` checks are the norm checks that call them once per instance and
+per bound: the references of the batched norms and checks of ``suites``.
+They read ``suites._excess`` at call time, so a test can record the
+compared sides of both.
 """
 
 import math
@@ -26,12 +31,17 @@ from typing import Sequence
 
 import numpy as np
 
+from zfock import suites
 from zfock.contractions import Contraction, _factor_indices, _sweep_indices
-from zfock.fock import FockState, RapidityGrid, basis_tuples, sector_momentum
+from zfock.expansion import fmn_coefficients
+from zfock.fock import (FockState, Indicatrix, RapidityGrid, basis_tuples, energy_weights,
+                        sector_momentum)
 from zfock.scattering import (Permutation, ScatteringModel, _axis, all_permutations,
                               pair_values, s_sigma_grid)
 from zfock.warped import GROUPING_RTOL, SkewSymmetricQ, _cluster, deformed_point_ladder
-from zfock.zops import KernelTensor, QuadraticForm, create, identity_form
+from zfock.sampling import random_form, random_kernel
+from zfock.zops import (KernelTensor, QuadraticForm, annihilator_form, create,
+                        creator_form, identity_form, symmetric_isometry, zmzn_form)
 
 
 def _flat(tuples: np.ndarray, N: int) -> np.ndarray:
@@ -387,3 +397,111 @@ def dense_apply(blocks: dict, state: FockState) -> FockState:
     for (l, k), mat in blocks.items():
         out.sectors[l] = out.sectors[l] + (mat @ state.sector(k).ravel()).reshape((N,) * l)
     return out
+
+
+def cross_norm(kernel: KernelTensor, grid: RapidityGrid, omega: Indicatrix) -> float:
+    """Half the sum of the two one-sided weighted spectral norms of one kernel."""
+    F = kernel.matrix()
+    wl = energy_weights(grid, omega, kernel.m, -1)
+    wr = energy_weights(grid, omega, kernel.n, -1)
+    left = np.linalg.norm(wl[:, None] * F, ord=2)
+    right = np.linalg.norm(F * wr[None, :], ord=2)
+    return 0.5 * float(left + right)
+
+
+def sector_norm(model: ScatteringModel, grid: RapidityGrid, C: np.ndarray,
+                l: int, k: int, wl: np.ndarray, wr: np.ndarray) -> float:
+    """Spectral norm of diag(wl) A diag(wr) on the orbits of sectors l <- k."""
+    rl = symmetric_isometry(model, grid, l)[1]
+    rk = symmetric_isometry(model, grid, k)[1]
+    return float(np.linalg.norm(wl[rl, None] * C * wr[rk], ord=2))
+
+
+def qform_norm(model: ScatteringModel, A: QuadraticForm, n: int, omega: Indicatrix) -> float:
+    """Sector-n form norm, laid out on the orbits of sectors 0..n alone."""
+    reps = [symmetric_isometry(model, A.grid, j)[1] for j in range(n + 1)]
+    offs = np.cumsum([0] + [len(r) for r in reps])
+    C = np.zeros((offs[-1], offs[-1]), dtype=complex)
+    for (l, k), blk in A.orbit_blocks.items():
+        if l <= n and k <= n:
+            C[offs[l]:offs[l + 1], offs[k]:offs[k + 1]] = blk
+    w = np.concatenate([energy_weights(A.grid, omega, j, -1)[r]
+                        for j, r in enumerate(reps)])
+    left = np.linalg.norm(C * w[None, :], ord=2)
+    right = np.linalg.norm(w[:, None] * C, ord=2)
+    return 0.5 * float(left + right)
+
+
+def loop_creator_weight_bound(model, grid, truncation, omega, seed, count):
+    """``suites.check_creator_weight_bound``, one norm call per instance and bound."""
+    K = truncation
+    res = 0.0
+    wplus = [energy_weights(grid, omega, n, 1) for n in range(K + 1)]
+    for rng in suites._instances(seed, "creator_weight_bound", count):
+        f = rng.normal(size=grid.size) + 1j * rng.normal(size=grid.size)
+        fnorm = float(np.linalg.norm(wplus[1] * f))
+        A = creator_form(model, grid, K, f)
+        B = annihilator_form(model, grid, K, f)
+        up = [sector_norm(model, grid, A.orbit_block(j + 1, j), j + 1, j,
+                          wplus[j + 1], 1.0 / wplus[j]) for j in range(K)]
+        down = [sector_norm(model, grid, B.orbit_block(j, j + 1), j, j + 1,
+                            wplus[j], 1.0 / wplus[j + 1]) for j in range(K)]
+        for k in range(K):
+            res = max(res, suites._excess(max(up[: k + 1]), math.sqrt(k + 1) * fnorm))
+        for k in range(1, K + 1):
+            res = max(res, suites._excess(max(down[:k]), math.sqrt(k) * fnorm))
+    return res
+
+
+def loop_monomial_source_bound(model, grid, truncation, omega, seed, count):
+    """``suites.check_monomial_source_bound``, one norm call per instance and bound."""
+    K = truncation
+    degrees = suites._degree_cycle([(1, 1), (2, 1), (1, 2), (2, 2)], K)
+    res = 0.0
+    for (m, n), rng in zip(degrees, suites._instances(seed, "monomial_source_bound", count)):
+        f = random_kernel(grid, m, n, rng)
+        F = zmzn_form(model, f, grid, K)
+        fw = cross_norm(f, grid, omega)
+        kmax = K if m <= n else K - (m - n)
+        sig = {}
+        for j in range(n, kmax + 1):
+            l = j - n + m
+            sig[j] = sector_norm(model, grid, F.orbit_block(l, j), l, j,
+                                 np.ones(grid.size**l), energy_weights(grid, omega, j, -1))
+        for k in range(n, kmax + 1):
+            lhs = max(sig[j] for j in range(n, k + 1))
+            c = 2.0 * math.sqrt(math.factorial(k) * math.factorial(k - n + m)) \
+                / math.factorial(k - n)
+            res = max(res, suites._excess(lhs, c * fw))
+    return res
+
+
+def loop_monomial_sector_bound(model, grid, truncation, omega, seed, count):
+    """``suites.check_monomial_sector_bound``, one norm call per instance and bound."""
+    K = truncation
+    degrees = suites._degree_cycle([(1, 1), (2, 1), (1, 2), (2, 2)], K)
+    res = 0.0
+    for (m, n), rng in zip(degrees, suites._instances(seed, "monomial_sector_bound", count)):
+        f = random_kernel(grid, m, n, rng)
+        F = zmzn_form(model, f, grid, K)
+        fw = cross_norm(f, grid, omega)
+        for k in range(max(m, n), K + 1):
+            c = 2.0 * math.factorial(k) / math.factorial(k - max(m, n))
+            res = max(res, suites._excess(qform_norm(model, F, k, omega), c * fw))
+    return res
+
+
+def loop_coefficient_bound(model, grid, truncation, omega, seed, count):
+    """``suites.check_coefficient_bound``, one norm call per instance and bound."""
+    K = truncation
+    res = 0.0
+    for rng in suites._instances(seed, "coefficient_bound", count):
+        A = random_form(model, grid, K, rng)
+        norms = [qform_norm(model, A, s, omega) for s in range(K + 1)]
+        for m in range(K + 1):
+            for n in range(K + 1 - m):
+                f = fmn_coefficients(model, A, m, n)
+                lhs = cross_norm(f, grid, omega)
+                rhs = suites.coefficient_bound_constant(m, n) * norms[m + n]
+                res = max(res, suites._excess(lhs, rhs))
+    return res

@@ -2,7 +2,7 @@
 
 ``symmetric_isometry``, built directly from the permutation orbits, must
 be an isometry onto the range of the dense symmetrizer P of ``reference``,
-one column per orbit.  The compressed norms ``qform_norm``/``sector_norm``
+one column per orbit.  The compressed norms ``qform_norms``/``sector_norms``
 must equal the dense spectral norms over all N**n tuples: plainly for
 forms with A = P A P, and sandwiched between symmetrizers for any other
 form, which is stored through ``QuadraticForm.from_dense``.  The dense
@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from zfock.fock import Indicatrix, basis_tuples, energy_grid
 from zfock.sampling import keyed_rng, random_form, random_kernel
 from zfock.zops import (QuadraticForm, annihilator_form, creator_form,
-                        identity_form, qform_norm, sector_norm,
+                        identity_form, qform_norms, sector_norms,
                         symmetric_isometry, symmetrize, zmzn_form)
 
 from reference import symmetrize_block, symmetrizer_matrix
@@ -72,16 +72,18 @@ def assert_norms_match(model, A, omega, blocks, sandwich):
     of the dense symmetrizer, so it is compared at 1e-12 of the largest
     block norm instead."""
     grid = A.grid
+    got = qform_norms(model, [(A, n) for n in range(K + 1)], omega)
     for n in range(K + 1):
-        assert qform_norm(model, A, n, omega) == pytest.approx(
+        assert got[n] == pytest.approx(
             dense_qform_norm(model, grid, blocks, n, omega, sandwich), rel=REL)
-    dense = {}
-    for (l, k), mat in blocks.items():
-        wl, wr = weights(grid, omega, l, 1), weights(grid, omega, k, -1)
-        dense[(l, k)] = (sector_norm(model, grid, A.orbit_block(l, k), l, k, wl, wr),
-                         dense_sector_norm(model, grid, mat, l, k, wl, wr, sandwich))
-    scale = max(want for _, want in dense.values())
-    for got, want in dense.values():
+    sides = {key: (weights(grid, omega, key[0], 1), weights(grid, omega, key[1], -1))
+             for key in blocks}
+    got = sector_norms(model, grid, [(A.orbit_block(l, k), l, k, *sides[(l, k)])
+                                     for l, k in blocks])
+    want = [dense_sector_norm(model, grid, mat, l, k, *sides[(l, k)], sandwich)
+            for (l, k), mat in blocks.items()]
+    scale = max(want)
+    for got, want in zip(got, want):
         assert got == pytest.approx(want, rel=REL, abs=REL * scale)
 
 

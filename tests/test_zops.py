@@ -6,9 +6,10 @@ import pytest
 from zfock.fock import FockState, Indicatrix
 from zfock.sampling import keyed_rng, random_form, random_kernel, random_state
 from zfock.scattering import ScatteringModel
-from zfock.zops import (KernelTensor, annihilate, annihilator_form, create,
-                        creator_form, cross_norm, form_residual, identity_form,
-                        kernel_adjoint, qform_norm, zmzn_form)
+from zfock.zops import (KernelTensor, _spectral_norms, annihilate, annihilator_form,
+                        create, creator_form, cross_norms, form_residual, identity_form,
+                        kernel_adjoint, qform_norms, sector_norms, symmetric_isometry,
+                        zmzn_form)
 
 from reference import big_matrix
 
@@ -112,7 +113,7 @@ def test_adjoint_involution(model, grid3):
 
 def test_cross_norm_identity_kernel(grid3):
     ident = KernelTensor(1, 1, np.eye(3, dtype=complex))
-    assert cross_norm(ident, grid3, Indicatrix.zero()) == pytest.approx(1.0, rel=1e-14)
+    assert cross_norms([ident], grid3, Indicatrix.zero()) == [pytest.approx(1.0, rel=1e-14)]
 
 
 def test_cross_norm_rank_one(grid3):
@@ -121,20 +122,20 @@ def test_cross_norm_rank_one(grid3):
     h = _complex(rng, 3)
     kernel = KernelTensor(1, 1, np.multiply.outer(g, h))
     want = np.linalg.norm(g) * np.linalg.norm(h)
-    assert cross_norm(kernel, grid3, Indicatrix.zero()) == pytest.approx(want, rel=1e-13)
+    assert cross_norms([kernel], grid3, Indicatrix.zero()) == [pytest.approx(want, rel=1e-13)]
 
 
 def test_cross_norm_weighting_shrinks(grid3):
     rng = np.random.default_rng(4)
     kernel = KernelTensor(1, 2, _complex(rng, (3, 3, 3)))
-    plain = cross_norm(kernel, grid3, Indicatrix.zero())
-    damped = cross_norm(kernel, grid3, Indicatrix.sqrt(1.5))
+    [plain] = cross_norms([kernel], grid3, Indicatrix.zero())
+    [damped] = cross_norms([kernel], grid3, Indicatrix.sqrt(1.5))
     assert damped < plain
 
 
 def test_qform_norm_of_identity(model, grid3):
     ident = identity_form(model, grid3, 2)
-    assert qform_norm(model, ident, 2, Indicatrix.zero()) == pytest.approx(1.0, rel=1e-12)
+    assert qform_norms(model, [(ident, 2)], Indicatrix.zero()) == [pytest.approx(1.0, rel=1e-12)]
 
 
 def test_qform_norm_triangle(model, grid3):
@@ -142,8 +143,8 @@ def test_qform_norm_triangle(model, grid3):
     A = random_form(model, grid3, 2, rng)
     B = random_form(model, grid3, 2, rng)
     omega = Indicatrix.sqrt(0.3)
-    lhs = qform_norm(model, A + B, 2, omega)
-    rhs = qform_norm(model, A, 2, omega) + qform_norm(model, B, 2, omega)
+    lhs, a, b = qform_norms(model, [(A + B, 2), (A, 2), (B, 2)], omega)
+    rhs = a + b
     assert lhs <= rhs * (1 + 1e-12)
 
 
@@ -167,4 +168,36 @@ def test_qform_norm_rejects_sectors_outside_truncation(model, grid3):
     ident = identity_form(model, grid3, 2)
     for n in (-1, 3):
         with pytest.raises(ValueError, match="outside 0..2"):
-            qform_norm(model, ident, n, Indicatrix.zero())
+            qform_norms(model, [(ident, 1), (ident, n)], Indicatrix.zero())
+
+
+def test_spectral_norms_equal_numpy_norms_bitwise():
+    rng = np.random.default_rng(5)
+    shapes = [(3, 3), (1, 4), (4, 1), (3, 3), (0, 3), (2, 5), (1, 4), (3, 0), (0, 0),
+              (1, 1), (4, 1), (3, 3), (5, 2)]
+    mats = [_complex(rng, shape) for shape in shapes]
+    mats.append(rng.normal(size=(3, 3)))  # a real matrix among complex ones of its shape
+    got = _spectral_norms(mats)
+    want = [float(np.linalg.norm(M, ord=2)) for M in mats]
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+    assert got[4] == got[7] == got[8] == 0.0
+    assert _spectral_norms([]) == []
+
+
+def test_sector_norms_reject_wrong_sizes(model, grid3):
+    A = creator_form(model, grid3, 2, np.ones(3))
+    C = A.orbit_block(2, 1)
+    w1, w2 = np.ones(3), np.ones(9)
+    [plain] = sector_norms(model, grid3, [(C, 2, 1, w2, w1)])
+    assert plain > 0.0
+    dims = (len(symmetric_isometry(model, grid3, 2)[1]), 3)
+    # 27 weights for the 9 two-particle tuples, a block of the wrong
+    # sectors, and weights swapped between the two sides
+    for bad in [(C, 2, 1, np.ones(27), w1), (C, 2, 0, w2, np.ones(1)), (C, 2, 1, w1, w2)]:
+        with pytest.raises(ValueError) as err:
+            sector_norms(model, grid3, [(C, 2, 1, w2, w1), bad])
+        l, k = bad[1], bad[2]
+        assert f"sector block {(l, k)}" in str(err.value)
+        assert f"lengths {3**l} and {3**k}" in str(err.value)
+    with pytest.raises(ValueError, match=rf"shape \({dims[0]}, {dims[1]}\)"):
+        sector_norms(model, grid3, [(C, 2, 1, np.ones(27), w1)])
