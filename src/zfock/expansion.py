@@ -7,6 +7,10 @@ reconstructs the operator exactly on the truncated space, and the
 coefficients transform covariantly under translations, boosts, and the
 antiunitary reflection.
 
+Forms stay on their orbit pairs: the multi-creator elements
+(:func:`creator_elements`) and the reflection (:func:`reflect_conjugate`)
+reverse tuples through the phase W of ``zops.reversal_phases``.
+
 The contraction sums are nested by contraction depth
 (:func:`_contraction_sum`).  Let K add every single-pair insertion: K g is
 the sum of the terms ``delta * S (* R) * g`` over the m' n' one-pair
@@ -35,8 +39,8 @@ import numpy as np
 from .contractions import add_on_support, enumerate_contractions
 from .fock import RapidityGrid, translation_phases
 from .scattering import ScatteringModel
-from .zops import (KernelTensor, QuadraticForm, _require_model, symmetric_isometry,
-                   zmzn_form)
+from .zops import (KernelTensor, QuadraticForm, _require_model, reversal_phases,
+                   symmetric_isometry, zmzn_form)
 
 
 def creator_elements(A: QuadraticForm, m: int, n: int) -> np.ndarray:
@@ -46,13 +50,15 @@ def creator_elements(A: QuadraticForm, m: int, n: int) -> np.ndarray:
     of tuple t, creators applied in slot order, with the n-fold one of u,
     applied in descending slot order.  A j-fold creator vector is sqrt(j!)
     times the symmetrizer column of its tuple, so this is sqrt(m! n!) times
-    the dense block V_m C V_n^H with its column tuples reversed, read by
-    reversing the column slot axes.
+    V_m C V_n^H with its column tuples reversed: V_m (C diag(W)) V_n^T, with
+    V_n[rev] = conj(V_n) diag(conj W) (:func:`~zfock.zops.reversal_phases`).
     """
     N = A.grid.size
     c = math.sqrt(math.factorial(m) * math.factorial(n))
-    scaled = (c * A.block(m, n)).reshape((N,) * (m + n))
-    return scaled.transpose(tuple(range(m)) + tuple(range(m + n - 1, m - 1, -1)))
+    Vm = symmetric_isometry(A.model, A.grid, m)[0]
+    Vn = symmetric_isometry(A.model, A.grid, n)[0]
+    W = reversal_phases(A.model, A.grid, n)
+    return (c * ((Vm @ (A.orbit_block(m, n) * W)) @ Vn.T)).reshape((N,) * (m + n))
 
 
 def _contraction_sum(model: ScatteringModel, points: Sequence[float], m: int, n: int,
@@ -220,18 +226,16 @@ def boost_form(A: QuadraticForm, lam: float) -> QuadraticForm:
 
 
 def reflect_conjugate(A: QuadraticForm) -> QuadraticForm:
-    """The reflected adjoint J A* J, realized blockwise on the dense views.
+    """The reflected adjoint J A* J, as a transpose with two reversal phases.
 
-    Its matrix elements satisfy <psi| J A* J |chi> = <J chi| A |J psi>.
-    Reversing the row and column tuples of the transpose reverses every
-    slot axis of the (k + j)-slot tensor of the block.  Reversal keeps each
-    tuple in its orbit, so the result is symmetric again and is stored on
-    the orbits of the same model.
+    Its matrix elements satisfy <psi| J A* J |chi> = <J chi| A |J psi>, so
+    its block (j, k) is the transpose of block (k, j) of A with the row and
+    column tuples reversed.  With conj(V)[rev] = V diag(W)
+    (:func:`~zfock.zops.reversal_phases`) that is diag(W_j) C_kj^T diag(conj W_k).
     """
-    N = A.grid.size
-    blocks = {(j, k): A.block(k, j).reshape((N,) * (k + j)).T.reshape(N**j, N**k)
-              for (k, j) in A.orbit_blocks}
-    return QuadraticForm.from_dense(A.model, A.grid, A.truncation, blocks, A.truncated)
+    W = [reversal_phases(A.model, A.grid, j) for j in range(A.truncation + 1)]
+    return A._like({(j, k): W[j][:, None] * C.T * W[k].conj()[None, :]
+                    for (k, j), C in A.orbit_blocks.items()})
 
 
 def transform_coeffs_poincare(family: CoefficientFamily, x: Sequence[float],

@@ -70,7 +70,7 @@ def basis_tuples(N: int, n: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def energy_grid(grid: RapidityGrid, n: int) -> np.ndarray:
     """Dimensionless energy of every n-tuple, flat over the sector basis."""
     coshes = np.cosh(grid.array())
@@ -79,7 +79,7 @@ def energy_grid(grid: RapidityGrid, n: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def sector_momentum(grid: RapidityGrid, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Total two-momentum (p0, p1) of every n-tuple, flat over the sector basis."""
     tuples = basis_tuples(grid.size, n)

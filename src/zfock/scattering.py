@@ -205,7 +205,7 @@ def all_permutations(n: int) -> tuple[Permutation, ...]:
 # lattice (grid) versions: tensors over grid^n with one axis per slot
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _pair_values_cached(model: ScatteringModel, points: tuple[float, ...]) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     mat = model.values(pts[:, None] - pts[None, :])

@@ -36,12 +36,12 @@ from .expansion import (boost_form, creator_elements, element_tensors, extract_f
                         translate_form)
 from .fock import (Indicatrix, RapidityGrid, apply_omega_weight, boost,
                    energy_grid, energy_weights, minkowski, reflect,
-                   sector_momentum, translate, translation_phases)
+                   translate, translation_phases)
 from .sampling import keyed_rng, random_form, random_kernel, random_state
 from .scattering import (SINH_EXP, TABLE, Permutation, ScatteringModel, act_d,
                          all_permutations, pair_values, permute_tensor,
                          s_sigma_grid)
-from .warped import (GROUPING_RTOL, GroupingWarning, SkewSymmetricQ,
+from .warped import (GROUPING_RTOL, GroupingWarning, SkewSymmetricQ, _orbit_momentum,
                      deformed_fmn_coefficients, deformed_point_ladder,
                      momentum_sector_decompose,
                      nested_free_family, nested_graded_family, nested_q_family,
@@ -1041,9 +1041,8 @@ def check_vector_phase(model: ScatteringModel, grid: RapidityGrid,
             err = 0.0
             mag = _TINY
             for (l, k), C in comp.form.orbit_blocks.items():
-                reps = symmetric_isometry(model, grid, k)[1]
-                p0, p1 = sector_momentum(grid, k)
-                col = np.exp(1j * Q.pairing_arrays(f0, f1, p0[reps], p1[reps]))
+                p0, p1 = _orbit_momentum(model, grid, k)
+                col = np.exp(1j * Q.pairing_arrays(f0, f1, p0, p1))
                 want = C * col[None, :]
                 w = peak_weights(model, grid, (l, k))
                 err = max(err, peak_abs(W.orbit_block(l, k) - want, w))

@@ -17,7 +17,10 @@ On n-particle tuples the deformation is one diagonal phase: with
 phi_Q(t) = exp(i sum_{a<b} p(t_a) . (Q p(t_b))) and D_Q = diag(phi_Q),
 the symmetrizer of the model generated by Q is D_Q^H P_free D_Q.  So the
 deformed-creator coefficients of A are the plain coefficients, under that
-model, of A twisted to D_Q^H A D_Q (:func:`deformed_fmn_coefficients`).
+model, of A twisted to D_Q^H A D_Q, which acts on the orbit pairs of a
+free-model form as the phase vector phi_Q read at the orbit
+representatives (:func:`deformed_fmn_coefficients`).  The deformed ladder
+is the warped free one (:func:`deformed_point_ladder`).
 The graded bracket is linear and parity-free, X Y + sgn(Y X) with sgn
 negating the blocks of odd l - k: against a ladder operator, every output
 block draws on one number-parity class of the other operand, where it is
@@ -35,10 +38,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .expansion import fmn_coefficients
-from .fock import RapidityGrid, sector_momentum
-from .scattering import ScatteringModel, _axis
-from .zops import (KernelTensor, QuadraticForm, annihilator_form, creator_form,
-                   point_ladder, symmetric_isometry)
+from .fock import RapidityGrid, basis_tuples, sector_momentum
+from .scattering import ScatteringModel
+from .zops import KernelTensor, QuadraticForm, point_ladder, symmetric_isometry
 
 
 # momenta (and transfers) within this fraction of the largest one share a group
@@ -190,21 +192,11 @@ def _momentum_clusters(model: ScatteringModel, grid: RapidityGrid,
 
     Returns per-sector label arrays and the representative momenta.
     """
-    moms = []
-    sizes = []
-    for s in range(truncation + 1):
-        p0, p1 = _orbit_momentum(model, grid, s)
-        moms.append(np.stack([p0, p1], axis=1))
-        sizes.append(len(p0))
+    moms = [np.stack(_orbit_momentum(model, grid, s), axis=1) for s in range(truncation + 1)]
     allmoms = np.concatenate(moms, axis=0)
     scale = max(1.0, float(np.max(np.abs(allmoms))))
     labels, reps = _cluster(allmoms, GROUPING_RTOL * scale)
-    out = []
-    off = 0
-    for size in sizes:
-        out.append(labels[off:off + size])
-        off += size
-    return out, reps
+    return np.split(labels, np.cumsum([len(m) for m in moms])[:-1]), reps
 
 
 def warp_spectral(A: QuadraticForm, Q: SkewSymmetricQ, side: str = "right") -> QuadraticForm:
@@ -297,36 +289,11 @@ def q_commutator(A: QuadraticForm, B: QuadraticForm, Q: SkewSymmetricQ) -> Quadr
 # deformed creators and the nested-commutator coefficients
 
 
-def deformed_creator(grid: RapidityGrid, truncation: int, f: np.ndarray,
-                     Q: SkewSymmetricQ) -> QuadraticForm:
-    """Deformation of the ordinary (symmetric) creator smeared with f."""
-    return warp(creator_form(ScatteringModel.free(), grid, truncation, f), Q)
-
-
-def deformed_annihilator(grid: RapidityGrid, truncation: int, f: np.ndarray,
-                         Q: SkewSymmetricQ) -> QuadraticForm:
-    """Deformation of the ordinary annihilator smeared with f."""
-    return warp(annihilator_form(ScatteringModel.free(), grid, truncation, f), Q)
-
-
 def deformed_point_ladder(grid: RapidityGrid, truncation: int,
                           Q: SkewSymmetricQ) -> tuple[list[QuadraticForm], list[QuadraticForm]]:
-    """Deformed creator and annihilator forms at every lattice point."""
-    points = np.eye(grid.size, dtype=complex)
-    return ([deformed_creator(grid, truncation, e, Q) for e in points],
-            [deformed_annihilator(grid, truncation, e, Q) for e in points])
-
-
-def _tuple_phases(grid: RapidityGrid, Q: SkewSymmetricQ, n: int) -> np.ndarray:
-    """phi_Q(t) = exp(i sum_{a<b} p(t_a) . (Q p(t_b))) on every n-tuple, row-major."""
-    # exp(i p(g) . (Q p(h))) over lattice points: every point is a one-tuple orbit
-    pair = _phase_block(ScatteringModel.free(), grid, Q, 1, 1)
-    N = grid.size
-    out = np.ones((N,) * n, dtype=complex)
-    for a in range(n):
-        for b in range(a + 1, n):
-            out = out * pair[_axis(N, n, a), _axis(N, n, b)]
-    return out.ravel()
+    """Deformed creator and annihilator forms at every lattice point: the warped free ladder."""
+    creators, annihilators = point_ladder(ScatteringModel.free(), grid, truncation)
+    return [warp(c, Q) for c in creators], [warp(a, Q) for a in annihilators]
 
 
 def deformed_fmn_coefficients(A: QuadraticForm, Q: SkewSymmetricQ, m: int,
@@ -335,18 +302,32 @@ def deformed_fmn_coefficients(A: QuadraticForm, Q: SkewSymmetricQ, m: int,
 
     Exchange factors use the scattering model generated by Q, so this is
     the coefficient formula of the interacting theory realized on the
-    ordinary symmetric space.  Since that model's symmetrizer is
-    D_Q^H P_free D_Q, these are the plain coefficients of the twist
+    ordinary symmetric space, where A must be stored (the free model).
+    These are the plain coefficients, under the model of Q, of the twist
     D_Q^H A D_Q, of which only the blocks (l, k) with l <= m, k <= n enter.
-    The twist is taken on the dense views of those blocks and stored on the
-    orbits of that model.
+    Both models admit every multiset, and V is positive at each orbit
+    representative in both bases, so D_Q^H V_free = V_Q diag(conj phi_Q)
+    with phi_Q read at the representatives: the twist is conj(phi_l) C phi_k.
     """
     _check_mass(A, Q)
-    phases = [_tuple_phases(A.grid, Q, j) for j in range(max(m, n) + 1)]
-    blocks = {(l, k): phases[l].conj()[:, None] * A.block(l, k) * phases[k][None, :]
-              for (l, k) in A.orbit_blocks if l <= m and k <= n}
+    free = ScatteringModel.free()
+    if A.model != free:
+        raise ValueError(f"deformed coefficients act on forms stored under the free model, "
+                         f"not under {A.model}")
+    # exp(i p(g) . (Q p(h))) over lattice points: every point is a one-tuple orbit
+    pair = _phase_block(free, A.grid, Q, 1, 1)
+    phases = []
+    for j in range(max(m, n) + 1):
+        reps = basis_tuples(A.grid.size, j)[symmetric_isometry(free, A.grid, j)[1]]
+        phi = np.ones(len(reps), dtype=complex)
+        for a in range(j):
+            for b in range(a + 1, j):
+                phi = phi * pair[reps[:, a], reps[:, b]]
+        phases.append(phi)
+    blocks = {(l, k): phases[l].conj()[:, None] * C * phases[k][None, :]
+              for (l, k), C in A.orbit_blocks.items() if l <= m and k <= n}
     model = Q.scattering_model()
-    twisted = QuadraticForm.from_dense(model, A.grid, A.truncation, blocks, A.truncated)
+    twisted = QuadraticForm(model, A.grid, A.truncation, blocks, A.truncated)
     return fmn_coefficients(model, twisted, m, n)
 
 

@@ -8,7 +8,9 @@ permutation orbits, with one column per admissible multiset.  A form
 stores each block on orbit pairs, as C = V_l^H A V_k, and every form
 operation acts on C: sums, products, adjoints, the constructors, the
 draws, the norms and the full-basis residuals.  The dense block
-V_l C V_k^H over all N**l x N**k tuples is a view computed on access.
+V_l C V_k^H over all N**l x N**k tuples is a view computed on access,
+read only here and by the file codec.  Tuple reversal is a phase per
+column of V (:func:`reversal_phases`).
 The norms take lists (:func:`cross_norms`, :func:`sector_norms`,
 :func:`qform_norms`), and each call takes all its spectral norms in one
 batched SVD per matrix shape (:func:`_spectral_norms`).
@@ -72,7 +74,7 @@ def orbit_dimension(model: ScatteringModel, N: int, n: int) -> int:
     return math.comb(N, n) if model.value(0.0).real < 0 else math.comb(N + n - 1, n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def symmetric_isometry(model: ScatteringModel, grid: RapidityGrid,
                        n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Orthonormal basis V of the S-symmetric n-particle subspace, its orbits and peaks.
@@ -114,6 +116,19 @@ def symmetric_isometry(model: ScatteringModel, grid: RapidityGrid,
     for arr in (V, reps, peaks):
         arr.flags.writeable = False
     return V, reps, peaks
+
+
+def reversal_phases(model: ScatteringModel, grid: RapidityGrid, n: int) -> np.ndarray:
+    """The unit-modulus W with conj(V)[rev] = V diag(W), rev reversing every n-tuple.
+
+    A reversed tuple stays in its orbit.  W is read at the representatives,
+    where V is real and positive, as conj(V[rev(rep_a), a]) / V[rep_a, a].
+    """
+    V, reps = symmetric_isometry(model, grid, n)[:2]
+    N = grid.size
+    rev = basis_tuples(N, n)[reps, ::-1] @ (N ** np.arange(n - 1, -1, -1))
+    cols = np.arange(len(reps))
+    return V[rev, cols].conj() / V[reps, cols]
 
 
 def peak_weights(model: ScatteringModel, grid: RapidityGrid,

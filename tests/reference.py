@@ -11,7 +11,9 @@ lattice-wide delta mask, exchange factor and reflection factor
 (``delta_mask``, ``s_factor_grid``, ``r_factor_grid``), their pointwise
 versions, and the dense broadcast of a reduced tensor.  The vectors,
 deformed creator vectors and deformed monomials built operator by
-operator are the references of the extracted coefficients.
+operator are the references of the extracted coefficients, and
+``twist_phases`` is the deformation phase phi_Q on every tuple, the
+diagonal of D_Q.
 ``tabulated`` draws a table model of random unitary values on a
 lattice's differences.  ``big_matrix``, ``vacuum`` and the permutation
 ``sign`` are views only the tests need.  The ``dense_*`` functions are the
@@ -270,6 +272,21 @@ def deformed_vector_matrices(grid: RapidityGrid, truncation: int, Q: SkewSymmetr
         left.append(L)
         right.append(R)
     return left, right
+
+
+def twist_phases(grid: RapidityGrid, Q: SkewSymmetricQ, n: int) -> np.ndarray:
+    """phi_Q(t) = exp(i sum_{a<b} p(t_a) . (Q p(t_b))) on every n-tuple, row-major.
+
+    D_Q = diag(phi_Q) is the deformation by Q on the n-particle tuples.
+    """
+    p0, p1 = sector_momentum(grid, 1)
+    pair = np.exp(1j * Q.pairing_arrays(p0[:, None], p1[:, None], p0[None, :], p1[None, :]))
+    N = grid.size
+    out = np.ones((N,) * n, dtype=complex)
+    for a in range(n):
+        for b in range(a + 1, n):
+            out = out * pair[_axis(N, n, a), _axis(N, n, b)]
+    return out.ravel()
 
 
 def deformed_monomial(grid: RapidityGrid, truncation: int, Q: SkewSymmetricQ,

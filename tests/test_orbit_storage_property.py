@@ -7,12 +7,15 @@ dense views, at rel 1e-12 of the largest entry: the product, the sum,
 scalar multiples, the adjoint, ``apply``, ``warp``, ``warp_spectral`` on
 either side, ``translate_form``, ``boost_form``, ``reflect_conjugate``,
 the graded sign of ``_graded_commutator`` and the split of
-``momentum_sector_decompose``.  The full-basis max-abs readout of
-``form_residual`` and ``peak_abs`` must agree with the dense maximum to a
-few ulp.  Models are free, ising, sinh_exp and tables of random unitary
-values with S(0) = +1 and S(0) = -1, where the tuples with a repeated
-point are rows of zeros of V; lattices are random or symmetric, with 2-4
-points.  The examples are derandomized so the run is deterministic.
+``momentum_sector_decompose``.  Reversing the tuples must be the column
+phase W of ``reversal_phases``, conj(V)[rev] = V diag(W) with |W| = 1,
+which the reflection and the creator-vector elements rest on.  The
+full-basis max-abs readout of ``form_residual`` and ``peak_abs`` must
+agree with the dense maximum to a few ulp.  Models are free, ising,
+sinh_exp and tables of random unitary values with S(0) = +1 and
+S(0) = -1, where the tuples with a repeated point are rows of zeros of V;
+lattices are random or symmetric, with 2-4 points.  The examples are
+derandomized so the run is deterministic.
 """
 
 import warnings
@@ -23,13 +26,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from zfock.expansion import boost_form, reflect_conjugate, translate_form
-from zfock.fock import sector_momentum
+from zfock.fock import basis_tuples, sector_momentum
 from zfock.sampling import keyed_rng, random_form, random_state
 from zfock.scattering import ScatteringModel
 from zfock.warped import (GROUPING_RTOL, GroupingWarning, SkewSymmetricQ,
                           _graded_commutator, momentum_sector_decompose, warp,
                           warp_spectral)
-from zfock.zops import form_residual, peak_abs, peak_weights, symmetric_isometry
+from zfock.zops import (form_residual, peak_abs, peak_weights, reversal_phases,
+                        symmetric_isometry)
 
 from reference import (dense_apply, dense_graded, dense_matmul, dense_reflect,
                        dense_transfer_piece, dense_translate, dense_warp,
@@ -156,3 +160,18 @@ def test_max_abs_readout_equals_dense_max(family, a, grid, seed):
         # the tuples with a repeated point are rows of zeros of V
         V = symmetric_isometry(model, grid, 2)[0]
         assert not np.abs(V[0]).any()
+
+
+@pytest.mark.parametrize("family", sorted(MODELS))
+@settings(max_examples=8, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(a=st.floats(0.1, 1.5), grid=lattices(), seed=st.integers(0, 2**16))
+def test_reversal_is_a_column_phase(family, a, grid, seed):
+    model = MODELS[family](a, grid, keyed_rng(seed, "property", "orbit", "table"))
+    N = grid.size
+    for n in range(K + 2):
+        V = symmetric_isometry(model, grid, n)[0]
+        W = reversal_phases(model, grid, n)
+        rev = basis_tuples(N, n)[:, ::-1] @ (N ** np.arange(n - 1, -1, -1))
+        np.testing.assert_allclose(np.abs(W), 1.0, rtol=0, atol=REL)
+        np.testing.assert_allclose(V.conj()[rev], V * W[None, :], rtol=0, atol=REL)

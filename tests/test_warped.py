@@ -12,8 +12,8 @@ from zfock.fock import RapidityGrid, minkowski
 from zfock.sampling import keyed_rng, random_form
 from zfock.scattering import ScatteringModel
 from zfock.warped import (GroupingWarning, HomogeneousComponent, SkewSymmetricQ,
-                          deformed_annihilator, deformed_creator,
-                          deformed_fmn_coefficients, momentum_sector_decompose,
+                          deformed_fmn_coefficients, deformed_point_ladder,
+                          momentum_sector_decompose,
                           nested_free_family, nested_graded_family, nested_q_family,
                           q_commutator, warp, warp_spectral)
 from zfock.zops import QuadraticForm, annihilator_form, creator_form, form_residual
@@ -199,13 +199,13 @@ def test_grouping_warns_on_rounded_transfers(grid3):
 
 
 def test_deformed_creator_is_warped_free_creator(grid3):
-    f = np.zeros(3, dtype=complex)
-    f[1] = 1.0
+    # the deformed ladder at each point is the warp of the free one there
     Q = SkewSymmetricQ(0.8, 1.0)
-    from zfock.zops import creator_form
-    direct = deformed_creator(grid3, 2, f, Q)
-    want = warp(creator_form(FREE, grid3, 2, f), Q)
-    assert form_residual(direct, want) == 0.0
+    creators, annihilators = deformed_point_ladder(grid3, 2, Q)
+    for g, e in enumerate(np.eye(3, dtype=complex)):
+        assert form_residual(creators[g], warp(creator_form(FREE, grid3, 2, e), Q)) == 0.0
+        assert form_residual(annihilators[g],
+                             warp(annihilator_form(FREE, grid3, 2, e), Q)) == 0.0
 
 
 def test_deformed_exchange_matches_sinh_factor(grid3):
@@ -213,14 +213,11 @@ def test_deformed_exchange_matches_sinh_factor(grid3):
     Q = SkewSymmetricQ(1.2, 1.0)
     S = Q.scattering_model()
     K = 3
-    e0 = np.eye(3, dtype=complex)[0]
-    e2 = np.eye(3, dtype=complex)[2]
-    c0 = deformed_creator(grid3, K, e0, Q)
-    c2 = deformed_creator(grid3, K, e2, Q)
+    creators, annihilators = deformed_point_ladder(grid3, K, Q)
+    c0, c2, a0 = creators[0], creators[2], annihilators[0]
     lhs = (c0 @ c2).block(2, 0)
     rhs = S.value(grid3.points[0] - grid3.points[2]) * (c2 @ c0).block(2, 0)
     np.testing.assert_allclose(lhs, rhs, atol=1e-13)
-    a0 = deformed_annihilator(grid3, K, e0, Q)
     lhs = (a0 @ c2).block(1, 1)
     rhs = S.value(grid3.points[2] - grid3.points[0]) * (c2 @ a0).block(1, 1)
     np.testing.assert_allclose(lhs, rhs, atol=1e-13)
@@ -305,8 +302,7 @@ def test_nested_families_equal_unpruned_commutators(grid3):
         assert np.array_equal(kern.values, parts[0][mn] + parts[1][mn]), ("graded", mn)
 
     Q = SkewSymmetricQ(0.9, 1.0)
-    creators = [deformed_creator(grid3, K, e, Q) for e in units]
-    annihilators = [deformed_annihilator(grid3, K, e, Q) for e in units]
+    creators, annihilators = deformed_point_ladder(grid3, K, Q)
     # the deformed ladder acts on the free symmetric space, so A is drawn there
     A = random_form(FREE, grid3, K, rng)
     want = _full_nested(A, total, creators, annihilators,

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from zfock.fock import FockState, Indicatrix
+from zfock.fock import FockState, Indicatrix, RapidityGrid, energy_grid, sector_momentum
 from zfock.sampling import keyed_rng, random_form, random_kernel, random_state
-from zfock.scattering import ScatteringModel
+from zfock.scattering import ScatteringModel, _pair_values_cached
 from zfock.zops import (KernelTensor, _spectral_norms, annihilate, annihilator_form,
                         create, creator_form, cross_norms, form_residual, identity_form,
                         kernel_adjoint, qform_norms, sector_norms, symmetric_isometry,
@@ -201,3 +201,18 @@ def test_sector_norms_reject_wrong_sizes(model, grid3):
         assert f"lengths {3**l} and {3**k}" in str(err.value)
     with pytest.raises(ValueError, match=rf"shape \({dims[0]}, {dims[1]}\)"):
         sector_norms(model, grid3, [(C, 2, 1, np.ones(27), w1)])
+
+
+def test_lattice_caches_stay_bounded():
+    # each lattice is a new key of the lattice-keyed caches: they evict
+    # rather than keep every lattice a process has seen
+    caches = (symmetric_isometry, energy_grid, sector_momentum, _pair_values_cached)
+    assert all(c.cache_info().maxsize is not None for c in caches)
+    for i in range(2 * max(c.cache_info().maxsize for c in caches)):
+        grid = RapidityGrid((0.0, 0.5 + 1e-3 * i), 1.0)
+        symmetric_isometry(FREE, grid, 1)
+        energy_grid(grid, 1)
+        sector_momentum(grid, 1)
+    for c in caches:
+        info = c.cache_info()
+        assert info.currsize <= info.maxsize, (c.__name__, info)
