@@ -10,13 +10,15 @@ from .io import (load_family, load_form, load_kernel, load_state, save_family,
 from .scattering import Permutation, ScatteringModel
 from .suites import CheckRecord, Report, run_suites
 from .warped import SkewSymmetricQ, q_commutator, warp
-from .zops import KernelTensor, QuadraticForm, annihilate, create, zmzn_form
+from .zops import (KernelTensor, OrbitKernel, QuadraticForm, annihilate, compress_kernel,
+                   create, zmzn_form)
 
 __all__ = [
     "CheckRecord", "CoefficientFamily", "ConfigError", "Contraction",
-    "FockState", "Indicatrix", "KernelTensor", "Permutation", "QuadraticForm",
-    "RapidityGrid", "Report", "RunConfig", "ScatteringModel", "SkewSymmetricQ",
-    "annihilate", "compose", "create", "enumerate_contractions",
+    "FockState", "Indicatrix", "KernelTensor", "OrbitKernel", "Permutation",
+    "QuadraticForm", "RapidityGrid", "Report", "RunConfig", "ScatteringModel",
+    "SkewSymmetricQ", "annihilate", "compose", "compress_kernel", "create",
+    "enumerate_contractions",
     "extract_family", "fmn_coefficients", "load_family", "load_form",
     "load_kernel", "load_state", "parse_config", "q_commutator", "reconstruct",
     "run_suites", "save_family", "save_form", "save_kernel", "save_state",

@@ -7,13 +7,16 @@ reconstructs the operator exactly on the truncated space, and the
 coefficients transform covariantly under translations, boosts, and the
 antiunitary reflection.
 
-Forms stay on their orbit pairs: the multi-creator elements
-(:func:`creator_elements`) and the reflection (:func:`reflect_conjugate`)
-reverse tuples through the phase W of ``zops.reversal_phases``.
+Forms and coefficients stay on their orbit pairs.  The multi-creator
+elements of a block (:func:`creator_elements`) and the reflection
+(:func:`reflect_conjugate`) reverse tuples through the phase W of
+``zops.reversal_phases``.  A coefficient is S-symmetric in each slot
+group, so it is stored as its orbit matrix F with f = V_m F V_n^T
+(``zops.OrbitKernel``).
 
-The contraction sums are nested by contraction depth
-(:func:`_contraction_sum`).  Let K add every single-pair insertion: K g is
-the sum of the terms ``delta * S (* R) * g`` over the m' n' one-pair
+The contraction sums run as one Horner form over the one-point ladder
+(:func:`_ladder_sum`).  Let K add every single-pair insertion: K g is the
+sum of the terms ``delta * S (* R) * g`` over the m' n' one-pair
 contractions of the current (m', n') slots, g living on the slots each
 pair leaves free.  By the composition identity
 (:func:`~zfock.contractions.compose`, checked by
@@ -26,140 +29,184 @@ S(x_a - x_l) S(x_r - x_a) = 1.  A c-pair contraction arises from exactly
 c! orders of its pairs, so K^c g = c! sum_{|C|=c} delta_C S_C g, and the
 sum over all contractions with weights s^|C| is the Horner form
 term(0) + s K(term(1) + (s/2) K(term(2) + (s/3) K(...))).
+
+Every level g is S-symmetric in both slot groups, so the a b insertions
+of K sum to a b times the symmetrization of both groups of one of them,
+the adjacent pair x_a = x_{a+1}, which has no exchange factor; its
+reflection factor is 1 - d_out d_in, with the sweep products
+d_out = prod_i S(x - t_i) over the other outgoing slots t and
+d_in = prod_j S(u_j - x) over the other incoming slots u, both constant on
+orbits.  With g = V_{a-1} Y V_{b-1}^T this is one step over the lattice
+points x:
+
+    K g = a b V_a (sum_x L_a[x] Y_x R_b[x]^T) V_b^T,
+
+with R_b[x] = V_b^H (e_x kron V_{b-1}) the creator ladder block at x over
+sqrt(b), L_a[x] = V_a^H (V_{a-1} kron e_x) = diag(W_a) conj(R_a[x])
+diag(conj W_{a-1}), and Y_x = Y, or Y - diag(d_out[x]) Y diag(d_in[x])
+with the reflection factor, the sweep products read at the orbit
+representatives (:func:`_insertions`).  No N**(m+n) tensor is formed and
+no contraction is enumerated.  ``suites`` keeps the dense sum over
+contractions, at capped degree, as the formula this is checked against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .contractions import add_on_support, enumerate_contractions
-from .fock import RapidityGrid, translation_phases
-from .scattering import ScatteringModel
-from .zops import (KernelTensor, QuadraticForm, _require_model, reversal_phases,
-                   symmetric_isometry, zmzn_form)
+from .fock import RapidityGrid, basis_tuples, translation_phases
+from .scattering import ScatteringModel, pair_values
+from .zops import (OrbitKernel, QuadraticForm, _require_model, orbit_dimension, peak_abs,
+                   peak_weights, reversal_phases, symmetric_isometry, zmzn_form)
 
 
 def creator_elements(A: QuadraticForm, m: int, n: int) -> np.ndarray:
-    """Matrix elements of the (m, n) block of A between the multi-creator vectors.
+    """Matrix elements of the (m, n) block of A between the multi-creator vectors, on orbits.
 
-    Entry (t, u), one slot axis per slot, pairs the m-fold creator vector
-    of tuple t, creators applied in slot order, with the n-fold one of u,
-    applied in descending slot order.  A j-fold creator vector is sqrt(j!)
-    times the symmetrizer column of its tuple, so this is sqrt(m! n!) times
-    V_m C V_n^H with its column tuples reversed: V_m (C diag(W)) V_n^T, with
-    V_n[rev] = conj(V_n) diag(conj W) (:func:`~zfock.zops.reversal_phases`).
+    The dense element of the tuples (t, u) pairs the m-fold creator vector
+    of t, creators applied in slot order, with the n-fold one of u, applied
+    in descending slot order.  A j-fold creator vector is sqrt(j!) times the
+    symmetrizer column of its tuple, so the dense elements are sqrt(m! n!)
+    V_m C V_n^H with the column tuples reversed, which is V_m X V_n^T for
+    the X = sqrt(m! n!) C diag(W_n) returned here, through
+    V_n[rev] = conj(V_n) diag(conj W_n) (:func:`~zfock.zops.reversal_phases`).
     """
-    N = A.grid.size
     c = math.sqrt(math.factorial(m) * math.factorial(n))
-    Vm = symmetric_isometry(A.model, A.grid, m)[0]
-    Vn = symmetric_isometry(A.model, A.grid, n)[0]
-    W = reversal_phases(A.model, A.grid, n)
-    return (c * ((Vm @ (A.orbit_block(m, n) * W)) @ Vn.T)).reshape((N,) * (m + n))
+    return c * (A.orbit_block(m, n) * reversal_phases(A.model, A.grid, n))
 
 
-def _contraction_sum(model: ScatteringModel, points: Sequence[float], m: int, n: int,
-                     term: Callable[[int], np.ndarray], sign: int,
-                     reflected: bool = False) -> np.ndarray:
-    """Sum over contractions C of (m, n) of sign**|C| delta_C S_C (R_C) term(|C|).
+@lru_cache(maxsize=32)
+def _creator_ladder(model: ScatteringModel, grid: RapidityGrid,
+                  b: int) -> tuple[np.ndarray, np.ndarray]:
+    """L_b[x] and R_b[x] over the lattice points x, each of shape (N, orbits_b, orbits_{b-1}).
 
-    ``term(c)`` is the tensor on the (m - c, n - c) free slots, built when
-    its level is reached; the reflection factor R_C enters when ``reflected``
-    is set.  Nested from the deepest level out (see the module docstring):
-    each level adds the single-pair insertions of the level below into a
-    fresh buffer, scales it by sign / c and adds its own term, in place.
-    (4, 4) takes 16 + 9 + 4 + 1 = 30 insertions for its 209 contractions.
+    R_b[x] = V_b^H (e_x kron V_{b-1}) is the creator ladder block at x over
+    sqrt(b), taken in one tensordot on V_b; L_b[x] = V_b^H (V_{b-1} kron e_x),
+    the point appended last, is diag(W_b) conj(R_b[x]) diag(conj W_{b-1}).
+    """
+    Vb = symmetric_isometry(model, grid, b)[0]
+    Vp = symmetric_isometry(model, grid, b - 1)[0]
+    R = np.tensordot(Vb.conj().reshape(grid.size, Vp.shape[0], Vb.shape[1]), Vp,
+                     axes=(1, 0))
+    L = (reversal_phases(model, grid, b)[:, None] * R.conj()
+         * reversal_phases(model, grid, b - 1).conj())
+    for arr in (L, R):
+        arr.flags.writeable = False
+    return L, R
+
+
+def _sweep_products(model: ScatteringModel, grid: RapidityGrid, p: int,
+                    q: int) -> tuple[np.ndarray, np.ndarray]:
+    """prod_i S(x - t_i) and prod_j S(u_j - x) over the representatives t of sector p and u of q.
+
+    Shapes (N, orbits_p) and (N, orbits_q); both products are symmetric in
+    the tuple, so they are constant on orbits.
+    """
+    mat = pair_values(model, grid.points)
+    out = []
+    for j, side in ((p, mat), (q, mat.T)):
+        reps = basis_tuples(grid.size, j)[symmetric_isometry(model, grid, j)[1]]
+        prod = np.ones((grid.size, len(reps)), dtype=complex)
+        for i in range(j):
+            prod = prod * side[:, reps[:, i]]
+        out.append(prod)
+    return out[0], out[1]
+
+
+def _insertions(model: ScatteringModel, grid: RapidityGrid, a: int, b: int,
+                X: np.ndarray, reflected: bool) -> np.ndarray:
+    """The single-pair insertions K of an orbit matrix X of (a - 1, b - 1) slots, on (a, b).
+
+    a b sum_x L_a[x] Y_x R_b[x]^T, with Y_x = X, or
+    X - diag(d_out[x]) X diag(d_in[x]) with the reflection factor
+    (module docstring).
+    """
+    L = _creator_ladder(model, grid, a)[0]
+    R = _creator_ladder(model, grid, b)[1]
+    if reflected:
+        dout, din = _sweep_products(model, grid, a - 1, b - 1)
+        X = X - dout[:, :, None] * X * din[:, None, :]
+    return (a * b) * np.tensordot(L @ X, R, axes=([0, 2], [0, 2]))
+
+
+def _ladder_sum(model: ScatteringModel, grid: RapidityGrid, m: int, n: int,
+                term: Callable[[int], np.ndarray], sign: int,
+                reflected: bool = False) -> np.ndarray:
+    """Sum over contractions C of (m, n) of sign**|C| delta_C S_C (R_C) term(|C|), on orbits.
+
+    ``term(c)`` is the orbit matrix on the (m - c, n - c) free slots; the
+    reflection factor R_C enters when ``reflected`` is set.  The Horner
+    form of the module docstring, from the deepest level out: each level
+    adds sign / c times the insertions (:func:`_insertions`) of the level
+    below to its own term.
     """
     # a copy, so that a sum without contractions never aliases term(0)
     total = np.array(term(min(m, n)), dtype=complex)
     for c in range(min(m, n), 0, -1):
-        a, b = m - c + 1, n - c + 1
-        # the term first: its temporaries then never coexist with the buffer
-        own = term(c - 1)
-        lower = np.zeros((len(points),) * (a + b), dtype=complex)
-        # the a * b single-pair contractions follow the empty one
-        for C in enumerate_contractions(a, b)[1:1 + a * b]:
-            add_on_support(lower, model, points, C, total, reflected=reflected)
-        lower *= sign / c
-        lower += own
-        total = lower
+        insertions = _insertions(model, grid, m - c + 1, n - c + 1, total, reflected)
+        total = term(c - 1) + (sign / c) * insertions
     return total
 
 
-def _coefficient(model: ScatteringModel, grid: RapidityGrid, m: int, n: int,
-                 elements: Callable[[int, int], np.ndarray]) -> KernelTensor:
-    """The (m, n) coefficient from the element tensors ``elements(m - c, n - c)``."""
-    return KernelTensor(m, n, _contraction_sum(model, grid.points, m, n,
-                                               lambda c: elements(m - c, n - c), -1))
-
-
-def fmn_coefficients(model: ScatteringModel, A: QuadraticForm, m: int, n: int) -> KernelTensor:
-    """Expansion coefficient with m outgoing and n incoming slots.
+def fmn_coefficients(model: ScatteringModel, A: QuadraticForm, m: int, n: int) -> OrbitKernel:
+    """Expansion coefficient with m outgoing and n incoming slots, on orbit pairs.
 
     Alternating sum over contractions: each term carries the lattice delta
     and exchange factor of the contraction and the matrix element of A
     between the reduced multi-creator vectors of ``model``
     (:func:`creator_elements`), which must be the model A is stored under.
     Only the blocks (l, k) of A with l <= m and k <= n enter.  The sum is
-    nested by contraction depth (:func:`_contraction_sum`, sign -1), one
-    matrix element tensor per depth.
+    the Horner form over the point ladder (:func:`_ladder_sum`, sign -1).
     """
     _require_model(model, A)
-    return _coefficient(model, A.grid, m, n, lambda l, k: creator_elements(A, l, k))
+    return OrbitKernel(m, n, _ladder_sum(model, A.grid, m, n,
+                                         lambda c: creator_elements(A, m - c, n - c), -1))
 
 
 @dataclass
 class CoefficientFamily:
-    """Expansion coefficients under ``model``, indexed by (outgoing, incoming) slot counts."""
+    """Expansion coefficients under ``model``, indexed by (outgoing, incoming) slot counts.
+
+    Each entry is stored on orbit pairs (``zops.OrbitKernel``).
+    """
 
     model: ScatteringModel
     grid: RapidityGrid
     truncation: int
-    entries: dict[tuple[int, int], KernelTensor] = field(default_factory=dict)
+    entries: dict[tuple[int, int], OrbitKernel] = field(default_factory=dict)
 
-    def entry(self, m: int, n: int) -> KernelTensor:
+    def entry(self, m: int, n: int) -> OrbitKernel:
+        """The (m, n) coefficient, zeros on its orbit pairs when it is not stored."""
         got = self.entries.get((m, n))
         if got is not None:
             return got
         N = self.grid.size
-        return KernelTensor(m, n, np.zeros((N,) * (m + n), dtype=complex))
+        return OrbitKernel(m, n, np.zeros((orbit_dimension(self.model, N, m),
+                                           orbit_dimension(self.model, N, n)), dtype=complex))
 
-    def set_entry(self, kernel: KernelTensor) -> None:
+    def set_entry(self, kernel: OrbitKernel) -> None:
         self.entries[(kernel.m, kernel.n)] = kernel
 
 
-def element_tensors(model: ScatteringModel,
-                    A: QuadraticForm) -> dict[tuple[int, int], np.ndarray]:
-    """:func:`creator_elements` of every block (l, k) of A, l, k <= the truncation.
+def extract_family(model: ScatteringModel, A: QuadraticForm) -> CoefficientFamily:
+    """All coefficients with slot counts up to the truncation.
 
-    A family of coefficients reaches every block, each from several
-    (m, n); this builds each block's elements once.
+    Each (m, n) reads the elements of every (m - c, n - c); each block's
+    elements are built once.
     """
     _require_model(model, A)
     K = A.truncation
-    return {(l, k): creator_elements(A, l, k) for l in range(K + 1) for k in range(K + 1)}
-
-
-def family_from_elements(model: ScatteringModel, grid: RapidityGrid, truncation: int,
-                         elements: dict[tuple[int, int], np.ndarray]) -> CoefficientFamily:
-    """The coefficient of every key (m, n) of ``elements``, from its element tensors.
-
-    Each (m, n) reads the tensors of (m - c, n - c) for every depth c, so
-    ``elements`` holds them all: every block up to the truncation, as
-    :func:`element_tensors` returns, or every block with l + k <= s.
-    """
-    family = CoefficientFamily(model, grid, truncation)
+    elements = {(l, k): creator_elements(A, l, k) for l in range(K + 1) for k in range(K + 1)}
+    family = CoefficientFamily(model, A.grid, K)
     for m, n in elements:
-        family.set_entry(_coefficient(model, grid, m, n, lambda l, k: elements[(l, k)]))
+        family.set_entry(OrbitKernel(m, n, _ladder_sum(
+            model, A.grid, m, n, lambda c: elements[(m - c, n - c)], -1)))
     return family
-
-
-def extract_family(model: ScatteringModel, A: QuadraticForm) -> CoefficientFamily:
-    """All coefficients with slot counts up to the truncation."""
-    return family_from_elements(model, A.grid, A.truncation, element_tensors(model, A))
 
 
 def _require_family_model(model: ScatteringModel, family: CoefficientFamily) -> None:
@@ -173,8 +220,6 @@ def reconstruct(model: ScatteringModel, family: CoefficientFamily) -> QuadraticF
     K = family.truncation
     total = QuadraticForm(model, family.grid, K)
     for (m, n), kernel in sorted(family.entries.items()):
-        if m > K or n > K:
-            continue
         term = zmzn_form(model, kernel, family.grid, K)
         total = total + (1.0 / (math.factorial(m) * math.factorial(n))) * term
     return total
@@ -185,15 +230,17 @@ def inversion_residual(model: ScatteringModel, elements: np.ndarray, m: int, n: 
     """Defect of the inversion identity on the (m, n) matrix elements.
 
     The uncontracted multi-creator matrix elements ``elements`` of a form's
-    (m, n) block (:func:`creator_elements`) must equal the sum over
-    contractions of delta and exchange factors times the reduced
-    coefficients, read from ``family``, which must hold every (m - c, n - c).
-    The sum is nested by contraction depth (:func:`_contraction_sum`, sign +1).
+    (m, n) block, on orbit pairs (:func:`creator_elements`), must equal the
+    sum over contractions of delta and exchange factors times the reduced
+    coefficients, read from ``family``, which must hold every
+    (m - c, n - c).  The sum is the Horner form over the point ladder
+    (:func:`_ladder_sum`, sign +1); the defect is the largest entry of its
+    dense view, read through ``zops.peak_abs``.
     """
     _require_family_model(model, family)
-    rhs = _contraction_sum(model, family.grid.points, m, n,
-                           lambda c: family.entries[(m - c, n - c)].values, 1)
-    return float(np.max(np.abs(elements - rhs)))
+    rhs = _ladder_sum(model, family.grid, m, n,
+                      lambda c: family.entries[(m - c, n - c)].values, 1)
+    return peak_abs(elements - rhs, peak_weights(model, family.grid, (m, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -243,33 +290,31 @@ def transform_coeffs_poincare(family: CoefficientFamily, x: Sequence[float],
     """Coefficient family of the Poincare-transformed operator.
 
     Boost part: same arrays over the lattice shifted by -lam.  Translation
-    part: momentum-transfer phases evaluated on the new lattice.
+    part: momentum-transfer phases evaluated on the new lattice; the phase
+    of a tuple is constant on its orbit, so it is read at the orbit
+    representatives.
     """
     x = np.asarray(x, dtype=float)
     new_grid = family.grid.shifted(lam)
-    N = new_grid.size
     out = CoefficientFamily(family.model, new_grid, family.truncation)
     for (m, n), kernel in family.entries.items():
-        row = translation_phases(new_grid, m, x).reshape((N,) * m + (1,) * n)
-        col = translation_phases(new_grid, n, -x).reshape((1,) * m + (N,) * n)
-        out.set_entry(KernelTensor(m, n, row * col * kernel.values))
+        row = translation_phases(new_grid, m, x)[symmetric_isometry(family.model, new_grid, m)[1]]
+        col = translation_phases(new_grid, n, -x)[symmetric_isometry(family.model, new_grid, n)[1]]
+        out.set_entry(OrbitKernel(m, n, row[:, None] * kernel.values * col[None, :]))
     return out
 
 
 def reflected_coeffs(model: ScatteringModel, family: CoefficientFamily,
-                     m: int, n: int) -> KernelTensor:
+                     m: int, n: int) -> OrbitKernel:
     """Coefficient of the reflected adjoint from the original family.
 
     Alternating sum over contractions with the extra reflection factor;
-    the reduced coefficients enter with slot groups exchanged.  The sum is
-    nested by contraction depth (:func:`_contraction_sum`, sign -1, with the
-    reflection factor, which composes like the exchange factor).
+    the reduced coefficients enter with slot groups exchanged, which on
+    orbit pairs is the plain transpose F_{n-c, m-c}^T, since
+    (V_j G V_k^T)^T = V_k G^T V_j^T.  The sum is the Horner form over the
+    point ladder (:func:`_ladder_sum`, sign -1, with the reflection factor,
+    which composes like the exchange factor).
     """
-
-    def reduced(c: int) -> np.ndarray:
-        mh, nh = m - c, n - c
-        g = family.entry(nh, mh).values
-        return g.transpose(tuple(range(nh, nh + mh)) + tuple(range(nh)))
-
-    return KernelTensor(m, n, _contraction_sum(model, family.grid.points, m, n, reduced,
-                                               -1, reflected=True))
+    return OrbitKernel(m, n, _ladder_sum(model, family.grid, m, n,
+                                         lambda c: family.entry(n - c, m - c).values.T,
+                                         -1, reflected=True))

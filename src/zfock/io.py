@@ -14,7 +14,11 @@ object of a run config, because the orbit basis V depends on it.  Loading
 stores each block on the orbits of that model again; a file without a
 model, or with a block that differs from its own symmetric part by more
 than ``FORM_SYMMETRY_RTOL`` of the block's largest entry, is refused.  A
-coefficient family's manifest carries its model the same way.
+coefficient family's manifest carries its model the same way, and each
+coefficient file holds the dense view V_m F V_n^T of its orbit kernel.
+Loading stores each coefficient on orbit pairs again; a kernel that is not
+S-symmetric in its slot groups to within ``FORM_SYMMETRY_RTOL``, an entry
+above the manifest's truncation and an entry listed twice are refused.
 
 A file holds exactly the bytes of ``json.dumps`` of its document with the
 tensors as nested ``[re, im]`` lists.  The tensor payloads are encoded and
@@ -40,7 +44,7 @@ from .config import (_check_scattering, _is_finite, _is_int, build_scattering,
 from .expansion import CoefficientFamily
 from .fock import FockState, RapidityGrid
 from .scattering import ScatteringModel
-from .zops import KernelTensor, QuadraticForm
+from .zops import KernelTensor, QuadraticForm, compress_kernel, dense_kernel
 
 # a loaded block may differ from its S-symmetric part by this much of its largest entry
 FORM_SYMMETRY_RTOL = 1e-10
@@ -345,23 +349,30 @@ def load_form(path: str) -> QuadraticForm:
             dense[(l, k)] = nested_to_complex(rec["values"], (N**l, N**k))
         form = QuadraticForm.from_dense(model, grid, K, dense, truncated)
     for key, mat in dense.items():
-        size = float(np.max(np.abs(mat))) if mat.size else 0.0
-        err = float(np.max(np.abs(mat - form.block(*key)))) if mat.size else 0.0
-        if err > FORM_SYMMETRY_RTOL * size:
-            raise ValueError(f"{path}: block {key} is not symmetric under the file's "
-                             f"scattering model: it differs from its symmetric part by "
-                             f"{err / size:.3e} of its largest entry")
+        _require_symmetric(path, f"block {key}", mat, form.block(*key))
     return form
 
 
+def _require_symmetric(path, what: str, dense: np.ndarray, view: np.ndarray) -> None:
+    """Refuse ``dense`` if it differs from its symmetric part ``view`` by more than
+    ``FORM_SYMMETRY_RTOL`` of its largest entry."""
+    size = float(np.max(np.abs(dense))) if dense.size else 0.0
+    err = float(np.max(np.abs(dense - view))) if dense.size else 0.0
+    if err > FORM_SYMMETRY_RTOL * size:
+        raise ValueError(f"{path}: {what} is not symmetric under its scattering model: "
+                         f"it differs from its symmetric part by "
+                         f"{err / size:.3e} of its largest entry")
+
+
 def save_family(directory: str, family: CoefficientFamily) -> None:
-    """Write one kernel file per entry plus a manifest."""
+    """Write one kernel file per entry, holding its dense view, plus a manifest."""
     _require_finite(directory, [kernel.values for kernel in family.entries.values()])
     os.makedirs(directory, exist_ok=True)
     entries = []
     for (m, n), kernel in sorted(family.entries.items()):
         name = f"coeff_{m}_{n}.json"
-        save_kernel(os.path.join(directory, name), kernel, family.grid)
+        save_kernel(os.path.join(directory, name),
+                    dense_kernel(family.model, family.grid, kernel), family.grid)
         entries.append({"m": m, "n": n, "file": name})
     manifest = {
         "kind": "coefficient_family",
@@ -375,18 +386,32 @@ def save_family(directory: str, family: CoefficientFamily) -> None:
 
 
 def load_family(directory: str) -> CoefficientFamily:
+    """Read a family and store each coefficient on the orbit pairs of the manifest's model.
+
+    An entry above the manifest's truncation, an entry listed twice and a
+    kernel that is not S-symmetric in its slot groups, to within
+    ``FORM_SYMMETRY_RTOL`` of its largest entry, are refused.
+    """
     path = os.path.join(directory, "manifest.json")
     with _document(path, "coefficient_family", "coefficient family manifest") as manifest:
         grid = _grid_from_header(manifest)
-        family = CoefficientFamily(_model_from_header(manifest), grid,
-                                   _int_field(manifest, "truncation"))
+        model = _model_from_header(manifest)
+        K = _int_field(manifest, "truncation")
         entries = [(os.path.join(directory, rec["file"]), _int_field(rec, "m"),
                     _int_field(rec, "n")) for rec in manifest["entries"]]
+    family = CoefficientFamily(model, grid, K)
     for file, m, n in entries:
         kernel, kgrid = load_kernel(file)
         if kgrid != grid:
             raise ValueError(f"kernel {file} lattice differs from the manifest")
         if (kernel.m, kernel.n) != (m, n):
             raise ValueError(f"kernel {file} slot counts differ from the manifest")
-        family.set_entry(kernel)
+        if m > K or n > K:
+            raise ValueError(f"{path}: entry {(m, n)} lies above the truncation {K}")
+        if (m, n) in family.entries:
+            raise ValueError(f"{path}: entry {(m, n)} is listed twice")
+        compressed = compress_kernel(model, grid, kernel)
+        _require_symmetric(file, f"kernel {(m, n)}", kernel.values,
+                           dense_kernel(model, grid, compressed).values)
+        family.set_entry(compressed)
     return family

@@ -29,10 +29,9 @@ from .config import (DEFAULT_EQUALITY_TOL, DEFAULT_EXACT_TOL,
 from .contractions import (Contraction, add_on_support, compose,
                            enumerate_contractions, reflect_contraction,
                            sigma_rho)
-from .expansion import (boost_form, creator_elements, element_tensors, extract_family,
-                        family_from_elements, fmn_coefficients,
-                        inversion_residual, reconstruct, reflect_conjugate,
-                        reflected_coeffs, transform_coeffs_poincare,
+from .expansion import (CoefficientFamily, boost_form, creator_elements, extract_family,
+                        fmn_coefficients, inversion_residual, reconstruct,
+                        reflect_conjugate, reflected_coeffs, transform_coeffs_poincare,
                         translate_form)
 from .fock import (Indicatrix, RapidityGrid, apply_omega_weight, boost,
                    energy_grid, energy_weights, minkowski, reflect,
@@ -46,10 +45,10 @@ from .warped import (GROUPING_RTOL, GroupingWarning, SkewSymmetricQ, _orbit_mome
                      momentum_sector_decompose,
                      nested_free_family, nested_graded_family, nested_q_family,
                      q_commutator, warp, warp_spectral)
-from .zops import (KernelTensor, QuadraticForm, annihilator_form, annihilate,
-                   create, creator_form, cross_norms, form_residual,
-                   identity_form, kernel_adjoint, peak_abs, peak_weights, point_ladder,
-                   qform_norms, s_symmetry_residual, sector_norms,
+from .zops import (KernelTensor, OrbitKernel, QuadraticForm, annihilator_form, annihilate,
+                   compress_kernel, create, creator_form, cross_norms, dense_kernel,
+                   form_residual, identity_form, kernel_adjoint, peak_abs, peak_weights,
+                   point_ladder, qform_norms, s_symmetry_residual, sector_norms,
                    symmetric_isometry, symmetrize, zmzn_form)
 
 _TINY = 1e-300
@@ -397,7 +396,8 @@ def check_monomial_ladder_product(model: ScatteringModel, grid: RapidityGrid,
         values = np.ones((), dtype=complex)
         for v in gs + hs:
             values = np.multiply.outer(values, v)
-        direct = zmzn_form(model, KernelTensor(m, n, values), grid, truncation)
+        direct = zmzn_form(model, compress_kernel(model, grid, KernelTensor(m, n, values)),
+                           grid, truncation)
         prod = identity_form(model, grid, truncation)
         for g in gs:
             prod = prod @ creator_form(model, grid, truncation, g)
@@ -414,8 +414,9 @@ def check_monomial_adjoint(model: ScatteringModel, grid: RapidityGrid,
     res = 0.0
     for (m, n), rng in zip(degrees, _instances(seed, "monomial_adjoint", count)):
         f = random_kernel(grid, m, n, rng)
-        lhs = zmzn_form(model, f, grid, truncation).adjoint()
-        rhs = zmzn_form(model, kernel_adjoint(f), grid, truncation)
+        lhs = zmzn_form(model, compress_kernel(model, grid, f), grid, truncation).adjoint()
+        rhs = zmzn_form(model, compress_kernel(model, grid, kernel_adjoint(f)), grid,
+                        truncation)
         res = max(res, _form_rel(lhs, rhs))
     return res
 
@@ -428,9 +429,9 @@ def check_monomial_symmetrized_kernel(model: ScatteringModel, grid: RapidityGrid
     res = 0.0
     for (m, n), rng in zip(degrees, _instances(seed, "monomial_symmetrized_kernel", count)):
         f = random_kernel(grid, m, n, rng)
-        lhs = zmzn_form(model, f, grid, truncation)
-        rhs = zmzn_form(model, KernelTensor(m, n, _sym_both(model, grid, f.values, m, n)),
-                        grid, truncation)
+        lhs = zmzn_form(model, compress_kernel(model, grid, f), grid, truncation)
+        sym = KernelTensor(m, n, _sym_both(model, grid, f.values, m, n))
+        rhs = zmzn_form(model, compress_kernel(model, grid, sym), grid, truncation)
         res = max(res, _form_rel(lhs, rhs))
     return res
 
@@ -474,7 +475,7 @@ def _monomial_draws(model: ScatteringModel, grid: RapidityGrid, truncation: int,
     draws = []
     for (m, n), rng in zip(degrees, rngs):
         f = random_kernel(grid, m, n, rng)
-        draws.append((f, zmzn_form(model, f, grid, truncation)))
+        draws.append((f, zmzn_form(model, compress_kernel(model, grid, f), grid, truncation)))
     return draws
 
 
@@ -690,19 +691,69 @@ def check_binomial_cancellation() -> float:
 # expansion checks
 
 
+def _contraction_sum(model: ScatteringModel, points, m: int, n: int,
+                     term, sign: int, reflected: bool = False) -> np.ndarray:
+    """The paper's dense sum over contractions C of (m, n) of sign**|C| delta_C S_C (R_C) term(|C|).
+
+    ``term(c)`` is the dense tensor on the (m - c, n - c) free slots; the
+    reflection factor R_C enters when ``reflected`` is set.  Nested by
+    contraction depth (``expansion`` module docstring): each level adds the
+    a b single-pair ``add_on_support`` insertions of the level below into
+    a fresh buffer, scales it by sign / c and adds its own term.  This is
+    the formula the orbit-pair Horner of ``expansion`` is checked against,
+    at capped degree only, as its tensors have N**(m+n) entries.
+    """
+    # a copy, so that a sum without contractions never aliases term(0)
+    total = np.array(term(min(m, n)), dtype=complex)
+    for c in range(min(m, n), 0, -1):
+        a, b = m - c + 1, n - c + 1
+        # the term first: its temporaries then never coexist with the buffer
+        own = term(c - 1)
+        lower = np.zeros((len(points),) * (a + b), dtype=complex)
+        # the a * b single-pair contractions follow the empty one
+        for C in enumerate_contractions(a, b)[1:1 + a * b]:
+            add_on_support(lower, model, points, C, total, reflected=reflected)
+        lower *= sign / c
+        lower += own
+        total = lower
+    return total
+
+
+def _capped_pairs(truncation: int) -> list[tuple[int, int]]:
+    """The (m, n), m, n <= truncation, of degree m + n <= 4, where dense coefficients are built."""
+    K = truncation
+    return [(m, n) for m in range(K + 1) for n in range(K + 1) if m + n <= 4]
+
+
+def _dense_coefficients(model: ScatteringModel, A: QuadraticForm) -> dict:
+    """The coefficients of A at capped degree by the paper's dense contraction sums.
+
+    The dense element tensors are the views of :func:`creator_elements`.
+    """
+    keys = _capped_pairs(A.truncation)
+    elements = {(l, k): dense_kernel(model, A.grid,
+                                     OrbitKernel(l, k, creator_elements(A, l, k))).values
+                for l, k in keys}
+    return {(m, n): _contraction_sum(model, A.grid.points, m, n,
+                                     lambda c: elements[(m - c, n - c)], -1)
+            for m, n in keys}
+
+
 def check_coefficient_symmetry(model: ScatteringModel, grid: RapidityGrid,
                                truncation: int, seed: int, count: int) -> float:
-    """Coefficients of degree m + n <= 4 are invariant under twisted transpositions."""
+    """Coefficients of degree m + n <= 4 are invariant under twisted transpositions.
+
+    Read off the paper's dense contraction sums: on orbit pairs the
+    symmetry holds by construction.
+    """
     K = truncation
-    cap = min(4, 2 * K)
-    pairs = [(m, n) for m in range(min(K, cap) + 1)
-             for n in range(min(K, cap) + 1)
-             if m + n <= cap and max(m, n) >= 2]
+    pairs = [(m, n) for m, n in _capped_pairs(K) if max(m, n) >= 2]
     res = 0.0
     for rng in _instances(seed, "coefficient_symmetry", count):
         A = random_form(model, grid, K, rng)
+        dense = _dense_coefficients(model, A)
         for m, n in pairs:
-            f = fmn_coefficients(model, A, m, n).values
+            f = dense[(m, n)]
             scale = _maxabs(f)
             for start, size in ((1, m), (m + 1, n)):
                 for a in range(1, size + 1):
@@ -714,6 +765,45 @@ def check_coefficient_symmetry(model: ScatteringModel, grid: RapidityGrid,
     return res
 
 
+def check_contraction_formula(model: ScatteringModel, grid: RapidityGrid,
+                              truncation: int, seed: int, count: int) -> float:
+    """Orbit-pair coefficients and reflected coefficients equal the dense sums, m + n <= 4.
+
+    The reflected sum runs over the dense views of the orbit family, so
+    each Horner is compared on its own.  Relative to the largest entry of
+    each dense family.
+    """
+    res = 0.0
+    for rng in _instances(seed, "contraction_formula", count):
+        A = random_form(model, grid, truncation, rng)
+        want = _dense_coefficients(model, A)
+        family = CoefficientFamily(model, grid, truncation)
+        for m, n in want:
+            family.set_entry(fmn_coefficients(model, A, m, n))
+        got = {key: dense_kernel(model, grid, kernel).values
+               for key, kernel in family.entries.items()}
+        # the reduced coefficients of the reflection: (n, m) with its slot groups exchanged
+        exchanged = {(m, n): got[(n, m)].transpose(tuple(range(n, n + m)) + tuple(range(n)))
+                     for m, n in want}
+        reflected = {(m, n): _contraction_sum(model, grid.points, m, n,
+                                              lambda c: exchanged[(m - c, n - c)], -1,
+                                              reflected=True)
+                     for m, n in want}
+        got_reflected = {key: dense_kernel(model, grid, reflected_coeffs(model, family, *key))
+                         .values for key in want}
+        for dense, orbit in ((want, got), (reflected, got_reflected)):
+            err = max(_maxabs(orbit[key] - dense[key]) for key in dense)
+            res = max(res, _rel(err, max(_maxabs(f) for f in dense.values())))
+    return res
+
+
+def _orbit_residual(model: ScatteringModel, grid: RapidityGrid, got: OrbitKernel,
+                    want: np.ndarray) -> tuple[float, float]:
+    """(max |dense got - dense want|, max |dense want|), read from the orbit matrices."""
+    w = peak_weights(model, grid, (got.m, got.n))
+    return peak_abs(got.values - want, w), peak_abs(want, w)
+
+
 def check_dual_basis(model: ScatteringModel, grid: RapidityGrid,
                      truncation: int, seed: int, count: int) -> float:
     """Coefficients of a single monomial: factorials at its own degree, else zero."""
@@ -721,17 +811,14 @@ def check_dual_basis(model: ScatteringModel, grid: RapidityGrid,
     degrees = _degree_cycle([(1, 1), (2, 1), (1, 2), (2, 2), (0, 2), (2, 0)], K)
     res = 0.0
     for (mp, np_), rng in zip(degrees, _instances(seed, "dual_basis", count)):
-        g = random_kernel(grid, mp, np_, rng)
+        g = compress_kernel(model, grid, random_kernel(grid, mp, np_, rng))
         A = zmzn_form(model, g, grid, K)
-        expected = math.factorial(mp) * math.factorial(np_) \
-            * _sym_both(model, grid, g.values, mp, np_)
-        scale = _maxabs(expected)
-        family = extract_family(model, A)
-        for m in range(K + 1):
-            for n in range(K + 1):
-                got = family.entry(m, n).values
-                want = expected if (m, n) == (mp, np_) else np.zeros_like(got)
-                res = max(res, _rel(_maxabs(got - want), scale))
+        expected = math.factorial(mp) * math.factorial(np_) * g.values
+        scale = peak_abs(expected, peak_weights(model, grid, (mp, np_)))
+        for key, got in extract_family(model, A).entries.items():
+            want = expected if key == (mp, np_) else 0.0
+            res = max(res, _rel(peak_abs(got.values - want, peak_weights(model, grid, key)),
+                                scale))
     return res
 
 
@@ -742,13 +829,14 @@ def check_inversion(model: ScatteringModel, grid: RapidityGrid,
     res = 0.0
     for rng in _instances(seed, "inversion", count):
         A = random_form(model, grid, K, rng)
-        elements = element_tensors(model, A)
-        fam = family_from_elements(model, grid, K, elements)
+        fam = extract_family(model, A)
         err = 0.0
         mag = _TINY
-        for (m, n), lhs in elements.items():
-            mag = max(mag, _maxabs(lhs))
-            err = max(err, inversion_residual(model, lhs, m, n, fam))
+        for m in range(K + 1):
+            for n in range(K + 1):
+                lhs = creator_elements(A, m, n)
+                mag = max(mag, peak_abs(lhs, peak_weights(model, grid, (m, n))))
+                err = max(err, inversion_residual(model, lhs, m, n, fam))
         res = max(res, err / mag)
     return res
 
@@ -775,31 +863,29 @@ def check_projection_invariance(model: ScatteringModel, grid: RapidityGrid,
         A = QuadraticForm(model, grid, K)
         for m in range(total + 1):
             for n in range(total + 1 - m):
-                f = random_kernel(grid, m, n, rng)
+                f = compress_kernel(model, grid, random_kernel(grid, m, n, rng))
                 kernels[(m, n)] = f
                 w = 1.0 / (math.factorial(m) * math.factorial(n))
                 A = A + w * zmzn_form(model, f, grid, K)
         for (m, n), f in kernels.items():
-            want = _sym_both(model, grid, f.values, m, n)
-            got = fmn_coefficients(model, A, m, n).values
-            res = max(res, _rel(_maxabs(got - want), _maxabs(want)))
+            err, mag = _orbit_residual(model, grid, fmn_coefficients(model, A, m, n), f.values)
+            res = max(res, _rel(err, mag))
     return res
 
 
 def _coefficient_deviation(model: ScatteringModel, B: QuadraticForm, want,
                            K: int) -> float:
-    """Largest deviation of B's coefficients from the kernels want(m, n), m, n <= K.
+    """Largest deviation of B's coefficients from the orbit kernels want(m, n), m, n <= K.
 
-    Relative to the largest wanted entry.
+    Relative to the largest wanted entry; both read through ``peak_weights``.
     """
     err = 0.0
     mag = _TINY
     family = extract_family(model, B)
     for m in range(K + 1):
         for n in range(K + 1):
-            wanted = want(m, n).values
-            err = max(err, _maxabs(family.entry(m, n).values - wanted))
-            mag = max(mag, _maxabs(wanted))
+            e, w = _orbit_residual(model, B.grid, family.entry(m, n), want(m, n).values)
+            err, mag = max(err, e), max(mag, w)
     return err / mag
 
 
@@ -864,19 +950,27 @@ def check_reflected_adjoint(model: ScatteringModel, grid: RapidityGrid,
 def check_coefficient_bound(model: ScatteringModel, grid: RapidityGrid,
                             truncation: int, omega: Indicatrix, seed: int,
                             count: int) -> float:
-    """Weighted norm of each coefficient against the sector-weighted form norm."""
+    """Weighted norm of each coefficient against the sector-weighted form norm.
+
+    The cross norm of a coefficient is taken on its weighted orbit matrix:
+    the energy weights are constant on orbits and V has orthonormal
+    columns, so diag(w) V_m F V_n^T has the norm of diag(w[reps]) F.
+    """
     K = truncation
-    # the (m, n) with m + n <= K, and the element blocks their coefficients read
+    # the (m, n) with m + n <= K
     keys = [(m, n) for m in range(K + 1) for n in range(K + 1 - m)]
     constants = [coefficient_bound_constant(m, n) for m, n in keys]
-    kernels, queries = [], []
+    weights = [energy_weights(grid, omega, j, -1) for j in range(K + 1)]
+    ones = [np.ones(grid.size**j) for j in range(K + 1)]
+    blocks, queries = [], []
     for rng in _instances(seed, "coefficient_bound", count):
         A = random_form(model, grid, K, rng)
-        fam = family_from_elements(model, grid, K,
-                                   {key: creator_elements(A, *key) for key in keys})
-        kernels += [fam.entry(m, n) for m, n in keys]
+        for m, n in keys:
+            F = fmn_coefficients(model, A, m, n).values
+            blocks += [(F, m, n, weights[m], ones[n]), (F, m, n, ones[m], weights[n])]
         queries += [(A, s) for s in range(K + 1)]
-    lhs = iter(cross_norms(kernels, grid, omega))
+    sides = sector_norms(model, grid, blocks)
+    lhs = iter([0.5 * (a + b) for a, b in zip(sides[::2], sides[1::2])])
     form_norms = iter(qform_norms(model, queries, omega))
     res = 0.0
     for _ in range(count):
@@ -1161,28 +1255,34 @@ def check_qcomm_algebra(grid: RapidityGrid, truncation: int, seed: int,
     return res
 
 
-def _family_residual(fam: dict, direct: dict) -> float:
-    """Largest deviation across a coefficient family, relative to its scale."""
-    scale = max((_maxabs(d.values) for d in direct.values()), default=0.0)
-    err = max((_maxabs(fam[mn].values - direct[mn].values) for mn in fam),
-              default=0.0)
+def _family_residual(model: ScatteringModel, grid: RapidityGrid, fam: dict,
+                     direct: dict) -> float:
+    """Largest deviation of a dense nested family from orbit coefficients, relative to their scale.
+
+    The nested families are dense tensors at total degree <= 2; the orbit
+    coefficients of ``model`` are compared through their dense views.
+    """
+    want = {mn: dense_kernel(model, grid, kernel).values for mn, kernel in direct.items()}
+    scale = max((_maxabs(d) for d in want.values()), default=0.0)
+    err = max((_maxabs(fam[mn].values - want[mn]) for mn in fam), default=0.0)
     return _rel(err, scale)
 
 
-def _nested_residual(instances, draw: ScatteringModel, nested, direct,
-                     grid: RapidityGrid, truncation: int, total: int | None) -> float:
+def _nested_residual(instances, draw: ScatteringModel, nested, model: ScatteringModel,
+                     direct, grid: RapidityGrid, truncation: int, total: int | None) -> float:
     """Nested-bracket families against the directly extracted coefficients.
 
     Each generator of ``instances`` draws a form under ``draw``; its family
-    ``nested(A, total)`` is compared with ``direct(A, m, n)`` for each of
-    its (m, n).
+    ``nested(A, total)`` is compared with the coefficients
+    ``direct(A, m, n)`` under ``model`` for each of its (m, n).
     """
     total = min(truncation, 2) if total is None else total
     res = 0.0
     for rng in instances:
         A = random_form(draw, grid, truncation, rng)
         fam = nested(A, total)
-        res = max(res, _family_residual(fam, {mn: direct(A, *mn) for mn in fam}))
+        res = max(res, _family_residual(model, grid, fam,
+                                        {mn: direct(A, *mn) for mn in fam}))
     return res
 
 
@@ -1191,7 +1291,7 @@ def check_nested_free(grid: RapidityGrid, truncation: int, seed: int,
     """Nested plain commutators recover the coefficients of the trivial factor."""
     free = ScatteringModel.free()
     return _nested_residual(_instances(seed, "nested_free", count), free,
-                            nested_free_family,
+                            nested_free_family, free,
                             lambda A, m, n: fmn_coefficients(free, A, m, n),
                             grid, truncation, total)
 
@@ -1201,7 +1301,7 @@ def check_nested_graded(grid: RapidityGrid, truncation: int, seed: int,
     """Nested graded commutators recover the coefficients of the sign factor."""
     ising = ScatteringModel.ising()
     return _nested_residual(_instances(seed, "nested_graded", count), ising,
-                            nested_graded_family,
+                            nested_graded_family, ising,
                             lambda A, m, n: fmn_coefficients(ising, A, m, n),
                             grid, truncation, total)
 
@@ -1218,6 +1318,7 @@ def check_nested_deformed(grid: RapidityGrid, truncation: int, seed: int,
     return _nested_residual(_instances(seed, "nested_deformed", count),
                             ScatteringModel.free(),
                             lambda A, total: nested_q_family(A, Q, total),
+                            Q.scattering_model(),
                             lambda A, m, n: deformed_fmn_coefficients(A, Q, m, n),
                             grid, truncation, total)
 
@@ -1331,6 +1432,7 @@ SUITE_CHECKS = {
     ],
     "expansion": [
         ("coefficient_symmetry", _EXACT, {"count": _few()}),
+        ("contraction_formula", _EXACT, {"count": _few()}),
         ("dual_basis", _EQ, {}),
         ("inversion", _EQ, {"count": _few()}),
         ("roundtrip", _EQ, {"count": _few()}),

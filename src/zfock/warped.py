@@ -40,7 +40,8 @@ import numpy as np
 from .expansion import fmn_coefficients
 from .fock import RapidityGrid, basis_tuples, sector_momentum
 from .scattering import ScatteringModel
-from .zops import KernelTensor, QuadraticForm, point_ladder, symmetric_isometry
+from .zops import (KernelTensor, OrbitKernel, QuadraticForm, point_ladder,
+                   symmetric_isometry)
 
 
 # momenta (and transfers) within this fraction of the largest one share a group
@@ -297,12 +298,13 @@ def deformed_point_ladder(grid: RapidityGrid, truncation: int,
 
 
 def deformed_fmn_coefficients(A: QuadraticForm, Q: SkewSymmetricQ, m: int,
-                              n: int) -> KernelTensor:
+                              n: int) -> OrbitKernel:
     """Expansion coefficients of A against the deformed creator vectors.
 
     Exchange factors use the scattering model generated by Q, so this is
     the coefficient formula of the interacting theory realized on the
-    ordinary symmetric space, where A must be stored (the free model).
+    ordinary symmetric space, where A must be stored (the free model).  The
+    result lies on the orbit pairs of the model of Q.
     These are the plain coefficients, under the model of Q, of the twist
     D_Q^H A D_Q, of which only the blocks (l, k) with l <= m, k <= n enter.
     Both models admit every multiset, and V is positive at each orbit

@@ -10,7 +10,10 @@ operation acts on C: sums, products, adjoints, the constructors, the
 draws, the norms and the full-basis residuals.  The dense block
 V_l C V_k^H over all N**l x N**k tuples is a view computed on access,
 read only here and by the file codec.  Tuple reversal is a phase per
-column of V (:func:`reversal_phases`).
+column of V (:func:`reversal_phases`).  A kernel S-symmetric in each slot
+group, as an expansion coefficient is, is stored on orbit pairs too
+(:class:`OrbitKernel`), and the monomial builder :func:`zmzn_form` takes
+one.
 The norms take lists (:func:`cross_norms`, :func:`sector_norms`,
 :func:`qform_norms`), and each call takes all its spectral norms in one
 batched SVD per matrix shape (:func:`_spectral_norms`).
@@ -56,6 +59,26 @@ class KernelTensor:
         """Reshape to (N**m, N**n) with row-major slot order."""
         N = self.size
         return self.values.reshape(N**self.m, N**self.n)
+
+
+@dataclass
+class OrbitKernel:
+    """Kernel with m outgoing and n incoming slots, S-symmetric in each group, on orbit pairs.
+
+    ``values`` is the orbit matrix F, of shape (orbits_m, orbits_n), of the
+    dense kernel f = V_m F V_n^T over all tuples (:func:`dense_kernel`):
+    each slot group of f lies in the S-symmetric subspace, the incoming
+    one in the slot order of the kernel.  Expansion coefficients are such
+    kernels, and so is all of a kernel that a monomial sees:
+    :func:`compress_kernel` reads F = V_m^H f conj(V_n) off a dense kernel.
+    """
+
+    m: int
+    n: int
+    values: np.ndarray
+
+    def __post_init__(self):
+        self.values = np.asarray(self.values, dtype=complex)
 
 
 def kernel_adjoint(kernel: KernelTensor) -> KernelTensor:
@@ -129,6 +152,28 @@ def reversal_phases(model: ScatteringModel, grid: RapidityGrid, n: int) -> np.nd
     rev = basis_tuples(N, n)[reps, ::-1] @ (N ** np.arange(n - 1, -1, -1))
     cols = np.arange(len(reps))
     return V[rev, cols].conj() / V[reps, cols]
+
+
+def dense_kernel(model: ScatteringModel, grid: RapidityGrid, kernel: OrbitKernel) -> KernelTensor:
+    """The dense view f = V_m F V_n^T of an orbit kernel, one slot axis per slot."""
+    Vm = symmetric_isometry(model, grid, kernel.m)[0]
+    Vn = symmetric_isometry(model, grid, kernel.n)[0]
+    dense = (Vm @ kernel.values) @ Vn.T
+    return KernelTensor(kernel.m, kernel.n, dense.reshape((grid.size,) * (kernel.m + kernel.n)))
+
+
+def compress_kernel(model: ScatteringModel, grid: RapidityGrid,
+                    kernel: KernelTensor) -> OrbitKernel:
+    """The orbit kernel F = V_m^H f conj(V_n) of a dense kernel f.
+
+    Its dense view is f with both slot groups S-symmetrized, the incoming
+    one in the slot order of the kernel.
+    """
+    if kernel.values.ndim and kernel.size != grid.size:
+        raise ValueError("kernel lattice size mismatch")
+    Vm = symmetric_isometry(model, grid, kernel.m)[0]
+    Vn = symmetric_isometry(model, grid, kernel.n)[0]
+    return OrbitKernel(kernel.m, kernel.n, (Vm.conj().T @ kernel.matrix()) @ Vn.conj())
 
 
 def peak_weights(model: ScatteringModel, grid: RapidityGrid,
@@ -414,7 +459,7 @@ def point_ladder(model: ScatteringModel, grid: RapidityGrid,
             [annihilator_form(model, grid, truncation, e) for e in points])
 
 
-def zmzn_form(model: ScatteringModel, kernel: KernelTensor, grid: RapidityGrid,
+def zmzn_form(model: ScatteringModel, kernel: OrbitKernel, grid: RapidityGrid,
               truncation: int) -> QuadraticForm:
     """Normal-ordered monomial with m creators and n annihilators smeared by the kernel.
 
@@ -422,17 +467,24 @@ def zmzn_form(model: ScatteringModel, kernel: KernelTensor, grid: RapidityGrid,
     prefactor sqrt(k! (k-n+m)!) / (k-n)!; the incoming slots of the kernel
     pair against the state with their order reversed.  Blocks that would
     land above the truncation are dropped and flagged.
+
+    The block is V_l^H (g kron 1) V_k, g the kernel matrix with its incoming
+    slots reversed and the identity on the k - n trailing slots.  V_l^H and
+    V_k absorb the symmetrizers of the leading slots, and with
+    V_n[rev] = conj(V_n) diag(conj W) (:func:`reversal_phases`) the part of g
+    they see is V_m F diag(conj W) V_n^H, so V_m and conj(V_n) are contracted
+    into the bases and no N**m x N**n matrix is formed.
     """
     m, n = kernel.m, kernel.n
     K = truncation
-    if kernel.size != grid.size and kernel.values.ndim:
-        raise ValueError("kernel lattice size mismatch")
     if m > K or n > K:
         raise ValueError("monomial degree exceeds truncation")
-    N = grid.size
-    # reverse the incoming slots once
-    perm = tuple(range(m)) + tuple(range(m + n - 1, m - 1, -1))
-    fmat = kernel.values.transpose(perm).reshape(N**m, N**n)
+    Vm = symmetric_isometry(model, grid, m)[0]
+    Vn = symmetric_isometry(model, grid, n)[0]
+    if kernel.values.shape != (Vm.shape[1], Vn.shape[1]):
+        raise ValueError(f"orbit kernel of shape {kernel.values.shape} does not match the "
+                         f"orbits {(Vm.shape[1], Vn.shape[1])} of its slot counts")
+    core = kernel.values * reversal_phases(model, grid, n).conj()
     blocks = {}
     dropped = False
     for k in range(n, K + 1):
@@ -441,7 +493,12 @@ def zmzn_form(model: ScatteringModel, kernel: KernelTensor, grid: RapidityGrid,
             dropped = True
             continue
         c = math.sqrt(math.factorial(k) * math.factorial(l)) / math.factorial(k - n)
-        blocks[(l, k)] = c * _ladder_block(model, grid, fmat, l, k)
+        Vl = symmetric_isometry(model, grid, l)[0]
+        Vk = symmetric_isometry(model, grid, k)[0]
+        r = grid.size ** (k - n)
+        left = np.tensordot(Vl.conj().T.reshape(Vl.shape[1], Vm.shape[0], r), Vm, axes=(1, 0))
+        right = np.tensordot(Vn.conj(), Vk.reshape(Vn.shape[0], r, Vk.shape[1]), axes=(0, 0))
+        blocks[(l, k)] = c * np.tensordot(left @ core, right, axes=([1, 2], [1, 0]))
     return QuadraticForm(model, grid, K, blocks, truncated=dropped)
 
 

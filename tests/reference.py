@@ -42,8 +42,8 @@ from zfock.scattering import (Permutation, ScatteringModel, _axis, all_permutati
                               pair_values, s_sigma_grid)
 from zfock.warped import GROUPING_RTOL, SkewSymmetricQ, _cluster, deformed_point_ladder
 from zfock.sampling import random_form, random_kernel
-from zfock.zops import (KernelTensor, QuadraticForm, annihilator_form, create,
-                        creator_form, identity_form, symmetric_isometry, zmzn_form)
+from zfock.zops import (KernelTensor, QuadraticForm, annihilator_form, compress_kernel,
+                        create, creator_form, identity_form, symmetric_isometry, zmzn_form)
 
 
 def _flat(tuples: np.ndarray, N: int) -> np.ndarray:
@@ -477,7 +477,7 @@ def loop_monomial_source_bound(model, grid, truncation, omega, seed, count):
     res = 0.0
     for (m, n), rng in zip(degrees, suites._instances(seed, "monomial_source_bound", count)):
         f = random_kernel(grid, m, n, rng)
-        F = zmzn_form(model, f, grid, K)
+        F = zmzn_form(model, compress_kernel(model, grid, f), grid, K)
         fw = cross_norm(f, grid, omega)
         kmax = K if m <= n else K - (m - n)
         sig = {}
@@ -500,7 +500,7 @@ def loop_monomial_sector_bound(model, grid, truncation, omega, seed, count):
     res = 0.0
     for (m, n), rng in zip(degrees, suites._instances(seed, "monomial_sector_bound", count)):
         f = random_kernel(grid, m, n, rng)
-        F = zmzn_form(model, f, grid, K)
+        F = zmzn_form(model, compress_kernel(model, grid, f), grid, K)
         fw = cross_norm(f, grid, omega)
         for k in range(max(m, n), K + 1):
             c = 2.0 * math.factorial(k) / math.factorial(k - max(m, n))
@@ -517,8 +517,13 @@ def loop_coefficient_bound(model, grid, truncation, omega, seed, count):
         norms = [qform_norm(model, A, s, omega) for s in range(K + 1)]
         for m in range(K + 1):
             for n in range(K + 1 - m):
-                f = fmn_coefficients(model, A, m, n)
-                lhs = cross_norm(f, grid, omega)
+                F = fmn_coefficients(model, A, m, n).values
+                # the cross norm of f = V_m F V_n^T, on the weighted orbit matrix
+                wl = energy_weights(grid, omega, m, -1)
+                wr = energy_weights(grid, omega, n, -1)
+                left = sector_norm(model, grid, F, m, n, wl, np.ones(grid.size**n))
+                right = sector_norm(model, grid, F, m, n, np.ones(grid.size**m), wr)
+                lhs = 0.5 * (left + right)
                 rhs = suites.coefficient_bound_constant(m, n) * norms[m + n]
                 res = max(res, suites._excess(lhs, rhs))
     return res

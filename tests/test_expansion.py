@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 from zfock.contractions import Contraction
-from zfock.expansion import (CoefficientFamily, boost_form, element_tensors,
-                             extract_family, family_from_elements,
-                             fmn_coefficients, inversion_residual, reconstruct,
-                             reflect_conjugate, reflected_coeffs,
+from zfock.expansion import (CoefficientFamily, boost_form, creator_elements,
+                             extract_family, fmn_coefficients, inversion_residual,
+                             reconstruct, reflect_conjugate, reflected_coeffs,
                              transform_coeffs_poincare, translate_form)
 from zfock.fock import minkowski, reflect, sector_momentum
 from zfock.sampling import keyed_rng, random_form, random_kernel, random_state
 from zfock.scattering import ScatteringModel
-from zfock.zops import form_residual, zmzn_form
+from zfock.zops import (compress_kernel, dense_kernel, form_residual, orbit_dimension,
+                        zmzn_form)
 
 from reference import (contracted_vector, left_vector_matrix, right_vector_matrix,
                        symmetrize_block)
@@ -43,8 +43,8 @@ def test_coefficients_of_monomial(model, grid3):
     # as its only coefficient in the matching degree
     rng = keyed_rng(0, "expansion", "monomial", 0)
     g = random_kernel(grid3, 2, 1, rng)
-    A = zmzn_form(model, g, grid3, 3)
-    got = fmn_coefficients(model, A, 2, 1)
+    A = zmzn_form(model, compress_kernel(model, grid3, g), grid3, 3)
+    got = dense_kernel(model, grid3, fmn_coefficients(model, A, 2, 1))
     want = 2.0 * symmetrize_block(model, grid3, g.values, (1, 2))
     np.testing.assert_allclose(got.values, want, atol=1e-11)
 
@@ -67,19 +67,22 @@ def test_roundtrip(model, grid3):
 
 def test_inversion_residual_small(model, grid3):
     A = random_form(model, grid3, 2, keyed_rng(0, "expansion", "inv", 0))
-    elements = element_tensors(model, A)
-    fam = family_from_elements(model, grid3, 2, elements)
-    for (m, n), lhs in elements.items():
-        assert inversion_residual(model, lhs, m, n, fam) <= 1e-10 * A.scale()
+    fam = extract_family(model, A)
+    for m in range(3):
+        for n in range(3):
+            lhs = creator_elements(A, m, n)
+            assert inversion_residual(model, lhs, m, n, fam) <= 1e-10 * A.scale()
 
 
 def test_family_bookkeeping(grid3):
     fam = CoefficientFamily(FREE, grid3, 2)
-    kern = random_kernel(grid3, 1, 2, keyed_rng(0, "expansion", "fam", 0))
+    kern = compress_kernel(FREE, grid3, random_kernel(grid3, 1, 2,
+                                                      keyed_rng(0, "expansion", "fam", 0)))
     fam.set_entry(kern)
     assert fam.entry(1, 2) is kern
+    # a missing coefficient is zero on its orbit pairs, with no dense tensor
     missing = fam.entry(2, 2)
-    assert missing.values.shape == (3,) * 4
+    assert missing.values.shape == (orbit_dimension(FREE, 3, 2),) * 2 == (6, 6)
     assert not missing.values.any()
 
 

@@ -9,13 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from zfock import cli
 from zfock.expansion import extract_family
 from zfock.io import (complex_to_nested, load_family, load_form, load_kernel,
                       load_state, save_family, save_form, save_kernel,
                       save_state)
 from zfock.sampling import keyed_rng, random_form, random_kernel, random_state
 from zfock.scattering import ScatteringModel
-from zfock.zops import KernelTensor
+from zfock.zops import OrbitKernel, compress_kernel, dense_kernel
 
 FREE = ScatteringModel.free()
 SINH = ScatteringModel.sinh_exp(0.7)
@@ -108,14 +109,22 @@ def test_non_symmetric_block_is_refused(tmp_path, grid3, change):
 
 
 def test_family_roundtrip(tmp_path, grid3):
+    # the kernel files hold the dense views; loading stores them on orbit
+    # pairs again, which recovers the coefficients up to rounding
     A = random_form(SINH, grid3, 2, keyed_rng(0, "io", "family", 0))
     fam = extract_family(SINH, A)
     save_family(tmp_path / "fam", fam)
     back = load_family(tmp_path / "fam")
     assert back.grid == fam.grid
+    assert back.model == fam.model
     assert set(back.entries) == set(fam.entries)
+    scale = max(float(np.max(np.abs(k.values))) for k in fam.entries.values())
     for key, kern in fam.entries.items():
-        np.testing.assert_array_equal(back.entry(*key).values, kern.values)
+        np.testing.assert_allclose(back.entry(*key).values, kern.values, rtol=0,
+                                   atol=1e-14 * scale)
+        payload, _ = load_kernel(tmp_path / "fam" / f"coeff_{key[0]}_{key[1]}.json")
+        np.testing.assert_array_equal(payload.values,
+                                      dense_kernel(SINH, grid3, kern).values)
 
 
 def test_kind_tag_is_checked(tmp_path, grid3):
@@ -148,6 +157,73 @@ def test_family_manifest_mismatch(tmp_path, grid3):
     (tmp_path / "fam" / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match="slot counts"):
         load_family(tmp_path / "fam")
+
+
+def _saved_family(path, grid, truncation=1):
+    """A saved free family of a random form; returns its manifest as a dict."""
+    A = random_form(FREE, grid, truncation, keyed_rng(0, "io", "family_checks", truncation))
+    save_family(path, extract_family(FREE, A))
+    return json.loads((path / "manifest.json").read_text())
+
+
+def test_family_entry_above_truncation_is_refused(tmp_path, grid3):
+    # reconstruct would drop a monomial above the truncation, so loading
+    # refuses it, naming the manifest, and the CLI exits 2
+    manifest = _saved_family(tmp_path / "fam", grid3)
+    kernel = compress_kernel(FREE, grid3, random_kernel(grid3, 2, 0,
+                                                        keyed_rng(0, "io", "above", 0)))
+    save_kernel(tmp_path / "fam" / "coeff_2_0.json", dense_kernel(FREE, grid3, kernel), grid3)
+    manifest["entries"].append({"m": 2, "n": 0, "file": "coeff_2_0.json"})
+    path = tmp_path / "fam" / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=r"entry \(2, 0\) lies above the truncation 1") as err:
+        load_family(tmp_path / "fam")
+    assert str(path) in str(err.value)
+    assert _reconstruct_status(tmp_path, grid3, 1) == 2
+
+
+def test_duplicated_family_entry_is_refused(tmp_path, grid3):
+    # a second record of the same (m, n) would silently replace the first
+    manifest = _saved_family(tmp_path / "fam", grid3)
+    twin = dict(manifest["entries"][2])
+    manifest["entries"].append(twin)
+    path = tmp_path / "fam" / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    key = (twin["m"], twin["n"])
+    with pytest.raises(ValueError, match=rf"entry \({key[0]}, {key[1]}\) is listed twice") as err:
+        load_family(tmp_path / "fam")
+    assert str(path) in str(err.value)
+    assert _reconstruct_status(tmp_path, grid3, 1) == 2
+
+
+@pytest.mark.parametrize("change", [1e-9, 1e-11])
+def test_non_symmetric_family_kernel_is_refused(tmp_path, grid3, change):
+    # one entry of a symmetric coefficient moved off its symmetric part by
+    # change times its largest entry: refused beyond 1e-10 of it, read below;
+    # compressing it would silently drop the non-symmetric part
+    _saved_family(tmp_path / "fam", grid3, truncation=2)
+    path = tmp_path / "fam" / "coeff_2_1.json"
+    doc = json.loads(path.read_text())
+    size = np.max(np.abs(np.array(doc["values"]).view(complex)))
+    doc["values"][1][0][0][0] += 2 * change * size
+    path.write_text(json.dumps(doc))
+    if change > 1e-10:
+        with pytest.raises(ValueError, match=r"kernel \(2, 1\) is not symmetric") as err:
+            load_family(tmp_path / "fam")
+        assert str(path) in str(err.value)
+        assert _reconstruct_status(tmp_path, grid3, 2) == 2
+    else:
+        load_family(tmp_path / "fam")
+
+
+def _reconstruct_status(tmp_path, grid, truncation):
+    """Exit status of ``zfock reconstruct`` on the family saved under tmp_path / "fam"."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": list(grid.points), "mass": grid.mass,
+                               "truncation": truncation, "scattering": {"family": "free"},
+                               "omega": {"family": "zero"}, "seed": 0, "instances": 1}))
+    return cli.main(["reconstruct", "--config", str(cfg), "--in", str(tmp_path / "fam"),
+                     "--out", str(tmp_path / "R.json")])
 
 
 MISSING = object()
@@ -231,7 +307,7 @@ def test_saved_bytes_equal_json_dumps(tmp_path, grid3):
     for (m, n), kernel in sorted(fam.entries.items()):
         name = f"coeff_{m}_{n}.json"
         want = {"kind": "kernel_tensor", **header, "m": m, "n": n,
-                "values": complex_to_nested(kernel.values)}
+                "values": complex_to_nested(dense_kernel(SINH, grid3, kernel).values)}
         assert (tmp_path / "fam" / name).read_text() == json.dumps(want)
         entries.append({"m": m, "n": n, "file": name})
     want = {"kind": "coefficient_family", **header, **model, "truncation": 2,
@@ -247,7 +323,7 @@ def test_non_finite_tensors_are_not_written(tmp_path, grid3):
     A = random_form(FREE, grid3, 2, keyed_rng(0, "io", "finite", 2))
     A.orbit_blocks[(2, 1)][0, 0] = complex(0.0, -np.inf)
     fam = extract_family(FREE, random_form(FREE, grid3, 1, keyed_rng(0, "io", "finite", 3)))
-    fam.set_entry(KernelTensor(1, 0, np.full(3, np.nan)))
+    fam.set_entry(OrbitKernel(1, 0, np.full((3, 1), np.nan)))
     for save, path, obj in ((save_state, "psi.json", (psi,)),
                             (save_kernel, "k.json", (kern, grid3)),
                             (save_form, "A.json", (A,)),

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from zfock.fock import Indicatrix, basis_tuples, energy_grid
 from zfock.sampling import keyed_rng, random_form, random_kernel
-from zfock.zops import (QuadraticForm, annihilator_form, creator_form,
+from zfock.zops import (QuadraticForm, annihilator_form, compress_kernel, creator_form,
                         identity_form, qform_norms, sector_norms,
                         symmetric_isometry, symmetrize, zmzn_form)
 
@@ -115,7 +115,7 @@ def test_orbit_isometry_keeps_norms(family, a, grid, seed, alpha, log, degrees):
     A = random_form(model, grid, K, rng)
     assert_norms_match(model, A, omega, A.blocks, sandwich=False)
     kernel = random_kernel(grid, *degrees, rng)
-    A = zmzn_form(model, kernel, grid, K)
+    A = zmzn_form(model, compress_kernel(model, grid, kernel), grid, K)
     assert_norms_match(model, A, omega, A.blocks, sandwich=False)
     raw = {(l, k): rng.standard_normal((N**l, N**k)) + 1j * rng.standard_normal((N**l, N**k))
            for l in range(K + 1) for k in range(K + 1)}
@@ -167,7 +167,8 @@ def test_forms_equal_dense_sandwiches(family, a, grid, seed, degrees):
     assert_blocks_match(identity_form(model, grid, K), sandwiched(model, grid, {
         (n, n): np.eye(N**n) for n in range(K + 1)}))
     kernel = random_kernel(grid, *degrees, rng)
-    assert_blocks_match(zmzn_form(model, kernel, grid, K), dense_zmzn(model, kernel, grid))
+    assert_blocks_match(zmzn_form(model, compress_kernel(model, grid, kernel), grid, K),
+                        dense_zmzn(model, kernel, grid))
     # random_form draws its compressed blocks, one entry per orbit pair,
     # in row-major (l, k) order, and its dense views are symmetric
     draws = keyed_rng(seed, "property", "draws")

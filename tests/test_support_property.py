@@ -5,11 +5,12 @@ The dense references rebuild each term as ``delta_mask * s_factor_grid
 contraction by contraction, the way the coefficient formulas read.  A
 single ``add_on_support`` insertion, plain or reflected, must add exactly
 its dense term, for every contraction through (3, 3).  The
-package nests its sums by contraction depth, one single-pair insertion at a
-time, so its coefficients (``extract_family``), inversion residuals and
-reflected coefficients are compared with the dense sums at rel 1e-12 of the
-family's largest entry; they are fed the same matrix elements
-(``creator_elements``), which are themselves checked against the dense
+package sums on orbit pairs, one Horner step over the point ladder per
+contraction depth, so the dense views of its coefficients
+(``extract_family``), inversion residuals and reflected coefficients are
+compared with the dense sums at rel 1e-12 of the family's largest entry;
+they are fed the same matrix elements (the dense views of
+``creator_elements``), which are themselves checked against the dense
 L^H A R of ``reference`` at rel 1e-12.  Models are free, ising, sinh_exp and
 a table of random unitary values with S(0) = +1 or -1.  Lattices are random
 or symmetric, with 2-4 points at truncation 3 and 2-3 points at truncation
@@ -28,6 +29,7 @@ from zfock.expansion import (creator_elements, extract_family, inversion_residua
 from zfock.fock import RapidityGrid
 from zfock.sampling import keyed_rng, random_form
 from zfock.scattering import ScatteringModel
+from zfock.zops import OrbitKernel, dense_kernel
 
 from reference import (delta_mask, embed_reduced, left_vector_matrix, r_factor_grid,
                        right_vector_matrix, s_factor_grid, tabulated)
@@ -65,22 +67,31 @@ def dense_factors(model, grid, m, n):
     return out
 
 
+def dense_elements(A, m, n):
+    """The dense view of the multi-creator matrix elements of block (m, n)."""
+    return dense_kernel(A.model, A.grid, OrbitKernel(m, n, creator_elements(A, m, n))).values
+
+
+def dense_entry(family, m, n):
+    return dense_kernel(family.model, family.grid, family.entry(m, n)).values
+
+
 def dense_fmn(model, A, m, n, factors):
     N = A.grid.size
     out = np.zeros((N,) * (m + n), dtype=complex)
     for C, (factor, _) in factors.items():
         mh, nh = m - C.size, n - C.size
-        M = creator_elements(A, mh, nh)
+        M = dense_elements(A, mh, nh)
         out += ((-1) ** C.size) * (factor * embed_reduced(C, M, N))
     return out
 
 
 def dense_inversion(model, A, m, n, family, factors):
     N = A.grid.size
-    lhs = creator_elements(A, m, n)
+    lhs = dense_elements(A, m, n)
     rhs = np.zeros_like(lhs)
     for C, (factor, _) in factors.items():
-        reduced = family.entry(m - C.size, n - C.size).values
+        reduced = dense_entry(family, m - C.size, n - C.size)
         rhs += factor * embed_reduced(C, reduced, N)
     return float(np.max(np.abs(lhs - rhs)))
 
@@ -90,7 +101,7 @@ def dense_reflected(family, m, n, factors):
     out = np.zeros((N,) * (m + n), dtype=complex)
     for C, (_, factor) in factors.items():
         mh, nh = m - C.size, n - C.size
-        g = family.entry(nh, mh).values
+        g = dense_entry(family, nh, mh)
         reduced = g.transpose(tuple(range(nh, nh + mh)) + tuple(range(nh)))
         out += ((-1) ** C.size) * (factor * embed_reduced(C, reduced, N))
     return out
@@ -105,7 +116,7 @@ def assert_insertions_equal_dense_terms(model, family, factors, rng):
         base = np.array(rng.standard_normal((N,) * (m + n))
                         + 1j * rng.standard_normal((N,) * (m + n)))
         for C, dense in terms.items():
-            reduced = family.entry(m - C.size, n - C.size).values
+            reduced = dense_entry(family, m - C.size, n - C.size)
             for reflected, factor in zip((False, True), dense):
                 got = base.copy()
                 add_on_support(got, model, grid.points, C, reduced, reflected=reflected)
@@ -121,21 +132,21 @@ def assert_sums_match_dense(model, grid, truncation, seed):
     for m, n in slots:
         dense = left_vector_matrix(model, grid, m).conj().T @ A.block(m, n) \
             @ right_vector_matrix(model, grid, n)
-        np.testing.assert_allclose(creator_elements(A, m, n).reshape(dense.shape),
+        np.testing.assert_allclose(dense_elements(A, m, n).reshape(dense.shape),
                                    dense, rtol=0, atol=REL * np.max(np.abs(dense)))
     factors = {mn: dense_factors(model, grid, *mn) for mn in slots}
     want = {mn: dense_fmn(model, A, *mn, factors[mn]) for mn in slots}
     scale = max(float(np.max(np.abs(f))) for f in want.values())
     for m, n in slots:
-        np.testing.assert_allclose(fam.entry(m, n).values, want[(m, n)],
+        np.testing.assert_allclose(dense_entry(fam, m, n), want[(m, n)],
                                    rtol=0, atol=REL * scale)
         assert inversion_residual(model, creator_elements(A, m, n), m, n, fam) == pytest.approx(
             dense_inversion(model, A, m, n, fam, factors[(m, n)]), rel=0, abs=REL * scale)
     reflected = {mn: dense_reflected(fam, *mn, factors[mn]) for mn in slots}
     scale = max(float(np.max(np.abs(f))) for f in reflected.values())
     for m, n in slots:
-        np.testing.assert_allclose(reflected_coeffs(model, fam, m, n).values,
-                                   reflected[(m, n)], rtol=0, atol=REL * scale)
+        got = dense_kernel(model, grid, reflected_coeffs(model, fam, m, n)).values
+        np.testing.assert_allclose(got, reflected[(m, n)], rtol=0, atol=REL * scale)
     return fam, factors
 
 

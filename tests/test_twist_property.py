@@ -26,7 +26,7 @@ from zfock.fock import RapidityGrid
 from zfock.sampling import keyed_rng, random_form
 from zfock.scattering import ScatteringModel
 from zfock.warped import SkewSymmetricQ, deformed_fmn_coefficients
-from zfock.zops import symmetric_isometry
+from zfock.zops import dense_kernel, symmetric_isometry
 
 from reference import (deformed_vector_matrices, delta_mask, embed_reduced, s_factor_grid,
                        symmetrizer_matrix, twist_phases)
@@ -72,7 +72,7 @@ def test_deformation_is_a_diagonal_twist(a, grid, seed):
     for m in range(K + 1):
         for n in range(K + 1):
             want = dense_deformed_fmn(A, Q, m, n)
-            got = deformed_fmn_coefficients(A, Q, m, n).values
+            got = dense_kernel(model, grid, deformed_fmn_coefficients(A, Q, m, n)).values
             np.testing.assert_allclose(got, want, rtol=0, atol=REL * np.max(np.abs(want)))
 
 

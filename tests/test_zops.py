@@ -7,9 +7,9 @@ from zfock.fock import FockState, Indicatrix, RapidityGrid, energy_grid, sector_
 from zfock.sampling import keyed_rng, random_form, random_kernel, random_state
 from zfock.scattering import ScatteringModel, _pair_values_cached
 from zfock.zops import (KernelTensor, _spectral_norms, annihilate, annihilator_form,
-                        create, creator_form, cross_norms, form_residual, identity_form,
-                        kernel_adjoint, qform_norms, sector_norms, symmetric_isometry,
-                        zmzn_form)
+                        compress_kernel, create, creator_form, cross_norms, form_residual,
+                        identity_form, kernel_adjoint, qform_norms, sector_norms,
+                        symmetric_isometry, zmzn_form)
 
 from reference import big_matrix
 
@@ -81,7 +81,7 @@ def test_monomial_matches_ladder_composition(model, grid3):
     g = _complex(rng, 3)
     h = _complex(rng, 3)
     kernel = KernelTensor(1, 1, np.multiply.outer(g, h))
-    direct = zmzn_form(model, kernel, grid3, 3)
+    direct = zmzn_form(model, compress_kernel(model, grid3, kernel), grid3, 3)
     composed = creator_form(model, grid3, 3, g) @ annihilator_form(model, grid3, 3, h)
     assert form_residual(direct, composed) <= 1e-12 * direct.scale()
 
@@ -89,15 +89,15 @@ def test_monomial_matches_ladder_composition(model, grid3):
 def test_monomial_adjoint(model, grid3):
     rng = keyed_rng(0, "zops", "monadj", 0)
     kernel = random_kernel(grid3, 2, 1, rng)
-    A = zmzn_form(model, kernel, grid3, 3)
-    B = zmzn_form(model, kernel_adjoint(kernel), grid3, 3)
+    A = zmzn_form(model, compress_kernel(model, grid3, kernel), grid3, 3)
+    B = zmzn_form(model, compress_kernel(model, grid3, kernel_adjoint(kernel)), grid3, 3)
     assert form_residual(A.adjoint(), B) <= 1e-12 * A.scale()
 
 
 def test_monomial_degree_guard(grid3):
     kernel = KernelTensor(2, 1, np.zeros((3, 3, 3), dtype=complex))
     with pytest.raises(ValueError, match="exceeds truncation"):
-        zmzn_form(FREE, kernel, grid3, 1)
+        zmzn_form(FREE, compress_kernel(FREE, grid3, kernel), grid3, 1)
 
 
 def test_identity_form_acts_as_identity(model, grid3):
