@@ -61,8 +61,8 @@ import numpy as np
 
 from .fock import RapidityGrid, basis_tuples, translation_phases
 from .scattering import ScatteringModel, pair_values
-from .zops import (OrbitKernel, QuadraticForm, _require_model, orbit_dimension, peak_abs,
-                   peak_weights, reversal_phases, symmetric_isometry, zmzn_form)
+from .zops import (OrbitKernel, QuadraticForm, _ladder_stack, _require_model, orbit_dimension,
+                   peak_abs, peak_weights, reversal_phases, symmetric_isometry, zmzn_form)
 
 
 def creator_elements(A: QuadraticForm, m: int, n: int) -> np.ndarray:
@@ -86,13 +86,11 @@ def _creator_ladder(model: ScatteringModel, grid: RapidityGrid,
     """L_b[x] and R_b[x] over the lattice points x, each of shape (N, orbits_b, orbits_{b-1}).
 
     R_b[x] = V_b^H (e_x kron V_{b-1}) is the creator ladder block at x over
-    sqrt(b), taken in one tensordot on V_b; L_b[x] = V_b^H (V_{b-1} kron e_x),
-    the point appended last, is diag(W_b) conj(R_b[x]) diag(conj W_{b-1}).
+    sqrt(b), the stack that ``zops.point_ladder`` also reads
+    (``zops._ladder_stack``); L_b[x] = V_b^H (V_{b-1} kron e_x), the point
+    appended last, is diag(W_b) conj(R_b[x]) diag(conj W_{b-1}).
     """
-    Vb = symmetric_isometry(model, grid, b)[0]
-    Vp = symmetric_isometry(model, grid, b - 1)[0]
-    R = np.tensordot(Vb.conj().reshape(grid.size, Vp.shape[0], Vb.shape[1]), Vp,
-                     axes=(1, 0))
+    R = _ladder_stack(model, grid, b)
     L = (reversal_phases(model, grid, b)[:, None] * R.conj()
          * reversal_phases(model, grid, b - 1).conj())
     for arr in (L, R):

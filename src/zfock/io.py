@@ -312,7 +312,15 @@ def _model_from_header(data: dict) -> ScatteringModel:
 
 
 def save_form(path: str, form: QuadraticForm) -> None:
-    """Write the dense blocks of a form, with its lattice and scattering model."""
+    """Write the dense blocks of a form, with its lattice and scattering model.
+
+    A file holds one operator, so a form with batch axes is refused.
+    """
+    for key, C in form.orbit_blocks.items():
+        if C.ndim != 2:
+            raise ValueError(f"{path}: refusing to write a form with batch axes: block "
+                             f"{key} has batch shape {C.shape[:-2]}; pick one operator "
+                             f"with QuadraticForm.batch")
     _require_finite(path, form.orbit_blocks.values())
     blocks = form.blocks
     doc = {

@@ -310,15 +310,18 @@ def check_sector_stability(model: ScatteringModel, grid: RapidityGrid,
 # zops checks
 
 
-def _exchange_words(cre, ann, K: int):
-    """The three exchange relations at every pair (i, j) of lattice points.
+def _exchange_words(cre: QuadraticForm, ann: QuadraticForm, K: int):
+    """The three exchange relations at each first point i, batched over the second point j.
 
-    Yields (i, j, X, Y, window, delta) with X Y = cre_i cre_j, ann_i ann_j
-    and ann_j cre_i in turn.  ``window`` maps the blocks where both X Y and
-    Y X stay in the truncated space to their ``peak_weights``, and
-    ``delta`` marks the mixed relation at i = j, which carries the identity.
+    ``cre`` and ``ann`` are point ladders, with the lattice point as batch
+    axis.  Yields (i, X, Y, window, delta) with X Y = cre_i cre_j,
+    ann_i ann_j and ann_j cre_i in turn, each stacked over j.  ``window``
+    maps the blocks where both X Y and Y X stay in the truncated space to
+    their ``peak_weights``, and ``delta`` is the stack of what the relation
+    adds: the identity at j = i for the mixed relation, nothing otherwise.
     """
-    model, grid = cre[0].model, cre[0].grid
+    model, grid = cre.model, cre.grid
+    N = grid.size
 
     def window(keys):
         return {key: peak_weights(model, grid, key) for key in keys}
@@ -326,14 +329,16 @@ def _exchange_words(cre, ann, K: int):
     cc = window([(k + 2, k) for k in range(K - 1)])
     aa = window([(k, k + 2) for k in range(K - 1)])
     mm = window([(k, k) for k in range(K)])
-    for i in range(len(cre)):
-        for j in range(len(cre)):
-            yield i, j, cre[i], cre[j], cc, False
-            yield i, j, ann[i], ann[j], aa, False
-            yield i, j, ann[j], cre[i], mm, i == j
+    zero = QuadraticForm(model, grid, K)
+    ident = identity_form(model, grid, K)
+    for i in range(N):
+        cre_i = cre.batch(i)
+        yield i, cre_i, cre, cc, zero
+        yield i, ann.batch(i), ann, aa, zero
+        yield i, ann, cre_i, mm, ident * (np.arange(N) == i)[:, None, None]
 
 
-def _exchange_residual(S: np.ndarray, cre, ann, ident: QuadraticForm,
+def _exchange_residual(S: np.ndarray, cre: QuadraticForm, ann: QuadraticForm,
                        truncation: int) -> float:
     """Shared exchange-algebra residual over the admissible sector windows.
 
@@ -342,9 +347,9 @@ def _exchange_residual(S: np.ndarray, cre, ann, ident: QuadraticForm,
     """
     err = 0.0
     mag = 0.0
-    for i, j, X, Y, window, delta in _exchange_words(cre, ann, truncation):
-        rhs = (Y @ X) * S[i, j]
-        e, m = _keys_residual(X @ Y, rhs + ident if delta else rhs, window)
+    for i, X, Y, window, delta in _exchange_words(cre, ann, truncation):
+        rhs = (Y @ X) * S[i][:, None, None] + delta
+        e, m = _keys_residual(X @ Y, rhs, window)
         err, mag = max(err, e), max(mag, m)
     return _rel(err, mag)
 
@@ -354,8 +359,7 @@ def check_exchange_relations(model: ScatteringModel, grid: RapidityGrid,
     """Exchange algebra of the ladder operators, blockwise on admissible sectors."""
     S = pair_values(model, grid.points)
     cre, ann = point_ladder(model, grid, truncation)
-    ident = identity_form(model, grid, truncation)
-    return _exchange_residual(S, cre, ann, ident, truncation)
+    return _exchange_residual(S, cre, ann, truncation)
 
 
 def check_ladder_adjoint(model: ScatteringModel, grid: RapidityGrid,
@@ -1188,21 +1192,18 @@ def check_deformed_exchange(grid: RapidityGrid, truncation: int, seed: int,
     whose phase cancels against the induced factor.
     """
     K = truncation
-    ident = identity_form(ScatteringModel.free(), grid, K)
-    zero = QuadraticForm(ScatteringModel.free(), grid, K)
     res = 0.0
     for rng in _instances(seed, "deformed_exchange", count):
         a = float(rng.uniform(0.3, 2.0))
         Q = SkewSymmetricQ(a, grid.mass)
         S = pair_values(Q.scattering_model(), grid.points)
         cre, ann = deformed_point_ladder(grid, K, Q)
-        res = max(res, _exchange_residual(S, cre, ann, ident, K))
+        res = max(res, _exchange_residual(S, cre, ann, K))
         err = 0.0
         mag = _TINY
-        for _, _, X, Y, window, delta in _exchange_words(cre, ann, K):
-            want = ident if delta else zero
-            e, _ = _keys_residual(q_commutator(X, Y, Q), want, window)
-            _, m = _keys_residual(X @ Y, want, window)
+        for _, X, Y, window, delta in _exchange_words(cre, ann, K):
+            e, _ = _keys_residual(q_commutator(X, Y, Q), delta, window)
+            _, m = _keys_residual(X @ Y, delta, window)
             err, mag = max(err, e), max(mag, m)
         res = max(res, err / mag)
     return res
@@ -1227,7 +1228,7 @@ def check_qcomm_algebra(grid: RapidityGrid, truncation: int, seed: int,
         phis = []
         for t in range(3):
             gi, gj = idx[2 * t], idx[2 * t + 1]
-            ops.append(cre[gi] @ ann[gj])
+            ops.append(cre.batch(gi) @ ann.batch(gj))
             phis.append(np.asarray(grid.momentum(grid.points[gi]))
                         - np.asarray(grid.momentum(grid.points[gj])))
         A, B, C = ops

@@ -291,10 +291,14 @@ def q_commutator(A: QuadraticForm, B: QuadraticForm, Q: SkewSymmetricQ) -> Quadr
 
 
 def deformed_point_ladder(grid: RapidityGrid, truncation: int,
-                          Q: SkewSymmetricQ) -> tuple[list[QuadraticForm], list[QuadraticForm]]:
-    """Deformed creator and annihilator forms at every lattice point: the warped free ladder."""
+                          Q: SkewSymmetricQ) -> tuple[QuadraticForm, QuadraticForm]:
+    """Deformed creators and annihilators at every lattice point: the warped free ladder.
+
+    Each is one form with the lattice point as its batch axis, as
+    ``zops.point_ladder`` builds them.
+    """
     creators, annihilators = point_ladder(ScatteringModel.free(), grid, truncation)
-    return [warp(c, Q) for c in creators], [warp(a, Q) for a in annihilators]
+    return warp(creators, Q), warp(annihilators, Q)
 
 
 def deformed_fmn_coefficients(A: QuadraticForm, Q: SkewSymmetricQ, m: int,
@@ -333,17 +337,22 @@ def deformed_fmn_coefficients(A: QuadraticForm, Q: SkewSymmetricQ, m: int,
     return fmn_coefficients(model, twisted, m, n)
 
 
-def _nested_family(A: QuadraticForm, total: int,
-                   creators: Sequence[QuadraticForm],
-                   annihilators: Sequence[QuadraticForm],
+def _nested_family(A: QuadraticForm, total: int, creators: QuadraticForm,
+                   annihilators: QuadraticForm,
                    bracket: Callable[[QuadraticForm, QuadraticForm], QuadraticForm]
                    ) -> dict[tuple[int, int], KernelTensor]:
     """Nested-bracket vacuum tensors for every (m, n) with m + n <= total.
 
     A node X is wrapped with a creator c as ``bracket(X, c)`` and with an
-    annihilator a as ``bracket(a, X)``.  Creator layers are shared between
-    readouts, so the whole family costs little more than its deepest
-    members.
+    annihilator a as ``bracket(a, X)``.  ``creators`` and ``annihilators``
+    are point ladders, one form with the lattice point as batch axis
+    (``zops.point_ladder``), and each layer of nodes is one form whose
+    batch axes are the wrapped points: a wrap with a creator prepends the
+    ladder's axis, one with an annihilator inserts it after the earlier
+    annihilator axes, before the creator axes.  So the batch axes of a
+    layer's (0, 0) block are the (m, n) tensor itself, the annihilator slots
+    first.  Creator layers are shared between readouts, so the whole family
+    costs little more than its deepest members.
 
     Only the (0, 0) entry of each nested commutator is read, and each wrap
     with one ladder operator moves a block (l, k) to blocks with l + k
@@ -356,30 +365,32 @@ def _nested_family(A: QuadraticForm, total: int,
     are bitwise those of the unpruned nesting.
     """
     N = A.grid.size
-    out = {(m, n): np.zeros((N,) * (m + n), dtype=complex)
-           for n in range(total + 1) for m in range(total + 1 - n)}
+    out = {}
 
-    def vac(X: QuadraticForm) -> complex:
+    def vac(X: QuadraticForm, m: int, n: int) -> None:
         # the vacuum is its own orbit, with V_0 = [[1]]
+        out[(m, n)] = np.zeros((N,) * (m + n), dtype=complex)
         blk = X.orbit_blocks.get((0, 0))
-        return complex(blk[0, 0]) if blk is not None else 0.0
+        if blk is not None:
+            out[(m, n)][...] = blk[..., 0, 0]
 
     def reachable(X: QuadraticForm, r: int) -> QuadraticForm:
         return X._like({(l, k): C for (l, k), C in X.orbit_blocks.items() if l + k <= r})
 
-    layer: dict[tuple[int, ...], QuadraticForm] = {(): reachable(A, total)}
+    layer = reachable(A, total)
     for n in range(total + 1):
         if n:
-            layer = {(g,) + key: reachable(bracket(X, creators[g]), total - n)
-                     for key, X in layer.items() for g in range(N)}
-        for eta_key, X0 in layer.items():
-            out[(0, n)][eta_key] = vac(X0)
-            sub: dict[tuple[int, ...], QuadraticForm] = {(): X0}
-            for m in range(1, total + 1 - n):
-                sub = {key + (g,): reachable(bracket(annihilators[g], X), total - n - m)
-                       for key, X in sub.items() for g in range(N)}
-                for theta_key, X in sub.items():
-                    out[(m, n)][theta_key + eta_key] = vac(X)
+            # the ladder's point axis first, then unit axes over the n - 1 earlier points
+            wrap = creators.batch((slice(None),) + (None,) * (n - 1))
+            layer = reachable(bracket(layer, wrap), total - n)
+        vac(layer, 0, n)
+        sub = layer
+        wrap = annihilators.batch((slice(None),) + (None,) * n)
+        for m in range(1, total + 1 - n):
+            # a unit axis after the m - 1 annihilator axes, for the ladder's point axis
+            sub = sub.batch((slice(None),) * (m - 1) + (None,))
+            sub = reachable(bracket(wrap, sub), total - n - m)
+            vac(sub, m, n)
     return {mn: KernelTensor(mn[0], mn[1], v) for mn, v in out.items()}
 
 

@@ -9,8 +9,11 @@ stores each block on orbit pairs, as C = V_l^H A V_k, and every form
 operation acts on C: sums, products, adjoints, the constructors, the
 draws, the norms and the full-basis residuals.  The dense block
 V_l C V_k^H over all N**l x N**k tuples is a view computed on access,
-read only here and by the file codec.  Tuple reversal is a phase per
-column of V (:func:`reversal_phases`).  A kernel S-symmetric in each slot
+read only here and by the file codec.  Blocks may carry leading batch
+axes, over which every form operation broadcasts: the point ladder
+(:func:`point_ladder`) is one form whose batch axis is the lattice
+point.  Tuple reversal is a phase per column of V
+(:func:`reversal_phases`).  A kernel S-symmetric in each slot
 group, as an expansion coefficient is, is stored on orbit pairs too
 (:class:`OrbitKernel`), and the monomial builder :func:`zmzn_form` takes
 one.
@@ -234,6 +237,17 @@ class QuadraticForm:
     V_l C V_k^H over all N**l x N**k tuples, computed on access; the form
     acts on states through them.  ``truncated`` marks possibly incomplete
     content (some construction discarded sectors above the truncation).
+
+    A block may carry leading batch axes, shape (*batch, orbits_l, orbits_k):
+    then the form is a stack of operators, one per batch index, such as the
+    ladder operators at every lattice point (:func:`point_ladder`).  The
+    form operations act on the last two axes and broadcast over the batch
+    axes as numpy does: ``+``, ``-``, ``*`` by a scalar or by an array of
+    shape (*batch, 1, 1), ``@``, :meth:`adjoint`, the dense views and the
+    max-abs residuals (:func:`peak_abs`), and with them the warp and the
+    deformed commutator of ``warped``.  :meth:`batch` indexes or inserts
+    batch axes.  ``apply``, the norms and the file codec take unbatched
+    forms.
     """
 
     model: ScatteringModel
@@ -250,9 +264,9 @@ class QuadraticForm:
             if not (0 <= l <= self.truncation and 0 <= k <= self.truncation):
                 raise ValueError(f"block {(l, k)} outside truncation {self.truncation}")
             arr = np.asarray(C, dtype=complex)
-            if arr.shape != (dims[l], dims[k]):
+            if arr.ndim < 2 or arr.shape[-2:] != (dims[l], dims[k]):
                 raise ValueError(f"orbit block {(l, k)} has shape {arr.shape}, "
-                                 f"expected {(dims[l], dims[k])}")
+                                 f"expected (*batch, {dims[l]}, {dims[k]})")
             fixed[(l, k)] = arr
         self.orbit_blocks = fixed
 
@@ -336,7 +350,22 @@ class QuadraticForm:
         return self._like(blocks, self.truncated or other.truncated)
 
     def adjoint(self) -> "QuadraticForm":
-        return self._like({(k, l): C.conj().T for (l, k), C in self.orbit_blocks.items()})
+        return self._like({(k, l): C.conj().swapaxes(-1, -2)
+                           for (l, k), C in self.orbit_blocks.items()})
+
+    def batch(self, index) -> "QuadraticForm":
+        """The form with ``index`` applied to the batch axes of every block.
+
+        ``index`` is a numpy index of the leading axes: an integer picks one
+        operator of the stack, ``None`` inserts an axis of length one, so
+        that a stack broadcasts against another along a new axis.  Each
+        block is first broadcast to the batch shape of the whole form, as
+        in its operations, and its last two axes are never indexed.
+        """
+        shape = np.broadcast_shapes(*(C.shape[:-2] for C in self.orbit_blocks.values()))
+        index = np.index_exp[index] + np.index_exp[:, :]
+        return self._like({key: np.broadcast_to(C, shape + C.shape[-2:])[index]
+                           for key, C in self.orbit_blocks.items()})
 
     def apply(self, state: FockState) -> FockState:
         """The dense view acting on a state, as V_l (C (V_k^H psi_k))."""
@@ -451,12 +480,30 @@ def annihilator_form(model: ScatteringModel, grid: RapidityGrid, truncation: int
     return QuadraticForm(model, grid, truncation, blocks)
 
 
+def _ladder_stack(model: ScatteringModel, grid: RapidityGrid, b: int) -> np.ndarray:
+    """R_b[x] = V_b^H (e_x kron V_{b-1}) over the lattice points x, in one tensordot on V_b.
+
+    Its shape is (N, orbits_b, orbits_{b-1}); R_b[x] is the creator ladder
+    block at x over sqrt(b).
+    """
+    Vb = symmetric_isometry(model, grid, b)[0]
+    Vp = symmetric_isometry(model, grid, b - 1)[0]
+    return np.tensordot(Vb.conj().reshape(grid.size, Vp.shape[0], Vb.shape[1]), Vp,
+                        axes=(1, 0))
+
+
 def point_ladder(model: ScatteringModel, grid: RapidityGrid,
-                 truncation: int) -> tuple[list[QuadraticForm], list[QuadraticForm]]:
-    """Creator and annihilator forms at every lattice point."""
-    points = np.eye(grid.size, dtype=complex)
-    return ([creator_form(model, grid, truncation, e) for e in points],
-            [annihilator_form(model, grid, truncation, e) for e in points])
+                 truncation: int) -> tuple[QuadraticForm, QuadraticForm]:
+    """The creators at every lattice point as one form, and their adjoint, the annihilators.
+
+    The lattice point is the batch axis: block (b, b - 1) of the creators
+    is sqrt(b) R_b of :func:`_ladder_stack`, of shape
+    (N, orbits_b, orbits_{b-1}), and ``.batch(x)`` is the creator at x.
+    """
+    creators = QuadraticForm(model, grid, truncation,
+                             {(b, b - 1): math.sqrt(b) * _ladder_stack(model, grid, b)
+                              for b in range(1, truncation + 1)})
+    return creators, creators.adjoint()
 
 
 def zmzn_form(model: ScatteringModel, kernel: OrbitKernel, grid: RapidityGrid,

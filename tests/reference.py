@@ -24,7 +24,10 @@ the compressed operations.  ``cross_norm``, ``sector_norm`` and
 ``loop_*`` checks are the norm checks that call them once per instance and
 per bound: the references of the batched norms and checks of ``suites``.
 They read ``suites._excess`` at call time, so a test can record the
-compared sides of both.
+compared sides of both.  ``loop_exchange_residual`` and
+``loop_deformed_exchange`` are the exchange checks one pair of lattice
+points at a time: the references of the checks of ``suites`` that batch
+over the second point.
 """
 
 import math
@@ -40,10 +43,12 @@ from zfock.fock import (FockState, Indicatrix, RapidityGrid, basis_tuples, energ
                         sector_momentum)
 from zfock.scattering import (Permutation, ScatteringModel, _axis, all_permutations,
                               pair_values, s_sigma_grid)
-from zfock.warped import GROUPING_RTOL, SkewSymmetricQ, _cluster, deformed_point_ladder
+from zfock.warped import (GROUPING_RTOL, SkewSymmetricQ, _cluster, deformed_point_ladder,
+                          q_commutator)
 from zfock.sampling import random_form, random_kernel
 from zfock.zops import (KernelTensor, QuadraticForm, annihilator_form, compress_kernel,
-                        create, creator_form, identity_form, symmetric_isometry, zmzn_form)
+                        create, creator_form, identity_form, peak_weights, symmetric_isometry,
+                        zmzn_form)
 
 
 def _flat(tuples: np.ndarray, N: int) -> np.ndarray:
@@ -266,7 +271,7 @@ def deformed_vector_matrices(grid: RapidityGrid, truncation: int, Q: SkewSymmetr
         L = np.zeros((N**j, N**j), dtype=complex)
         R = np.zeros((N**j, N**j), dtype=complex)
         for g in range(N):
-            block = creators[g].block(j, j - 1)
+            block = creators.batch(g).block(j, j - 1)
             L[:, g * N**(j - 1):(g + 1) * N**(j - 1)] = block @ left[j - 1]
             R[:, g::N] = block @ right[j - 1]
         left.append(L)
@@ -296,14 +301,14 @@ def deformed_monomial(grid: RapidityGrid, truncation: int, Q: SkewSymmetricQ,
     N = grid.size
     m, n = kernel.m, kernel.n
 
-    def words(ops: list[QuadraticForm], depth: int) -> dict[tuple[int, ...], QuadraticForm]:
+    def words(ops: QuadraticForm, depth: int) -> dict[tuple[int, ...], QuadraticForm]:
         out: dict[tuple[int, ...], QuadraticForm] = {
             (): None}  # type: ignore[dict-item]
         for _ in range(depth):
             new = {}
             for key, X in out.items():
                 for g in range(N):
-                    new[key + (g,)] = ops[g] if X is None else X @ ops[g]
+                    new[key + (g,)] = ops.batch(g) if X is None else X @ ops.batch(g)
             out = new
         return out
 
@@ -526,4 +531,69 @@ def loop_coefficient_bound(model, grid, truncation, omega, seed, count):
                 lhs = 0.5 * (left + right)
                 rhs = suites.coefficient_bound_constant(m, n) * norms[m + n]
                 res = max(res, suites._excess(lhs, rhs))
+    return res
+
+
+def loop_exchange_words(creators, annihilators, K: int):
+    """The three exchange relations at every pair (i, j) of lattice points.
+
+    ``creators`` and ``annihilators`` list the ladder operators point by
+    point.  Yields (i, j, X, Y, window, delta) with X Y = cre_i cre_j,
+    ann_i ann_j and ann_j cre_i in turn.  ``window`` maps the blocks where
+    both X Y and Y X stay in the truncated space to their ``peak_weights``,
+    and ``delta`` marks the mixed relation at i = j, which carries the
+    identity.
+    """
+    model, grid = creators[0].model, creators[0].grid
+
+    def window(keys):
+        return {key: peak_weights(model, grid, key) for key in keys}
+
+    cc = window([(k + 2, k) for k in range(K - 1)])
+    aa = window([(k, k + 2) for k in range(K - 1)])
+    mm = window([(k, k) for k in range(K)])
+    for i in range(len(creators)):
+        for j in range(len(creators)):
+            yield i, j, creators[i], creators[j], cc, False
+            yield i, j, annihilators[i], annihilators[j], aa, False
+            yield i, j, annihilators[j], creators[i], mm, i == j
+
+
+def loop_exchange_residual(S: np.ndarray, creators, annihilators, K: int) -> float:
+    """``suites._exchange_residual``, one pair of points at a time.
+
+    Each word X Y equals S[i, j] Y X, plus the identity for the mixed
+    relation at i = j.
+    """
+    ident = identity_form(creators[0].model, creators[0].grid, K)
+    err = 0.0
+    mag = 0.0
+    for i, j, X, Y, window, delta in loop_exchange_words(creators, annihilators, K):
+        rhs = (Y @ X) * S[i, j]
+        e, m = suites._keys_residual(X @ Y, rhs + ident if delta else rhs, window)
+        err, mag = max(err, e), max(mag, m)
+    return suites._rel(err, mag)
+
+
+def loop_deformed_exchange(grid: RapidityGrid, K: int, seed: int, count: int) -> float:
+    """``suites.check_deformed_exchange``, one pair of points at a time."""
+    free = ScatteringModel.free()
+    ident = identity_form(free, grid, K)
+    zero = QuadraticForm(free, grid, K)
+    res = 0.0
+    for rng in suites._instances(seed, "deformed_exchange", count):
+        Q = SkewSymmetricQ(float(rng.uniform(0.3, 2.0)), grid.mass)
+        S = pair_values(Q.scattering_model(), grid.points)
+        cre, ann = deformed_point_ladder(grid, K, Q)
+        creators = [cre.batch(x) for x in range(grid.size)]
+        annihilators = [ann.batch(x) for x in range(grid.size)]
+        res = max(res, loop_exchange_residual(S, creators, annihilators, K))
+        err = 0.0
+        mag = suites._TINY
+        for _, _, X, Y, window, delta in loop_exchange_words(creators, annihilators, K):
+            want = ident if delta else zero
+            e, _ = suites._keys_residual(q_commutator(X, Y, Q), want, window)
+            _, m = suites._keys_residual(X @ Y, want, window)
+            err, mag = max(err, e), max(mag, m)
+        res = max(res, err / mag)
     return res

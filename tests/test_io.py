@@ -16,7 +16,7 @@ from zfock.io import (complex_to_nested, load_family, load_form, load_kernel,
                       save_state)
 from zfock.sampling import keyed_rng, random_form, random_kernel, random_state
 from zfock.scattering import ScatteringModel
-from zfock.zops import OrbitKernel, compress_kernel, dense_kernel
+from zfock.zops import OrbitKernel, compress_kernel, dense_kernel, point_ladder
 
 FREE = ScatteringModel.free()
 SINH = ScatteringModel.sinh_exp(0.7)
@@ -71,6 +71,19 @@ def test_form_file_carries_its_model(tmp_path, grid3, model):
     A = random_form(model, grid3, 2, keyed_rng(0, "io", "model", 0))
     save_form(tmp_path / "A.json", A)
     assert load_form(tmp_path / "A.json").model == model
+
+
+def test_batched_form_is_refused_at_save(tmp_path, grid3):
+    # a point ladder is one form per lattice point; a file holds one operator
+    creators, _ = point_ladder(SINH, grid3, 2)
+    path = tmp_path / "ladder.json"
+    with pytest.raises(ValueError, match=r"batch shape \(3,\)"):
+        save_form(path, creators)
+    assert not path.exists()
+    save_form(path, creators.batch(1))
+    back = load_form(path)
+    for key, C in creators.batch(1).orbit_blocks.items():
+        np.testing.assert_allclose(back.orbit_blocks[key], C, rtol=0, atol=1e-14)
 
 
 def test_form_without_model_is_refused(tmp_path, grid3):

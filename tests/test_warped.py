@@ -17,7 +17,7 @@ from zfock.warped import (GroupingWarning, HomogeneousComponent, SkewSymmetricQ,
                           nested_free_family, nested_graded_family, nested_q_family,
                           q_commutator, warp, warp_spectral)
 from zfock.zops import (QuadraticForm, annihilator_form, creator_form, dense_kernel,
-                        form_residual)
+                        form_residual, point_ladder)
 
 from reference import deformed_monomial, symmetrize_block
 
@@ -204,8 +204,9 @@ def test_deformed_creator_is_warped_free_creator(grid3):
     Q = SkewSymmetricQ(0.8, 1.0)
     creators, annihilators = deformed_point_ladder(grid3, 2, Q)
     for g, e in enumerate(np.eye(3, dtype=complex)):
-        assert form_residual(creators[g], warp(creator_form(FREE, grid3, 2, e), Q)) == 0.0
-        assert form_residual(annihilators[g],
+        assert form_residual(creators.batch(g),
+                             warp(creator_form(FREE, grid3, 2, e), Q)) == 0.0
+        assert form_residual(annihilators.batch(g),
                              warp(annihilator_form(FREE, grid3, 2, e), Q)) == 0.0
 
 
@@ -215,7 +216,7 @@ def test_deformed_exchange_matches_sinh_factor(grid3):
     S = Q.scattering_model()
     K = 3
     creators, annihilators = deformed_point_ladder(grid3, K, Q)
-    c0, c2, a0 = creators[0], creators[2], annihilators[0]
+    c0, c2, a0 = creators.batch(0), creators.batch(2), annihilators.batch(0)
     lhs = (c0 @ c2).block(2, 0)
     rhs = S.value(grid3.points[0] - grid3.points[2]) * (c2 @ c0).block(2, 0)
     np.testing.assert_allclose(lhs, rhs, atol=1e-13)
@@ -245,7 +246,11 @@ def test_nested_family_reproduces_coefficients(grid3):
 
 
 def _full_nested(A, total, creators, annihilators, wrapc, wrapa, parity=0):
-    """Vacuum entries of the unpruned nested commutators, for all m + n <= total."""
+    """Vacuum entries of the unpruned nested commutators, for all m + n <= total.
+
+    One point at a time: each wrap takes the ladder operator of one point
+    out of the point ladders, with ``.batch(g)``.
+    """
     N = A.grid.size
     out = {(m, n): np.zeros((N,) * (m + n), dtype=complex)
            for n in range(total + 1) for m in range(total + 1 - n)}
@@ -256,10 +261,10 @@ def _full_nested(A, total, creators, annihilators, wrapc, wrapa, parity=0):
         if len(theta) + len(eta) == total:
             return
         for g in range(N):
-            fill(wrapa(annihilators[g], X, par), par ^ 1, theta + (g,), eta)
+            fill(wrapa(annihilators.batch(g), X, par), par ^ 1, theta + (g,), eta)
         if not theta:
             for g in range(N):
-                fill(wrapc(X, creators[g], par), par ^ 1, theta, (g,) + eta)
+                fill(wrapc(X, creators.batch(g), par), par ^ 1, theta, (g,) + eta)
 
     fill(A, parity, (), ())
     return out
@@ -277,23 +282,20 @@ def test_nested_families_equal_unpruned_commutators(grid3):
     # the readouts must be bitwise those of the full nested commutators,
     # and the graded ones those of each number-parity part nested apart
     K, total = 3, 3
-    units = np.eye(grid3.size, dtype=complex)
     rng = keyed_rng(0, "warped", "pruned", 0)
 
     def sign(par):
         return -1.0 if par else 1.0
 
     ising = ScatteringModel.ising()
-    creators = [creator_form(FREE, grid3, K, e) for e in units]
-    annihilators = [annihilator_form(FREE, grid3, K, e) for e in units]
+    creators, annihilators = point_ladder(FREE, grid3, K)
     A = random_form(FREE, grid3, K, rng)
     want = _full_nested(A, total, creators, annihilators,
                         lambda X, B, _: X @ B - B @ X, lambda B, X, _: B @ X - X @ B)
     for mn, kern in nested_free_family(A, total).items():
         assert np.array_equal(kern.values, want[mn]), ("free", mn)
 
-    creators = [creator_form(ising, grid3, K, e) for e in units]
-    annihilators = [annihilator_form(ising, grid3, K, e) for e in units]
+    creators, annihilators = point_ladder(ising, grid3, K)
     A = random_form(ising, grid3, K, rng)
     parts = [_full_nested(_parity_part(A, par), total, creators, annihilators,
                           lambda X, B, par: X @ B - sign(par) * (B @ X),

@@ -8,8 +8,8 @@ from zfock.sampling import keyed_rng, random_form, random_kernel, random_state
 from zfock.scattering import ScatteringModel, _pair_values_cached
 from zfock.zops import (KernelTensor, _spectral_norms, annihilate, annihilator_form,
                         compress_kernel, create, creator_form, cross_norms, form_residual,
-                        identity_form, kernel_adjoint, qform_norms, sector_norms,
-                        symmetric_isometry, zmzn_form)
+                        identity_form, kernel_adjoint, point_ladder, qform_norms,
+                        sector_norms, symmetric_isometry, zmzn_form)
 
 from reference import big_matrix
 
@@ -216,3 +216,28 @@ def test_lattice_caches_stay_bounded():
     for c in caches:
         info = c.cache_info()
         assert info.currsize <= info.maxsize, (c.__name__, info)
+
+
+def test_batched_form_stacks_its_points(grid3):
+    # a point ladder is one form per lattice point: its dense views, its
+    # adjoint and its products with a form stack those of its points
+    model = ScatteringModel.sinh_exp(0.7)
+    cre, ann = point_ladder(model, grid3, 3)
+    A = random_form(model, grid3, 3, keyed_rng(0, "zops", "batched", 0))
+    assert {C.shape[0] for C in cre.orbit_blocks.values()} == {3}
+    for x in range(3):
+        point = cre.batch(x)
+        assert all(C.ndim == 2 for C in point.orbit_blocks.values())
+        for key, D in cre.blocks.items():
+            np.testing.assert_array_equal(D[x], point.block(*key))
+        for got, want in ((cre.adjoint().batch(x), point.adjoint()),
+                          ((A @ cre).batch(x), A @ point),
+                          ((ann @ A).batch(x), ann.batch(x) @ A),
+                          ((cre + A).batch(x), point + A)):
+            assert set(got.orbit_blocks) == set(want.orbit_blocks)
+            for key, C in want.orbit_blocks.items():
+                np.testing.assert_array_equal(got.orbit_blocks[key], C)
+    # None inserts a batch axis; an unbatched form has none to index
+    assert cre.batch((slice(None), None)).orbit_blocks[(1, 0)].shape == (3, 1, 3, 1)
+    with pytest.raises(IndexError):
+        A.batch(0)
