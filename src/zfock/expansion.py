@@ -86,15 +86,14 @@ def _creator_ladder(model: ScatteringModel, grid: RapidityGrid,
     """L_b[x] and R_b[x] over the lattice points x, each of shape (N, orbits_b, orbits_{b-1}).
 
     R_b[x] = V_b^H (e_x kron V_{b-1}) is the creator ladder block at x over
-    sqrt(b), the stack that ``zops.point_ladder`` also reads
-    (``zops._ladder_stack``); L_b[x] = V_b^H (V_{b-1} kron e_x), the point
-    appended last, is diag(W_b) conj(R_b[x]) diag(conj W_{b-1}).
+    sqrt(b): the cached array ``zops._ladder_stack`` itself, which the point
+    ladder and the smeared ladders read too; L_b[x] = V_b^H (V_{b-1} kron e_x),
+    the point appended last, is diag(W_b) conj(R_b[x]) diag(conj W_{b-1}).
     """
     R = _ladder_stack(model, grid, b)
     L = (reversal_phases(model, grid, b)[:, None] * R.conj()
          * reversal_phases(model, grid, b - 1).conj())
-    for arr in (L, R):
-        arr.flags.writeable = False
+    L.flags.writeable = False
     return L, R
 
 
@@ -122,14 +121,21 @@ def _insertions(model: ScatteringModel, grid: RapidityGrid, a: int, b: int,
 
     a b sum_x L_a[x] Y_x R_b[x]^T, with Y_x = X, or
     X - diag(d_out[x]) X diag(d_in[x]) with the reflection factor
-    (module docstring).
+    (module docstring).  X may carry leading batch axes; without the
+    reflection factor every batch index runs the matmuls of an unbatched X,
+    with the same shapes, so it equals its unbatched insertions to the bit.
     """
     L = _creator_ladder(model, grid, a)[0]
     R = _creator_ladder(model, grid, b)[1]
+    X = X[..., None, :, :]
     if reflected:
         dout, din = _sweep_products(model, grid, a - 1, b - 1)
         X = X - dout[:, :, None] * X * din[:, None, :]
-    return (a * b) * np.tensordot(L @ X, R, axes=([0, 2], [0, 2]))
+    # L_a[x] Y_x laid out as (*batch, orbits_a, x, orbits_{b-1}), summed
+    # against R_b over (x, orbits_{b-1}) in one matmul per batch index
+    LX = np.moveaxis(L @ X, -3, -2)
+    LX = LX.reshape(LX.shape[:-2] + (R.shape[0] * R.shape[2],))
+    return (a * b) * (LX @ R.transpose(0, 2, 1).reshape(R.shape[0] * R.shape[2], R.shape[1]))
 
 
 def _ladder_sum(model: ScatteringModel, grid: RapidityGrid, m: int, n: int,
@@ -137,11 +143,13 @@ def _ladder_sum(model: ScatteringModel, grid: RapidityGrid, m: int, n: int,
                 reflected: bool = False) -> np.ndarray:
     """Sum over contractions C of (m, n) of sign**|C| delta_C S_C (R_C) term(|C|), on orbits.
 
-    ``term(c)`` is the orbit matrix on the (m - c, n - c) free slots; the
-    reflection factor R_C enters when ``reflected`` is set.  The Horner
-    form of the module docstring, from the deepest level out: each level
-    adds sign / c times the insertions (:func:`_insertions`) of the level
-    below to its own term.
+    ``term(c)`` is the orbit matrix on the (m - c, n - c) free slots, or a
+    stack of them with leading batch axes; the reflection factor R_C enters
+    when ``reflected`` is set.  The Horner form of the module docstring,
+    from the deepest level out: each level adds sign / c times the
+    insertions (:func:`_insertions`) of the level below to its own term.
+    Without the reflection factor a stack of terms gives the stack of their
+    sums, each equal to its unbatched sum to the bit.
     """
     # a copy, so that a sum without contractions never aliases term(0)
     total = np.array(term(min(m, n)), dtype=complex)

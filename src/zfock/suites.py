@@ -29,8 +29,8 @@ from .config import (DEFAULT_EQUALITY_TOL, DEFAULT_EXACT_TOL,
 from .contractions import (Contraction, add_on_support, compose,
                            enumerate_contractions, reflect_contraction,
                            sigma_rho)
-from .expansion import (CoefficientFamily, boost_form, creator_elements, extract_family,
-                        fmn_coefficients, inversion_residual, reconstruct,
+from .expansion import (CoefficientFamily, _ladder_sum, boost_form, creator_elements,
+                        extract_family, fmn_coefficients, inversion_residual, reconstruct,
                         reflect_conjugate, reflected_coeffs, transform_coeffs_poincare,
                         translate_form)
 from .fock import (Indicatrix, RapidityGrid, apply_omega_weight, boost,
@@ -443,26 +443,27 @@ def check_monomial_symmetrized_kernel(model: ScatteringModel, grid: RapidityGrid
 def check_creator_weight_bound(model: ScatteringModel, grid: RapidityGrid,
                                truncation: int, omega: Indicatrix, seed: int,
                                count: int) -> float:
-    """Weighted norms of single ladder operators against the damped source sectors."""
+    """Weighted norms of single ladder operators against the damped source sectors.
+
+    The smearing functions of all instances are stacked into one creator
+    and one annihilator form, whose slices are the forms of each instance.
+    """
     K = truncation
     wplus = [energy_weights(grid, omega, n, 1) for n in range(K + 1)]
     winv = [1.0 / w for w in wplus]
-    fs = [rng.normal(size=grid.size) + 1j * rng.normal(size=grid.size)
-          for rng in _instances(seed, "creator_weight_bound", count)]
-    blocks = []
-    for f in fs:
-        A = creator_form(model, grid, K, f)
-        B = annihilator_form(model, grid, K, f)
-        blocks += [(A.orbit_block(j + 1, j), j + 1, j, wplus[j + 1], winv[j])
-                   for j in range(K)]
-        blocks += [(B.orbit_block(j, j + 1), j, j + 1, wplus[j], winv[j + 1])
-                   for j in range(K)]
-    norms = iter(sector_norms(model, grid, blocks))
+    fs = np.array([rng.normal(size=grid.size) + 1j * rng.normal(size=grid.size)
+                   for rng in _instances(seed, "creator_weight_bound", count)])
+    A = creator_form(model, grid, K, fs)
+    B = annihilator_form(model, grid, K, fs)
+    blocks = [(A.orbit_block(j + 1, j), j + 1, j, wplus[j + 1], winv[j]) for j in range(K)]
+    blocks += [(B.orbit_block(j, j + 1), j, j + 1, wplus[j], winv[j + 1]) for j in range(K)]
+    # one norm per block and instance, the instance running fastest
+    norms = sector_norms(model, grid, blocks)
     res = 0.0
-    for f in fs:
+    for i, f in enumerate(fs):
         fnorm = float(np.linalg.norm(wplus[1] * f))
-        up = [next(norms) for _ in range(K)]
-        down = [next(norms) for _ in range(K)]
+        up = norms[i:K * count:count]
+        down = norms[K * count + i::count]
         for k in range(K):
             lhs = max(up[: k + 1])
             res = max(res, _excess(lhs, math.sqrt(k + 1) * fnorm))
@@ -474,13 +475,22 @@ def check_creator_weight_bound(model: ScatteringModel, grid: RapidityGrid,
 
 def _monomial_draws(model: ScatteringModel, grid: RapidityGrid, truncation: int,
                     rngs) -> list[tuple[KernelTensor, QuadraticForm]]:
-    """Kernel and monomial of each instance, the degrees cycling (1,1), (2,1), (1,2), (2,2)."""
+    """Kernel and monomial of each instance, the degrees cycling (1,1), (2,1), (1,2), (2,2).
+
+    The compressed kernels of one degree are stacked into one batched
+    monomial; the monomial of an instance is its slice.
+    """
     degrees = _degree_cycle([(1, 1), (2, 1), (1, 2), (2, 2)], truncation)
-    draws = []
-    for (m, n), rng in zip(degrees, rngs):
-        f = random_kernel(grid, m, n, rng)
-        draws.append((f, zmzn_form(model, compress_kernel(model, grid, f), grid, truncation)))
-    return draws
+    kernels = [random_kernel(grid, m, n, rng) for (m, n), rng in zip(degrees, rngs)]
+    of_degree: dict[tuple[int, int], list[int]] = {}
+    for i, f in enumerate(kernels):
+        of_degree.setdefault((f.m, f.n), []).append(i)
+    monomials = {}
+    for (m, n), idx in of_degree.items():
+        stack = np.stack([compress_kernel(model, grid, kernels[i]).values for i in idx])
+        F = zmzn_form(model, OrbitKernel(m, n, stack), grid, truncation)
+        monomials.update((i, F.batch(j)) for j, i in enumerate(idx))
+    return [(f, monomials[i]) for i, f in enumerate(kernels)]
 
 
 def check_monomial_source_bound(model: ScatteringModel, grid: RapidityGrid,
@@ -958,7 +968,9 @@ def check_coefficient_bound(model: ScatteringModel, grid: RapidityGrid,
 
     The cross norm of a coefficient is taken on its weighted orbit matrix:
     the energy weights are constant on orbits and V has orthonormal
-    columns, so diag(w) V_m F V_n^T has the norm of diag(w[reps]) F.
+    columns, so diag(w) V_m F V_n^T has the norm of diag(w[reps]) F.  The
+    creator elements of all instances are stacked per block, and each
+    (m, n) coefficient of every instance comes from one ladder Horner.
     """
     K = truncation
     # the (m, n) with m + n <= K
@@ -966,21 +978,22 @@ def check_coefficient_bound(model: ScatteringModel, grid: RapidityGrid,
     constants = [coefficient_bound_constant(m, n) for m, n in keys]
     weights = [energy_weights(grid, omega, j, -1) for j in range(K + 1)]
     ones = [np.ones(grid.size**j) for j in range(K + 1)]
-    blocks, queries = [], []
-    for rng in _instances(seed, "coefficient_bound", count):
-        A = random_form(model, grid, K, rng)
-        for m, n in keys:
-            F = fmn_coefficients(model, A, m, n).values
-            blocks += [(F, m, n, weights[m], ones[n]), (F, m, n, ones[m], weights[n])]
-        queries += [(A, s) for s in range(K + 1)]
+    forms = [random_form(model, grid, K, rng)
+             for rng in _instances(seed, "coefficient_bound", count)]
+    elements = {key: np.stack([creator_elements(A, *key) for A in forms]) for key in keys}
+    blocks = []
+    for m, n in keys:
+        F = _ladder_sum(model, grid, m, n, lambda c: elements[(m - c, n - c)], -1)
+        blocks += [(F, m, n, weights[m], ones[n]), (F, m, n, ones[m], weights[n])]
+    # per key, the left norms of all instances, then the right ones
     sides = sector_norms(model, grid, blocks)
-    lhs = iter([0.5 * (a + b) for a, b in zip(sides[::2], sides[1::2])])
-    form_norms = iter(qform_norms(model, queries, omega))
+    form_norms = qform_norms(model, [(A, s) for A in forms for s in range(K + 1)], omega)
     res = 0.0
-    for _ in range(count):
-        norms = [next(form_norms) for _ in range(K + 1)]
-        for (m, n), c in zip(keys, constants):
-            res = max(res, _excess(next(lhs), c * norms[m + n]))
+    for i in range(count):
+        norms = form_norms[i * (K + 1):(i + 1) * (K + 1)]
+        for q, ((m, n), c) in enumerate(zip(keys, constants)):
+            lhs = 0.5 * (sides[2 * q * count + i] + sides[(2 * q + 1) * count + i])
+            res = max(res, _excess(lhs, c * norms[m + n]))
     return res
 
 

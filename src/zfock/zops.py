@@ -12,14 +12,21 @@ V_l C V_k^H over all N**l x N**k tuples is a view computed on access,
 read only here and by the file codec.  Blocks may carry leading batch
 axes, over which every form operation broadcasts: the point ladder
 (:func:`point_ladder`) is one form whose batch axis is the lattice
-point.  Tuple reversal is a phase per column of V
-(:func:`reversal_phases`).  A kernel S-symmetric in each slot
-group, as an expansion coefficient is, is stored on orbit pairs too
-(:class:`OrbitKernel`), and the monomial builder :func:`zmzn_form` takes
-one.
+point.  Every ladder form reads one cached stack of creator blocks
+(:func:`_ladder_stack`): the point ladder scales it, and
+:func:`creator_form` and :func:`annihilator_form` smear it with f.  Tuple
+reversal is a phase per column of V (:func:`reversal_phases`), computed
+with V.  A kernel S-symmetric in each slot group, as an expansion
+coefficient is, is stored on orbit pairs too (:class:`OrbitKernel`), and
+the monomial builder :func:`zmzn_form` takes one.
+The constructors take stacks: :func:`creator_form` and
+:func:`annihilator_form` smearing functions of shape (*batch, N),
+:func:`zmzn_form` orbit kernels of shape (*batch, orbits_m, orbits_n).
+Each batch index of the result equals the unbatched call to the bit.
 The norms take lists (:func:`cross_norms`, :func:`sector_norms`,
-:func:`qform_norms`), and each call takes all its spectral norms in one
-batched SVD per matrix shape (:func:`_spectral_norms`).
+:func:`qform_norms`), and :func:`sector_norms` also stacked blocks; each
+call takes all its spectral norms in batched SVDs per matrix shape, one
+unless the matrices are large (:func:`_spectral_norms`).
 :func:`symmetrize` projects a tensor, or a contiguous block of its
 slots, as V V^H.  No N**n x N**n symmetrizer is formed.
 """
@@ -102,8 +109,8 @@ def orbit_dimension(model: ScatteringModel, N: int, n: int) -> int:
 
 @lru_cache(maxsize=128)
 def symmetric_isometry(model: ScatteringModel, grid: RapidityGrid,
-                       n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Orthonormal basis V of the S-symmetric n-particle subspace, its orbits and peaks.
+                       n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Orthonormal basis V of the S-symmetric n-particle subspace, its orbits, peaks and phases.
 
     There is one column per admissible multiset, built from its permutation
     orbit: the entry of an orbit tuple t is the sum of s_sigma(t) over the
@@ -114,7 +121,8 @@ def symmetric_isometry(model: ScatteringModel, grid: RapidityGrid,
     only strictly increasing tuples remain.  Distinct orbits have disjoint
     supports, so V^H V = I and V V^H is the symmetrizer, and no
     N**n x N**n array is formed.  Returns V, of shape (N**n, orbits), the
-    flat indices of the sorted tuples, and the largest |V| of each column.
+    flat indices of the sorted tuples, the largest |V| of each column and
+    the reversal phases W (:func:`reversal_phases`), all read-only.
     Each row of V has at most one nonzero, so the largest entry of
     V_l C V_k^H is max_ab |C_ab| peaks_l[a] peaks_k[b] (:func:`peak_abs`).
     """
@@ -139,22 +147,24 @@ def symmetric_isometry(model: ScatteringModel, grid: RapidityGrid,
     V[rows, column[rows]] = entry[rows]
     V /= np.linalg.norm(V, axis=0)
     peaks = np.abs(V).max(axis=0, initial=0.0)
-    for arr in (V, reps, peaks):
+    # a reversed tuple stays in its orbit; read W at the representatives,
+    # where V is real and positive
+    rev = tuples[reps, ::-1] @ (N ** np.arange(n - 1, -1, -1))
+    cols = np.arange(len(reps))
+    W = V[rev, cols].conj() / V[reps, cols]
+    for arr in (V, reps, peaks, W):
         arr.flags.writeable = False
-    return V, reps, peaks
+    return V, reps, peaks, W
 
 
 def reversal_phases(model: ScatteringModel, grid: RapidityGrid, n: int) -> np.ndarray:
     """The unit-modulus W with conj(V)[rev] = V diag(W), rev reversing every n-tuple.
 
     A reversed tuple stays in its orbit.  W is read at the representatives,
-    where V is real and positive, as conj(V[rev(rep_a), a]) / V[rep_a, a].
+    where V is real and positive, as conj(V[rev(rep_a), a]) / V[rep_a, a],
+    once per sector with V (:func:`symmetric_isometry`); it is read-only.
     """
-    V, reps = symmetric_isometry(model, grid, n)[:2]
-    N = grid.size
-    rev = basis_tuples(N, n)[reps, ::-1] @ (N ** np.arange(n - 1, -1, -1))
-    cols = np.arange(len(reps))
-    return V[rev, cols].conj() / V[reps, cols]
+    return symmetric_isometry(model, grid, n)[3]
 
 
 def dense_kernel(model: ScatteringModel, grid: RapidityGrid, kernel: OrbitKernel) -> KernelTensor:
@@ -246,8 +256,8 @@ class QuadraticForm:
     shape (*batch, 1, 1), ``@``, :meth:`adjoint`, the dense views and the
     max-abs residuals (:func:`peak_abs`), and with them the warp and the
     deformed commutator of ``warped``.  :meth:`batch` indexes or inserts
-    batch axes.  ``apply``, the norms and the file codec take unbatched
-    forms.
+    batch axes.  ``apply``, :func:`qform_norms` and the file codec take
+    unbatched forms.
     """
 
     model: ScatteringModel
@@ -390,21 +400,6 @@ class QuadraticForm:
                    default=0.0)
 
 
-def _ladder_block(model: ScatteringModel, grid: RapidityGrid, fmat: np.ndarray,
-                  l: int, k: int) -> np.ndarray:
-    """The compressed block V_l^H (fmat kron 1) V_k, the identity acting on the trailing slots.
-
-    It is contracted from the reshaped bases, so the Kronecker product is
-    never formed.
-    """
-    Vl = symmetric_isometry(model, grid, l)[0]
-    Vk = symmetric_isometry(model, grid, k)[0]
-    a, b = fmat.shape
-    r = Vl.shape[0] // a
-    left = np.tensordot(Vl.conj().T.reshape(Vl.shape[1], a, r), fmat, axes=(1, 0))
-    return np.tensordot(left, Vk.reshape(b, r, Vk.shape[1]), axes=([2, 1], [0, 1]))
-
-
 def identity_form(model: ScatteringModel, grid: RapidityGrid, truncation: int) -> QuadraticForm:
     """Identity of the symmetric subspace: the identity on the orbits of every sector."""
     blocks = {(n, n): np.eye(orbit_dimension(model, grid.size, n), dtype=complex)
@@ -462,34 +457,61 @@ def annihilate(f: np.ndarray, state: FockState) -> FockState:
     return out
 
 
+def _smear(f: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """sum_x f[..., x] R[x] for f of shape (*batch, N) and a stack R of shape (N, p, q).
+
+    One matmul of f, as (*batch, 1, N), against R as an (N, p q) matrix.
+    Every batch index is a matmul of the shapes of an unbatched f, so a
+    batched smear equals its slices to the bit.
+    """
+    N, p, q = R.shape
+    return (f[..., None, :] @ R.reshape(N, p * q)).reshape(f.shape[:-1] + (p, q))
+
+
 def creator_form(model: ScatteringModel, grid: RapidityGrid, truncation: int,
                  f: np.ndarray) -> QuadraticForm:
-    """Matrix form of the creation operator on the symmetric subspace."""
-    f = np.asarray(f, dtype=complex).reshape(grid.size, 1)
-    blocks = {(k + 1, k): math.sqrt(k + 1) * _ladder_block(model, grid, f, k + 1, k)
-              for k in range(truncation)}
+    """Matrix form of the creation operator on the symmetric subspace.
+
+    The point ladder smeared with f: block (b, b - 1) is
+    sqrt(b) sum_x f[x] R_b[x] (:func:`_ladder_stack`).  f may carry leading
+    batch axes, shape (*batch, N); the form is then the stack of the
+    creators of each f, each equal to the bit to its unbatched form.
+    """
+    f = np.asarray(f, dtype=complex)
+    blocks = {(b, b - 1): math.sqrt(b) * _smear(f, _ladder_stack(model, grid, b))
+              for b in range(1, truncation + 1)}
     return QuadraticForm(model, grid, truncation, blocks)
 
 
 def annihilator_form(model: ScatteringModel, grid: RapidityGrid, truncation: int,
                      f: np.ndarray) -> QuadraticForm:
-    """Matrix form of the annihilation operator on the symmetric subspace."""
-    f = np.asarray(f, dtype=complex).reshape(1, grid.size)
-    blocks = {(k, k + 1): math.sqrt(k + 1) * _ladder_block(model, grid, f, k, k + 1)
-              for k in range(truncation)}
+    """Matrix form of the annihilation operator on the symmetric subspace.
+
+    Block (b - 1, b) is sqrt(b) sum_x f[x] R_b[x]^H, taken as the conjugate
+    transpose of the smear of conj(f) (:func:`_ladder_stack`).  f may carry
+    leading batch axes, as in :func:`creator_form`.
+    """
+    f = np.asarray(f, dtype=complex)
+    blocks = {(b - 1, b): math.sqrt(b)
+              * _smear(f.conj(), _ladder_stack(model, grid, b)).conj().swapaxes(-1, -2)
+              for b in range(1, truncation + 1)}
     return QuadraticForm(model, grid, truncation, blocks)
 
 
+@lru_cache(maxsize=32)
 def _ladder_stack(model: ScatteringModel, grid: RapidityGrid, b: int) -> np.ndarray:
     """R_b[x] = V_b^H (e_x kron V_{b-1}) over the lattice points x, in one tensordot on V_b.
 
     Its shape is (N, orbits_b, orbits_{b-1}); R_b[x] is the creator ladder
-    block at x over sqrt(b).
+    block at x over sqrt(b).  Cached and read-only: the smeared ladders,
+    the point ladder and the expansion's Horner all read it.
     """
     Vb = symmetric_isometry(model, grid, b)[0]
     Vp = symmetric_isometry(model, grid, b - 1)[0]
-    return np.tensordot(Vb.conj().reshape(grid.size, Vp.shape[0], Vb.shape[1]), Vp,
-                        axes=(1, 0))
+    R = np.tensordot(Vb.conj().reshape(grid.size, Vp.shape[0], Vb.shape[1]), Vp,
+                     axes=(1, 0))
+    R.flags.writeable = False
+    return R
 
 
 def point_ladder(model: ScatteringModel, grid: RapidityGrid,
@@ -521,6 +543,13 @@ def zmzn_form(model: ScatteringModel, kernel: OrbitKernel, grid: RapidityGrid,
     V_n[rev] = conj(V_n) diag(conj W) (:func:`reversal_phases`) the part of g
     they see is V_m F diag(conj W) V_n^H, so V_m and conj(V_n) are contracted
     into the bases and no N**m x N**n matrix is formed.
+
+    The kernel values may carry leading batch axes, shape
+    (*batch, orbits_m, orbits_n): the monomial is then the stack of the
+    monomials of each kernel, which share the contractions of the bases.
+    Every batch index runs the multiplies and matmuls of an unbatched
+    kernel, with the same shapes, so each equals its unbatched monomial to
+    the bit.
     """
     m, n = kernel.m, kernel.n
     K = truncation
@@ -528,10 +557,17 @@ def zmzn_form(model: ScatteringModel, kernel: OrbitKernel, grid: RapidityGrid,
         raise ValueError("monomial degree exceeds truncation")
     Vm = symmetric_isometry(model, grid, m)[0]
     Vn = symmetric_isometry(model, grid, n)[0]
-    if kernel.values.shape != (Vm.shape[1], Vn.shape[1]):
-        raise ValueError(f"orbit kernel of shape {kernel.values.shape} does not match the "
-                         f"orbits {(Vm.shape[1], Vn.shape[1])} of its slot counts")
-    core = kernel.values * reversal_phases(model, grid, n).conj()
+    F = kernel.values
+    orbits = (Vm.shape[1], Vn.shape[1])
+    if F.shape[-2:] != orbits:
+        raise ValueError(f"orbit kernel of shape {F.shape} does not match the "
+                         f"orbits {orbits} of its slot counts")
+    # kernel by kernel: a complex multiply by a broadcast factor is not
+    # shape-stable, so one multiply over the stack may differ in the last
+    # bit, and the (orbits_l, r, orbits_n) product with the left factor
+    # stays the size of an unbatched one
+    Wc = reversal_phases(model, grid, n).conj()
+    cores = [v * Wc for v in F.reshape((math.prod(F.shape[:-2]),) + orbits)]
     blocks = {}
     dropped = False
     for k in range(n, K + 1):
@@ -545,7 +581,11 @@ def zmzn_form(model: ScatteringModel, kernel: OrbitKernel, grid: RapidityGrid,
         r = grid.size ** (k - n)
         left = np.tensordot(Vl.conj().T.reshape(Vl.shape[1], Vm.shape[0], r), Vm, axes=(1, 0))
         right = np.tensordot(Vn.conj(), Vk.reshape(Vn.shape[0], r, Vk.shape[1]), axes=(0, 0))
-        blocks[(l, k)] = c * np.tensordot(left @ core, right, axes=([1, 2], [1, 0]))
+        # contract left @ core with right over (r, orbits_n)
+        right = right.transpose(1, 0, 2).reshape(r * Vn.shape[1], Vk.shape[1])
+        stack = np.stack([(left @ core).reshape(Vl.shape[1], right.shape[0]) @ right
+                          for core in cores])
+        blocks[(l, k)] = c * stack.reshape(F.shape[:-2] + stack.shape[1:])
     return QuadraticForm(model, grid, K, blocks, truncated=dropped)
 
 
@@ -553,13 +593,20 @@ def zmzn_form(model: ScatteringModel, kernel: OrbitKernel, grid: RapidityGrid,
 # norms
 
 
+# input bytes of one batched SVD: a group of large matrices is stacked in
+# parts, so that its stacked copy does not set the peak memory of a norm call
+_SVD_STACK_BYTES = 8 * 2**20
+
+
 def _spectral_norms(mats: Sequence[np.ndarray]) -> list[float]:
     """Largest singular value of each matrix, in input order.
 
-    Matrices of one shape and dtype go through one batched SVD, which runs
-    the LAPACK routine of ``np.linalg.norm(M, ord=2)`` on each of them, so
-    every value equals that norm to the bit.  A matrix with no entries has
-    norm 0.0, as in numpy; its batched SVD would have no column 0.
+    Matrices of one shape and dtype go through batched SVDs of at most
+    ``_SVD_STACK_BYTES`` of input each (one SVD unless they are large),
+    which run the LAPACK routine of ``np.linalg.norm(M, ord=2)`` on each of
+    them, so every value equals that norm to the bit.  A matrix with no
+    entries has norm 0.0, as in numpy; its batched SVD would have no
+    column 0.
     """
     groups: dict[tuple, list[int]] = {}
     for i, M in enumerate(mats):
@@ -568,9 +615,12 @@ def _spectral_norms(mats: Sequence[np.ndarray]) -> list[float]:
     for (shape, _), idx in groups.items():
         if 0 in shape:
             continue
-        top = np.linalg.svd(np.stack([mats[i] for i in idx]), compute_uv=False)[:, 0]
-        for i, s in zip(idx, top.tolist()):
-            out[i] = s
+        step = max(1, _SVD_STACK_BYTES // mats[idx[0]].nbytes)
+        for lo in range(0, len(idx), step):
+            part = idx[lo:lo + step]
+            top = np.linalg.svd(np.stack([mats[i] for i in part]), compute_uv=False)[:, 0]
+            for i, s in zip(part, top.tolist()):
+                out[i] = s
     return out
 
 
@@ -607,7 +657,9 @@ def sector_norms(model: ScatteringModel, grid: RapidityGrid,
                  ) -> list[float]:
     """Norm of diag(wl) A diag(wr) on the S-symmetric sectors l <- k, of each (C, l, k, wl, wr).
 
-    ``C`` is the compressed block V_l^H A V_k of ``symmetric_isometry``.
+    ``C`` is the compressed block V_l^H A V_k of ``symmetric_isometry``, or
+    a stack of them with leading batch axes, shape (*batch, orbits_l,
+    orbits_k), which gives one norm per matrix in row-major batch order.
     ``wl`` and ``wr`` weigh the N**l and N**k tuples and must be constant on
     permutation orbits, as functions of the energy are, so that
     diag(w) V = V diag(w[reps]).  The result is the norm of
@@ -623,11 +675,11 @@ def sector_norms(model: ScatteringModel, grid: RapidityGrid,
         rk = symmetric_isometry(model, grid, k)[1]
         want = ((len(rl), len(rk)), (N**l,), (N**k,))
         got = (np.shape(C), np.shape(wl), np.shape(wr))
-        if got != want:
+        if (got[0][-2:], *got[1:]) != want:
             raise ValueError(f"sector block {(l, k)}: expected a compressed block of shape "
-                             f"{want[0]} and weights of lengths {N**l} and {N**k}, got "
-                             f"shapes {got[0]}, {got[1]} and {got[2]}")
-        mats.append(wl[rl, None] * C * wr[rk])
+                             f"{want[0]} after any batch axes and weights of lengths {N**l} "
+                             f"and {N**k}, got shapes {got[0]}, {got[1]} and {got[2]}")
+        mats.extend((wl[rl, None] * C * wr[rk]).reshape((math.prod(got[0][:-2]),) + want[0]))
     return _spectral_norms(mats)
 
 

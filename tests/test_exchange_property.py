@@ -10,7 +10,7 @@ at a time with ``.batch(x)``: each word is then the same sequence of the
 same floating-point operations, and a maximum is exact.  The point ladder
 at each point must equal ``creator_form`` and ``annihilator_form`` at the
 unit vector of that point at rel 1e-12 of the largest dense entry: those
-sum the entries of V in another order.  Models are the shared ``MODELS``
+smear the same ladder stack with the unit vector.  Models are the shared ``MODELS``
 table (free, ising, sinh_exp and tables with S(0) = +1 or -1); lattices
 are random or symmetric with 2-4 points, truncations 1-3; the examples are
 derandomized.

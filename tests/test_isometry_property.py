@@ -100,7 +100,7 @@ def test_orbit_isometry_keeps_norms(family, a, grid, seed, alpha, log, degrees):
     N = grid.size
     strict = model.value(0.0).real < 0
     for n in range(K + 1):
-        V, reps, peaks = symmetric_isometry(model, grid, n)
+        V, reps, peaks = symmetric_isometry(model, grid, n)[:3]
         P = symmetrizer_matrix(model, grid, n)
         assert V.shape == (N**n, math.comb(N, n) if strict else math.comb(N + n - 1, n))
         np.testing.assert_array_equal(peaks, np.abs(V).max(axis=0, initial=0.0))

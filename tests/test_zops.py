@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
-from zfock.fock import FockState, Indicatrix, RapidityGrid, energy_grid, sector_momentum
+from zfock.fock import (FockState, Indicatrix, RapidityGrid, energy_grid, energy_weights,
+                        sector_momentum)
+from zfock import zops
 from zfock.sampling import keyed_rng, random_form, random_kernel, random_state
 from zfock.scattering import ScatteringModel, _pair_values_cached
-from zfock.zops import (KernelTensor, _spectral_norms, annihilate, annihilator_form,
-                        compress_kernel, create, creator_form, cross_norms, form_residual,
-                        identity_form, kernel_adjoint, point_ladder, qform_norms,
-                        sector_norms, symmetric_isometry, zmzn_form)
+from zfock.zops import (KernelTensor, _ladder_stack, _spectral_norms, annihilate,
+                        annihilator_form, compress_kernel, create, creator_form, cross_norms,
+                        form_residual, identity_form, kernel_adjoint, point_ladder,
+                        qform_norms, sector_norms, symmetric_isometry, zmzn_form)
 
 from reference import big_matrix
 
@@ -184,6 +186,21 @@ def test_spectral_norms_equal_numpy_norms_bitwise():
     assert _spectral_norms([]) == []
 
 
+def test_spectral_norms_stack_large_groups_in_parts(monkeypatch):
+    # with a budget of two 3x3 complex matrices, each group of one shape
+    # runs in several batched SVDs, every value still numpy's to the bit
+    monkeypatch.setattr(zops, "_SVD_STACK_BYTES", 300)
+    rng = np.random.default_rng(6)
+    mats = [_complex(rng, shape) for shape in [(3, 3)] * 5 + [(1, 4)] * 4 + [(2, 2)]]
+    svd = np.linalg.svd
+    calls = []
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(len(a)) or svd(a, **kw))
+    got = _spectral_norms(mats)
+    want = [float(np.linalg.norm(M, ord=2)) for M in mats]
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+    assert sorted(calls) == [1, 1, 2, 2, 4]
+
+
 def test_sector_norms_reject_wrong_sizes(model, grid3):
     A = creator_form(model, grid3, 2, np.ones(3))
     C = A.orbit_block(2, 1)
@@ -203,14 +220,33 @@ def test_sector_norms_reject_wrong_sizes(model, grid3):
         sector_norms(model, grid3, [(C, 2, 1, np.ones(27), w1)])
 
 
+def test_sector_norms_take_batched_blocks(model, grid3):
+    # a stacked block gives one norm per matrix in row-major batch order,
+    # each equal to the bit to the norm of its slice alone
+    rng = keyed_rng(0, "zops", "batched_norms", 0)
+    omega = Indicatrix.log(0.8)
+    w1, w2 = energy_weights(grid3, omega, 1, -1), energy_weights(grid3, omega, 2, 1)
+    fs = _complex(rng, (2, 3, 3))
+    C = creator_form(model, grid3, 2, fs).orbit_block(2, 1)
+    got = sector_norms(model, grid3, [(C, 2, 1, w2, w1), (C[1, 0], 2, 1, w2, w1)])
+    slices = [(C[i, j], 2, 1, w2, w1) for i in range(2) for j in range(3)]
+    want = sector_norms(model, grid3, slices + [(C[1, 0], 2, 1, w2, w1)])
+    assert len(got) == 7
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+    # a batched block of the wrong size is named like an unbatched one
+    with pytest.raises(ValueError, match=r"sector block \(2, 1\)"):
+        sector_norms(model, grid3, [(C, 2, 1, w2, w1), (C[..., :-1], 2, 1, w2, w1)])
+
+
 def test_lattice_caches_stay_bounded():
     # each lattice is a new key of the lattice-keyed caches: they evict
     # rather than keep every lattice a process has seen
-    caches = (symmetric_isometry, energy_grid, sector_momentum, _pair_values_cached)
+    caches = (symmetric_isometry, energy_grid, sector_momentum, _pair_values_cached,
+              _ladder_stack)
     assert all(c.cache_info().maxsize is not None for c in caches)
     for i in range(2 * max(c.cache_info().maxsize for c in caches)):
         grid = RapidityGrid((0.0, 0.5 + 1e-3 * i), 1.0)
-        symmetric_isometry(FREE, grid, 1)
+        _ladder_stack(FREE, grid, 1)
         energy_grid(grid, 1)
         sector_momentum(grid, 1)
     for c in caches:
