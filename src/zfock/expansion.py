@@ -42,10 +42,11 @@ points x:
     K g = a b V_a (sum_x L_a[x] Y_x R_b[x]^T) V_b^T,
 
 with R_b[x] = V_b^H (e_x kron V_{b-1}) the creator ladder block at x over
-sqrt(b), L_a[x] = V_a^H (V_{a-1} kron e_x) = diag(W_a) conj(R_a[x])
-diag(conj W_{a-1}), and Y_x = Y, or Y - diag(d_out[x]) Y diag(d_in[x])
-with the reflection factor, the sweep products read at the orbit
-representatives (:func:`_insertions`).  No N**(m+n) tensor is formed and
+sqrt(b), L_a[x] = V_a^H (V_{a-1} kron e_x), both slices of the one cached
+orbit split ``zops._orbit_split`` (at (b, 1) and at (a, a - 1)), and
+Y_x = Y, or Y - diag(d_out[x]) Y diag(d_in[x]) with the reflection
+factor, the sweep products read at the orbit representatives
+(:func:`_insertions`).  No N**(m+n) tensor is formed and
 no contraction is enumerated.  ``suites`` keeps the dense sum over
 contractions, at capped degree, as the formula this is checked against.
 """
@@ -54,14 +55,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .fock import RapidityGrid, basis_tuples, translation_phases
 from .scattering import ScatteringModel, pair_values
-from .zops import (OrbitKernel, QuadraticForm, _ladder_stack, _require_model, orbit_dimension,
+from .zops import (OrbitKernel, QuadraticForm, _orbit_split, _require_model, orbit_dimension,
                    peak_abs, peak_weights, reversal_phases, symmetric_isometry, zmzn_form)
 
 
@@ -78,23 +78,6 @@ def creator_elements(A: QuadraticForm, m: int, n: int) -> np.ndarray:
     """
     c = math.sqrt(math.factorial(m) * math.factorial(n))
     return c * (A.orbit_block(m, n) * reversal_phases(A.model, A.grid, n))
-
-
-@lru_cache(maxsize=32)
-def _creator_ladder(model: ScatteringModel, grid: RapidityGrid,
-                  b: int) -> tuple[np.ndarray, np.ndarray]:
-    """L_b[x] and R_b[x] over the lattice points x, each of shape (N, orbits_b, orbits_{b-1}).
-
-    R_b[x] = V_b^H (e_x kron V_{b-1}) is the creator ladder block at x over
-    sqrt(b): the cached array ``zops._ladder_stack`` itself, which the point
-    ladder and the smeared ladders read too; L_b[x] = V_b^H (V_{b-1} kron e_x),
-    the point appended last, is diag(W_b) conj(R_b[x]) diag(conj W_{b-1}).
-    """
-    R = _ladder_stack(model, grid, b)
-    L = (reversal_phases(model, grid, b)[:, None] * R.conj()
-         * reversal_phases(model, grid, b - 1).conj())
-    L.flags.writeable = False
-    return L, R
 
 
 def _sweep_products(model: ScatteringModel, grid: RapidityGrid, p: int,
@@ -125,8 +108,9 @@ def _insertions(model: ScatteringModel, grid: RapidityGrid, a: int, b: int,
     reflection factor every batch index runs the matmuls of an unbatched X,
     with the same shapes, so it equals its unbatched insertions to the bit.
     """
-    L = _creator_ladder(model, grid, a)[0]
-    R = _creator_ladder(model, grid, b)[1]
+    # L_a, laid out contiguously for the matmuls
+    L = np.ascontiguousarray(_orbit_split(model, grid, a, a - 1).transpose(2, 1, 0))
+    R = _orbit_split(model, grid, b, 1)
     X = X[..., None, :, :]
     if reflected:
         dout, din = _sweep_products(model, grid, a - 1, b - 1)

@@ -12,13 +12,14 @@ V_l C V_k^H over all N**l x N**k tuples is a view computed on access,
 read only here and by the file codec.  Blocks may carry leading batch
 axes, over which every form operation broadcasts: the point ladder
 (:func:`point_ladder`) is one form whose batch axis is the lattice
-point.  Every ladder form reads one cached stack of creator blocks
-(:func:`_ladder_stack`): the point ladder scales it, and
-:func:`creator_form` and :func:`annihilator_form` smear it with f.  Tuple
-reversal is a phase per column of V (:func:`reversal_phases`), computed
-with V.  A kernel S-symmetric in each slot group, as an expansion
-coefficient is, is stored on orbit pairs too (:class:`OrbitKernel`), and
-the monomial builder :func:`zmzn_form` takes one.
+point.  One cached factor, V_l^H (V_m kron V_{l-m}) (:func:`_orbit_split`),
+stands behind every ladder and monomial: at m = 1 it is the stack of
+creator blocks, which the point ladder scales and :func:`creator_form`
+and :func:`annihilator_form` smear with f, and :func:`zmzn_form` reads
+each block from two splits.  Tuple reversal is a phase per column of V
+(:func:`reversal_phases`), computed with V.  A kernel S-symmetric in each
+slot group, as an expansion coefficient is, is stored on orbit pairs too
+(:class:`OrbitKernel`), and :func:`zmzn_form` takes one.
 The constructors take stacks: :func:`creator_form` and
 :func:`annihilator_form` smearing functions of shape (*batch, N),
 :func:`zmzn_form` orbit kernels of shape (*batch, orbits_m, orbits_n).
@@ -165,6 +166,32 @@ def reversal_phases(model: ScatteringModel, grid: RapidityGrid, n: int) -> np.nd
     once per sector with V (:func:`symmetric_isometry`); it is read-only.
     """
     return symmetric_isometry(model, grid, n)[3]
+
+
+# holds every 0 <= m <= l <= K of the few models and lattices a run reads
+@lru_cache(maxsize=128)
+def _orbit_split(model: ScatteringModel, grid: RapidityGrid, l: int, m: int) -> np.ndarray:
+    """V_l^H (V_m kron V_{l-m}), of shape (orbits_m, orbits_l, orbits_{l-m}); cached, read-only.
+
+    Entry [b, a, c] pairs orbit a of the l-tuples with orbit b of their
+    leading m slots and orbit c of the trailing ones.  V_1 = I, so the split
+    at (b, 1) is R_b[x] = V_b^H (e_x kron V_{b-1}) over the points x, the
+    creator ladder block at x over sqrt(b), and the one at (a, a - 1) with
+    its axes moved to (x, a, b) is L_a[x] = V_a^H (V_{a-1} kron e_x).
+    """
+    Vl = symmetric_isometry(model, grid, l)[0]
+    Vm = symmetric_isometry(model, grid, m)[0]
+    Vr = symmetric_isometry(model, grid, l - m)[0]
+    rows = Vl.reshape(Vm.shape[0], Vr.shape[0], Vl.shape[1])
+    if m == 1:
+        # V_1 = I: only the trailing slots are contracted
+        split = np.tensordot(rows.conj(), Vr, axes=(1, 0))
+    else:
+        # the leading slots, then the trailing ones, without a copy of V_l
+        split = np.tensordot(Vm.conj(), rows, axes=(0, 0))
+        split = np.conjugate(split, out=split).transpose(0, 2, 1) @ Vr
+    split.flags.writeable = False
+    return split
 
 
 def dense_kernel(model: ScatteringModel, grid: RapidityGrid, kernel: OrbitKernel) -> KernelTensor:
@@ -473,12 +500,12 @@ def creator_form(model: ScatteringModel, grid: RapidityGrid, truncation: int,
     """Matrix form of the creation operator on the symmetric subspace.
 
     The point ladder smeared with f: block (b, b - 1) is
-    sqrt(b) sum_x f[x] R_b[x] (:func:`_ladder_stack`).  f may carry leading
+    sqrt(b) sum_x f[x] R_b[x] (:func:`_orbit_split`).  f may carry leading
     batch axes, shape (*batch, N); the form is then the stack of the
     creators of each f, each equal to the bit to its unbatched form.
     """
     f = np.asarray(f, dtype=complex)
-    blocks = {(b, b - 1): math.sqrt(b) * _smear(f, _ladder_stack(model, grid, b))
+    blocks = {(b, b - 1): math.sqrt(b) * _smear(f, _orbit_split(model, grid, b, 1))
               for b in range(1, truncation + 1)}
     return QuadraticForm(model, grid, truncation, blocks)
 
@@ -488,30 +515,14 @@ def annihilator_form(model: ScatteringModel, grid: RapidityGrid, truncation: int
     """Matrix form of the annihilation operator on the symmetric subspace.
 
     Block (b - 1, b) is sqrt(b) sum_x f[x] R_b[x]^H, taken as the conjugate
-    transpose of the smear of conj(f) (:func:`_ladder_stack`).  f may carry
+    transpose of the smear of conj(f) (:func:`_orbit_split`).  f may carry
     leading batch axes, as in :func:`creator_form`.
     """
     f = np.asarray(f, dtype=complex)
     blocks = {(b - 1, b): math.sqrt(b)
-              * _smear(f.conj(), _ladder_stack(model, grid, b)).conj().swapaxes(-1, -2)
+              * _smear(f.conj(), _orbit_split(model, grid, b, 1)).conj().swapaxes(-1, -2)
               for b in range(1, truncation + 1)}
     return QuadraticForm(model, grid, truncation, blocks)
-
-
-@lru_cache(maxsize=32)
-def _ladder_stack(model: ScatteringModel, grid: RapidityGrid, b: int) -> np.ndarray:
-    """R_b[x] = V_b^H (e_x kron V_{b-1}) over the lattice points x, in one tensordot on V_b.
-
-    Its shape is (N, orbits_b, orbits_{b-1}); R_b[x] is the creator ladder
-    block at x over sqrt(b).  Cached and read-only: the smeared ladders,
-    the point ladder and the expansion's Horner all read it.
-    """
-    Vb = symmetric_isometry(model, grid, b)[0]
-    Vp = symmetric_isometry(model, grid, b - 1)[0]
-    R = np.tensordot(Vb.conj().reshape(grid.size, Vp.shape[0], Vb.shape[1]), Vp,
-                     axes=(1, 0))
-    R.flags.writeable = False
-    return R
 
 
 def point_ladder(model: ScatteringModel, grid: RapidityGrid,
@@ -519,11 +530,11 @@ def point_ladder(model: ScatteringModel, grid: RapidityGrid,
     """The creators at every lattice point as one form, and their adjoint, the annihilators.
 
     The lattice point is the batch axis: block (b, b - 1) of the creators
-    is sqrt(b) R_b of :func:`_ladder_stack`, of shape
+    is sqrt(b) R_b of :func:`_orbit_split`, of shape
     (N, orbits_b, orbits_{b-1}), and ``.batch(x)`` is the creator at x.
     """
     creators = QuadraticForm(model, grid, truncation,
-                             {(b, b - 1): math.sqrt(b) * _ladder_stack(model, grid, b)
+                             {(b, b - 1): math.sqrt(b) * _orbit_split(model, grid, b, 1)
                               for b in range(1, truncation + 1)})
     return creators, creators.adjoint()
 
@@ -538,34 +549,33 @@ def zmzn_form(model: ScatteringModel, kernel: OrbitKernel, grid: RapidityGrid,
     land above the truncation are dropped and flagged.
 
     The block is V_l^H (g kron 1) V_k, g the kernel matrix with its incoming
-    slots reversed and the identity on the k - n trailing slots.  V_l^H and
-    V_k absorb the symmetrizers of the leading slots, and with
+    slots reversed and the identity on the r = k - n trailing slots.  With
     V_n[rev] = conj(V_n) diag(conj W) (:func:`reversal_phases`) the part of g
-    they see is V_m F diag(conj W) V_n^H, so V_m and conj(V_n) are contracted
-    into the bases and no N**m x N**n matrix is formed.
+    that V_l^H and V_k see is V_m F diag(conj W) V_n^H, and V_l^H, V_k
+    absorb the symmetrizer of the trailing slots, so the block is
+    c P(l, m) (F diag(conj W) kron 1) P(k, n)^H with the orbit splits P
+    (:func:`_orbit_split`): a sum over orbits_r, not over N**r, that reads
+    no V.
 
     The kernel values may carry leading batch axes, shape
     (*batch, orbits_m, orbits_n): the monomial is then the stack of the
-    monomials of each kernel, which share the contractions of the bases.
-    Every batch index runs the multiplies and matmuls of an unbatched
-    kernel, with the same shapes, so each equals its unbatched monomial to
-    the bit.
+    monomials of each kernel, which share the splits.  Every batch index
+    runs the multiplies and matmuls of an unbatched kernel, with the same
+    shapes, so each equals its unbatched monomial to the bit.
     """
     m, n = kernel.m, kernel.n
     K = truncation
     if m > K or n > K:
         raise ValueError("monomial degree exceeds truncation")
-    Vm = symmetric_isometry(model, grid, m)[0]
-    Vn = symmetric_isometry(model, grid, n)[0]
     F = kernel.values
-    orbits = (Vm.shape[1], Vn.shape[1])
+    orbits = (orbit_dimension(model, grid.size, m), orbit_dimension(model, grid.size, n))
     if F.shape[-2:] != orbits:
         raise ValueError(f"orbit kernel of shape {F.shape} does not match the "
                          f"orbits {orbits} of its slot counts")
     # kernel by kernel: a complex multiply by a broadcast factor is not
     # shape-stable, so one multiply over the stack may differ in the last
-    # bit, and the (orbits_l, r, orbits_n) product with the left factor
-    # stays the size of an unbatched one
+    # bit, and the (orbits_l, orbits_r, orbits_n) product with the left
+    # split stays the size of an unbatched one
     Wc = reversal_phases(model, grid, n).conj()
     cores = [v * Wc for v in F.reshape((math.prod(F.shape[:-2]),) + orbits)]
     blocks = {}
@@ -576,15 +586,14 @@ def zmzn_form(model: ScatteringModel, kernel: OrbitKernel, grid: RapidityGrid,
             dropped = True
             continue
         c = math.sqrt(math.factorial(k) * math.factorial(l)) / math.factorial(k - n)
-        Vl = symmetric_isometry(model, grid, l)[0]
-        Vk = symmetric_isometry(model, grid, k)[0]
-        r = grid.size ** (k - n)
-        left = np.tensordot(Vl.conj().T.reshape(Vl.shape[1], Vm.shape[0], r), Vm, axes=(1, 0))
-        right = np.tensordot(Vn.conj(), Vk.reshape(Vn.shape[0], r, Vk.shape[1]), axes=(0, 0))
-        # contract left @ core with right over (r, orbits_n)
-        right = right.transpose(1, 0, 2).reshape(r * Vn.shape[1], Vk.shape[1])
-        stack = np.stack([(left @ core).reshape(Vl.shape[1], right.shape[0]) @ right
-                          for core in cores])
+        Pl, Pk = _orbit_split(model, grid, l, m), _orbit_split(model, grid, k, n)
+        ol, r, ok = Pl.shape[1], Pl.shape[2], Pk.shape[1]
+        # P(l, m) as (orbits_l orbits_r, orbits_m) and conj P(k, n) as
+        # (orbits_r orbits_n, orbits_k): contract left @ core with the
+        # right split over (orbits_r, orbits_n)
+        left = Pl.transpose(1, 2, 0).reshape(ol * r, orbits[0])
+        right = Pk.conj().transpose(2, 0, 1).reshape(r * orbits[1], ok)
+        stack = np.stack([(left @ core).reshape(ol, r * orbits[1]) @ right for core in cores])
         blocks[(l, k)] = c * stack.reshape(F.shape[:-2] + stack.shape[1:])
     return QuadraticForm(model, grid, K, blocks, truncated=dropped)
 

@@ -14,6 +14,12 @@ contraction sums at capped degree and by ``_family_residual``, which
 compares the dense nested families of ``warped`` at total degree <= 2;
 no other module reads it.  ``expansion`` builds no dense tensor at all: no
 shape ``(N,) * k`` and no ``KernelTensor`` appears in it.
+
+The dense orbit basis V itself, ``symmetric_isometry(...)[0]``, is read
+only by the functions of ``V_READERS``: the dense views above, their
+inverses, the projector ``symmetrize`` and the cached orbit split
+``_orbit_split``, which the ladders, the monomials and the expansion read
+instead.  A call that takes the whole tuple counts as a read of V.
 """
 
 import ast
@@ -26,6 +32,9 @@ FAMILY_VIEW = "dense_kernel"
 # module -> the top-level functions in it that may read the family's dense view
 FAMILY_VIEW_READERS = {"suites.py": {"_dense_coefficients", "check_contraction_formula",
                                      "_family_residual"}}
+# the functions, over all modules, that may read the dense V
+V_READERS = {"_orbit_split", "symmetrize", "from_dense", "block", "apply", "compress_kernel",
+             "dense_kernel"}
 
 
 def test_only_storage_and_codec_read_dense_views():
@@ -81,3 +90,46 @@ def test_expansion_builds_no_dense_tensor():
              and isinstance(node.left, ast.Tuple)
              or isinstance(node, ast.Name) and node.id == "KernelTensor"]
     assert not dense, "\n".join(dense)
+
+
+def _v_reads(tree) -> list[tuple[str, int]]:
+    """(innermost enclosing function, line) of each read of the dense V under ``tree``.
+
+    A call of ``symmetric_isometry`` reads V unless it is indexed at once by
+    a constant other than 0 or by a slice that starts past 0.
+    """
+    reads = []
+
+    def skips_v(index) -> bool:
+        if isinstance(index, ast.Constant):
+            return index.value != 0
+        return (isinstance(index, ast.Slice) and isinstance(index.lower, ast.Constant)
+                and index.lower.value > 0)
+
+    def visit(node, owner, indexed):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call) and not indexed:
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "symmetric_isometry":
+                reads.append((owner, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner, isinstance(node, ast.Subscript) and child is node.value
+                  and skips_v(node.slice))
+
+    visit(tree, "<module>", False)
+    return reads
+
+
+def test_only_the_allowed_functions_read_the_dense_basis():
+    readers, stray = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        for owner, line in _v_reads(ast.parse(path.read_text())):
+            if owner in V_READERS:
+                readers.add(owner)
+            else:
+                stray.append(f"{path.name}:{line} ({owner}) reads V")
+    assert not stray, "\n".join(stray)
+    # every listed reader exists and reads V
+    assert readers == V_READERS, V_READERS - readers

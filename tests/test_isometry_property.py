@@ -9,25 +9,28 @@ form, which is stored through ``QuadraticForm.from_dense``.  The dense
 views of the form constructors, which build the compressed blocks
 directly, must equal their dense P X P references; ``random_form`` must
 draw its compressed blocks in row-major order with one entry per orbit
-pair, and ``zops.symmetrize`` on any contiguous block of
-slots of a tensor with up to 4 slots must equal the dense P applied to
-that block.  Models are free, ising, sinh_exp and a table of random
-unitary values on the lattice differences with S(0) = +1 or -1; lattices
-are random or symmetric, with 2-4 points; the examples are derandomized
-so the run is deterministic.
+pair.  The orbit split ``zops._orbit_split`` behind the ladders and the
+monomials must equal its dense product V_l^H kron(V_m, V_{l-m}) for every
+0 <= m <= l <= K, sectors without orbits included, and its two ladder
+slices must be tied by the reversal phases W.  ``zops.symmetrize`` on any
+contiguous block of slots of a tensor with up to 4 slots must equal the
+dense P applied to that block.  Models are free, ising, sinh_exp and a
+table of random unitary values on the lattice differences with S(0) = +1
+or -1; lattices are random or symmetric, with 2-4 points; the examples
+are derandomized so the run is deterministic.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from zfock.fock import Indicatrix, basis_tuples, energy_grid
+from zfock.fock import Indicatrix, RapidityGrid, basis_tuples, energy_grid
 from zfock.sampling import keyed_rng, random_form, random_kernel
-from zfock.zops import (QuadraticForm, annihilator_form, compress_kernel, creator_form,
-                        identity_form, qform_norms, sector_norms,
+from zfock.zops import (QuadraticForm, _orbit_split, annihilator_form, compress_kernel,
+                        creator_form, identity_form, qform_norms, sector_norms,
                         symmetric_isometry, symmetrize, zmzn_form)
 
 from reference import symmetrize_block, symmetrizer_matrix
@@ -154,6 +157,8 @@ def assert_blocks_match(form, want):
           suppress_health_check=[HealthCheck.too_slow])
 @given(a=st.floats(0.1, 1.5), grid=lattices(), seed=st.integers(0, 2**16),
        degrees=st.tuples(st.integers(0, 2), st.integers(0, 2)))
+# two points: with S(0) = -1 the sectors l > 2 have no orbits
+@example(a=0.5, grid=RapidityGrid((-0.4, 0.3), 1.0), seed=0, degrees=(1, 2))
 def test_forms_equal_dense_sandwiches(family, a, grid, seed, degrees):
     rng = keyed_rng(seed, "property", "sandwich")
     model = MODELS[family](a, grid, rng)
@@ -181,6 +186,22 @@ def test_forms_equal_dense_sandwiches(family, a, grid, seed, degrees):
             want = draws.standard_normal(shape) + 1j * draws.standard_normal(shape)
             np.testing.assert_array_equal(got.orbit_blocks[(l, k)], want)
     assert_blocks_match(got, sandwiched(model, grid, got.blocks))
+    # the orbit split is the dense V_l^H kron(V_m, V_{l-m}); its entries are
+    # at most 1 in modulus.  Its ladder slices L_a and R_a are tied by W.
+    for l in range(K + 1):
+        Vl = symmetric_isometry(model, grid, l)[0]
+        for m in range(l + 1):
+            Vm, Vr = (symmetric_isometry(model, grid, j)[0] for j in (m, l - m))
+            want = (Vl.conj().T @ np.kron(Vm, Vr)).reshape(
+                Vl.shape[1], Vm.shape[1], Vr.shape[1]).transpose(1, 0, 2)
+            got = _orbit_split(model, grid, l, m)
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=REL)
+        if l:
+            L = _orbit_split(model, grid, l, l - 1).transpose(2, 1, 0)
+            W = [symmetric_isometry(model, grid, j)[3] for j in (l, l - 1)]
+            tied = W[0][:, None] * _orbit_split(model, grid, l, 1).conj() * W[1].conj()
+            np.testing.assert_allclose(L, tied, rtol=0, atol=REL)
 
 
 @pytest.mark.parametrize("family", sorted(MODELS))

@@ -1,14 +1,20 @@
 """Ladder operators, normal-ordered monomials, and weighted norms."""
 
+import importlib
+import pkgutil
+import typing
+
 import numpy as np
 import pytest
 
+import zfock
 from zfock.fock import (FockState, Indicatrix, RapidityGrid, energy_grid, energy_weights,
                         sector_momentum)
 from zfock import zops
 from zfock.sampling import keyed_rng, random_form, random_kernel, random_state
 from zfock.scattering import ScatteringModel, _pair_values_cached
-from zfock.zops import (KernelTensor, _ladder_stack, _spectral_norms, annihilate,
+from zfock.warped import SkewSymmetricQ, _phase_block
+from zfock.zops import (KernelTensor, _spectral_norms, annihilate,
                         annihilator_form, compress_kernel, create, creator_form, cross_norms,
                         form_residual, identity_form, kernel_adjoint, point_ladder,
                         qform_norms, sector_norms, symmetric_isometry, zmzn_form)
@@ -238,20 +244,36 @@ def test_sector_norms_take_batched_blocks(model, grid3):
         sector_norms(model, grid3, [(C, 2, 1, w2, w1), (C[..., :-1], 2, 1, w2, w1)])
 
 
+def _lattice_caches():
+    """Every lru_cache of zfock keyed by a lattice: a RapidityGrid argument,
+    or the lattice points of ``scattering._pair_values_cached``."""
+    found = {"scattering._pair_values_cached": _pair_values_cached}
+    for info in pkgutil.iter_modules(zfock.__path__):
+        module = importlib.import_module(f"zfock.{info.name}")
+        for name, obj in vars(module).items():
+            if (hasattr(obj, "cache_info") and obj.__module__ == module.__name__
+                    and RapidityGrid in typing.get_type_hints(obj.__wrapped__).values()):
+                found[f"{info.name}.{name}"] = obj
+    return found
+
+
 def test_lattice_caches_stay_bounded():
     # each lattice is a new key of the lattice-keyed caches: they evict
-    # rather than keep every lattice a process has seen
-    caches = (symmetric_isometry, energy_grid, sector_momentum, _pair_values_cached,
-              _ladder_stack)
-    assert all(c.cache_info().maxsize is not None for c in caches)
-    for i in range(2 * max(c.cache_info().maxsize for c in caches)):
+    # rather than keep every lattice a process has seen, and the loop
+    # below fills every one of them
+    caches = _lattice_caches()
+    assert {"zops.symmetric_isometry", "zops._orbit_split", "warped._phase_block"} <= set(caches)
+    unbounded = [name for name, c in caches.items() if c.cache_info().maxsize is None]
+    assert not unbounded, unbounded
+    for i in range(2 * max(c.cache_info().maxsize for c in caches.values())):
         grid = RapidityGrid((0.0, 0.5 + 1e-3 * i), 1.0)
-        _ladder_stack(FREE, grid, 1)
+        point_ladder(FREE, grid, 1)
         energy_grid(grid, 1)
         sector_momentum(grid, 1)
-    for c in caches:
+        _phase_block(FREE, grid, SkewSymmetricQ(0.5, grid.mass), 1, 1)
+    for name, c in caches.items():
         info = c.cache_info()
-        assert info.currsize <= info.maxsize, (c.__name__, info)
+        assert info.currsize == info.maxsize, (name, info)
 
 
 def test_batched_form_stacks_its_points(grid3):
