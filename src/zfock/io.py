@@ -13,12 +13,18 @@ tuples, and its header carries the scattering model as the ``scattering``
 object of a run config, because the orbit basis V depends on it.  Loading
 stores each block on the orbits of that model again; a file without a
 model, or with a block that differs from its own symmetric part by more
-than ``FORM_SYMMETRY_RTOL`` of the block's largest entry, is refused.  A
-coefficient family's manifest carries its model the same way, and each
-coefficient file holds the dense view V_m F V_n^T of its orbit kernel.
-Loading stores each coefficient on orbit pairs again; a kernel that is not
-S-symmetric in its slot groups to within ``FORM_SYMMETRY_RTOL``, an entry
-above the manifest's truncation and an entry listed twice are refused.
+than ``FORM_SYMMETRY_RTOL`` of the block's largest entry, is refused.
+
+A coefficient family is one file, ``manifest.json`` in its directory,
+with the model in its header.  Each record of ``entries`` holds ``m``,
+``n`` and ``values``: the orbit matrix F, of shape (orbits_m, orbits_n),
+of the coefficient f = V_m F V_n^T (``zops.OrbitKernel``), which is read
+as it stands.  The orbits of a sector are its sorted tuples, strictly
+increasing when S(0) = -1, in row-major order; the column of V of an
+orbit has unit norm and is real and positive at the sorted tuple.  An
+entry above the truncation or listed twice, a matrix of the wrong shape
+and an old family, whose entries name dense kernel files, are refused;
+such a family must be expanded from its form again.
 
 A file holds exactly the bytes of ``json.dumps`` of its document with the
 tensors as nested ``[re, im]`` lists.  The tensor payloads are encoded and
@@ -44,7 +50,7 @@ from .config import (_check_scattering, _is_finite, _is_int, build_scattering,
 from .expansion import CoefficientFamily
 from .fock import FockState, RapidityGrid
 from .scattering import ScatteringModel
-from .zops import KernelTensor, QuadraticForm, compress_kernel, dense_kernel
+from .zops import KernelTensor, OrbitKernel, QuadraticForm, orbit_dimension
 
 # a loaded block may differ from its S-symmetric part by this much of its largest entry
 FORM_SYMMETRY_RTOL = 1e-10
@@ -59,6 +65,9 @@ def complex_to_nested(arr: np.ndarray) -> list:
 
 def nested_to_complex(data, shape: tuple[int, ...]) -> np.ndarray:
     arr = np.ascontiguousarray(data, dtype=float)
+    if arr.size == 0 and math.prod(shape) == 0:
+        # an orbit block with no rows or no columns is written as [] or [[], ...]
+        return np.zeros(shape, dtype=complex)
     if arr.shape != shape + (2,):
         raise ValueError(f"payload shape {arr.shape} does not match {shape + (2,)}")
     return arr.view(complex)[..., 0]  # keeps the sign of a zero, unlike re + 1j * im
@@ -357,69 +366,53 @@ def load_form(path: str) -> QuadraticForm:
             dense[(l, k)] = nested_to_complex(rec["values"], (N**l, N**k))
         form = QuadraticForm.from_dense(model, grid, K, dense, truncated)
     for key, mat in dense.items():
-        _require_symmetric(path, f"block {key}", mat, form.block(*key))
+        size = float(np.max(np.abs(mat), initial=0.0))
+        err = float(np.max(np.abs(mat - form.block(*key)), initial=0.0))
+        if err > FORM_SYMMETRY_RTOL * size:
+            raise ValueError(f"{path}: block {key} is not symmetric under its scattering "
+                             f"model: it differs from its symmetric part by "
+                             f"{err / size:.3e} of its largest entry")
     return form
 
 
-def _require_symmetric(path, what: str, dense: np.ndarray, view: np.ndarray) -> None:
-    """Refuse ``dense`` if it differs from its symmetric part ``view`` by more than
-    ``FORM_SYMMETRY_RTOL`` of its largest entry."""
-    size = float(np.max(np.abs(dense))) if dense.size else 0.0
-    err = float(np.max(np.abs(dense - view))) if dense.size else 0.0
-    if err > FORM_SYMMETRY_RTOL * size:
-        raise ValueError(f"{path}: {what} is not symmetric under its scattering model: "
-                         f"it differs from its symmetric part by "
-                         f"{err / size:.3e} of its largest entry")
-
-
 def save_family(directory: str, family: CoefficientFamily) -> None:
-    """Write one kernel file per entry, holding its dense view, plus a manifest."""
+    """Write a family as one manifest holding the orbit matrix of every entry."""
     _require_finite(directory, [kernel.values for kernel in family.entries.values()])
     os.makedirs(directory, exist_ok=True)
-    entries = []
-    for (m, n), kernel in sorted(family.entries.items()):
-        name = f"coeff_{m}_{n}.json"
-        save_kernel(os.path.join(directory, name),
-                    dense_kernel(family.model, family.grid, kernel), family.grid)
-        entries.append({"m": m, "n": n, "file": name})
     manifest = {
         "kind": "coefficient_family",
         **_grid_header(family.grid),
         "scattering": scattering_config(family.model),
         "truncation": family.truncation,
-        "entries": entries,
+        "entries": [{"m": m, "n": n, "values": kernel.values}
+                    for (m, n), kernel in sorted(family.entries.items())],
     }
     with open(os.path.join(directory, "manifest.json"), "w") as fh:
-        fh.write(json.dumps(manifest))
+        _write_json(fh, manifest)
 
 
 def load_family(directory: str) -> CoefficientFamily:
-    """Read a family and store each coefficient on the orbit pairs of the manifest's model.
+    """Read a family manifest, each entry's orbit matrix into an ``OrbitKernel``.
 
-    An entry above the manifest's truncation, an entry listed twice and a
-    kernel that is not S-symmetric in its slot groups, to within
-    ``FORM_SYMMETRY_RTOL`` of its largest entry, are refused.
+    An entry above the manifest's truncation, an entry listed twice, an
+    orbit matrix of the wrong shape and the entries of an old family, which
+    name dense kernel files, are refused.
     """
     path = os.path.join(directory, "manifest.json")
     with _document(path, "coefficient_family", "coefficient family manifest") as manifest:
         grid = _grid_from_header(manifest)
         model = _model_from_header(manifest)
         K = _int_field(manifest, "truncation")
-        entries = [(os.path.join(directory, rec["file"]), _int_field(rec, "m"),
-                    _int_field(rec, "n")) for rec in manifest["entries"]]
-    family = CoefficientFamily(model, grid, K)
-    for file, m, n in entries:
-        kernel, kgrid = load_kernel(file)
-        if kgrid != grid:
-            raise ValueError(f"kernel {file} lattice differs from the manifest")
-        if (kernel.m, kernel.n) != (m, n):
-            raise ValueError(f"kernel {file} slot counts differ from the manifest")
-        if m > K or n > K:
-            raise ValueError(f"{path}: entry {(m, n)} lies above the truncation {K}")
-        if (m, n) in family.entries:
-            raise ValueError(f"{path}: entry {(m, n)} is listed twice")
-        compressed = compress_kernel(model, grid, kernel)
-        _require_symmetric(file, f"kernel {(m, n)}", kernel.values,
-                           dense_kernel(model, grid, compressed).values)
-        family.set_entry(compressed)
+        family = CoefficientFamily(model, grid, K)
+        for rec in manifest["entries"]:
+            if "file" in rec:
+                raise TypeError("entries name dense kernel files, an old family layout; "
+                                "expand the form again")
+            m, n = _int_field(rec, "m"), _int_field(rec, "n")
+            if max(m, n) > K:
+                raise ValueError(f"entry {(m, n)} lies above the truncation {K}")
+            if (m, n) in family.entries:
+                raise ValueError(f"entry {(m, n)} is listed twice")
+            shape = (orbit_dimension(model, grid.size, m), orbit_dimension(model, grid.size, n))
+            family.set_entry(OrbitKernel(m, n, nested_to_complex(rec["values"], shape)))
     return family

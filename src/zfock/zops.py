@@ -410,10 +410,13 @@ class QuadraticForm:
             raise ValueError("state and form live on different spaces")
         N = self.grid.size
         out = FockState.zeros(self.grid, self.truncation)
+        # V_k^H psi_k once per sector, as conj(conj(psi_k) V_k): no conjugate copy of V_k
+        coords = {k: (state.sector(k).ravel().conj()
+                      @ symmetric_isometry(self.model, self.grid, k)[0]).conj()
+                  for k in {k for _, k in self.orbit_blocks}}
         for (l, k), C in self.orbit_blocks.items():
             Vl = symmetric_isometry(self.model, self.grid, l)[0]
-            Vk = symmetric_isometry(self.model, self.grid, k)[0]
-            image = Vl @ (C @ (Vk.conj().T @ state.sector(k).ravel()))
+            image = Vl @ (C @ coords[k])
             out.sectors[l] = out.sectors[l] + image.reshape((N,) * l)
         out.truncated = state.truncated or self.truncated
         return out

@@ -560,7 +560,7 @@ def loop_exchange_words(creators, annihilators, K: int):
 
 
 def loop_exchange_residual(S: np.ndarray, creators, annihilators, K: int) -> float:
-    """``suites._exchange_residual``, one pair of points at a time.
+    """``suites.check_exchange_relations`` on the given ladder, one pair of points at a time.
 
     Each word X Y equals S[i, j] Y X, plus the identity for the mixed
     relation at i = j.

@@ -172,23 +172,30 @@ def test_verify_missing_config(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_expand_reconstruct_pipeline(tmp_path, grid3):
-    doc = base_config(scattering={"family": "sinh_exp", "a": 0.7})
-    cfg = write_config(tmp_path, doc)
-    model = ScatteringModel.sinh_exp(0.7)
-    A = random_form(model, grid3, 2, keyed_rng(3, "cli", "pipeline", 0))
-    form_path = tmp_path / "A.json"
-    save_form(form_path, A)
-    fam_dir = tmp_path / "fam"
-    out_path = tmp_path / "back.json"
-    assert main(["expand", "--config", str(cfg),
-                 "--in", str(form_path), "--out", str(fam_dir)]) == 0
-    assert (fam_dir / "manifest.json").exists()
-    assert main(["reconstruct", "--config", str(cfg),
-                 "--in", str(fam_dir), "--out", str(out_path)]) == 0
-    back = load_form(out_path)
-    for key, mat in A.blocks.items():
-        np.testing.assert_allclose(back.block(*key), mat, atol=1e-12)
+def test_expand_reconstruct_pipeline(tmp_path):
+    # on 2 points at K = 3 Ising has no 3-particle orbit: the family holds
+    # orbit matrices with no rows or no columns
+    cases = [(scattering, grid, K)
+             for scattering in ({"family": "free"}, {"family": "ising"},
+                                {"family": "sinh_exp", "a": 0.7})
+             for grid, K in (([-0.8, 0.1, 0.9], 2), ([-0.4, 0.5], 3))]
+    for i, (scattering, grid, K) in enumerate(cases):
+        doc = base_config(grid=grid, truncation=K, scattering=scattering)
+        cfg = write_config(tmp_path, doc, f"config{i}.json")
+        config = parse_config(json.dumps(doc))
+        A = random_form(config.build_model(), config.grid, K, keyed_rng(3, "cli", "pipeline", i))
+        form_path = tmp_path / f"A{i}.json"
+        save_form(form_path, A)
+        fam_dir = tmp_path / f"fam{i}"
+        out_path = tmp_path / f"back{i}.json"
+        assert main(["expand", "--config", str(cfg),
+                     "--in", str(form_path), "--out", str(fam_dir)]) == 0
+        assert [p.name for p in fam_dir.iterdir()] == ["manifest.json"]
+        assert main(["reconstruct", "--config", str(cfg),
+                     "--in", str(fam_dir), "--out", str(out_path)]) == 0
+        back = load_form(out_path)
+        for key, mat in A.blocks.items():
+            np.testing.assert_allclose(back.block(*key), mat, atol=1e-12)
 
 
 def test_expand_rejects_foreign_lattice(tmp_path, grid4):

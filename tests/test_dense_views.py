@@ -7,13 +7,14 @@ the dense payload of a form file.  Every other module under ``src/`` acts
 on the compressed blocks, so none of them may read these attributes.
 
 A coefficient is stored on orbit pairs too (``zops.OrbitKernel``), and its
-dense view over all N**(m+n) tuples is ``zops.dense_kernel``.  ``zops``
-defines it and ``io`` writes it as the payload of a family file.  In
-``suites`` it is read only by the checks against the paper's dense
-contraction sums at capped degree and by ``_family_residual``, which
-compares the dense nested families of ``warped`` at total degree <= 2;
-no other module reads it.  ``expansion`` builds no dense tensor at all: no
-shape ``(N,) * k`` and no ``KernelTensor`` appears in it.
+dense view over all N**(m+n) tuples is ``zops.dense_kernel``, with
+``zops.compress_kernel`` its inverse.  A family file holds the orbit
+matrices themselves, so ``io`` reads neither.  In ``suites`` the dense
+view is read only by the checks against the paper's dense contraction
+sums at capped degree and by ``_family_residual``, which compares the
+dense nested families of ``warped`` at total degree <= 2; no other module
+reads it.  ``expansion`` builds no dense tensor at all: no shape
+``(N,) * k`` and no ``KernelTensor`` appears in it.
 
 The dense orbit basis V itself, ``symmetric_isometry(...)[0]``, is read
 only by the functions of ``V_READERS``: the dense views above, their
@@ -29,6 +30,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "zfock"
 ALLOWED = {"zops.py", "io.py"}
 DENSE_VIEWS = {"block", "blocks", "from_dense"}
 FAMILY_VIEW = "dense_kernel"
+KERNEL_VIEWS = {FAMILY_VIEW, "compress_kernel"}
 # module -> the top-level functions in it that may read the family's dense view
 FAMILY_VIEW_READERS = {"suites.py": {"_dense_coefficients", "check_contraction_formula",
                                      "_family_residual"}}
@@ -48,16 +50,25 @@ def test_only_storage_and_codec_read_dense_views():
     assert not reads, "\n".join(reads)
 
 
-def _family_view_reads(node) -> list[int]:
-    """Line numbers of the reads of the family's dense view under ``node``."""
+def _name_reads(node, names) -> list[int]:
+    """Line numbers of the reads of any of ``names`` under ``node``."""
     lines = []
     for sub in ast.walk(node):
-        if (isinstance(sub, ast.Name) and sub.id == FAMILY_VIEW
-                or isinstance(sub, ast.Attribute) and sub.attr == FAMILY_VIEW
+        if (isinstance(sub, ast.Name) and sub.id in names
+                or isinstance(sub, ast.Attribute) and sub.attr in names
                 or isinstance(sub, ast.ImportFrom)
-                and any(alias.name == FAMILY_VIEW for alias in sub.names)):
+                and any(alias.name in names for alias in sub.names)):
             lines.append(sub.lineno)
     return lines
+
+
+def test_codec_reads_the_form_views_only():
+    # io writes and reads the dense blocks of a form file, and a family
+    # file's orbit matrices as they stand
+    tree = ast.parse((SRC / "io.py").read_text())
+    reads = [f"io.py:{line} reads a kernel view" for line in _name_reads(tree, KERNEL_VIEWS)]
+    assert not reads, "\n".join(reads)
+    assert DENSE_VIEWS <= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
 
 
 def test_only_codec_and_capped_checks_read_the_family_dense_view():
@@ -73,13 +84,13 @@ def test_only_codec_and_capped_checks_read_the_family_dense_view():
             if isinstance(node, ast.FunctionDef) and node.name in readers:
                 continue
             reads += [f"{path.name}:{line} reads {FAMILY_VIEW}"
-                      for line in _family_view_reads(node)]
+                      for line in _name_reads(node, {FAMILY_VIEW})]
     assert not reads, "\n".join(reads)
     # every listed reader exists and reads the view
     for name, readers in FAMILY_VIEW_READERS.items():
         tree = ast.parse((SRC / name).read_text())
         found = {node.name for node in tree.body
-                 if isinstance(node, ast.FunctionDef) and _family_view_reads(node)}
+                 if isinstance(node, ast.FunctionDef) and _name_reads(node, {FAMILY_VIEW})}
         assert found == readers, (name, found)
 
 

@@ -10,13 +10,14 @@ import numpy as np
 import pytest
 
 from zfock import cli
-from zfock.expansion import extract_family
+from zfock.expansion import CoefficientFamily, extract_family
+from zfock.fock import RapidityGrid
 from zfock.io import (complex_to_nested, load_family, load_form, load_kernel,
                       load_state, save_family, save_form, save_kernel,
                       save_state)
 from zfock.sampling import keyed_rng, random_form, random_kernel, random_state
 from zfock.scattering import ScatteringModel
-from zfock.zops import OrbitKernel, compress_kernel, dense_kernel, point_ladder
+from zfock.zops import KernelTensor, OrbitKernel, compress_kernel, dense_kernel, point_ladder
 
 FREE = ScatteringModel.free()
 SINH = ScatteringModel.sinh_exp(0.7)
@@ -121,23 +122,46 @@ def test_non_symmetric_block_is_refused(tmp_path, grid3, change):
         load_form(path)
 
 
-def test_family_roundtrip(tmp_path, grid3):
-    # the kernel files hold the dense views; loading stores them on orbit
-    # pairs again, which recovers the coefficients up to rounding
-    A = random_form(SINH, grid3, 2, keyed_rng(0, "io", "family", 0))
-    fam = extract_family(SINH, A)
+GRID2 = RapidityGrid((-0.4, 0.5), 1.0)
+# (model, lattice, truncation): on 2 points at K = 3 Ising has no
+# 3-particle orbit, so entries of shapes (1, 0), (0, 2) and (0, 0) occur
+FAMILY_CASES = [(model, grid, K) for model in (FREE, ScatteringModel.ising(), SINH)
+                for grid, K in ((RapidityGrid((-0.8, 0.1, 0.9), 1.0), 2), (GRID2, 3))]
+
+
+def test_family_roundtrip(tmp_path):
+    # the manifest holds each entry's orbit matrix, which loads back to the bit
+    for i, (model, grid, K) in enumerate(FAMILY_CASES):
+        A = random_form(model, grid, K, keyed_rng(0, "io", "family", i))
+        fam = extract_family(model, A)
+        save_family(tmp_path / str(i), fam)
+        assert os.listdir(tmp_path / str(i)) == ["manifest.json"]
+        back = load_family(tmp_path / str(i))
+        assert (back.model, back.grid, back.truncation) == (model, grid, K)
+        assert set(back.entries) == set(fam.entries)
+        for key, kern in fam.entries.items():
+            got = back.entry(*key).values
+            assert got.shape == kern.values.shape
+            assert got.tobytes() == kern.values.tobytes(), (i, key)
+        if model == ScatteringModel.ising() and grid == GRID2:
+            assert {(1, 0), (0, 2), (0, 0)} <= {k.values.shape for k in fam.entries.values()}
+
+
+def test_family_file_holds_orbit_matrices(tmp_path):
+    # free model on 2 points: the orbits of sector 2 are (0, 0), (0, 1) and
+    # (1, 1), and the unit column of (0, 1) is (e_01 + e_10) / sqrt 2, so an
+    # entry whose dense view is the symmetric f is written as [f00, sqrt 2 f01, f11]
+    f = np.array([[0.3 - 0.2j, 1.1 + 0.4j], [1.1 + 0.4j, -0.7 + 0.9j]])
+    fam = CoefficientFamily(FREE, GRID2, 2)
+    fam.set_entry(compress_kernel(FREE, GRID2, KernelTensor(2, 0, f)))
     save_family(tmp_path / "fam", fam)
-    back = load_family(tmp_path / "fam")
-    assert back.grid == fam.grid
-    assert back.model == fam.model
-    assert set(back.entries) == set(fam.entries)
-    scale = max(float(np.max(np.abs(k.values))) for k in fam.entries.values())
-    for key, kern in fam.entries.items():
-        np.testing.assert_allclose(back.entry(*key).values, kern.values, rtol=0,
-                                   atol=1e-14 * scale)
-        payload, _ = load_kernel(tmp_path / "fam" / f"coeff_{key[0]}_{key[1]}.json")
-        np.testing.assert_array_equal(payload.values,
-                                      dense_kernel(SINH, grid3, kern).values)
+    doc = json.loads((tmp_path / "fam" / "manifest.json").read_text())
+    [rec] = doc["entries"]
+    got = np.array(rec["values"]).view(complex)[..., 0]
+    np.testing.assert_allclose(got, [[f[0, 0]], [np.sqrt(2) * f[0, 1]], [f[1, 1]]],
+                               rtol=1e-15)
+    back = load_family(tmp_path / "fam").entry(2, 0)
+    np.testing.assert_allclose(dense_kernel(FREE, GRID2, back).values, f, rtol=1e-15)
 
 
 def test_kind_tag_is_checked(tmp_path, grid3):
@@ -162,19 +186,22 @@ def test_payload_shape_is_checked(tmp_path, grid3):
 
 
 def test_family_manifest_mismatch(tmp_path, grid3):
+    # an orbit matrix whose shape is not (orbits_m, orbits_n) of its entry
     A = random_form(FREE, grid3, 1, keyed_rng(0, "io", "mismatch", 0))
-    fam = extract_family(FREE, A)
-    save_family(tmp_path / "fam", fam)
-    manifest = json.loads((tmp_path / "fam" / "manifest.json").read_text())
-    manifest["entries"][1]["m"] = 9
-    (tmp_path / "fam" / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(ValueError, match="slot counts"):
+    save_family(tmp_path / "fam", extract_family(FREE, A))
+    path = tmp_path / "fam" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["entries"][1]["values"].pop()
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="shape") as err:
         load_family(tmp_path / "fam")
+    assert str(path) in str(err.value)
+    assert _reconstruct_status(tmp_path, grid3, 1) == 2
 
 
-def _saved_family(path, grid, truncation=1):
-    """A saved free family of a random form; returns its manifest as a dict."""
-    A = random_form(FREE, grid, truncation, keyed_rng(0, "io", "family_checks", truncation))
+def _saved_family(path, grid):
+    """A saved free family of a random form at K = 1; returns its manifest as a dict."""
+    A = random_form(FREE, grid, 1, keyed_rng(0, "io", "family_checks", 1))
     save_family(path, extract_family(FREE, A))
     return json.loads((path / "manifest.json").read_text())
 
@@ -183,10 +210,7 @@ def test_family_entry_above_truncation_is_refused(tmp_path, grid3):
     # reconstruct would drop a monomial above the truncation, so loading
     # refuses it, naming the manifest, and the CLI exits 2
     manifest = _saved_family(tmp_path / "fam", grid3)
-    kernel = compress_kernel(FREE, grid3, random_kernel(grid3, 2, 0,
-                                                        keyed_rng(0, "io", "above", 0)))
-    save_kernel(tmp_path / "fam" / "coeff_2_0.json", dense_kernel(FREE, grid3, kernel), grid3)
-    manifest["entries"].append({"m": 2, "n": 0, "file": "coeff_2_0.json"})
+    manifest["entries"].append({"m": 2, "n": 0, "values": [[[1.0, 0.0]]] * 6})
     path = tmp_path / "fam" / "manifest.json"
     path.write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match=r"entry \(2, 0\) lies above the truncation 1") as err:
@@ -209,23 +233,23 @@ def test_duplicated_family_entry_is_refused(tmp_path, grid3):
     assert _reconstruct_status(tmp_path, grid3, 1) == 2
 
 
-@pytest.mark.parametrize("change", [1e-9, 1e-11])
-def test_non_symmetric_family_kernel_is_refused(tmp_path, grid3, change):
-    # one entry of a symmetric coefficient moved off its symmetric part by
-    # change times its largest entry: refused beyond 1e-10 of it, read below;
-    # compressing it would silently drop the non-symmetric part
-    _saved_family(tmp_path / "fam", grid3, truncation=2)
-    path = tmp_path / "fam" / "coeff_2_1.json"
-    doc = json.loads(path.read_text())
-    size = np.max(np.abs(np.array(doc["values"]).view(complex)))
-    doc["values"][1][0][0][0] += 2 * change * size
-    path.write_text(json.dumps(doc))
-    if change > 1e-10:
-        with pytest.raises(ValueError, match=r"kernel \(2, 1\) is not symmetric") as err:
-            load_family(tmp_path / "fam")
-        assert str(path) in str(err.value)
-        assert _reconstruct_status(tmp_path, grid3, 2) == 2
-    else:
+def test_old_family_layout_is_refused(tmp_path, grid3):
+    # entries that name dense kernel files are the older layout: the family
+    # must be expanded again, and nothing reads the kernel files
+    manifest = _saved_family(tmp_path / "fam", grid3)
+    for rec in manifest["entries"]:
+        rec["file"] = f"coeff_{rec['m']}_{rec['n']}.json"
+        del rec["values"]
+    path = tmp_path / "fam" / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="old family layout") as err:
+        load_family(tmp_path / "fam")
+    assert str(path) in str(err.value)
+    assert _reconstruct_status(tmp_path, grid3, 1) == 2
+    for rec in manifest["entries"]:
+        del rec["file"]
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="missing field 'values'"):
         load_family(tmp_path / "fam")
 
 
@@ -259,10 +283,12 @@ MISSING = object()
     pytest.param("kernel", "n", True, id="kernel-boolean_n"),
     pytest.param("family", "truncation", "1", id="family-string_truncation"),
     pytest.param("family", "truncation", 1.5, id="family-fractional_truncation"),
-    pytest.param("family", "entries", [{"m": 0.0, "n": 0, "file": "coeff_0_0.json"}],
+    pytest.param("family", "entries", [{"m": 0.0, "n": 0, "values": [[[1.0, 0.0]]]}],
                  id="family-float_entry_m"),
-    pytest.param("family", "entries", [{"m": 0, "n": False, "file": "coeff_0_0.json"}],
+    pytest.param("family", "entries", [{"m": 0, "n": False, "values": [[[1.0, 0.0]]]}],
                  id="family-boolean_entry_n"),
+    pytest.param("family", "entries", [{"m": 0, "n": 0, "values": "1.0"}],
+                 id="family-string_entry_values"),
 ])
 def test_missing_field_names_the_file(tmp_path, grid3, kind, field, value):
     # a missing or ill-typed field is refused with the file named
@@ -274,8 +300,8 @@ def test_missing_field_names_the_file(tmp_path, grid3, kind, field, value):
         path = tmp_path / "k.json"
         save_kernel(path, random_kernel(grid3, 1, 1, rng), grid3)
     else:
-        save_family(tmp_path, extract_family(FREE, random_form(FREE, grid3, 1, rng)))
-        path = tmp_path / "manifest.json"
+        save_family(tmp_path / "fam", extract_family(FREE, random_form(FREE, grid3, 1, rng)))
+        path = tmp_path / "fam" / "manifest.json"
     doc = json.loads(path.read_text())
     if value is MISSING:
         del doc[field]
@@ -286,8 +312,10 @@ def test_missing_field_names_the_file(tmp_path, grid3, kind, field, value):
     path.write_text(json.dumps(doc))
     load = {"state": load_state, "kernel": load_kernel, "family": load_family}[kind]
     with pytest.raises(ValueError, match=message) as err:
-        load(tmp_path if kind == "family" else path)
+        load(tmp_path / "fam" if kind == "family" else path)
     assert str(path) in str(err.value)
+    if kind == "family":
+        assert _reconstruct_status(tmp_path, grid3, 1) == 2
 
 
 def test_saved_bytes_equal_json_dumps(tmp_path, grid3):
@@ -316,15 +344,9 @@ def test_saved_bytes_equal_json_dumps(tmp_path, grid3):
 
     fam = extract_family(SINH, A)
     save_family(tmp_path / "fam", fam)
-    entries = []
-    for (m, n), kernel in sorted(fam.entries.items()):
-        name = f"coeff_{m}_{n}.json"
-        want = {"kind": "kernel_tensor", **header, "m": m, "n": n,
-                "values": complex_to_nested(dense_kernel(SINH, grid3, kernel).values)}
-        assert (tmp_path / "fam" / name).read_text() == json.dumps(want)
-        entries.append({"m": m, "n": n, "file": name})
     want = {"kind": "coefficient_family", **header, **model, "truncation": 2,
-            "entries": entries}
+            "entries": [{"m": m, "n": n, "values": complex_to_nested(kernel.values)}
+                        for (m, n), kernel in sorted(fam.entries.items())]}
     assert (tmp_path / "fam" / "manifest.json").read_text() == json.dumps(want)
 
 

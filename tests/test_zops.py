@@ -1,6 +1,8 @@
 """Ladder operators, normal-ordered monomials, and weighted norms."""
 
+import functools
 import importlib
+import json
 import pkgutil
 import typing
 
@@ -8,6 +10,8 @@ import numpy as np
 import pytest
 
 import zfock
+from zfock import suites
+from zfock.config import parse_config
 from zfock.fock import (FockState, Indicatrix, RapidityGrid, energy_grid, energy_weights,
                         sector_momentum)
 from zfock import zops
@@ -274,6 +278,41 @@ def test_lattice_caches_stay_bounded():
     for name, c in caches.items():
         info = c.cache_info()
         assert info.currsize == info.maxsize, (name, info)
+
+
+def test_memory_error_empties_the_lattice_caches(monkeypatch, grid3):
+    # a check that runs out of memory may leave its arrays in the
+    # lattice-keyed caches; the runner empties every one of them, so the
+    # check after it still runs.  The failing check only raises.
+    cfg = parse_config(json.dumps({
+        "grid": list(grid3.points), "mass": grid3.mass, "truncation": 2,
+        "scattering": {"family": "sinh_exp", "a": 0.7}, "omega": {"family": "zero"},
+        "seed": 0, "instances": 1, "suites": ["zops"]}))
+    failing, following = [name for name, _, _ in suites.SUITE_CHECKS["zops"]][1:3]
+    filled, seen = {}, {}
+
+    def sizes():
+        return {name: c.cache_info().currsize for name, c in _lattice_caches().items()}
+
+    @functools.wraps(getattr(suites, f"check_{failing}"))
+    def out_of_memory(*args, **kwargs):
+        filled.update(sizes())
+        raise MemoryError
+
+    check = getattr(suites, f"check_{following}")
+
+    @functools.wraps(check)
+    def recorded(*args, **kwargs):
+        seen.update(sizes())
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(suites, f"check_{failing}", out_of_memory)
+    monkeypatch.setattr(suites, f"check_{following}", recorded)
+    status = {r.check: (r.status, r.note) for r in suites.run_suites(cfg).records}
+    assert status[failing][0] == "fail" and "out of memory" in status[failing][1]
+    assert status[following][0] == "pass"
+    assert filled["zops.symmetric_isometry"] and filled["zops._orbit_split"], filled
+    assert not any(seen.values()), seen
 
 
 def test_batched_form_stacks_its_points(grid3):
