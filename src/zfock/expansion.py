@@ -90,7 +90,7 @@ def _sweep_products(model: ScatteringModel, grid: RapidityGrid, p: int,
     mat = pair_values(model, grid.points)
     out = []
     for j, side in ((p, mat), (q, mat.T)):
-        reps = basis_tuples(grid.size, j)[symmetric_isometry(model, grid, j)[1]]
+        reps = basis_tuples(grid.size, j)[symmetric_isometry(model, grid, j).reps]
         prod = np.ones((grid.size, len(reps)), dtype=complex)
         for i in range(j):
             prod = prod * side[:, reps[:, i]]
@@ -246,8 +246,8 @@ def translate_form(A: QuadraticForm, x: Sequence[float]) -> QuadraticForm:
     x = np.asarray(x, dtype=float)
     blocks = {}
     for (l, k), C in A.orbit_blocks.items():
-        row = translation_phases(A.grid, l, x)[symmetric_isometry(A.model, A.grid, l)[1]]
-        col = translation_phases(A.grid, k, -x)[symmetric_isometry(A.model, A.grid, k)[1]]
+        row = translation_phases(A.grid, l, x)[symmetric_isometry(A.model, A.grid, l).reps]
+        col = translation_phases(A.grid, k, -x)[symmetric_isometry(A.model, A.grid, k).reps]
         blocks[(l, k)] = row[:, None] * C * col[None, :]
     return A._like(blocks)
 
@@ -287,9 +287,10 @@ def transform_coeffs_poincare(family: CoefficientFamily, x: Sequence[float],
     x = np.asarray(x, dtype=float)
     new_grid = family.grid.shifted(lam)
     out = CoefficientFamily(family.model, new_grid, family.truncation)
+    model = family.model
     for (m, n), kernel in family.entries.items():
-        row = translation_phases(new_grid, m, x)[symmetric_isometry(family.model, new_grid, m)[1]]
-        col = translation_phases(new_grid, n, -x)[symmetric_isometry(family.model, new_grid, n)[1]]
+        row = translation_phases(new_grid, m, x)[symmetric_isometry(model, new_grid, m).reps]
+        col = translation_phases(new_grid, n, -x)[symmetric_isometry(model, new_grid, n).reps]
         out.set_entry(OrbitKernel(m, n, row[:, None] * kernel.values * col[None, :]))
     return out
 

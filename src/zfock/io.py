@@ -24,7 +24,9 @@ increasing when S(0) = -1, in row-major order; the column of V of an
 orbit has unit norm and is real and positive at the sorted tuple.  An
 entry above the truncation or listed twice, a matrix of the wrong shape
 and an old family, whose entries name dense kernel files, are refused;
-such a family must be expanded from its form again.
+such a family must be expanded from its form again, into a directory
+that holds no old family: writing into one is refused too, and leaves it
+as it is.
 
 A file holds exactly the bytes of ``json.dumps`` of its document with the
 tensors as nested ``[re, im]`` lists.  The tensor payloads are encoded and
@@ -375,9 +377,33 @@ def load_form(path: str) -> QuadraticForm:
     return form
 
 
+def _refuse_old_family(path: str) -> None:
+    """Refuse a manifest of the old family layout, whose entries name dense kernel files.
+
+    Writing the new manifest over it would leave those files beside it.
+    Anything else at ``path``, or nothing, passes.
+    """
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError):  # no file, or not JSON
+        return
+    entries = doc.get("entries") if isinstance(doc, dict) else None
+    if isinstance(entries, list) and any(isinstance(rec, dict) and "file" in rec
+                                         for rec in entries):
+        raise ValueError(f"{path} holds a family of the old layout, whose entries name "
+                         f"dense kernel files; write the family to another directory")
+
+
 def save_family(directory: str, family: CoefficientFamily) -> None:
-    """Write a family as one manifest holding the orbit matrix of every entry."""
+    """Write a family as one manifest holding the orbit matrix of every entry.
+
+    A directory that holds a manifest of the old layout is refused, and
+    nothing in it is touched.
+    """
     _require_finite(directory, [kernel.values for kernel in family.entries.values()])
+    path = os.path.join(directory, "manifest.json")
+    _refuse_old_family(path)
     os.makedirs(directory, exist_ok=True)
     manifest = {
         "kind": "coefficient_family",
@@ -387,7 +413,7 @@ def save_family(directory: str, family: CoefficientFamily) -> None:
         "entries": [{"m": m, "n": n, "values": kernel.values}
                     for (m, n), kernel in sorted(family.entries.items())],
     }
-    with open(os.path.join(directory, "manifest.json"), "w") as fh:
+    with open(path, "w") as fh:
         _write_json(fh, manifest)
 
 

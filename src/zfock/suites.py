@@ -33,7 +33,7 @@ from .expansion import (CoefficientFamily, _ladder_sum, boost_form, creator_elem
                         extract_family, fmn_coefficients, inversion_residual, reconstruct,
                         reflect_conjugate, reflected_coeffs, transform_coeffs_poincare,
                         translate_form)
-from .fock import (Indicatrix, RapidityGrid, apply_omega_weight, boost,
+from .fock import (Indicatrix, RapidityGrid, apply_omega_weight, basis_tuples, boost,
                    energy_grid, energy_weights, minkowski, reflect, sector_momentum,
                    translate, translation_phases)
 from .sampling import keyed_rng, random_form, random_kernel, random_state
@@ -45,11 +45,12 @@ from .warped import (GROUPING_RTOL, GroupingWarning, SkewSymmetricQ, _orbit_mome
                      momentum_sector_decompose,
                      nested_free_family, nested_graded_family, nested_q_family,
                      q_commutator, warp, warp_spectral)
-from .zops import (KernelTensor, OrbitKernel, QuadraticForm, _orbit_split, annihilator_form,
-                   annihilate, compress_kernel, create, creator_form, cross_norms, dense_kernel,
-                   form_residual, identity_form, kernel_adjoint, peak_abs, peak_weights,
-                   point_ladder, qform_norms, s_symmetry_residual, sector_norms,
-                   symmetric_isometry, symmetrize, zmzn_form)
+from .zops import (KernelTensor, OrbitKernel, QuadraticForm, _gather, _orbit_split,
+                   annihilator_form, annihilate, compress_kernel, create, creator_form,
+                   cross_norms, dense_kernel, form_residual, identity_form, kernel_adjoint,
+                   orbit_dimension, peak_abs, peak_weights, point_ladder, qform_norms,
+                   reversal_phases, s_symmetry_residual, sector_norms, symmetric_isometry,
+                   symmetrize, zmzn_form)
 
 _TINY = 1e-300
 
@@ -308,6 +309,37 @@ def check_sector_stability(model: ScatteringModel, grid: RapidityGrid,
 
 # ---------------------------------------------------------------------------
 # zops checks
+
+
+def check_orbit_basis(model: ScatteringModel, grid: RapidityGrid, truncation: int) -> float:
+    """The tuple-to-orbit map of V against the identities it rests on, for n <= min(K, 3).
+
+    The map is expanded to a dense V per sector, the gather of the identity.
+    Each sector must satisfy act_d(sigma) V = V for every permutation sigma,
+    V^H V = I and conj(V)[rev] = V diag(W) (``reversal_phases``), and every
+    orbit split with l <= 3 must equal V_l^H (V_m kron V_{l-m}).  The
+    entries are at most 1 in modulus, so the residual is the largest
+    absolute deviation.
+    """
+    N = grid.size
+    V = [_gather(model, grid, n, np.eye(orbit_dimension(model, N, n), dtype=complex))
+         for n in range(min(truncation, 3) + 1)]
+    res = 0.0
+    for n, Vn in enumerate(V):
+        cols = Vn.reshape((N,) * n + (-1,))
+        for sigma in all_permutations(n):
+            for a in range(Vn.shape[1]):
+                moved = act_d(model, sigma, cols[..., a], grid.points)
+                res = max(res, _maxabs(moved - cols[..., a]))
+        res = max(res, _maxabs(Vn.conj().T @ Vn - np.eye(Vn.shape[1])))
+        rev = basis_tuples(N, n)[:, ::-1] @ (N ** np.arange(n - 1, -1, -1))
+        res = max(res, _maxabs(Vn.conj()[rev] - Vn * reversal_phases(model, grid, n)))
+    for l, Vl in enumerate(V):
+        for m in range(l + 1):
+            want = (Vl.conj().T @ np.kron(V[m], V[l - m])).reshape(
+                Vl.shape[1], V[m].shape[1], V[l - m].shape[1]).transpose(1, 0, 2)
+            res = max(res, _maxabs(_orbit_split(model, grid, l, m) - want))
+    return res
 
 
 def _exchange_words(cre: QuadraticForm, ann: QuadraticForm, K: int):
@@ -1046,7 +1078,7 @@ def _translation_form(model: ScatteringModel, grid: RapidityGrid, truncation: in
 
     The phase is constant on orbits, so it is diagonal on orbits too.
     """
-    reps = [symmetric_isometry(model, grid, k)[1] for k in range(truncation + 1)]
+    reps = [symmetric_isometry(model, grid, k).reps for k in range(truncation + 1)]
     blocks = {(k, k): np.diag(translation_phases(grid, k, x)[r]) for k, r in enumerate(reps)}
     return QuadraticForm(model, grid, truncation, blocks)
 
@@ -1418,6 +1450,7 @@ SUITE_CHECKS = {
         ("sector_stability", _EXACT, {"boosts": lambda cfg, model: model.family != TABLE}),
     ],
     "zops": [
+        ("orbit_basis", _EXACT, {}),
         ("exchange_relations", _EXACT, {}),
         ("ladder_adjoint", _EQ, {}),
         ("monomial_ladder_product", _EQ, {}),

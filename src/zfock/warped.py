@@ -99,7 +99,7 @@ def _check_mass(A: QuadraticForm, Q: SkewSymmetricQ) -> None:
 def _orbit_momentum(model: ScatteringModel, grid: RapidityGrid,
                     n: int) -> tuple[np.ndarray, np.ndarray]:
     """Total two-momentum of the orbit representatives of the n-particle sector."""
-    reps = symmetric_isometry(model, grid, n)[1]
+    reps = symmetric_isometry(model, grid, n).reps
     p0, p1 = sector_momentum(grid, n)
     return p0[reps], p1[reps]
 
@@ -324,7 +324,7 @@ def deformed_fmn_coefficients(A: QuadraticForm, Q: SkewSymmetricQ, m: int,
     pair = _phase_block(free, A.grid, Q, 1, 1)
     phases = []
     for j in range(max(m, n) + 1):
-        reps = basis_tuples(A.grid.size, j)[symmetric_isometry(free, A.grid, j)[1]]
+        reps = basis_tuples(A.grid.size, j)[symmetric_isometry(free, A.grid, j).reps]
         phi = np.ones(len(reps), dtype=complex)
         for a in range(j):
             for b in range(a + 1, j):

@@ -3,8 +3,14 @@
 Operators are realized either as actions on :class:`FockState` or as
 sector-blocked forms (:class:`QuadraticForm`) on the S-symmetric
 subspace.  That subspace has one representation: the orthonormal orbit
-basis V of :func:`symmetric_isometry`, built directly from the
-permutation orbits, with one column per admissible multiset.  A form
+basis V of :func:`symmetric_isometry`, with one column per admissible
+multiset.  Each row of V has at most one nonzero, so V is stored as a
+map from tuples to orbits (:class:`OrbitBasis`): the orbit of every tuple
+and its entry, one exchange factor over the square root of the orbit
+size, with no loop over permutations.  No N**n x orbits array is formed;
+V is applied as a gather (:func:`_gather`, V C) and an orbit sum
+(:func:`_orbit_sum`, V^H Y), which the dense views of forms and kernels,
+their inverses, ``apply`` and :func:`symmetrize` go through.  A form
 stores each block on orbit pairs, as C = V_l^H A V_k, and every form
 operation acts on C: sums, products, adjoints, the constructors, the
 draws, the norms and the full-basis residuals.  The dense block
@@ -16,7 +22,8 @@ point.  One cached factor, V_l^H (V_m kron V_{l-m}) (:func:`_orbit_split`),
 stands behind every ladder and monomial: at m = 1 it is the stack of
 creator blocks, which the point ladder scales and :func:`creator_form`
 and :func:`annihilator_form` smear with f, and :func:`zmzn_form` reads
-each block from two splits.  Tuple reversal is a phase per column of V
+each block from two splits; the split is filled in one pass over the
+l-tuples.  Tuple reversal is a phase per column of V
 (:func:`reversal_phases`), computed with V.  A kernel S-symmetric in each
 slot group, as an expansion coefficient is, is stored on orbit pairs too
 (:class:`OrbitKernel`), and :func:`zmzn_form` takes one.
@@ -29,22 +36,23 @@ The norms take lists (:func:`cross_norms`, :func:`sector_norms`,
 call takes all its spectral norms in batched SVDs per matrix shape, one
 unless the matrices are large (:func:`_spectral_norms`).
 :func:`symmetrize` projects a tensor, or a contiguous block of its
-slots, as V V^H.  No N**n x N**n symmetrizer is formed.
+slots, as V V^H, an orbit sum and a gather.  No N**n x N**n symmetrizer
+is formed.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .fock import (FockState, Indicatrix, RapidityGrid, basis_tuples,
                    energy_weights)
-from .scattering import (ScatteringModel, all_permutations, pair_values,
-                         permute_tensor, s_sigma_grid)
+from .scattering import ScatteringModel, pair_values
 
 
 @dataclass
@@ -108,54 +116,76 @@ def orbit_dimension(model: ScatteringModel, N: int, n: int) -> int:
     return math.comb(N, n) if model.value(0.0).real < 0 else math.comb(N + n - 1, n)
 
 
-@lru_cache(maxsize=128)
-def symmetric_isometry(model: ScatteringModel, grid: RapidityGrid,
-                       n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Orthonormal basis V of the S-symmetric n-particle subspace, its orbits, peaks and phases.
+class OrbitBasis(NamedTuple):
+    """The orbit basis V of one sector, stored as a map from tuples to orbits.
 
-    There is one column per admissible multiset, built from its permutation
-    orbit: the entry of an orbit tuple t is the sum of s_sigma(t) over the
-    permutations sigma that carry t to the sorted representative, which is
-    n! times the symmetrizer column of the representative; the column is
-    then divided by its norm.  Every multiset is admissible when
-    S(0) = +1; when S(0) = -1 the symmetrizer kills repeated entries and
-    only strictly increasing tuples remain.  Distinct orbits have disjoint
-    supports, so V^H V = I and V V^H is the symmetrizer, and no
-    N**n x N**n array is formed.  Returns V, of shape (N**n, orbits), the
-    flat indices of the sorted tuples, the largest |V| of each column and
-    the reversal phases W (:func:`reversal_phases`), all read-only.
-    Each row of V has at most one nonzero, so the largest entry of
+    Each row of V has at most one nonzero: ``col[t]`` is the orbit of the
+    flat tuple t and ``val[t]`` its entry V[t, col[t]].  A tuple with no
+    orbit, one with a repeated point when S(0) = -1, has col -1 and val 0.
+    ``by_orbit`` lists the tuples that have an orbit, grouped by orbit in
+    tuple order, and orbit a starts at ``starts[a]`` in it.  ``reps`` are
+    the flat indices of the sorted tuples, one per orbit, ``peaks`` the
+    |V| of each column and ``W`` the reversal phases
+    (:func:`reversal_phases`).  All arrays are read-only.
+    """
+
+    col: np.ndarray
+    val: np.ndarray
+    by_orbit: np.ndarray
+    starts: np.ndarray
+    reps: np.ndarray
+    peaks: np.ndarray
+    W: np.ndarray
+
+
+@lru_cache(maxsize=128)
+def symmetric_isometry(model: ScatteringModel, grid: RapidityGrid, n: int) -> OrbitBasis:
+    """Orthonormal basis V of the S-symmetric n-particle subspace, as a tuple-to-orbit map.
+
+    There is one column per admissible multiset, supported on its
+    permutation orbit.  Every multiset is admissible when S(0) = +1; when
+    S(0) = -1 the symmetrizer kills repeated entries and only strictly
+    increasing tuples remain.  The column is the symmetrizer column of the
+    sorted representative, normalized: the entry of an orbit tuple t is
+    the exchange factor of a permutation that sorts t, the product of
+    S(x_{t_b} - x_{t_a}) over the slot pairs a < b with t_a > t_b, divided
+    by the square root of the orbit size.  When S(0) = -1 an orbit tuple
+    has distinct points and one sorting permutation; when S(0) = +1 the
+    sorting permutations differ only on equal points, whose pairs add
+    S(0) = 1, so all give this factor and no sum over permutations is
+    needed.  Distinct orbits have
+    disjoint supports, so V^H V = I and V V^H is the symmetrizer.  V is
+    real and positive at the representatives, and the largest entry of
     V_l C V_k^H is max_ab |C_ab| peaks_l[a] peaks_k[b] (:func:`peak_abs`).
+    No dense V is formed: :func:`_gather` and :func:`_orbit_sum` apply it.
     """
     N = grid.size
     tuples = basis_tuples(N, n)
+    S = pair_values(model, grid.points)
     steps = np.diff(tuples, axis=1)
-    strict = pair_values(model, grid.points)[0, 0].real < 0
-    reps = np.flatnonzero(np.all(steps > 0 if strict else steps >= 0, axis=1))
-    # flat index of every tuple's sorted representative, and its column
-    sorted_flat = np.sort(tuples, axis=1) @ (N ** np.arange(n - 1, -1, -1))
+    reps = np.flatnonzero(np.all(steps > 0 if S[0, 0].real < 0 else steps >= 0, axis=1))
+    digits = N ** np.arange(n - 1, -1, -1)
+    # the column of every tuple is that of its sorted representative
     column = np.full(N**n, -1)
     column[reps] = np.arange(len(reps))
-    column = column[sorted_flat]
-    entry = np.zeros(N**n, dtype=complex)
-    flat = np.arange(N**n).reshape((N,) * n)
-    for sigma in all_permutations(n):
-        # the flat index of tuple^sigma, read by an axis transpose
-        hits = permute_tensor(flat, sigma).ravel() == sorted_flat
-        entry[hits] += s_sigma_grid(model, grid.points, sigma).ravel()[hits]
-    rows = np.flatnonzero(column >= 0)
-    V = np.zeros((N**n, len(reps)), dtype=complex)
-    V[rows, column[rows]] = entry[rows]
-    V /= np.linalg.norm(V, axis=0)
-    peaks = np.abs(V).max(axis=0, initial=0.0)
-    # a reversed tuple stays in its orbit; read W at the representatives,
-    # where V is real and positive
-    rev = tuples[reps, ::-1] @ (N ** np.arange(n - 1, -1, -1))
-    cols = np.arange(len(reps))
-    W = V[rev, cols].conj() / V[reps, cols]
-    for arr in (V, reps, peaks, W):
+    col = column[np.sort(tuples, axis=1) @ digits]
+    phase = np.ones(N**n, dtype=complex)
+    for a, b in itertools.combinations(range(n), 2):
+        ta, tb = tuples[:, a], tuples[:, b]
+        phase = np.where(ta > tb, phase * S[tb, ta], phase)
+    has = col >= 0
+    sizes = np.bincount(col[has], minlength=len(reps))
+    val = np.zeros(N**n, dtype=complex)
+    val[has] = phase[has] / np.sqrt(sizes[col[has]])
+    by_orbit = np.argsort(col, kind="stable")[N**n - sizes.sum():]
+    starts = np.cumsum(sizes) - sizes
+    peaks = np.abs(val[reps])
+    # a reversed tuple stays in its orbit
+    W = val[tuples[reps, ::-1] @ digits].conj() / val[reps]
+    basis = OrbitBasis(col, val, by_orbit, starts, reps, peaks, W)
+    for arr in basis:
         arr.flags.writeable = False
-    return V, reps, peaks, W
+    return basis
 
 
 def reversal_phases(model: ScatteringModel, grid: RapidityGrid, n: int) -> np.ndarray:
@@ -165,7 +195,38 @@ def reversal_phases(model: ScatteringModel, grid: RapidityGrid, n: int) -> np.nd
     where V is real and positive, as conj(V[rev(rep_a), a]) / V[rep_a, a],
     once per sector with V (:func:`symmetric_isometry`); it is read-only.
     """
-    return symmetric_isometry(model, grid, n)[3]
+    return symmetric_isometry(model, grid, n).W
+
+
+def _gather(model: ScatteringModel, grid: RapidityGrid, n: int, C: np.ndarray,
+            axis: int = 0, conj: bool = False) -> np.ndarray:
+    """V C along ``axis`` of C, or conj(V) C with ``conj``: orbits to tuples.
+
+    Tuple t takes the entry of its orbit col[t] times val[t]; a tuple
+    without an orbit takes 0.
+    """
+    basis = symmetric_isometry(model, grid, n)
+    axis %= C.ndim
+    if not C.shape[axis]:  # a sector without orbits
+        return np.zeros(C.shape[:axis] + basis.col.shape + C.shape[axis + 1:], dtype=complex)
+    val = basis.val.conj() if conj else basis.val
+    return np.take(C, basis.col, axis=axis) * val.reshape((-1,) + (1,) * (C.ndim - axis - 1))
+
+
+def _orbit_sum(model: ScatteringModel, grid: RapidityGrid, n: int, Y: np.ndarray,
+               axis: int = 0, conj: bool = True) -> np.ndarray:
+    """V^H Y along ``axis`` of Y, or V^T Y without ``conj``: tuples to orbits.
+
+    Orbit a sums conj(val[t]) Y[t] over its tuples t, in one reduction
+    over the tuples grouped by orbit.
+    """
+    basis = symmetric_isometry(model, grid, n)
+    axis %= Y.ndim
+    if not len(basis.starts):  # a sector without orbits
+        return np.zeros(Y.shape[:axis] + (0,) + Y.shape[axis + 1:], dtype=complex)
+    val = basis.val[basis.by_orbit]
+    val = (val.conj() if conj else val).reshape((-1,) + (1,) * (Y.ndim - axis - 1))
+    return np.add.reduceat(np.take(Y, basis.by_orbit, axis=axis) * val, basis.starts, axis=axis)
 
 
 # holds every 0 <= m <= l <= K of the few models and lattices a run reads
@@ -178,27 +239,29 @@ def _orbit_split(model: ScatteringModel, grid: RapidityGrid, l: int, m: int) -> 
     at (b, 1) is R_b[x] = V_b^H (e_x kron V_{b-1}) over the points x, the
     creator ladder block at x over sqrt(b), and the one at (a, a - 1) with
     its axes moved to (x, a, b) is L_a[x] = V_a^H (V_{a-1} kron e_x).
+    Each row of the three V has one nonzero, so the split is filled in one
+    pass over the l-tuples with an orbit: tuple t adds
+    conj(V_l[t]) V_m[u] V_{l-m}[w] at its three orbits, t being the leading
+    slots u followed by the trailing slots w.  A tuple with an orbit has
+    distinct points when S(0) = -1, so u and w have orbits too.
     """
-    Vl = symmetric_isometry(model, grid, l)[0]
-    Vm = symmetric_isometry(model, grid, m)[0]
-    Vr = symmetric_isometry(model, grid, l - m)[0]
-    rows = Vl.reshape(Vm.shape[0], Vr.shape[0], Vl.shape[1])
-    if m == 1:
-        # V_1 = I: only the trailing slots are contracted
-        split = np.tensordot(rows.conj(), Vr, axes=(1, 0))
-    else:
-        # the leading slots, then the trailing ones, without a copy of V_l
-        split = np.tensordot(Vm.conj(), rows, axes=(0, 0))
-        split = np.conjugate(split, out=split).transpose(0, 2, 1) @ Vr
+    Bl, Bm, Br = (symmetric_isometry(model, grid, j) for j in (l, m, l - m))
+    shape = (len(Bm.starts), len(Bl.starts), len(Br.starts))
+    t = Bl.by_orbit
+    u, w = np.divmod(t, grid.size ** (l - m))
+    index = (Bm.col[u] * shape[1] + Bl.col[t]) * shape[2] + Br.col[w]
+    terms = Bl.val[t].conj() * Bm.val[u] * Br.val[w]
+    split = np.empty(math.prod(shape), dtype=complex)
+    split.real = np.bincount(index, terms.real, minlength=split.size)
+    split.imag = np.bincount(index, terms.imag, minlength=split.size)
+    split = split.reshape(shape)
     split.flags.writeable = False
     return split
 
 
 def dense_kernel(model: ScatteringModel, grid: RapidityGrid, kernel: OrbitKernel) -> KernelTensor:
     """The dense view f = V_m F V_n^T of an orbit kernel, one slot axis per slot."""
-    Vm = symmetric_isometry(model, grid, kernel.m)[0]
-    Vn = symmetric_isometry(model, grid, kernel.n)[0]
-    dense = (Vm @ kernel.values) @ Vn.T
+    dense = _gather(model, grid, kernel.n, _gather(model, grid, kernel.m, kernel.values), axis=1)
     return KernelTensor(kernel.m, kernel.n, dense.reshape((grid.size,) * (kernel.m + kernel.n)))
 
 
@@ -211,9 +274,8 @@ def compress_kernel(model: ScatteringModel, grid: RapidityGrid,
     """
     if kernel.values.ndim and kernel.size != grid.size:
         raise ValueError("kernel lattice size mismatch")
-    Vm = symmetric_isometry(model, grid, kernel.m)[0]
-    Vn = symmetric_isometry(model, grid, kernel.n)[0]
-    return OrbitKernel(kernel.m, kernel.n, (Vm.conj().T @ kernel.matrix()) @ Vn.conj())
+    rows = _orbit_sum(model, grid, kernel.m, kernel.matrix())
+    return OrbitKernel(kernel.m, kernel.n, _orbit_sum(model, grid, kernel.n, rows, axis=1))
 
 
 def peak_weights(model: ScatteringModel, grid: RapidityGrid,
@@ -225,8 +287,8 @@ def peak_weights(model: ScatteringModel, grid: RapidityGrid,
     for their orbits a and b: the largest |entry| of V_l C V_k^H over all
     tuples is max_ab |C_ab| w_l[a] w_k[b] (:func:`peak_abs`).
     """
-    wl = symmetric_isometry(model, grid, key[0])[2]
-    wk = symmetric_isometry(model, grid, key[1])[2]
+    wl = symmetric_isometry(model, grid, key[0]).peaks
+    wk = symmetric_isometry(model, grid, key[1]).peaks
     return wl[:, None] * wk[None, :]
 
 
@@ -241,7 +303,8 @@ def symmetrize(model: ScatteringModel, grid: RapidityGrid, values: np.ndarray,
 
     ``slots`` lists 1-based slot positions (default: all slots) and must be
     a contiguous block; the other slots are spectators.  The block's axes
-    are projected with V V^H of :func:`symmetric_isometry`.
+    are projected with V V^H of :func:`symmetric_isometry`, as an orbit sum
+    and a gather.
     """
     n = values.ndim
     slots = tuple(range(1, n + 1)) if slots is None else tuple(slots)
@@ -249,9 +312,9 @@ def symmetrize(model: ScatteringModel, grid: RapidityGrid, values: np.ndarray,
     if slots != tuple(range(s, s + j)) or s < 1 or s + j - 1 > n:
         raise ValueError(f"slots {slots!r} are not a contiguous block of 1..{n}")
     N = grid.size
-    V = symmetric_isometry(model, grid, j)[0]
     x = values.reshape(N**(s - 1), N**j, -1)
-    return (V @ (V.conj().T @ x)).reshape(values.shape)
+    return _gather(model, grid, j, _orbit_sum(model, grid, j, x, axis=1), axis=1).reshape(
+        values.shape)
 
 
 def s_symmetry_residual(model: ScatteringModel, state: FockState) -> float:
@@ -312,11 +375,9 @@ class QuadraticForm:
                    blocks: dict[tuple[int, int], np.ndarray],
                    truncated: bool = False) -> "QuadraticForm":
         """The form whose dense blocks are P_l X P_k: C = V_l^H X V_k of each block X."""
-        orbit_blocks = {}
-        for (l, k), X in blocks.items():
-            Vl = symmetric_isometry(model, grid, l)[0]
-            Vk = symmetric_isometry(model, grid, k)[0]
-            orbit_blocks[(l, k)] = (Vl.conj().T @ X) @ Vk
+        orbit_blocks = {(l, k): _orbit_sum(model, grid, k, _orbit_sum(model, grid, l, X),
+                                           axis=1, conj=False)
+                        for (l, k), X in blocks.items()}
         return cls(model, grid, truncation, orbit_blocks, truncated)
 
     def _like(self, orbit_blocks: dict, truncated: bool | None = None) -> "QuadraticForm":
@@ -342,9 +403,8 @@ class QuadraticForm:
 
     def block(self, l: int, k: int) -> np.ndarray:
         """The dense view V_l C V_k^H of block (l, k) over all tuples."""
-        Vl = symmetric_isometry(self.model, self.grid, l)[0]
-        Vk = symmetric_isometry(self.model, self.grid, k)[0]
-        return (Vl @ self.orbit_block(l, k)) @ Vk.conj().T
+        rows = _gather(self.model, self.grid, l, self.orbit_block(l, k), axis=-2)
+        return _gather(self.model, self.grid, k, rows, axis=-1, conj=True)
 
     @property
     def blocks(self) -> dict[tuple[int, int], np.ndarray]:
@@ -405,18 +465,15 @@ class QuadraticForm:
                            for key, C in self.orbit_blocks.items()})
 
     def apply(self, state: FockState) -> FockState:
-        """The dense view acting on a state, as V_l (C (V_k^H psi_k))."""
+        """The dense view acting on a state, as V_l (C (V_k^H psi_k)): orbit sums, then gathers."""
         if state.grid != self.grid or state.truncation != self.truncation:
             raise ValueError("state and form live on different spaces")
         N = self.grid.size
         out = FockState.zeros(self.grid, self.truncation)
-        # V_k^H psi_k once per sector, as conj(conj(psi_k) V_k): no conjugate copy of V_k
-        coords = {k: (state.sector(k).ravel().conj()
-                      @ symmetric_isometry(self.model, self.grid, k)[0]).conj()
+        coords = {k: _orbit_sum(self.model, self.grid, k, state.sector(k).ravel())
                   for k in {k for _, k in self.orbit_blocks}}
         for (l, k), C in self.orbit_blocks.items():
-            Vl = symmetric_isometry(self.model, self.grid, l)[0]
-            image = Vl @ (C @ coords[k])
+            image = _gather(self.model, self.grid, l, C @ coords[k])
             out.sectors[l] = out.sectors[l] + image.reshape((N,) * l)
         out.truncated = state.truncated or self.truncated
         return out
@@ -683,8 +740,8 @@ def sector_norms(model: ScatteringModel, grid: RapidityGrid,
     N = grid.size
     mats = []
     for C, l, k, wl, wr in blocks:
-        rl = symmetric_isometry(model, grid, l)[1]
-        rk = symmetric_isometry(model, grid, k)[1]
+        rl = symmetric_isometry(model, grid, l).reps
+        rk = symmetric_isometry(model, grid, k).reps
         want = ((len(rl), len(rk)), (N**l,), (N**k,))
         got = (np.shape(C), np.shape(wl), np.shape(wr))
         if (got[0][-2:], *got[1:]) != want:
@@ -716,7 +773,7 @@ def qform_norms(model: ScatteringModel, queries: Sequence[tuple[QuadraticForm, i
         if not 0 <= n <= A.truncation:
             raise ValueError(f"sector bound {n} outside 0..{A.truncation}")
         if id(A) not in layouts:
-            reps = [symmetric_isometry(model, A.grid, j)[1] for j in range(A.truncation + 1)]
+            reps = [symmetric_isometry(model, A.grid, j).reps for j in range(A.truncation + 1)]
             offs = np.cumsum([0] + [len(r) for r in reps])
             C = np.zeros((offs[-1], offs[-1]), dtype=complex)
             for (l, k), blk in A.orbit_blocks.items():

@@ -42,7 +42,7 @@ from zfock.expansion import fmn_coefficients
 from zfock.fock import (FockState, Indicatrix, RapidityGrid, basis_tuples, energy_weights,
                         sector_momentum)
 from zfock.scattering import (Permutation, ScatteringModel, _axis, all_permutations,
-                              pair_values, s_sigma_grid)
+                              pair_values, permute_tensor, s_sigma_grid)
 from zfock.warped import (GROUPING_RTOL, SkewSymmetricQ, _cluster, deformed_point_ladder,
                           q_commutator)
 from zfock.sampling import random_form, random_kernel
@@ -68,6 +68,54 @@ def symmetrizer_matrix(model, grid, n: int) -> np.ndarray:
     P /= math.factorial(n)
     P.flags.writeable = False
     return P
+
+
+@lru_cache(maxsize=128)
+def dense_isometry(model, grid, n: int):
+    """The dense orbit basis V, its representatives, peaks and reversal phases, by the n! loop.
+
+    The entry of an orbit tuple t is the sum of s_sigma(t) over the
+    permutations sigma that carry t to its sorted representative, n! times
+    the symmetrizer column of the representative; each column is then
+    divided by its norm.  When S(0) = -1 only strictly increasing tuples are
+    representatives.  Returns V of shape (N**n, orbits), the flat indices of
+    the representatives, the largest |V| of each column and the W with
+    conj(V)[rev] = V diag(W), read at the representatives: the reference of
+    the tuple-to-orbit map ``zops.symmetric_isometry``.
+    """
+    N = grid.size
+    tuples = basis_tuples(N, n)
+    steps = np.diff(tuples, axis=1)
+    strict = pair_values(model, grid.points)[0, 0].real < 0
+    reps = np.flatnonzero(np.all(steps > 0 if strict else steps >= 0, axis=1))
+    sorted_flat = _flat(np.sort(tuples, axis=1), N)
+    column = np.full(N**n, -1)
+    column[reps] = np.arange(len(reps))
+    column = column[sorted_flat]
+    entry = np.zeros(N**n, dtype=complex)
+    flat = np.arange(N**n).reshape((N,) * n)
+    for sigma in all_permutations(n):
+        hits = permute_tensor(flat, sigma).ravel() == sorted_flat
+        entry[hits] += s_sigma_grid(model, grid.points, sigma).ravel()[hits]
+    rows = np.flatnonzero(column >= 0)
+    V = np.zeros((N**n, len(reps)), dtype=complex)
+    V[rows, column[rows]] = entry[rows]
+    V /= np.linalg.norm(V, axis=0)
+    peaks = np.abs(V).max(axis=0, initial=0.0)
+    cols = np.arange(len(reps))
+    W = V[_flat(tuples[reps, ::-1], N), cols].conj() / V[reps, cols]
+    for arr in (V, reps, peaks, W):
+        arr.flags.writeable = False
+    return V, reps, peaks, W
+
+
+def isometry_matrix(model, grid, n: int) -> np.ndarray:
+    """The dense V of the map ``zops.symmetric_isometry``: val[t] at (t, col[t])."""
+    basis = symmetric_isometry(model, grid, n)
+    V = np.zeros((grid.size**n, len(basis.reps)), dtype=complex)
+    rows = np.flatnonzero(basis.col >= 0)
+    V[rows, basis.col[rows]] = basis.val[rows]
+    return V
 
 
 def left_vector_matrix(model, grid, j: int) -> np.ndarray:
@@ -434,14 +482,14 @@ def cross_norm(kernel: KernelTensor, grid: RapidityGrid, omega: Indicatrix) -> f
 def sector_norm(model: ScatteringModel, grid: RapidityGrid, C: np.ndarray,
                 l: int, k: int, wl: np.ndarray, wr: np.ndarray) -> float:
     """Spectral norm of diag(wl) A diag(wr) on the orbits of sectors l <- k."""
-    rl = symmetric_isometry(model, grid, l)[1]
-    rk = symmetric_isometry(model, grid, k)[1]
+    rl = symmetric_isometry(model, grid, l).reps
+    rk = symmetric_isometry(model, grid, k).reps
     return float(np.linalg.norm(wl[rl, None] * C * wr[rk], ord=2))
 
 
 def qform_norm(model: ScatteringModel, A: QuadraticForm, n: int, omega: Indicatrix) -> float:
     """Sector-n form norm, laid out on the orbits of sectors 0..n alone."""
-    reps = [symmetric_isometry(model, A.grid, j)[1] for j in range(n + 1)]
+    reps = [symmetric_isometry(model, A.grid, j).reps for j in range(n + 1)]
     offs = np.cumsum([0] + [len(r) for r in reps])
     C = np.zeros((offs[-1], offs[-1]), dtype=complex)
     for (l, k), blk in A.orbit_blocks.items():

@@ -16,11 +16,15 @@ dense nested families of ``warped`` at total degree <= 2; no other module
 reads it.  ``expansion`` builds no dense tensor at all: no shape
 ``(N,) * k`` and no ``KernelTensor`` appears in it.
 
-The dense orbit basis V itself, ``symmetric_isometry(...)[0]``, is read
-only by the functions of ``V_READERS``: the dense views above, their
-inverses, the projector ``symmetrize`` and the cached orbit split
-``_orbit_split``, which the ladders, the monomials and the expansion read
-instead.  A call that takes the whole tuple counts as a read of V.
+The orbit basis V itself is stored as a map from tuples to orbits
+(``zops.OrbitBasis``), and its map, the fields ``col``, ``val``,
+``by_orbit`` and ``starts``, is read only by the functions of
+``V_READERS``: the gather V C, the orbit sum V^H Y and the cached orbit
+split ``_orbit_split``.  The dense views above, their inverses, the
+projector ``symmetrize`` and ``apply`` go through the first two, and the
+ladders, the monomials and the expansion through the split.  A call of
+``symmetric_isometry`` that is not taken at once by ``.reps``, ``.peaks``
+or ``.W`` counts as a read of the map.
 """
 
 import ast
@@ -34,9 +38,10 @@ KERNEL_VIEWS = {FAMILY_VIEW, "compress_kernel"}
 # module -> the top-level functions in it that may read the family's dense view
 FAMILY_VIEW_READERS = {"suites.py": {"_dense_coefficients", "check_contraction_formula",
                                      "_family_residual"}}
-# the functions, over all modules, that may read the dense V
-V_READERS = {"_orbit_split", "symmetrize", "from_dense", "block", "apply", "compress_kernel",
-             "dense_kernel"}
+# the functions, over all modules, that may read the tuple-to-orbit map of V
+V_READERS = {"_gather", "_orbit_sum", "_orbit_split"}
+# the fields of the orbit basis that are not the map
+NOT_THE_MAP = {"reps", "peaks", "W"}
 
 
 def test_only_storage_and_codec_read_dense_views():
@@ -104,30 +109,23 @@ def test_expansion_builds_no_dense_tensor():
 
 
 def _v_reads(tree) -> list[tuple[str, int]]:
-    """(innermost enclosing function, line) of each read of the dense V under ``tree``.
+    """(innermost enclosing function, line) of each read of the map of V under ``tree``.
 
-    A call of ``symmetric_isometry`` reads V unless it is indexed at once by
-    a constant other than 0 or by a slice that starts past 0.
+    A call of ``symmetric_isometry`` reads the map unless its result is taken
+    at once by one of the attributes ``NOT_THE_MAP``.
     """
     reads = []
 
-    def skips_v(index) -> bool:
-        if isinstance(index, ast.Constant):
-            return index.value != 0
-        return (isinstance(index, ast.Slice) and isinstance(index.lower, ast.Constant)
-                and index.lower.value > 0)
-
-    def visit(node, owner, indexed):
+    def visit(node, owner, taken):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = node.name
-        if isinstance(node, ast.Call) and not indexed:
+        if isinstance(node, ast.Call) and not taken:
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
             if name == "symmetric_isometry":
                 reads.append((owner, node.lineno))
         for child in ast.iter_child_nodes(node):
-            visit(child, owner, isinstance(node, ast.Subscript) and child is node.value
-                  and skips_v(node.slice))
+            visit(child, owner, isinstance(node, ast.Attribute) and node.attr in NOT_THE_MAP)
 
     visit(tree, "<module>", False)
     return reads
@@ -140,7 +138,7 @@ def test_only_the_allowed_functions_read_the_dense_basis():
             if owner in V_READERS:
                 readers.add(owner)
             else:
-                stray.append(f"{path.name}:{line} ({owner}) reads V")
+                stray.append(f"{path.name}:{line} ({owner}) reads the map of V")
     assert not stray, "\n".join(stray)
-    # every listed reader exists and reads V
+    # every listed reader exists and reads the map
     assert readers == V_READERS, V_READERS - readers

@@ -253,6 +253,41 @@ def test_old_family_layout_is_refused(tmp_path, grid3):
         load_family(tmp_path / "fam")
 
 
+def test_expand_refuses_a_directory_of_the_old_layout(tmp_path, grid3, capsys):
+    # writing the new manifest over an old one would leave its dense kernel
+    # files beside it: save_family refuses, naming the manifest, and
+    # ``zfock expand`` exits 2; nothing in the directory changes
+    fam = tmp_path / "fam"
+    manifest = _saved_family(fam, grid3)
+    for rec in manifest["entries"]:
+        rec["file"] = f"coeff_{rec['m']}_{rec['n']}.json"
+        del rec["values"]
+        (fam / rec["file"]).write_text("{}")
+    path = fam / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    before = {name: (fam / name).read_bytes() for name in os.listdir(fam)}
+    A = random_form(FREE, grid3, 1, keyed_rng(0, "io", "family_checks", 2))
+    with pytest.raises(ValueError, match="old layout") as err:
+        save_family(fam, extract_family(FREE, A))
+    assert str(path) in str(err.value)
+    save_form(tmp_path / "A.json", A)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": list(grid3.points), "mass": grid3.mass,
+                               "truncation": 1, "scattering": {"family": "free"},
+                               "omega": {"family": "zero"}, "seed": 0, "instances": 1}))
+    status = cli.main(["expand", "--config", str(cfg), "--in", str(tmp_path / "A.json"),
+                       "--out", str(fam)])
+    assert status == 2
+    assert str(path) in capsys.readouterr().err
+    assert {name: (fam / name).read_bytes() for name in os.listdir(fam)} == before
+    # a manifest of the current layout is written over
+    new = tmp_path / "new"
+    _saved_family(new, grid3)
+    save_family(new, extract_family(FREE, A))
+    assert os.listdir(new) == ["manifest.json"]
+    assert load_family(new).truncation == 1
+
+
 def _reconstruct_status(tmp_path, grid, truncation):
     """Exit status of ``zfock reconstruct`` on the family saved under tmp_path / "fam"."""
     cfg = tmp_path / "cfg.json"

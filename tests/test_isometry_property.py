@@ -1,8 +1,8 @@
 """Property: the orbit isometry spans the symmetric subspace and keeps every norm.
 
-``symmetric_isometry``, built directly from the permutation orbits, must
-be an isometry onto the range of the dense symmetrizer P of ``reference``,
-one column per orbit.  The compressed norms ``qform_norms``/``sector_norms``
+``symmetric_isometry``, a map from tuples to orbits, expanded to its dense
+V by ``reference.isometry_matrix``, must be an isometry onto the range of
+the dense symmetrizer P of ``reference``, one column per orbit.  The compressed norms ``qform_norms``/``sector_norms``
 must equal the dense spectral norms over all N**n tuples: plainly for
 forms with A = P A P, and sandwiched between symmetrizers for any other
 form, which is stored through ``QuadraticForm.from_dense``.  The dense
@@ -10,7 +10,8 @@ views of the form constructors, which build the compressed blocks
 directly, must equal their dense P X P references; ``random_form`` must
 draw its compressed blocks in row-major order with one entry per orbit
 pair.  The orbit split ``zops._orbit_split`` behind the ladders and the
-monomials must equal its dense product V_l^H kron(V_m, V_{l-m}) for every
+monomials must equal its dense product V_l^H kron(V_m, V_{l-m}), with the
+V of the n! loop ``reference.dense_isometry``, for every
 0 <= m <= l <= K, sectors without orbits included, and its two ladder
 slices must be tied by the reversal phases W.  ``zops.symmetrize`` on any
 contiguous block of slots of a tensor with up to 4 slots must equal the
@@ -33,7 +34,7 @@ from zfock.zops import (QuadraticForm, _orbit_split, annihilator_form, compress_
                         creator_form, identity_form, qform_norms, sector_norms,
                         symmetric_isometry, symmetrize, zmzn_form)
 
-from reference import symmetrize_block, symmetrizer_matrix
+from reference import dense_isometry, isometry_matrix, symmetrize_block, symmetrizer_matrix
 from test_support_property import MODELS, lattices
 
 K = 3
@@ -103,10 +104,13 @@ def test_orbit_isometry_keeps_norms(family, a, grid, seed, alpha, log, degrees):
     N = grid.size
     strict = model.value(0.0).real < 0
     for n in range(K + 1):
-        V, reps, peaks = symmetric_isometry(model, grid, n)[:3]
+        V = isometry_matrix(model, grid, n)
+        basis = symmetric_isometry(model, grid, n)
+        reps, peaks = basis.reps, basis.peaks
         P = symmetrizer_matrix(model, grid, n)
         assert V.shape == (N**n, math.comb(N, n) if strict else math.comb(N + n - 1, n))
-        np.testing.assert_array_equal(peaks, np.abs(V).max(axis=0, initial=0.0))
+        np.testing.assert_allclose(peaks, np.abs(V).max(axis=0, initial=0.0), rtol=0,
+                                   atol=REL)
         np.testing.assert_allclose(V.conj().T @ V, np.eye(len(reps)), rtol=0, atol=REL)
         np.testing.assert_allclose(V @ V.conj().T, P, rtol=0, atol=REL)
         tuples = basis_tuples(N, n)
@@ -189,9 +193,9 @@ def test_forms_equal_dense_sandwiches(family, a, grid, seed, degrees):
     # the orbit split is the dense V_l^H kron(V_m, V_{l-m}); its entries are
     # at most 1 in modulus.  Its ladder slices L_a and R_a are tied by W.
     for l in range(K + 1):
-        Vl = symmetric_isometry(model, grid, l)[0]
+        Vl = dense_isometry(model, grid, l)[0]
         for m in range(l + 1):
-            Vm, Vr = (symmetric_isometry(model, grid, j)[0] for j in (m, l - m))
+            Vm, Vr = (dense_isometry(model, grid, j)[0] for j in (m, l - m))
             want = (Vl.conj().T @ np.kron(Vm, Vr)).reshape(
                 Vl.shape[1], Vm.shape[1], Vr.shape[1]).transpose(1, 0, 2)
             got = _orbit_split(model, grid, l, m)
@@ -199,7 +203,7 @@ def test_forms_equal_dense_sandwiches(family, a, grid, seed, degrees):
             np.testing.assert_allclose(got, want, rtol=0, atol=REL)
         if l:
             L = _orbit_split(model, grid, l, l - 1).transpose(2, 1, 0)
-            W = [symmetric_isometry(model, grid, j)[3] for j in (l, l - 1)]
+            W = [symmetric_isometry(model, grid, j).W for j in (l, l - 1)]
             tied = W[0][:, None] * _orbit_split(model, grid, l, 1).conj() * W[1].conj()
             np.testing.assert_allclose(L, tied, rtol=0, atol=REL)
 

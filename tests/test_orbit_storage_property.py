@@ -37,7 +37,7 @@ from zfock.zops import (form_residual, peak_abs, peak_weights, reversal_phases,
 
 from reference import (dense_apply, dense_graded, dense_matmul, dense_reflect,
                        dense_transfer_piece, dense_translate, dense_warp,
-                       dense_warp_spectral, tabulated)
+                       dense_warp_spectral, isometry_matrix, tabulated)
 from test_support_property import lattices
 
 K = 3
@@ -158,8 +158,8 @@ def test_max_abs_readout_equals_dense_max(family, a, grid, seed):
         assert abs(peak_abs(C, peak_weights(model, grid, key)) - want) <= ULPS * want
     if model.value(0.0).real < 0 and grid.size >= 2:
         # the tuples with a repeated point are rows of zeros of V
-        V = symmetric_isometry(model, grid, 2)[0]
-        assert not np.abs(V[0]).any()
+        basis = symmetric_isometry(model, grid, 2)
+        assert basis.col[0] == -1 and basis.val[0] == 0
 
 
 @pytest.mark.parametrize("family", sorted(MODELS))
@@ -170,7 +170,7 @@ def test_reversal_is_a_column_phase(family, a, grid, seed):
     model = MODELS[family](a, grid, keyed_rng(seed, "property", "orbit", "table"))
     N = grid.size
     for n in range(K + 2):
-        V = symmetric_isometry(model, grid, n)[0]
+        V = isometry_matrix(model, grid, n)
         W = reversal_phases(model, grid, n)
         rev = basis_tuples(N, n)[:, ::-1] @ (N ** np.arange(n - 1, -1, -1))
         np.testing.assert_allclose(np.abs(W), 1.0, rtol=0, atol=REL)

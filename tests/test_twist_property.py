@@ -28,8 +28,8 @@ from zfock.scattering import ScatteringModel
 from zfock.warped import SkewSymmetricQ, deformed_fmn_coefficients
 from zfock.zops import dense_kernel, symmetric_isometry
 
-from reference import (deformed_vector_matrices, delta_mask, embed_reduced, s_factor_grid,
-                       symmetrizer_matrix, twist_phases)
+from reference import (deformed_vector_matrices, delta_mask, embed_reduced, isometry_matrix,
+                       s_factor_grid, symmetrizer_matrix, twist_phases)
 from test_support_property import lattices
 
 K = 3
@@ -62,9 +62,9 @@ def test_deformation_is_a_diagonal_twist(a, grid, seed):
         twisted = phi.conj()[:, None] * symmetrizer_matrix(free, grid, n) * phi[None, :]
         np.testing.assert_allclose(twisted, symmetrizer_matrix(model, grid, n),
                                    rtol=0, atol=REL)
-        V_free, reps = symmetric_isometry(free, grid, n)[:2]
-        V_Q, reps_Q = symmetric_isometry(model, grid, n)[:2]
-        np.testing.assert_array_equal(reps_Q, reps)
+        V_free, V_Q = isometry_matrix(free, grid, n), isometry_matrix(model, grid, n)
+        reps = symmetric_isometry(free, grid, n).reps
+        np.testing.assert_array_equal(symmetric_isometry(model, grid, n).reps, reps)
         np.testing.assert_allclose(phi.conj()[:, None] * V_free, V_Q * phi[reps].conj(),
                                    rtol=0, atol=REL)
 

@@ -217,7 +217,7 @@ def test_sector_norms_reject_wrong_sizes(model, grid3):
     w1, w2 = np.ones(3), np.ones(9)
     [plain] = sector_norms(model, grid3, [(C, 2, 1, w2, w1)])
     assert plain > 0.0
-    dims = (len(symmetric_isometry(model, grid3, 2)[1]), 3)
+    dims = (len(symmetric_isometry(model, grid3, 2).reps), 3)
     # 27 weights for the 9 two-particle tuples, a block of the wrong
     # sectors, and weights swapped between the two sides
     for bad in [(C, 2, 1, np.ones(27), w1), (C, 2, 0, w2, np.ones(1)), (C, 2, 1, w1, w2)]:
@@ -259,6 +259,15 @@ def _lattice_caches():
                     and RapidityGrid in typing.get_type_hints(obj.__wrapped__).values()):
                 found[f"{info.name}.{name}"] = obj
     return found
+
+
+def test_cached_basis_is_a_map_per_tuple():
+    # the cached orbit basis holds one orbit index and one entry per tuple
+    # and a few arrays per orbit, not a dense V: at N = 6, n = 4 (1296
+    # tuples, 126 orbits) a dense V would hold 126 * 16 bytes per tuple
+    grid = RapidityGrid((-1.3, -0.8, -0.3, 0.2, 0.7, 1.3), 1.0)
+    basis = symmetric_isometry(ScatteringModel.sinh_exp(0.7), grid, 4)
+    assert sum(arr.nbytes for arr in basis) <= 64 * 6**4
 
 
 def test_lattice_caches_stay_bounded():
