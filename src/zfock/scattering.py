@@ -240,12 +240,16 @@ def s_sigma_grid(model: ScatteringModel, points: Sequence[float], sigma: Permuta
 
 
 def permute_tensor(values: np.ndarray, sigma: Permutation) -> np.ndarray:
-    """f(theta^sigma) as a lattice tensor: slot i reads slot sigma(i)."""
-    if values.ndim != sigma.n:
-        raise ValueError("tensor rank does not match permutation size")
+    """f(theta^sigma) as a lattice tensor: slot i reads slot sigma(i).
+
+    The slots are the last sigma.n axes; leading axes are a batch and stay.
+    """
+    lead = values.ndim - sigma.n
+    if lead < 0:
+        raise ValueError("tensor rank is below the permutation size")
     zero_based = [img - 1 for img in sigma.images]
     inverse = np.argsort(zero_based)
-    return values.transpose(inverse)
+    return values.transpose(*range(lead), *(lead + inverse))
 
 
 def act_d(model: ScatteringModel, sigma: Permutation, values: np.ndarray,

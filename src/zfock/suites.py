@@ -149,13 +149,14 @@ def check_composition_law(model: ScatteringModel, grid: RapidityGrid) -> float:
     """Cocycle law of the exchange factors over every permutation pair, up to S4."""
     res = 0.0
     for n in range(2, 5):
-        cache = {sigma: s_sigma_grid(model, grid.points, sigma)
-                 for sigma in all_permutations(n)}
-        for sigma in all_permutations(n):
-            for rho in all_permutations(n):
-                lhs = cache[sigma.compose(rho)]
-                rhs = cache[sigma] * permute_tensor(cache[rho], sigma)
-                res = max(res, _maxabs(lhs - rhs))
+        perms = all_permutations(n)
+        index = {sigma: i for i, sigma in enumerate(perms)}
+        grids = np.stack([s_sigma_grid(model, grid.points, sigma) for sigma in perms])
+        for sigma in perms:
+            # every rho at once: axis 0 runs over rho, the slot axes follow
+            lhs = grids[[index[sigma.compose(rho)] for rho in perms]]
+            lhs -= grids[index[sigma]] * permute_tensor(grids, sigma)
+            res = max(res, _maxabs(lhs))
     return res
 
 
@@ -1130,6 +1131,26 @@ def check_ordering_agreement(model: ScatteringModel, grid: RapidityGrid,
     return res
 
 
+# entries of the |transfer difference| array held at once by _min_transfer_gap
+_GAP_ENTRIES = 1 << 14
+
+
+def _min_transfer_gap(t: np.ndarray) -> float:
+    """Smallest max-coordinate distance between two different rows of t, shape (M, 2).
+
+    Taken over row chunks of the (M, M) distance matrix, each row against
+    all M, so no (M, M, 2) array is formed.
+    """
+    rows = max(1, _GAP_ENTRIES // len(t))
+    low = np.inf
+    for start in range(0, len(t), rows):
+        chunk = t[start:start + rows, None, :]
+        gap = np.maximum(np.abs(chunk[..., 0] - t[:, 0]), np.abs(chunk[..., 1] - t[:, 1]))
+        gap[np.arange(len(gap)), np.arange(start, start + len(gap))] = np.inf
+        low = min(low, float(gap.min()))
+    return low
+
+
 def check_homogeneous_sum(model: ScatteringModel, grid: RapidityGrid,
                           truncation: int, seed: int, count: int) -> float:
     """Momentum-transfer pieces sum back and carry pure translation phases.
@@ -1144,9 +1165,7 @@ def check_homogeneous_sum(model: ScatteringModel, grid: RapidityGrid,
         comps = _sectors(A)
         if len(comps) > 1:
             t = np.array([comp.transfer for comp in comps])
-            gap = np.abs(t[:, None, :] - t[None, :, :]).max(axis=2)
-            np.fill_diagonal(gap, np.inf)
-            if gap.min() <= GROUPING_RTOL * max(1.0, float(np.abs(t).max())):
+            if _min_transfer_gap(t) <= GROUPING_RTOL * max(1.0, float(np.abs(t).max())):
                 return float("inf")
         total = sum((comp.form for comp in comps), QuadraticForm(model, grid, truncation))
         res = max(res, _form_rel(total, A))
@@ -1171,11 +1190,12 @@ def check_vector_phase(model: ScatteringModel, grid: RapidityGrid,
         comps = _sectors(A)
         step = max(1, len(comps) // 4)
         for comp in comps[::step][:4]:
-            W = warp(comp.form, Q)
+            piece = comp.form
+            W = warp(piece, Q)
             f0, f1 = comp.transfer
             err = 0.0
             mag = _TINY
-            for (l, k), C in comp.form.orbit_blocks.items():
+            for (l, k), C in piece.orbit_blocks.items():
                 p0, p1 = _orbit_momentum(model, grid, k)
                 col = np.exp(1j * Q.pairing_arrays(f0, f1, p0, p1))
                 want = C * col[None, :]
@@ -1195,12 +1215,15 @@ def check_product_phase(model: ScatteringModel, grid: RapidityGrid,
     for rng in _instances(seed, "product_phase", count):
         A = random_form(model, grid, truncation, rng, kmax=kmax)
         B = random_form(model, grid, truncation, rng, kmax=kmax)
+        right = [(cj.transfer, cj.form) for cj in _sectors(B)[:3]]
         for ci in _sectors(A)[:3]:
-            for cj in _sectors(B)[:3]:
-                lhs = warp(ci.form, Q) @ warp(cj.form, Q)
-                phase = np.exp(1j * Q.pairing(ci.transfer, cj.transfer))
-                rhs = phase * warp(ci.form @ cj.form, Q)
-                mag = max(ci.form.scale() * cj.form.scale(), _TINY)
+            fi = ci.form
+            wi = warp(fi, Q)
+            for tj, fj in right:
+                lhs = wi @ warp(fj, Q)
+                phase = np.exp(1j * Q.pairing(ci.transfer, tj))
+                rhs = phase * warp(fi @ fj, Q)
+                mag = max(fi.scale() * fj.scale(), _TINY)
                 res = max(res, form_residual(lhs, rhs) / mag)
     return res
 

@@ -11,7 +11,10 @@ momentum of a tuple is constant on its permutation orbit, so the warp,
 its spectral sums and the split by momentum transfer act on the
 compressed blocks, through the momenta of the orbit representatives.
 This is the warped-convolution structure: every phase is a function of
-the bra and ket momenta alone.
+the bra and ket momenta alone.  A momentum-transfer piece stores only
+the orbit pairs of its entries and is built from the split form when
+read, so the split of a form holds two indices per nonzero entry however
+many transfers it has.
 
 On n-particle tuples the deformation is one diagonal phase: with
 phi_Q(t) = exp(i sum_{a<b} p(t_a) . (Q p(t_b))) and D_Q = diag(phi_Q),
@@ -230,12 +233,30 @@ def warp_spectral(A: QuadraticForm, Q: SkewSymmetricQ, side: str = "right") -> Q
     return A._like(blocks)
 
 
-@dataclass
+@dataclass(frozen=True)
 class HomogeneousComponent:
-    """Piece of an operator shifting total momentum by a fixed transfer."""
+    """Piece of an operator shifting total momentum by a fixed transfer.
+
+    It holds where its entries sit in ``source``: per block key, the rows
+    and columns of its orbit pairs.  :attr:`form` builds the piece from the
+    source on each read and keeps nothing, so the pieces of a form together
+    hold two indices per nonzero entry.
+    """
 
     transfer: tuple[float, float]
-    form: QuadraticForm
+    source: QuadraticForm
+    entries: tuple[tuple[tuple[int, int], np.ndarray, np.ndarray], ...]
+
+    @property
+    def form(self) -> QuadraticForm:
+        """The source's entries at this piece's orbit pairs, zeros elsewhere in each block."""
+        blocks = {}
+        for key, i, j in self.entries:
+            mat = self.source.orbit_blocks[key]
+            piece = np.zeros_like(mat)
+            piece[i, j] = mat[i, j]
+            blocks[key] = piece
+        return self.source._like(blocks)
 
 
 def momentum_sector_decompose(A: QuadraticForm) -> list[HomogeneousComponent]:
@@ -245,7 +266,10 @@ def momentum_sector_decompose(A: QuadraticForm) -> list[HomogeneousComponent]:
     conjugation with phase exp(i transfer . x).  Transfers equal within
     GROUPING_RTOL (relative to the largest) share one piece.  The transfer
     is constant on each pair of orbits, so the compressed blocks are split
-    by the transfers of their representative pairs.
+    by the transfers of their representative pairs.  Each piece keeps the
+    orbit pairs of its entries, grouped once per block by a stable sort of
+    their labels, and builds its blocks from A when read
+    (:class:`HomogeneousComponent`).
     """
     entries = []  # (block key, rows, columns) of the nonzero entries
     transfers = []
@@ -253,26 +277,28 @@ def momentum_sector_decompose(A: QuadraticForm) -> list[HomogeneousComponent]:
         q0, q1 = _orbit_momentum(A.model, A.grid, l)
         p0, p1 = _orbit_momentum(A.model, A.grid, k)
         i, j = np.nonzero(mat)
-        entries.append(((l, k), i, j))
-        transfers.append(np.stack([q0[i] - p0[j], q1[i] - p1[j]], axis=1))
-    arr = np.concatenate([np.zeros((0, 2))] + transfers)
-    if not len(arr):
+        if len(i):
+            entries.append(((l, k), i, j))
+            transfers.append(np.stack([q0[i] - p0[j], q1[i] - p1[j]], axis=1))
+    if not entries:
         return []
+    arr = np.concatenate(transfers)
     scale = max(1.0, float(np.max(np.abs(arr))))
     labels, reps = _cluster(arr, GROUPING_RTOL * scale)
-    comps = [A._like({}) for _ in reps]
+    pieces: list[list] = [[] for _ in reps]
     start = 0
     for key, i, j in entries:
         block_labels = labels[start:start + len(i)]
         start += len(i)
-        mat = A.orbit_blocks[key]
-        for lab in np.flatnonzero(np.bincount(block_labels)):
-            hit = block_labels == lab
-            piece = np.zeros_like(mat)
-            piece[i[hit], j[hit]] = mat[i[hit], j[hit]]
-            comps[lab].orbit_blocks[key] = piece
+        # stable, so each label keeps its entries in row-major order
+        order = np.argsort(block_labels, kind="stable")
+        sorted_labels = block_labels[order]
+        cuts = np.flatnonzero(sorted_labels[1:] != sorted_labels[:-1]) + 1
+        for lab, hit in zip(sorted_labels[np.r_[0, cuts]], np.split(order, cuts)):
+            pieces[lab].append((key, i[hit], j[hit]))
     order = np.lexsort((reps[:, 1], reps[:, 0]))
-    return [HomogeneousComponent((float(reps[lab][0]), float(reps[lab][1])), comps[lab])
+    return [HomogeneousComponent((float(reps[lab][0]), float(reps[lab][1])), A,
+                                 tuple(pieces[lab]))
             for lab in order]
 
 

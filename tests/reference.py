@@ -27,7 +27,8 @@ They read ``suites._excess`` at call time, so a test can record the
 compared sides of both.  ``loop_exchange_residual`` and
 ``loop_deformed_exchange`` are the exchange checks one pair of lattice
 points at a time: the references of the checks of ``suites`` that batch
-over the second point.
+over the second point.  ``loop_composition_law`` is the cocycle check one
+pair of permutations at a time.
 """
 
 import math
@@ -644,4 +645,18 @@ def loop_deformed_exchange(grid: RapidityGrid, K: int, seed: int, count: int) ->
             _, m = suites._keys_residual(X @ Y, want, window)
             err, mag = max(err, e), max(mag, m)
         res = max(res, err / mag)
+    return res
+
+
+def loop_composition_law(model: ScatteringModel, grid: RapidityGrid) -> float:
+    """``suites.check_composition_law``, one pair of permutations at a time."""
+    res = 0.0
+    for n in range(2, 5):
+        cache = {sigma: s_sigma_grid(model, grid.points, sigma)
+                 for sigma in all_permutations(n)}
+        for sigma in all_permutations(n):
+            for rho in all_permutations(n):
+                lhs = cache[sigma.compose(rho)]
+                rhs = cache[sigma] * permute_tensor(cache[rho], sigma)
+                res = max(res, suites._maxabs(lhs - rhs))
     return res

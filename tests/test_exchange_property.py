@@ -13,7 +13,9 @@ unit vector of that point at rel 1e-12 of the largest dense entry: those
 smear the same ladder stack with the unit vector.  Models are the shared ``MODELS``
 table (free, ising, sinh_exp and tables with S(0) = +1 or -1); lattices
 are random or symmetric with 2-4 points, truncations 1-3; the examples are
-derandomized.
+derandomized.  ``suites.check_composition_law`` compares each permutation
+against all others in one array operation; it must equal, to the bit, the
+pair-by-pair ``reference.loop_composition_law``.
 """
 
 import numpy as np
@@ -27,7 +29,7 @@ from zfock.scattering import pair_values
 from zfock.zops import (QuadraticForm, annihilator_form, creator_form, form_residual,
                         point_ladder)
 
-from reference import loop_deformed_exchange, loop_exchange_residual
+from reference import loop_composition_law, loop_deformed_exchange, loop_exchange_residual
 from test_support_property import MODELS, lattices
 
 REL = 1e-12
@@ -64,3 +66,14 @@ def test_exchange_relations_equal_pairwise_loop(family, a, grid, K, seed):
 def test_deformed_exchange_equals_pairwise_loop(grid, K, seed):
     got = suites.check_deformed_exchange(grid, K, seed, 2)
     assert got == loop_deformed_exchange(grid, K, seed, 2)
+
+
+@pytest.mark.parametrize("family", sorted(MODELS))
+@settings(max_examples=4, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(a=st.floats(0.1, 1.5), grid=lattices(), seed=st.integers(0, 2**16))
+def test_composition_law_equals_pairwise_loop(family, a, grid, seed):
+    # every sigma against all rho in one array operation: the same products
+    # and differences as pair by pair, so the same maximum to the bit
+    model = MODELS[family](a, grid, keyed_rng(seed, "property", "composition", "table"))
+    assert suites.check_composition_law(model, grid) == loop_composition_law(model, grid)

@@ -124,6 +124,13 @@ def test_permute_tensor_reads_permuted_slots():
     for idx in np.ndindex(3, 3, 3):
         permuted = tuple(idx[sigma(i + 1) - 1] for i in range(3))
         assert g[idx] == f[permuted]
+    # leading axes are a batch: each member is permuted on its own
+    stack = rng.normal(size=(2, 3, 3, 3))
+    batched = permute_tensor(stack, sigma)
+    for b in range(2):
+        assert np.array_equal(batched[b], permute_tensor(stack[b], sigma))
+    with pytest.raises(ValueError, match="rank"):
+        permute_tensor(f[0], sigma)
 
 
 def test_twisted_action_is_a_representation(model):

@@ -1,6 +1,7 @@
 """Momentum-dependent deformation, sector decomposition, deformed commutator."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -177,18 +178,43 @@ def test_homogeneous_pieces_carry_distinct_transfers(points, monkeypatch):
     np.fill_diagonal(gap, np.inf)
     assert gap.min() > 1e-12 * max(1.0, float(np.abs(t).max()))
     assert suites.check_homogeneous_sum(ising, grid, 3, 0, 2) <= 1e-10
+    # the check takes the gaps in row chunks; one row per chunk gives the same minimum
+    default = suites._GAP_ENTRIES
+    monkeypatch.setattr(suites, "_GAP_ENTRIES", 1)
+    assert suites._min_transfer_gap(t) == gap.min()
 
     # two halves of one piece sum back and carry pure phases, so only the
-    # distinct-transfer condition of the check can catch them
+    # distinct-transfer condition of the check can catch them; at the two
+    # ends of the list, with one row per chunk, they meet only across chunks
     whole = suites._sectors
 
     def halved(form):
         comps = whole(form)
-        half = HomogeneousComponent(comps[0].transfer, 0.5 * comps[0].form)
-        return [half, half] + comps[1:]
+        half = HomogeneousComponent(comps[0].transfer, 0.5 * form, comps[0].entries)
+        return [half] + comps[1:] + [half]
 
     monkeypatch.setattr(suites, "_sectors", halved)
-    assert suites.check_homogeneous_sum(ising, grid, 3, 0, 2) == math.inf
+    for entries in (default, 1):
+        monkeypatch.setattr(suites, "_GAP_ENTRIES", entries)
+        assert suites.check_homogeneous_sum(ising, grid, 3, 0, 2) == math.inf
+
+
+@pytest.mark.parametrize("check", ["homogeneous_sum", "vector_phase", "product_phase"])
+def test_transfer_split_checks_stay_small(check):
+    # the 8-point lattice of bench/frontier.py at K = 2: the pieces hold
+    # indices and build one form at a time, and no (M, M, 2) gap array is
+    # formed; a dense copy per piece or the full gap array takes 20-80 MB
+    grid = RapidityGrid((-1.7, -1.2, -0.7, -0.2, 0.3, 0.8, 1.2, 1.6), 1.0)
+    model = ScatteringModel.sinh_exp(0.7)
+    run = getattr(suites, f"check_{check}")
+    assert run(model, grid, 2, 3, 1) <= 1e-10  # fills the lattice caches
+    tracemalloc.start()
+    try:
+        assert run(model, grid, 2, 3, 1) <= 1e-10
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_grouping_warns_on_rounded_transfers(grid3):
