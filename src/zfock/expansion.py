@@ -10,7 +10,7 @@ antiunitary reflection.
 Forms and coefficients stay on their orbit pairs.  The multi-creator
 elements of a block (:func:`creator_elements`) and the reflection
 (:func:`reflect_conjugate`) reverse tuples through the phase W of
-``zops.reversal_phases``.  A coefficient is S-symmetric in each slot
+``zops.OrbitBasis.W``.  A coefficient is S-symmetric in each slot
 group, so it is stored as its orbit matrix F with f = V_m F V_n^T
 (``zops.OrbitKernel``).
 
@@ -62,7 +62,7 @@ import numpy as np
 from .fock import RapidityGrid, basis_tuples, translation_phases
 from .scattering import ScatteringModel, pair_values
 from .zops import (OrbitKernel, QuadraticForm, _orbit_split, _require_model, orbit_dimension,
-                   peak_abs, peak_weights, reversal_phases, symmetric_isometry, zmzn_form)
+                   peak_abs, peak_weights, symmetric_isometry, zmzn_form)
 
 
 def creator_elements(A: QuadraticForm, m: int, n: int) -> np.ndarray:
@@ -74,10 +74,10 @@ def creator_elements(A: QuadraticForm, m: int, n: int) -> np.ndarray:
     symmetrizer column of its tuple, so the dense elements are sqrt(m! n!)
     V_m C V_n^H with the column tuples reversed, which is V_m X V_n^T for
     the X = sqrt(m! n!) C diag(W_n) returned here, through
-    V_n[rev] = conj(V_n) diag(conj W_n) (:func:`~zfock.zops.reversal_phases`).
+    V_n[rev] = conj(V_n) diag(conj W_n) (:class:`~zfock.zops.OrbitBasis`).
     """
     c = math.sqrt(math.factorial(m) * math.factorial(n))
-    return c * (A.orbit_block(m, n) * reversal_phases(A.model, A.grid, n))
+    return c * (A.orbit_block(m, n) * symmetric_isometry(A.model, A.grid, n).W)
 
 
 def _sweep_products(model: ScatteringModel, grid: RapidityGrid, p: int,
@@ -268,9 +268,9 @@ def reflect_conjugate(A: QuadraticForm) -> QuadraticForm:
     Its matrix elements satisfy <psi| J A* J |chi> = <J chi| A |J psi>, so
     its block (j, k) is the transpose of block (k, j) of A with the row and
     column tuples reversed.  With conj(V)[rev] = V diag(W)
-    (:func:`~zfock.zops.reversal_phases`) that is diag(W_j) C_kj^T diag(conj W_k).
+    (:class:`~zfock.zops.OrbitBasis`) that is diag(W_j) C_kj^T diag(conj W_k).
     """
-    W = [reversal_phases(A.model, A.grid, j) for j in range(A.truncation + 1)]
+    W = [symmetric_isometry(A.model, A.grid, j).W for j in range(A.truncation + 1)]
     return A._like({(j, k): W[j][:, None] * C.T * W[k].conj()[None, :]
                     for (k, j), C in A.orbit_blocks.items()})
 

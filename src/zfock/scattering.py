@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -93,6 +93,15 @@ class ScatteringModel:
             raise ValueError("rapidity and value lists differ in length")
         table = tuple((_key(t), complex(v)) for t, v in zip(thetas, values))
         return cls(TABLE, table=table)
+
+    @cached_property
+    def sign_at_zero(self) -> int:
+        """S(0), which is +1 or -1, read once per model.
+
+        S(0) = -1 kills every tuple with a repeated point on the symmetric
+        subspace.
+        """
+        return -1 if self.value(0.0).real < 0 else 1
 
     def value(self, theta: float) -> complex:
         """S evaluated at a single rapidity difference."""

@@ -48,9 +48,9 @@ from .warped import (GROUPING_RTOL, GroupingWarning, SkewSymmetricQ, _orbit_mome
 from .zops import (KernelTensor, OrbitKernel, QuadraticForm, _gather, _orbit_split,
                    annihilator_form, annihilate, compress_kernel, create, creator_form,
                    cross_norms, dense_kernel, form_residual, identity_form, kernel_adjoint,
-                   orbit_dimension, peak_abs, peak_weights, point_ladder, qform_norms,
-                   reversal_phases, s_symmetry_residual, sector_norms, symmetric_isometry,
-                   symmetrize, zmzn_form)
+                   orbit_dimension, orbit_weights, peak_abs, peak_weights, point_ladder,
+                   qform_norms, s_symmetry_residual, symmetric_isometry, symmetrize,
+                   weighted_norms, zmzn_form)
 
 _TINY = 1e-300
 
@@ -317,7 +317,7 @@ def check_orbit_basis(model: ScatteringModel, grid: RapidityGrid, truncation: in
 
     The map is expanded to a dense V per sector, the gather of the identity.
     Each sector must satisfy act_d(sigma) V = V for every permutation sigma,
-    V^H V = I and conj(V)[rev] = V diag(W) (``reversal_phases``), and every
+    V^H V = I and conj(V)[rev] = V diag(W) (``OrbitBasis.W``), and every
     orbit split with l <= 3 must equal V_l^H (V_m kron V_{l-m}).  The
     entries are at most 1 in modulus, so the residual is the largest
     absolute deviation.
@@ -334,7 +334,7 @@ def check_orbit_basis(model: ScatteringModel, grid: RapidityGrid, truncation: in
                 res = max(res, _maxabs(moved - cols[..., a]))
         res = max(res, _maxabs(Vn.conj().T @ Vn - np.eye(Vn.shape[1])))
         rev = basis_tuples(N, n)[:, ::-1] @ (N ** np.arange(n - 1, -1, -1))
-        res = max(res, _maxabs(Vn.conj()[rev] - Vn * reversal_phases(model, grid, n)))
+        res = max(res, _maxabs(Vn.conj()[rev] - Vn * symmetric_isometry(model, grid, n).W))
     for l, Vl in enumerate(V):
         for m in range(l + 1):
             want = (Vl.conj().T @ np.kron(V[m], V[l - m])).reshape(
@@ -474,16 +474,17 @@ def check_creator_weight_bound(model: ScatteringModel, grid: RapidityGrid,
     and one annihilator form, whose slices are the forms of each instance.
     """
     K = truncation
-    wplus = [energy_weights(grid, omega, n, 1) for n in range(K + 1)]
+    # sector 1 has one orbit per lattice point, so wplus[1] weighs the points
+    wplus = [orbit_weights(model, grid, omega, n, 1) for n in range(K + 1)]
     winv = [1.0 / w for w in wplus]
     fs = np.array([rng.normal(size=grid.size) + 1j * rng.normal(size=grid.size)
                    for rng in _instances(seed, "creator_weight_bound", count)])
     A = creator_form(model, grid, K, fs)
     B = annihilator_form(model, grid, K, fs)
-    blocks = [(A.orbit_block(j + 1, j), j + 1, j, wplus[j + 1], winv[j]) for j in range(K)]
-    blocks += [(B.orbit_block(j, j + 1), j, j + 1, wplus[j], winv[j + 1]) for j in range(K)]
+    blocks = [(A.orbit_block(j + 1, j), wplus[j + 1], winv[j]) for j in range(K)]
+    blocks += [(B.orbit_block(j, j + 1), wplus[j], winv[j + 1]) for j in range(K)]
     # one norm per block and instance, the instance running fastest
-    norms = sector_norms(model, grid, blocks)
+    norms = weighted_norms(blocks)
     res = 0.0
     for i, f in enumerate(fs):
         fnorm = float(np.linalg.norm(wplus[1] * f))
@@ -526,16 +527,14 @@ def check_monomial_source_bound(model: ScatteringModel, grid: RapidityGrid,
     draws = _monomial_draws(model, grid, K,
                             _instances(seed, "monomial_source_bound", count))
     fws = cross_norms([f for f, _ in draws], grid, omega)
-    wminus = [energy_weights(grid, omega, j, -1) for j in range(K + 1)]
-    ones = [np.ones(grid.size**j) for j in range(K + 1)]
+    wminus = [orbit_weights(model, grid, omega, j, -1) for j in range(K + 1)]
     blocks, spans = [], []
     for f, F in draws:
         m, n = f.m, f.n
         kmax = K if m <= n else K - (m - n)
         spans.append(range(n, kmax + 1))
-        blocks += [(F.orbit_block(j - n + m, j), j - n + m, j, ones[j - n + m], wminus[j])
-                   for j in range(n, kmax + 1)]
-    norms = iter(sector_norms(model, grid, blocks))
+        blocks += [(F.orbit_block(j - n + m, j), None, wminus[j]) for j in range(n, kmax + 1)]
+    norms = iter(weighted_norms(blocks))
     res = 0.0
     for (f, _), fw, js in zip(draws, fws, spans):
         m, n = f.m, f.n
@@ -556,14 +555,13 @@ def check_monomial_sector_bound(model: ScatteringModel, grid: RapidityGrid,
     draws = _monomial_draws(model, grid, K,
                             _instances(seed, "monomial_sector_bound", count))
     fws = cross_norms([f for f, _ in draws], grid, omega)
-    queries = [(F, k) for f, F in draws for k in range(max(f.m, f.n), K + 1)]
-    norms = iter(qform_norms(model, queries, omega))
+    form_norms = qform_norms(model, [F for _, F in draws], omega)
     res = 0.0
-    for (f, _), fw in zip(draws, fws):
+    for (f, _), fw, norms in zip(draws, fws, form_norms):
         top = max(f.m, f.n)
         for k in range(top, K + 1):
             c = 2.0 * math.factorial(k) / math.factorial(k - top)
-            res = max(res, _excess(next(norms), c * fw))
+            res = max(res, _excess(norms[k], c * fw))
     return res
 
 
@@ -1001,21 +999,18 @@ def check_coefficient_bound(model: ScatteringModel, grid: RapidityGrid,
     # the (m, n) with m + n <= K
     keys = [(m, n) for m in range(K + 1) for n in range(K + 1 - m)]
     constants = [coefficient_bound_constant(m, n) for m, n in keys]
-    weights = [energy_weights(grid, omega, j, -1) for j in range(K + 1)]
-    ones = [np.ones(grid.size**j) for j in range(K + 1)]
+    weights = [orbit_weights(model, grid, omega, j, -1) for j in range(K + 1)]
     forms = [random_form(model, grid, K, rng)
              for rng in _instances(seed, "coefficient_bound", count)]
     elements = {key: np.stack([creator_elements(A, *key) for A in forms]) for key in keys}
     blocks = []
     for m, n in keys:
         F = _ladder_sum(model, grid, m, n, lambda c: elements[(m - c, n - c)], -1)
-        blocks += [(F, m, n, weights[m], ones[n]), (F, m, n, ones[m], weights[n])]
+        blocks += [(F, weights[m], None), (F, None, weights[n])]
     # per key, the left norms of all instances, then the right ones
-    sides = sector_norms(model, grid, blocks)
-    form_norms = qform_norms(model, [(A, s) for A in forms for s in range(K + 1)], omega)
+    sides = weighted_norms(blocks)
     res = 0.0
-    for i in range(count):
-        norms = form_norms[i * (K + 1):(i + 1) * (K + 1)]
+    for i, norms in enumerate(qform_norms(model, forms, omega)):
         for q, ((m, n), c) in enumerate(zip(keys, constants)):
             lhs = 0.5 * (sides[2 * q * count + i] + sides[(2 * q + 1) * count + i])
             res = max(res, _excess(lhs, c * norms[m + n]))

@@ -24,17 +24,17 @@ creator blocks, which the point ladder scales and :func:`creator_form`
 and :func:`annihilator_form` smear with f, and :func:`zmzn_form` reads
 each block from two splits; the split is filled in one pass over the
 l-tuples.  Tuple reversal is a phase per column of V
-(:func:`reversal_phases`), computed with V.  A kernel S-symmetric in each
+(``OrbitBasis.W``), computed with V.  A kernel S-symmetric in each
 slot group, as an expansion coefficient is, is stored on orbit pairs too
 (:class:`OrbitKernel`), and :func:`zmzn_form` takes one.
 The constructors take stacks: :func:`creator_form` and
 :func:`annihilator_form` smearing functions of shape (*batch, N),
 :func:`zmzn_form` orbit kernels of shape (*batch, orbits_m, orbits_n).
 Each batch index of the result equals the unbatched call to the bit.
-The norms take lists (:func:`cross_norms`, :func:`sector_norms`,
-:func:`qform_norms`), and :func:`sector_norms` also stacked blocks; each
-call takes all its spectral norms in batched SVDs per matrix shape, one
-unless the matrices are large (:func:`_spectral_norms`).
+Every spectral norm is one of :func:`weighted_norms`, which takes a list
+of weighted matrices, maybe stacked, in batched SVDs per matrix shape
+(:func:`_spectral_norms`); a compressed block is weighted by
+:func:`orbit_weights`.  :func:`cross_norms` and :func:`qform_norms` use it.
 :func:`symmetrize` projects a tensor, or a contiguous block of its
 slots, as V V^H, an orbit sum and a gather.  No N**n x N**n symmetrizer
 is formed.
@@ -113,7 +113,7 @@ def orbit_dimension(model: ScatteringModel, N: int, n: int) -> int:
     C(N + n - 1, n) multisets when S(0) = +1; when S(0) = -1 only the
     strictly increasing tuples remain, C(N, n) of them.
     """
-    return math.comb(N, n) if model.value(0.0).real < 0 else math.comb(N + n - 1, n)
+    return math.comb(N, n) if model.sign_at_zero < 0 else math.comb(N + n - 1, n)
 
 
 class OrbitBasis(NamedTuple):
@@ -125,8 +125,10 @@ class OrbitBasis(NamedTuple):
     ``by_orbit`` lists the tuples that have an orbit, grouped by orbit in
     tuple order, and orbit a starts at ``starts[a]`` in it.  ``reps`` are
     the flat indices of the sorted tuples, one per orbit, ``peaks`` the
-    |V| of each column and ``W`` the reversal phases
-    (:func:`reversal_phases`).  All arrays are read-only.
+    |V| of each column and ``W`` the reversal phases: a reversed tuple
+    stays in its orbit, and conj(V)[rev] = V diag(W), rev reversing every
+    n-tuple, with W = conj(V[rev(rep_a), a]) / V[rep_a, a] of unit modulus,
+    read where V is real and positive.  All arrays are read-only.
     """
 
     col: np.ndarray
@@ -163,7 +165,7 @@ def symmetric_isometry(model: ScatteringModel, grid: RapidityGrid, n: int) -> Or
     tuples = basis_tuples(N, n)
     S = pair_values(model, grid.points)
     steps = np.diff(tuples, axis=1)
-    reps = np.flatnonzero(np.all(steps > 0 if S[0, 0].real < 0 else steps >= 0, axis=1))
+    reps = np.flatnonzero(np.all(steps > 0 if model.sign_at_zero < 0 else steps >= 0, axis=1))
     digits = N ** np.arange(n - 1, -1, -1)
     # the column of every tuple is that of its sorted representative
     column = np.full(N**n, -1)
@@ -186,16 +188,6 @@ def symmetric_isometry(model: ScatteringModel, grid: RapidityGrid, n: int) -> Or
     for arr in basis:
         arr.flags.writeable = False
     return basis
-
-
-def reversal_phases(model: ScatteringModel, grid: RapidityGrid, n: int) -> np.ndarray:
-    """The unit-modulus W with conj(V)[rev] = V diag(W), rev reversing every n-tuple.
-
-    A reversed tuple stays in its orbit.  W is read at the representatives,
-    where V is real and positive, as conj(V[rev(rep_a), a]) / V[rep_a, a],
-    once per sector with V (:func:`symmetric_isometry`); it is read-only.
-    """
-    return symmetric_isometry(model, grid, n).W
 
 
 def _gather(model: ScatteringModel, grid: RapidityGrid, n: int, C: np.ndarray,
@@ -610,7 +602,7 @@ def zmzn_form(model: ScatteringModel, kernel: OrbitKernel, grid: RapidityGrid,
 
     The block is V_l^H (g kron 1) V_k, g the kernel matrix with its incoming
     slots reversed and the identity on the r = k - n trailing slots.  With
-    V_n[rev] = conj(V_n) diag(conj W) (:func:`reversal_phases`) the part of g
+    V_n[rev] = conj(V_n) diag(conj W) (:class:`OrbitBasis`) the part of g
     that V_l^H and V_k see is V_m F diag(conj W) V_n^H, and V_l^H, V_k
     absorb the symmetrizer of the trailing slots, so the block is
     c P(l, m) (F diag(conj W) kron 1) P(k, n)^H with the orbit splits P
@@ -636,7 +628,7 @@ def zmzn_form(model: ScatteringModel, kernel: OrbitKernel, grid: RapidityGrid,
     # shape-stable, so one multiply over the stack may differ in the last
     # bit, and the (orbits_l, orbits_r, orbits_n) product with the left
     # split stays the size of an unbatched one
-    Wc = reversal_phases(model, grid, n).conj()
+    Wc = symmetric_isometry(model, grid, n).W.conj()
     cores = [v * Wc for v in F.reshape((math.prod(F.shape[:-2]),) + orbits)]
     blocks = {}
     dropped = False
@@ -698,22 +690,56 @@ def _halved_pair_sums(s: list[float]) -> list[float]:
     return [0.5 * (a + b) for a, b in zip(s[::2], s[1::2])]
 
 
+def weighted_norms(terms: Sequence[tuple[np.ndarray, np.ndarray | None, np.ndarray | None]]
+                   ) -> list[float]:
+    """Spectral norm of diag(wl) M diag(wr) of each term (M, wl, wr), in input order.
+
+    ``wl`` weighs the rows of M and ``wr`` its columns; ``None`` leaves a
+    side unweighted.  M may carry leading batch axes, shape (*batch, rows,
+    cols), and then gives one norm per matrix in row-major batch order.
+    The weights multiply as ``wl[:, None] * M``, then ``* wr``.  Every
+    spectral norm of the package is taken here, all the norms of one call
+    in one :func:`_spectral_norms` call.
+    """
+    mats = []
+    for M, wl, wr in terms:
+        if wl is not None:
+            M = wl[:, None] * M
+        if wr is not None:
+            M = M * wr
+        mats.extend(M.reshape((math.prod(M.shape[:-2]),) + M.shape[-2:]))
+    return _spectral_norms(mats)
+
+
+def orbit_weights(model: ScatteringModel, grid: RapidityGrid, omega: Indicatrix, n: int,
+                  sign: int) -> np.ndarray:
+    """exp(sign * omega(energy)) of each orbit of sector n: a side weight of compressed blocks.
+
+    The energy is constant on permutation orbits, so the tuple weights w of
+    ``energy_weights`` give diag(w) V = V diag(w[reps]).  V has orthonormal
+    columns, so diag(wl) A diag(wr) on the S-symmetric sectors l <- k has
+    the norm of diag(wl[reps_l]) C diag(wr[reps_k]) for the compressed
+    block C = V_l^H A V_k, when A = P_l A P_k as for every form.
+    """
+    return energy_weights(grid, omega, n, sign)[symmetric_isometry(model, grid, n).reps]
+
+
 def cross_norms(kernels: Sequence[KernelTensor], grid: RapidityGrid,
                 omega: Indicatrix) -> list[float]:
     """Weighted cross norm of each kernel: half the sum of its two one-sided spectral norms.
 
     A kernel is read as a matrix from incoming to outgoing slot groups;
     each term damps one side by exp(-omega(energy)).  The weights of each
-    slot count are computed once, and all the spectral norms are taken in
-    one :func:`_spectral_norms` call.
+    slot count are computed once, and all the norms are taken in one
+    :func:`weighted_norms` call.
     """
     weights = {j: energy_weights(grid, omega, j, -1)
                for j in dict.fromkeys(d for f in kernels for d in (f.m, f.n))}
-    mats = []
+    terms = []
     for f in kernels:
         F = f.matrix()
-        mats += [weights[f.m][:, None] * F, F * weights[f.n][None, :]]
-    return _halved_pair_sums(_spectral_norms(mats))
+        terms += [(F, weights[f.m], None), (F, None, weights[f.n])]
+    return _halved_pair_sums(weighted_norms(terms))
 
 
 def _require_model(model: ScatteringModel, A: QuadraticForm) -> None:
@@ -721,69 +747,32 @@ def _require_model(model: ScatteringModel, A: QuadraticForm) -> None:
         raise ValueError(f"form is stored on the orbits of {A.model}, not of {model}")
 
 
-def sector_norms(model: ScatteringModel, grid: RapidityGrid,
-                 blocks: Sequence[tuple[np.ndarray, int, int, np.ndarray, np.ndarray]]
-                 ) -> list[float]:
-    """Norm of diag(wl) A diag(wr) on the S-symmetric sectors l <- k, of each (C, l, k, wl, wr).
+def qform_norms(model: ScatteringModel, forms: Sequence[QuadraticForm],
+                omega: Indicatrix) -> list[list[float]]:
+    """Sector-n form norms on the S-symmetric Fock space, damped on either side, of each form.
 
-    ``C`` is the compressed block V_l^H A V_k of ``symmetric_isometry``, or
-    a stack of them with leading batch axes, shape (*batch, orbits_l,
-    orbits_k), which gives one norm per matrix in row-major batch order.
-    ``wl`` and ``wr`` weigh the N**l and N**k tuples and must be constant on
-    permutation orbits, as functions of the energy are, so that
-    diag(w) V = V diag(w[reps]).  The result is the norm of
-    P_l diag(wl) A diag(wr) P_k, with P the symmetrizers; for a form with
-    A = P_l A P_k, as every form is, it equals the norm over all tuples.
-    A block or weights of the wrong size raise ValueError.  All the norms
-    are taken in one :func:`_spectral_norms` call.
+    Per form A, the norms for n = 0..A.truncation.  With W = exp(-omega(energy))
+    over sectors 0..n and P the symmetrizer, the sector-n norm is half the
+    sum of the spectral norms of P A W P and P W A P, taken on the compressed
+    blocks with the :func:`orbit_weights`; every form has A = P A P, so this
+    is the norm of A W and W A over all tuples.  Each form is laid out once,
+    over the orbits of sectors 0 to its truncation, and sectors 0..n are a
+    leading principal block of it.  All the norms are taken in one
+    :func:`weighted_norms` call.
     """
-    N = grid.size
-    mats = []
-    for C, l, k, wl, wr in blocks:
-        rl = symmetric_isometry(model, grid, l).reps
-        rk = symmetric_isometry(model, grid, k).reps
-        want = ((len(rl), len(rk)), (N**l,), (N**k,))
-        got = (np.shape(C), np.shape(wl), np.shape(wr))
-        if (got[0][-2:], *got[1:]) != want:
-            raise ValueError(f"sector block {(l, k)}: expected a compressed block of shape "
-                             f"{want[0]} after any batch axes and weights of lengths {N**l} "
-                             f"and {N**k}, got shapes {got[0]}, {got[1]} and {got[2]}")
-        mats.extend((wl[rl, None] * C * wr[rk]).reshape((math.prod(got[0][:-2]),) + want[0]))
-    return _spectral_norms(mats)
-
-
-def qform_norms(model: ScatteringModel, queries: Sequence[tuple[QuadraticForm, int]],
-                omega: Indicatrix) -> list[float]:
-    """Sector-n form norm on the S-symmetric Fock space, damped on either side, of each (A, n).
-
-    With W = exp(-omega(energy)) over sectors 0..n and P the symmetrizer,
-    this is half the sum of the spectral norms of P A W P and P W A P.  It
-    is taken on the compressed blocks of A; W is constant on orbits, so
-    W V = V diag(w[reps]) and no singular value is lost.  Every form has
-    A = P A P, so this is the norm of A W and W A over all tuples.  Each
-    form is laid out once, as one matrix over the orbits of sectors 0 to
-    its truncation, and sectors 0..n are a leading principal block of it.
-    All the spectral norms are taken in one :func:`_spectral_norms` call.
-    """
-    weights: dict[tuple[RapidityGrid, int], np.ndarray] = {}
-    layouts: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-    mats = []
-    for A, n in queries:
+    weights: dict[tuple[RapidityGrid, int], tuple[np.ndarray, np.ndarray]] = {}
+    terms = []
+    for A in forms:
         _require_model(model, A)
-        if not 0 <= n <= A.truncation:
-            raise ValueError(f"sector bound {n} outside 0..{A.truncation}")
-        if id(A) not in layouts:
-            reps = [symmetric_isometry(model, A.grid, j).reps for j in range(A.truncation + 1)]
-            offs = np.cumsum([0] + [len(r) for r in reps])
-            C = np.zeros((offs[-1], offs[-1]), dtype=complex)
-            for (l, k), blk in A.orbit_blocks.items():
-                C[offs[l]:offs[l + 1], offs[k]:offs[k + 1]] = blk
-            key = (A.grid, A.truncation)
-            if key not in weights:
-                weights[key] = np.concatenate([energy_weights(A.grid, omega, j, -1)[r]
-                                               for j, r in enumerate(reps)])
-            layouts[id(A)] = (C, weights[key], offs)
-        C, w, offs = layouts[id(A)]
-        d = offs[n + 1]
-        mats += [C[:d, :d] * w[None, :d], w[:d, None] * C[:d, :d]]
-    return _halved_pair_sums(_spectral_norms(mats))
+        key = (A.grid, A.truncation)
+        if key not in weights:
+            parts = [orbit_weights(model, A.grid, omega, j, -1) for j in range(A.truncation + 1)]
+            weights[key] = (np.concatenate(parts), np.cumsum([0] + [len(w) for w in parts]))
+        w, offs = weights[key]
+        C = np.zeros((offs[-1], offs[-1]), dtype=complex)
+        for (l, k), blk in A.orbit_blocks.items():
+            C[offs[l]:offs[l + 1], offs[k]:offs[k + 1]] = blk
+        for d in offs[1:]:
+            terms += [(C[:d, :d], None, w[:d]), (C[:d, :d], w[:d], None)]
+    norms = iter(_halved_pair_sums(weighted_norms(terms)))
+    return [[next(norms) for _ in range(A.truncation + 1)] for A in forms]

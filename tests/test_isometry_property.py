@@ -2,10 +2,12 @@
 
 ``symmetric_isometry``, a map from tuples to orbits, expanded to its dense
 V by ``reference.isometry_matrix``, must be an isometry onto the range of
-the dense symmetrizer P of ``reference``, one column per orbit.  The compressed norms ``qform_norms``/``sector_norms``
-must equal the dense spectral norms over all N**n tuples: plainly for
-forms with A = P A P, and sandwiched between symmetrizers for any other
-form, which is stored through ``QuadraticForm.from_dense``.  The dense
+the dense symmetrizer P of ``reference``, one column per orbit.  The
+compressed norms, ``qform_norms`` and ``weighted_norms`` with the
+``orbit_weights``, must equal the dense spectral norms over all N**n
+tuples: plainly for forms with A = P A P, and sandwiched between
+symmetrizers for any other form, which is stored through
+``QuadraticForm.from_dense``.  The dense
 views of the form constructors, which build the compressed blocks
 directly, must equal their dense P X P references; ``random_form`` must
 draw its compressed blocks in row-major order with one entry per orbit
@@ -31,8 +33,8 @@ from hypothesis import strategies as st
 from zfock.fock import Indicatrix, RapidityGrid, basis_tuples, energy_grid
 from zfock.sampling import keyed_rng, random_form, random_kernel
 from zfock.zops import (QuadraticForm, _orbit_split, annihilator_form, compress_kernel,
-                        creator_form, identity_form, qform_norms, sector_norms,
-                        symmetric_isometry, symmetrize, zmzn_form)
+                        creator_form, identity_form, orbit_weights, qform_norms,
+                        symmetric_isometry, symmetrize, weighted_norms, zmzn_form)
 
 from reference import dense_isometry, isometry_matrix, symmetrize_block, symmetrizer_matrix
 from test_support_property import MODELS, lattices
@@ -76,14 +78,15 @@ def assert_norms_match(model, A, omega, blocks, sandwich):
     of the dense symmetrizer, so it is compared at 1e-12 of the largest
     block norm instead."""
     grid = A.grid
-    got = qform_norms(model, [(A, n) for n in range(K + 1)], omega)
+    [got] = qform_norms(model, [A], omega)
+    assert len(got) == K + 1
     for n in range(K + 1):
         assert got[n] == pytest.approx(
             dense_qform_norm(model, grid, blocks, n, omega, sandwich), rel=REL)
     sides = {key: (weights(grid, omega, key[0], 1), weights(grid, omega, key[1], -1))
              for key in blocks}
-    got = sector_norms(model, grid, [(A.orbit_block(l, k), l, k, *sides[(l, k)])
-                                     for l, k in blocks])
+    got = weighted_norms([(A.orbit_block(l, k), orbit_weights(model, grid, omega, l, 1),
+                            orbit_weights(model, grid, omega, k, -1)) for l, k in blocks])
     want = [dense_sector_norm(model, grid, mat, l, k, *sides[(l, k)], sandwich)
             for (l, k), mat in blocks.items()]
     scale = max(want)

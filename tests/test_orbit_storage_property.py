@@ -8,7 +8,7 @@ scalar multiples, the adjoint, ``apply``, ``warp``, ``warp_spectral`` on
 either side, ``translate_form``, ``boost_form``, ``reflect_conjugate``,
 the graded sign of ``_graded_commutator`` and the split of
 ``momentum_sector_decompose``.  Reversing the tuples must be the column
-phase W of ``reversal_phases``, conj(V)[rev] = V diag(W) with |W| = 1,
+phase W of ``OrbitBasis.W``, conj(V)[rev] = V diag(W) with |W| = 1,
 which the reflection and the creator-vector elements rest on.  The
 full-basis max-abs readout of ``form_residual`` and ``peak_abs`` must
 agree with the dense maximum to a few ulp.  Models are free, ising,
@@ -32,8 +32,7 @@ from zfock.scattering import ScatteringModel
 from zfock.warped import (GROUPING_RTOL, GroupingWarning, SkewSymmetricQ,
                           _graded_commutator, momentum_sector_decompose, warp,
                           warp_spectral)
-from zfock.zops import (form_residual, peak_abs, peak_weights, reversal_phases,
-                        symmetric_isometry)
+from zfock.zops import form_residual, peak_abs, peak_weights, symmetric_isometry
 
 from reference import (dense_apply, dense_graded, dense_matmul, dense_reflect,
                        dense_transfer_piece, dense_translate, dense_warp,
@@ -171,7 +170,7 @@ def test_reversal_is_a_column_phase(family, a, grid, seed):
     N = grid.size
     for n in range(K + 2):
         V = isometry_matrix(model, grid, n)
-        W = reversal_phases(model, grid, n)
+        W = symmetric_isometry(model, grid, n).W
         rev = basis_tuples(N, n)[:, ::-1] @ (N ** np.arange(n - 1, -1, -1))
         np.testing.assert_allclose(np.abs(W), 1.0, rtol=0, atol=REL)
         np.testing.assert_allclose(V.conj()[rev], V * W[None, :], rtol=0, atol=REL)

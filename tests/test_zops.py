@@ -20,8 +20,9 @@ from zfock.scattering import ScatteringModel, _pair_values_cached
 from zfock.warped import SkewSymmetricQ, _phase_block
 from zfock.zops import (KernelTensor, _spectral_norms, annihilate,
                         annihilator_form, compress_kernel, create, creator_form, cross_norms,
-                        form_residual, identity_form, kernel_adjoint, point_ladder,
-                        qform_norms, sector_norms, symmetric_isometry, zmzn_form)
+                        form_residual, identity_form, kernel_adjoint, orbit_weights,
+                        point_ladder, qform_norms, symmetric_isometry, weighted_norms,
+                        zmzn_form)
 
 from reference import big_matrix
 
@@ -147,7 +148,8 @@ def test_cross_norm_weighting_shrinks(grid3):
 
 def test_qform_norm_of_identity(model, grid3):
     ident = identity_form(model, grid3, 2)
-    assert qform_norms(model, [(ident, 2)], Indicatrix.zero()) == [pytest.approx(1.0, rel=1e-12)]
+    assert qform_norms(model, [ident], Indicatrix.zero()) == [
+        [pytest.approx(1.0, rel=1e-12)] * 3]
 
 
 def test_qform_norm_triangle(model, grid3):
@@ -155,9 +157,8 @@ def test_qform_norm_triangle(model, grid3):
     A = random_form(model, grid3, 2, rng)
     B = random_form(model, grid3, 2, rng)
     omega = Indicatrix.sqrt(0.3)
-    lhs, a, b = qform_norms(model, [(A + B, 2), (A, 2), (B, 2)], omega)
-    rhs = a + b
-    assert lhs <= rhs * (1 + 1e-12)
+    for lhs, a, b in zip(*qform_norms(model, [A + B, A, B], omega)):
+        assert lhs <= (a + b) * (1 + 1e-12)
 
 
 def test_product_block_structure(model, grid3):
@@ -176,11 +177,18 @@ def test_big_matrix_layout(model, grid3):
     np.testing.assert_array_equal(M[1:4, 4:], A.block(1, 2))
 
 
-def test_qform_norm_rejects_sectors_outside_truncation(model, grid3):
-    ident = identity_form(model, grid3, 2)
-    for n in (-1, 3):
-        with pytest.raises(ValueError, match="outside 0..2"):
-            qform_norms(model, [(ident, 1), (ident, n)], Indicatrix.zero())
+def test_qform_norms_give_every_sector_bound_of_each_form(model, grid3):
+    # one list per form, of its truncation plus one sector bounds, whatever
+    # else the call holds
+    rng = keyed_rng(0, "zops", "per_form", 0)
+    A, B = random_form(model, grid3, 2, rng), random_form(model, grid3, 3, rng)
+    omega = Indicatrix.log(0.8)
+    both = qform_norms(model, [A, B, A], omega)
+    assert [len(norms) for norms in both] == [3, 4, 3]
+    alone = qform_norms(model, [A], omega) + qform_norms(model, [B], omega)
+    assert [[x.hex() for x in norms] for norms in both] == \
+        [[x.hex() for x in norms] for norms in alone + alone[:1]]
+    assert qform_norms(model, [], omega) == []
 
 
 def test_spectral_norms_equal_numpy_norms_bitwise():
@@ -211,41 +219,23 @@ def test_spectral_norms_stack_large_groups_in_parts(monkeypatch):
     assert sorted(calls) == [1, 1, 2, 2, 4]
 
 
-def test_sector_norms_reject_wrong_sizes(model, grid3):
-    A = creator_form(model, grid3, 2, np.ones(3))
-    C = A.orbit_block(2, 1)
-    w1, w2 = np.ones(3), np.ones(9)
-    [plain] = sector_norms(model, grid3, [(C, 2, 1, w2, w1)])
-    assert plain > 0.0
-    dims = (len(symmetric_isometry(model, grid3, 2).reps), 3)
-    # 27 weights for the 9 two-particle tuples, a block of the wrong
-    # sectors, and weights swapped between the two sides
-    for bad in [(C, 2, 1, np.ones(27), w1), (C, 2, 0, w2, np.ones(1)), (C, 2, 1, w1, w2)]:
-        with pytest.raises(ValueError) as err:
-            sector_norms(model, grid3, [(C, 2, 1, w2, w1), bad])
-        l, k = bad[1], bad[2]
-        assert f"sector block {(l, k)}" in str(err.value)
-        assert f"lengths {3**l} and {3**k}" in str(err.value)
-    with pytest.raises(ValueError, match=rf"shape \({dims[0]}, {dims[1]}\)"):
-        sector_norms(model, grid3, [(C, 2, 1, np.ones(27), w1)])
-
-
 def test_sector_norms_take_batched_blocks(model, grid3):
-    # a stacked block gives one norm per matrix in row-major batch order,
-    # each equal to the bit to the norm of its slice alone
+    # a stacked sector block with its orbit weights gives one norm per
+    # matrix in row-major batch order, each equal to the bit to the norm of
+    # its slice alone
     rng = keyed_rng(0, "zops", "batched_norms", 0)
     omega = Indicatrix.log(0.8)
-    w1, w2 = energy_weights(grid3, omega, 1, -1), energy_weights(grid3, omega, 2, 1)
+    w1, w2 = orbit_weights(model, grid3, omega, 1, -1), orbit_weights(model, grid3, omega, 2, 1)
     fs = _complex(rng, (2, 3, 3))
     C = creator_form(model, grid3, 2, fs).orbit_block(2, 1)
-    got = sector_norms(model, grid3, [(C, 2, 1, w2, w1), (C[1, 0], 2, 1, w2, w1)])
-    slices = [(C[i, j], 2, 1, w2, w1) for i in range(2) for j in range(3)]
-    want = sector_norms(model, grid3, slices + [(C[1, 0], 2, 1, w2, w1)])
+    got = weighted_norms([(C, w2, w1), (C[1, 0], w2, w1)])
+    want = weighted_norms([(C[i, j], w2, w1) for i in range(2) for j in range(3)]
+                          + [(C[1, 0], w2, w1)])
     assert len(got) == 7
     assert [x.hex() for x in got] == [x.hex() for x in want]
-    # a batched block of the wrong size is named like an unbatched one
-    with pytest.raises(ValueError, match=r"sector block \(2, 1\)"):
-        sector_norms(model, grid3, [(C, 2, 1, w2, w1), (C[..., :-1], 2, 1, w2, w1)])
+    # the orbit weights are the tuple weights read at the representatives
+    reps = symmetric_isometry(model, grid3, 2).reps
+    assert (w2 == energy_weights(grid3, omega, 2, 1)[reps]).all()
 
 
 def _lattice_caches():
