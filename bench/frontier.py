@@ -41,7 +41,8 @@ ROOT = Path(__file__).resolve().parents[1]
 LATTICES = {5: [-1.2, -0.5, 0.1, 0.6, 1.3],
             6: [-1.3, -0.8, -0.3, 0.2, 0.7, 1.3],
             8: [-1.7, -1.2, -0.7, -0.2, 0.3, 0.8, 1.2, 1.6],
-            10: [-1.9, -1.5, -1.1, -0.7, -0.3, 0.1, 0.5, 0.9, 1.3, 1.7]}
+            10: [-1.9, -1.5, -1.1, -0.7, -0.3, 0.1, 0.5, 0.9, 1.3, 1.7],
+            12: [-2.3, -1.9, -1.5, -1.1, -0.7, -0.3, 0.1, 0.5, 0.9, 1.3, 1.7, 2.1]}
 CASES = ((5, 4), (6, 4), (5, 5), (6, 5), (8, 4), (6, 6), (8, 5), (10, 4))
 TIMEOUT_S = 600.0   # per case; the parent of the orbit-basis change ran out of it at (5, 5)
 CAP_MB = 3072       # RLIMIT_AS of a case: a runaway case fails in itself, not the machine

@@ -41,13 +41,12 @@ points x:
 
     K g = a b V_a (sum_x L_a[x] Y_x R_b[x]^T) V_b^T,
 
-with R_b[x] = V_b^H (e_x kron V_{b-1}) the creator ladder block at x over
-sqrt(b), L_a[x] = V_a^H (V_{a-1} kron e_x), both slices of the one cached
-orbit split ``zops._orbit_split`` (at (b, 1) and at (a, a - 1)), and
+with R_b[x] = V_b^H (e_x kron V_{b-1}) and L_a[x] = V_a^H (V_{a-1} kron e_x)
+the merge maps ``zops._orbit_merge`` at (b, 1) and at (a, a - 1), and
 Y_x = Y, or Y - diag(d_out[x]) Y diag(d_in[x]) with the reflection
-factor, the sweep products read at the orbit representatives
-(:func:`_insertions`).  No N**(m+n) tensor is formed and
-no contraction is enumerated.  ``suites`` keeps the dense sum over
+factor, the sweep products read at the orbit representatives: one
+``zops._merge_sum`` (:func:`_insertions`).  No N**(m+n) tensor is formed
+and no contraction is enumerated.  ``suites`` keeps the dense sum over
 contractions, at capped degree, as the formula this is checked against.
 """
 
@@ -61,8 +60,8 @@ import numpy as np
 
 from .fock import RapidityGrid, basis_tuples, translation_phases
 from .scattering import ScatteringModel, pair_values
-from .zops import (OrbitKernel, QuadraticForm, _orbit_split, _require_model, orbit_dimension,
-                   peak_abs, peak_weights, symmetric_isometry, zmzn_form)
+from .zops import (OrbitKernel, QuadraticForm, _merge_sum, _orbit_merge, _require_model,
+                   orbit_dimension, peak_abs, peak_weights, symmetric_isometry, zmzn_form)
 
 
 def creator_elements(A: QuadraticForm, m: int, n: int) -> np.ndarray:
@@ -104,22 +103,17 @@ def _insertions(model: ScatteringModel, grid: RapidityGrid, a: int, b: int,
 
     a b sum_x L_a[x] Y_x R_b[x]^T, with Y_x = X, or
     X - diag(d_out[x]) X diag(d_in[x]) with the reflection factor
-    (module docstring).  X may carry leading batch axes; without the
-    reflection factor every batch index runs the matmuls of an unbatched X,
-    with the same shapes, so it equals its unbatched insertions to the bit.
+    (module docstring), the reflection factor 1 - d_out d_in weighing each
+    entry of X.  X may carry leading batch axes; every batch index equals
+    its unbatched insertions to the bit.
     """
-    # L_a, laid out contiguously for the matmuls
-    L = np.ascontiguousarray(_orbit_split(model, grid, a, a - 1).transpose(2, 1, 0))
-    R = _orbit_split(model, grid, b, 1)
-    X = X[..., None, :, :]
+    weight = None
     if reflected:
         dout, din = _sweep_products(model, grid, a - 1, b - 1)
-        X = X - dout[:, :, None] * X * din[:, None, :]
-    # L_a[x] Y_x laid out as (*batch, orbits_a, x, orbits_{b-1}), summed
-    # against R_b over (x, orbits_{b-1}) in one matmul per batch index
-    LX = np.moveaxis(L @ X, -3, -2)
-    LX = LX.reshape(LX.shape[:-2] + (R.shape[0] * R.shape[2],))
-    return (a * b) * (LX @ R.transpose(0, 2, 1).reshape(R.shape[0] * R.shape[2], R.shape[1]))
+        weight = 1 - dout.T[:, None, :] * din.T[None, :, :]
+    right = tuple(v.T for v in _orbit_merge(model, grid, b, 1))
+    shape = (orbit_dimension(model, grid.size, a), orbit_dimension(model, grid.size, b))
+    return (a * b) * _merge_sum(X, _orbit_merge(model, grid, a, a - 1), right, shape, weight)
 
 
 def _ladder_sum(model: ScatteringModel, grid: RapidityGrid, m: int, n: int,
@@ -132,8 +126,8 @@ def _ladder_sum(model: ScatteringModel, grid: RapidityGrid, m: int, n: int,
     when ``reflected`` is set.  The Horner form of the module docstring,
     from the deepest level out: each level adds sign / c times the
     insertions (:func:`_insertions`) of the level below to its own term.
-    Without the reflection factor a stack of terms gives the stack of their
-    sums, each equal to its unbatched sum to the bit.
+    A stack of terms gives the stack of their sums, each equal to its
+    unbatched sum to the bit.
     """
     # a copy, so that a sum without contractions never aliases term(0)
     total = np.array(term(min(m, n)), dtype=complex)

@@ -45,7 +45,7 @@ from .warped import (GROUPING_RTOL, GroupingWarning, SkewSymmetricQ, _orbit_mome
                      momentum_sector_decompose,
                      nested_free_family, nested_graded_family, nested_q_family,
                      q_commutator, warp, warp_spectral)
-from .zops import (KernelTensor, OrbitKernel, QuadraticForm, _gather, _orbit_split,
+from .zops import (KernelTensor, OrbitKernel, QuadraticForm, _gather, _orbit_merge,
                    annihilator_form, annihilate, compress_kernel, create, creator_form,
                    cross_norms, dense_kernel, form_residual, identity_form, kernel_adjoint,
                    orbit_dimension, orbit_weights, peak_abs, peak_weights, point_ladder,
@@ -318,9 +318,9 @@ def check_orbit_basis(model: ScatteringModel, grid: RapidityGrid, truncation: in
     The map is expanded to a dense V per sector, the gather of the identity.
     Each sector must satisfy act_d(sigma) V = V for every permutation sigma,
     V^H V = I and conj(V)[rev] = V diag(W) (``OrbitBasis.W``), and every
-    orbit split with l <= 3 must equal V_l^H (V_m kron V_{l-m}).  The
-    entries are at most 1 in modulus, so the residual is the largest
-    absolute deviation.
+    merge map with l <= 3 (``zops._orbit_merge``), expanded to its dense
+    split, must equal V_l^H (V_m kron V_{l-m}).  The entries are at most 1
+    in modulus, so the residual is the largest absolute deviation.
     """
     N = grid.size
     V = [_gather(model, grid, n, np.eye(orbit_dimension(model, N, n), dtype=complex))
@@ -339,7 +339,10 @@ def check_orbit_basis(model: ScatteringModel, grid: RapidityGrid, truncation: in
         for m in range(l + 1):
             want = (Vl.conj().T @ np.kron(V[m], V[l - m])).reshape(
                 Vl.shape[1], V[m].shape[1], V[l - m].shape[1]).transpose(1, 0, 2)
-            res = max(res, _maxabs(_orbit_split(model, grid, l, m) - want))
+            merge, value = _orbit_merge(model, grid, l, m)
+            b, c = np.nonzero(merge >= 0)
+            want[b, merge[b, c], c] -= value[b, c]
+            res = max(res, _maxabs(want))
     return res
 
 
@@ -347,14 +350,14 @@ def _exchange_words(cre: QuadraticForm, ann: QuadraticForm, K: int):
     """The three exchange relations at each first point i, batched over the second point j.
 
     ``cre`` and ``ann`` are point ladders, with the lattice point as batch
-    axis.  Yields (i, X, Y, window, delta) with X Y = cre_i cre_j,
+    axis.  Yields (i, X, Y, YX, window, eye) with X Y = cre_i cre_j,
     ann_i ann_j and ann_j cre_i in turn, each stacked over j.  ``window``
     maps the blocks where both X Y and Y X stay in the truncated space to
-    their ``peak_weights``, and ``delta`` is the stack of what the relation
-    adds: the identity at j = i for the mixed relation, nothing otherwise.
+    their ``peak_weights``, and the relation adds the identity at j = i to
+    the blocks ``eye``: the window for the mixed relation, whose Y X skips
+    the (K - 1, K) annihilator block, as it reaches only the (K, K) block.
     """
     model, grid = cre.model, cre.grid
-    N = grid.size
 
     def window(keys):
         return {key: peak_weights(model, grid, key) for key in keys}
@@ -362,13 +365,23 @@ def _exchange_words(cre: QuadraticForm, ann: QuadraticForm, K: int):
     cc = window([(k + 2, k) for k in range(K - 1)])
     aa = window([(k, k + 2) for k in range(K - 1)])
     mm = window([(k, k) for k in range(K)])
-    zero = QuadraticForm(model, grid, K)
-    ident = identity_form(model, grid, K)
-    for i in range(N):
-        cre_i = cre.batch(i)
-        yield i, cre_i, cre, cc, zero
-        yield i, ann.batch(i), ann, aa, zero
-        yield i, ann, cre_i, mm, ident * (np.arange(N) == i)[:, None, None]
+    inner = ann._like({key: C for key, C in ann.orbit_blocks.items() if key != (K - 1, K)})
+    for i in range(grid.size):
+        cre_i, ann_i = cre.batch(i), ann.batch(i)
+        yield i, cre_i, cre, cre @ cre_i, cc, ()
+        yield i, ann_i, ann, ann @ ann_i, aa, ()
+        yield i, ann, cre_i, cre_i @ inner, mm, mm
+
+
+def _add_identity(A: QuadraticForm, i: int, keys) -> QuadraticForm:
+    """Add the identity to slice i of blocks ``keys`` of A, stacked over the points, in place."""
+    N = A.grid.size
+    for key in keys:
+        d = orbit_dimension(A.model, N, key[0])
+        if key not in A.orbit_blocks:
+            A.orbit_blocks[key] = np.zeros((N, d, d), dtype=complex)
+        A.orbit_blocks[key][i] += np.eye(d)
+    return A
 
 
 def check_exchange_relations(model: ScatteringModel, grid: RapidityGrid,
@@ -381,8 +394,8 @@ def check_exchange_relations(model: ScatteringModel, grid: RapidityGrid,
     S = pair_values(model, grid.points)
     cre, ann = point_ladder(model, grid, truncation)
     err, mag = 0.0, 0.0
-    for i, X, Y, window, delta in _exchange_words(cre, ann, truncation):
-        e, m = _keys_residual(X @ Y, (Y @ X) * S[i][:, None, None] + delta, window)
+    for i, X, Y, YX, window, eye in _exchange_words(cre, ann, truncation):
+        e, m = _keys_residual(X @ Y, _add_identity(YX * S[i][:, None, None], i, eye), window)
         err, mag = max(err, e), max(mag, m)
     return _rel(err, mag)
 
@@ -1254,9 +1267,10 @@ def check_deformed_exchange(grid: RapidityGrid, truncation: int, seed: int,
         S = pair_values(Q.scattering_model(), grid.points)
         cre, ann = deformed_point_ladder(grid, K, Q)
         err, mag, q_err, q_mag = 0.0, 0.0, 0.0, _TINY
-        for i, X, Y, window, delta in _exchange_words(cre, ann, K):
+        for i, X, Y, YX, window, eye in _exchange_words(cre, ann, K):
             XY = X @ Y
-            e, m = _keys_residual(XY, (Y @ X) * S[i][:, None, None] + delta, window)
+            delta = _add_identity(QuadraticForm(cre.model, grid, K), i, eye)
+            e, m = _keys_residual(XY, YX * S[i][:, None, None] + delta, window)
             err, mag = max(err, e), max(mag, m)
             e, _ = _keys_residual(q_commutator(X, Y, Q), delta, window)
             _, m = _keys_residual(XY, delta, window)
@@ -1592,7 +1606,7 @@ def run_suites(cfg: RunConfig) -> Report:
                 # free what the failed check left in the lattice-keyed caches; a
                 # wrapped binding, such as a profiler's, is unwrapped to its cache
                 for fn in (energy_grid, sector_momentum, _pair_values_cached, _phase_block,
-                           symmetric_isometry, _orbit_split):
+                           symmetric_isometry, _orbit_merge):
                     inspect.unwrap(fn, stop=lambda f: hasattr(f, "cache_clear")).cache_clear()
             except Exception as exc:
                 residual, status, note = float("inf"), "fail", _exc_note(exc)

@@ -18,12 +18,11 @@ V_l C V_k^H over all N**l x N**k tuples is a view computed on access,
 read only here and by the file codec.  Blocks may carry leading batch
 axes, over which every form operation broadcasts: the point ladder
 (:func:`point_ladder`) is one form whose batch axis is the lattice
-point.  One cached factor, V_l^H (V_m kron V_{l-m}) (:func:`_orbit_split`),
-stands behind every ladder and monomial: at m = 1 it is the stack of
-creator blocks, which the point ladder scales and :func:`creator_form`
-and :func:`annihilator_form` smear with f, and :func:`zmzn_form` reads
-each block from two splits; the split is filled in one pass over the
-l-tuples.  Tuple reversal is a phase per column of V
+point.  Each split V_l^H (V_m kron V_{l-m}) is a cached merge map
+(:func:`_orbit_merge`): :func:`creator_form` writes f times the map at
+(b, 1), the point ladder and :func:`annihilator_form` are built from it,
+and :func:`zmzn_form` and the expansion sum over two maps in one scatter
+primitive, :func:`_merge_sum`.  Tuple reversal is a phase per column of V
 (``OrbitBasis.W``), computed with V.  A kernel S-symmetric in each
 slot group, as an expansion coefficient is, is stored on orbit pairs too
 (:class:`OrbitKernel`), and :func:`zmzn_form` takes one.
@@ -223,32 +222,49 @@ def _orbit_sum(model: ScatteringModel, grid: RapidityGrid, n: int, Y: np.ndarray
 
 # holds every 0 <= m <= l <= K of the few models and lattices a run reads
 @lru_cache(maxsize=128)
-def _orbit_split(model: ScatteringModel, grid: RapidityGrid, l: int, m: int) -> np.ndarray:
-    """V_l^H (V_m kron V_{l-m}), of shape (orbits_m, orbits_l, orbits_{l-m}); cached, read-only.
+def _orbit_merge(model: ScatteringModel, grid: RapidityGrid, l: int,
+                 m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The split V_l^H (V_m kron V_{l-m}) as a merge map (merge, value); cached, read-only.
 
-    Entry [b, a, c] pairs orbit a of the l-tuples with orbit b of their
-    leading m slots and orbit c of the trailing ones.  V_1 = I, so the split
-    at (b, 1) is R_b[x] = V_b^H (e_x kron V_{b-1}) over the points x, the
-    creator ladder block at x over sqrt(b), and the one at (a, a - 1) with
-    its axes moved to (x, a, b) is L_a[x] = V_a^H (V_{a-1} kron e_x).
-    Each row of the three V has one nonzero, so the split is filled in one
-    pass over the l-tuples with an orbit: tuple t adds
-    conj(V_l[t]) V_m[u] V_{l-m}[w] at its three orbits, t being the leading
-    slots u followed by the trailing slots w.  A tuple with an orbit has
-    distinct points when S(0) = -1, so u and w have orbits too.
+    Both have shape (orbits_m, orbits_{l-m}).  The tuples of orbit b of the
+    leading m slots followed by those of orbit c of the trailing ones all
+    lie in the l-orbit merge[b, c] of t = reps_m[b] N**(l-m) + reps_{l-m}[c],
+    or in none (-1) when S(0) = -1 and b and c share a point, and each adds
+    the term of t: the split at (b, a, c) is value[b, c] =
+    conj(val_l[t]) / (peaks_m[b] peaks_{l-m}[c]) if a = merge[b, c], else 0.
     """
     Bl, Bm, Br = (symmetric_isometry(model, grid, j) for j in (l, m, l - m))
-    shape = (len(Bm.starts), len(Bl.starts), len(Br.starts))
-    t = Bl.by_orbit
-    u, w = np.divmod(t, grid.size ** (l - m))
-    index = (Bm.col[u] * shape[1] + Bl.col[t]) * shape[2] + Br.col[w]
-    terms = Bl.val[t].conj() * Bm.val[u] * Br.val[w]
-    split = np.empty(math.prod(shape), dtype=complex)
-    split.real = np.bincount(index, terms.real, minlength=split.size)
-    split.imag = np.bincount(index, terms.imag, minlength=split.size)
-    split = split.reshape(shape)
-    split.flags.writeable = False
-    return split
+    t = Bm.reps[:, None] * grid.size ** (l - m) + Br.reps[None, :]
+    merge = Bl.col[t]
+    value = Bl.val[t].conj() / (Bm.peaks[:, None] * Br.peaks[None, :])
+    merge.flags.writeable = value.flags.writeable = False
+    return merge, value
+
+
+def _merge_sum(Y: np.ndarray, rows: tuple, cols: tuple, shape: tuple[int, int],
+               weight: np.ndarray | None = None) -> np.ndarray:
+    """sum_s A_s (Y * weight[..., s]) B_s^T of shape (*batch, *shape), Y of shape (*batch, p, q).
+
+    A_s has one nonzero per column: ``rows`` = (index, value) of shape (p, S)
+    puts value[j, s] in row index[j, s] of column j, none where the index is
+    -1, and ``cols``, of shape (q, S), gives B_s.  The terms are added by one
+    ``np.bincount`` per batch index and part, those without a row or column
+    into an extra one that is cut off; so each batch index equals its
+    unbatched sum to the bit.
+    """
+    (ri, rv), (ci, cv) = rows, cols
+    P, Q = shape
+    index = (np.where(ri < 0, P, ri)[:, None, :] * (Q + 1)
+             + np.where(ci < 0, Q, ci)[None, :, :]).ravel()
+    coef = rv[:, None, :] * cv[None, :, :]
+    if weight is not None:
+        coef = coef * weight
+    out = np.empty((math.prod(Y.shape[:-2]), (P + 1) * (Q + 1)), dtype=complex)
+    for y, o in zip(Y.reshape((len(out),) + Y.shape[-2:]), out):
+        terms = (coef * y[:, :, None]).ravel()
+        o.real = np.bincount(index, terms.real, minlength=len(o))
+        o.imag = np.bincount(index, terms.imag, minlength=len(o))
+    return out.reshape(Y.shape[:-2] + (P + 1, Q + 1))[..., :P, :Q]
 
 
 def dense_kernel(model: ScatteringModel, grid: RapidityGrid, kernel: OrbitKernel) -> KernelTensor:
@@ -536,58 +552,46 @@ def annihilate(f: np.ndarray, state: FockState) -> FockState:
     return out
 
 
-def _smear(f: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """sum_x f[..., x] R[x] for f of shape (*batch, N) and a stack R of shape (N, p, q).
-
-    One matmul of f, as (*batch, 1, N), against R as an (N, p q) matrix.
-    Every batch index is a matmul of the shapes of an unbatched f, so a
-    batched smear equals its slices to the bit.
-    """
-    N, p, q = R.shape
-    return (f[..., None, :] @ R.reshape(N, p * q)).reshape(f.shape[:-1] + (p, q))
-
-
 def creator_form(model: ScatteringModel, grid: RapidityGrid, truncation: int,
                  f: np.ndarray) -> QuadraticForm:
     """Matrix form of the creation operator on the symmetric subspace.
 
-    The point ladder smeared with f: block (b, b - 1) is
-    sqrt(b) sum_x f[x] R_b[x] (:func:`_orbit_split`).  f may carry leading
-    batch axes, shape (*batch, N); the form is then the stack of the
-    creators of each f, each equal to the bit to its unbatched form.
+    Block (b, b - 1) is sqrt(b) sum_x f[x] V_b^H (e_x kron V_{b-1}): f[x]
+    times the merge map at (b, 1) (:func:`_orbit_merge`), written in place,
+    as distinct points merge with one orbit into distinct orbits.  f may
+    carry leading batch axes, shape (*batch, N); the form is then the stack
+    of the creators of each f, each equal to the bit to its unbatched form.
     """
     f = np.asarray(f, dtype=complex)
-    blocks = {(b, b - 1): math.sqrt(b) * _smear(f, _orbit_split(model, grid, b, 1))
-              for b in range(1, truncation + 1)}
+    if f.shape[-1:] != (grid.size,):
+        raise ValueError("smearing function must live on the lattice")
+    blocks = {}
+    for b in range(1, truncation + 1):
+        merge, value = _orbit_merge(model, grid, b, 1)
+        x, c = np.nonzero(merge >= 0)
+        blocks[(b, b - 1)] = np.zeros(f.shape[:-1] + (orbit_dimension(model, grid.size, b),
+                                                      merge.shape[1]), dtype=complex)
+        blocks[(b, b - 1)][..., merge[x, c], c] = math.sqrt(b) * (f[..., x] * value[x, c])
     return QuadraticForm(model, grid, truncation, blocks)
 
 
 def annihilator_form(model: ScatteringModel, grid: RapidityGrid, truncation: int,
                      f: np.ndarray) -> QuadraticForm:
-    """Matrix form of the annihilation operator on the symmetric subspace.
+    """Matrix form of the annihilation operator: the adjoint of the creator of conj(f).
 
-    Block (b - 1, b) is sqrt(b) sum_x f[x] R_b[x]^H, taken as the conjugate
-    transpose of the smear of conj(f) (:func:`_orbit_split`).  f may carry
-    leading batch axes, as in :func:`creator_form`.
+    f may carry leading batch axes, as in :func:`creator_form`.
     """
-    f = np.asarray(f, dtype=complex)
-    blocks = {(b - 1, b): math.sqrt(b)
-              * _smear(f.conj(), _orbit_split(model, grid, b, 1)).conj().swapaxes(-1, -2)
-              for b in range(1, truncation + 1)}
-    return QuadraticForm(model, grid, truncation, blocks)
+    return creator_form(model, grid, truncation, np.conj(f)).adjoint()
 
 
 def point_ladder(model: ScatteringModel, grid: RapidityGrid,
                  truncation: int) -> tuple[QuadraticForm, QuadraticForm]:
     """The creators at every lattice point as one form, and their adjoint, the annihilators.
 
-    The lattice point is the batch axis: block (b, b - 1) of the creators
-    is sqrt(b) R_b of :func:`_orbit_split`, of shape
-    (N, orbits_b, orbits_{b-1}), and ``.batch(x)`` is the creator at x.
+    The creator form of the unit vectors: the lattice point is the batch
+    axis, and ``.batch(x)`` is the creator at x.
     """
-    creators = QuadraticForm(model, grid, truncation,
-                             {(b, b - 1): math.sqrt(b) * _orbit_split(model, grid, b, 1)
-                              for b in range(1, truncation + 1)})
+    creators = creator_form(model, grid, truncation, np.eye(grid.size))
     return creators, creators.adjoint()
 
 
@@ -605,15 +609,13 @@ def zmzn_form(model: ScatteringModel, kernel: OrbitKernel, grid: RapidityGrid,
     V_n[rev] = conj(V_n) diag(conj W) (:class:`OrbitBasis`) the part of g
     that V_l^H and V_k see is V_m F diag(conj W) V_n^H, and V_l^H, V_k
     absorb the symmetrizer of the trailing slots, so the block is
-    c P(l, m) (F diag(conj W) kron 1) P(k, n)^H with the orbit splits P
-    (:func:`_orbit_split`): a sum over orbits_r, not over N**r, that reads
-    no V.
+    c sum_e A_e F diag(conj W) B_e^H over the orbits e of the trailing
+    slots, with the merge maps A and B at (l, m) and (k, n): one
+    :func:`_merge_sum` over orbits_r, not over N**r, that reads no V.
 
-    The kernel values may carry leading batch axes, shape
-    (*batch, orbits_m, orbits_n): the monomial is then the stack of the
-    monomials of each kernel, which share the splits.  Every batch index
-    runs the multiplies and matmuls of an unbatched kernel, with the same
-    shapes, so each equals its unbatched monomial to the bit.
+    The kernel values may carry leading batch axes, shape (*batch,
+    orbits_m, orbits_n), for the stack of the monomials of each kernel,
+    each equal to its unbatched monomial to the bit.
     """
     m, n = kernel.m, kernel.n
     K = truncation
@@ -624,12 +626,7 @@ def zmzn_form(model: ScatteringModel, kernel: OrbitKernel, grid: RapidityGrid,
     if F.shape[-2:] != orbits:
         raise ValueError(f"orbit kernel of shape {F.shape} does not match the "
                          f"orbits {orbits} of its slot counts")
-    # kernel by kernel: a complex multiply by a broadcast factor is not
-    # shape-stable, so one multiply over the stack may differ in the last
-    # bit, and the (orbits_l, orbits_r, orbits_n) product with the left
-    # split stays the size of an unbatched one
     Wc = symmetric_isometry(model, grid, n).W.conj()
-    cores = [v * Wc for v in F.reshape((math.prod(F.shape[:-2]),) + orbits)]
     blocks = {}
     dropped = False
     for k in range(n, K + 1):
@@ -638,15 +635,10 @@ def zmzn_form(model: ScatteringModel, kernel: OrbitKernel, grid: RapidityGrid,
             dropped = True
             continue
         c = math.sqrt(math.factorial(k) * math.factorial(l)) / math.factorial(k - n)
-        Pl, Pk = _orbit_split(model, grid, l, m), _orbit_split(model, grid, k, n)
-        ol, r, ok = Pl.shape[1], Pl.shape[2], Pk.shape[1]
-        # P(l, m) as (orbits_l orbits_r, orbits_m) and conj P(k, n) as
-        # (orbits_r orbits_n, orbits_k): contract left @ core with the
-        # right split over (orbits_r, orbits_n)
-        left = Pl.transpose(1, 2, 0).reshape(ol * r, orbits[0])
-        right = Pk.conj().transpose(2, 0, 1).reshape(r * orbits[1], ok)
-        stack = np.stack([(left @ core).reshape(ol, r * orbits[1]) @ right for core in cores])
-        blocks[(l, k)] = c * stack.reshape(F.shape[:-2] + stack.shape[1:])
+        index, value = _orbit_merge(model, grid, k, n)
+        shape = (orbit_dimension(model, grid.size, l), orbit_dimension(model, grid.size, k))
+        blocks[(l, k)] = c * _merge_sum(F, _orbit_merge(model, grid, l, m),
+                                        (index, value.conj() * Wc[:, None]), shape)
     return QuadraticForm(model, grid, K, blocks, truncated=dropped)
 
 

@@ -4,14 +4,17 @@ The package represents the symmetric subspace only through the orbit
 isometry ``zops.symmetric_isometry``.  These are the dense oracles it is
 checked against: the N**n x N**n symmetrization projector, summed over all
 permutations as its definition reads, its action on a block of slots, and
-the multi-creator vector matrices built from it.  The contraction terms
-have one implementation in the package, ``contractions.add_on_support``,
-which touches only the delta support; its oracles here are the dense
-lattice-wide delta mask, exchange factor and reflection factor
-(``delta_mask``, ``s_factor_grid``, ``r_factor_grid``), their pointwise
-versions, and the dense broadcast of a reduced tensor.  The vectors,
-deformed creator vectors and deformed monomials built operator by
-operator are the references of the extracted coefficients, and
+the multi-creator vector matrices built from it.  ``dense_split`` is the
+orbit split V_l^H (V_m kron V_{l-m}) of the dense V of the n! loop, which
+the merge maps of the package, expanded by ``merge_split``, must equal.
+The contraction terms have one implementation in the package,
+``contractions.add_on_support``, which touches only the delta support;
+its oracles here are the dense lattice-wide delta mask, exchange factor
+and reflection factor (``delta_mask``, ``s_factor_grid``,
+``r_factor_grid``), their pointwise versions, and the dense broadcast of
+a reduced tensor.  The vectors, deformed creator vectors and deformed
+monomials built operator by operator are the references of the extracted
+coefficients, and
 ``twist_phases`` is the deformation phase phi_Q on every tuple, the
 diagonal of D_Q.
 ``tabulated`` draws a table model of random unitary values on a
@@ -117,6 +120,24 @@ def isometry_matrix(model, grid, n: int) -> np.ndarray:
     rows = np.flatnonzero(basis.col >= 0)
     V[rows, basis.col[rows]] = basis.val[rows]
     return V
+
+
+def dense_split(model, grid, l: int, m: int) -> np.ndarray:
+    """V_l^H (V_m kron V_{l-m}) with the n! loop's V, shape (orbits_m, orbits_l, orbits_{l-m}).
+
+    The reference of the merge map ``zops._orbit_merge``.
+    """
+    Vl, Vm, Vr = (dense_isometry(model, grid, j)[0] for j in (l, m, l - m))
+    return (Vl.conj().T @ np.kron(Vm, Vr)).reshape(
+        Vl.shape[1], Vm.shape[1], Vr.shape[1]).transpose(1, 0, 2)
+
+
+def merge_split(merge: np.ndarray, value: np.ndarray, orbits: int) -> np.ndarray:
+    """The dense split of a merge map: value[b, c] at (b, merge[b, c], c) for the l-orbits."""
+    split = np.zeros((merge.shape[0], orbits, merge.shape[1]), dtype=complex)
+    b, c = np.nonzero(merge >= 0)
+    split[b, merge[b, c], c] = value[b, c]
+    return split
 
 
 def left_vector_matrix(model, grid, j: int) -> np.ndarray:

@@ -19,10 +19,11 @@ reads it.  ``expansion`` builds no dense tensor at all: no shape
 The orbit basis V itself is stored as a map from tuples to orbits
 (``zops.OrbitBasis``), and its map, the fields ``col``, ``val``,
 ``by_orbit`` and ``starts``, is read only by the functions of
-``V_READERS``: the gather V C, the orbit sum V^H Y and the cached orbit
-split ``_orbit_split``.  The dense views above, their inverses, the
+``V_READERS``: the gather V C, the orbit sum V^H Y and the cached merge
+map ``_orbit_merge``, which reads each split V_l^H (V_m kron V_{l-m}) at
+the orbit representatives.  The dense views above, their inverses, the
 projector ``symmetrize`` and ``apply`` go through the first two, and the
-ladders, the monomials and the expansion through the split.  A call of
+ladders, the monomials and the expansion through the merge maps.  A call of
 ``symmetric_isometry`` that is not taken at once by ``.reps``, ``.peaks``
 or ``.W`` counts as a read of the map.
 """
@@ -39,7 +40,7 @@ KERNEL_VIEWS = {FAMILY_VIEW, "compress_kernel"}
 FAMILY_VIEW_READERS = {"suites.py": {"_dense_coefficients", "check_contraction_formula",
                                      "_family_residual"}}
 # the functions, over all modules, that may read the tuple-to-orbit map of V
-V_READERS = {"_gather", "_orbit_sum", "_orbit_split"}
+V_READERS = {"_gather", "_orbit_sum", "_orbit_merge"}
 # the fields of the orbit basis that are not the map
 NOT_THE_MAP = {"reps", "peaks", "W"}
 

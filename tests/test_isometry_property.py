@@ -11,11 +11,12 @@ symmetrizers for any other form, which is stored through
 views of the form constructors, which build the compressed blocks
 directly, must equal their dense P X P references; ``random_form`` must
 draw its compressed blocks in row-major order with one entry per orbit
-pair.  The orbit split ``zops._orbit_split`` behind the ladders and the
-monomials must equal its dense product V_l^H kron(V_m, V_{l-m}), with the
-V of the n! loop ``reference.dense_isometry``, for every
-0 <= m <= l <= K, sectors without orbits included, and its two ladder
-slices must be tied by the reversal phases W.  ``zops.symmetrize`` on any
+pair.  The merge map ``zops._orbit_merge`` behind the ladders, the
+monomials and the expansion, expanded to its dense split, must equal
+V_l^H kron(V_m, V_{l-m}) with the V of the n! loop
+(``reference.dense_split``) for every 0 <= m <= l <= K, sectors without
+orbits included, and its two ladder slices must be tied by the reversal
+phases W.  ``zops.symmetrize`` on any
 contiguous block of slots of a tensor with up to 4 slots must equal the
 dense P applied to that block.  Models are free, ising, sinh_exp and a
 table of random unitary values on the lattice differences with S(0) = +1
@@ -32,11 +33,12 @@ from hypothesis import strategies as st
 
 from zfock.fock import Indicatrix, RapidityGrid, basis_tuples, energy_grid
 from zfock.sampling import keyed_rng, random_form, random_kernel
-from zfock.zops import (QuadraticForm, _orbit_split, annihilator_form, compress_kernel,
+from zfock.zops import (QuadraticForm, _orbit_merge, annihilator_form, compress_kernel,
                         creator_form, identity_form, orbit_weights, qform_norms,
                         symmetric_isometry, symmetrize, weighted_norms, zmzn_form)
 
-from reference import dense_isometry, isometry_matrix, symmetrize_block, symmetrizer_matrix
+from reference import (dense_split, isometry_matrix, merge_split, symmetrize_block,
+                       symmetrizer_matrix)
 from test_support_property import MODELS, lattices
 
 K = 3
@@ -193,21 +195,22 @@ def test_forms_equal_dense_sandwiches(family, a, grid, seed, degrees):
             want = draws.standard_normal(shape) + 1j * draws.standard_normal(shape)
             np.testing.assert_array_equal(got.orbit_blocks[(l, k)], want)
     assert_blocks_match(got, sandwiched(model, grid, got.blocks))
-    # the orbit split is the dense V_l^H kron(V_m, V_{l-m}); its entries are
-    # at most 1 in modulus.  Its ladder slices L_a and R_a are tied by W.
+    # the merge map expands to the dense V_l^H kron(V_m, V_{l-m}); its
+    # entries are at most 1 in modulus.  Its ladder slices L_a and R_a are
+    # tied by W.
+    def split(l, m):
+        return merge_split(*_orbit_merge(model, grid, l, m), dims[l])
+
     for l in range(K + 1):
-        Vl = dense_isometry(model, grid, l)[0]
         for m in range(l + 1):
-            Vm, Vr = (dense_isometry(model, grid, j)[0] for j in (m, l - m))
-            want = (Vl.conj().T @ np.kron(Vm, Vr)).reshape(
-                Vl.shape[1], Vm.shape[1], Vr.shape[1]).transpose(1, 0, 2)
-            got = _orbit_split(model, grid, l, m)
+            want = dense_split(model, grid, l, m)
+            got = split(l, m)
             assert got.shape == want.shape
             np.testing.assert_allclose(got, want, rtol=0, atol=REL)
         if l:
-            L = _orbit_split(model, grid, l, l - 1).transpose(2, 1, 0)
+            L = split(l, l - 1).transpose(2, 1, 0)
             W = [symmetric_isometry(model, grid, j).W for j in (l, l - 1)]
-            tied = W[0][:, None] * _orbit_split(model, grid, l, 1).conj() * W[1].conj()
+            tied = W[0][:, None] * split(l, 1).conj() * W[1].conj()
             np.testing.assert_allclose(L, tied, rtol=0, atol=REL)
 
 

@@ -12,17 +12,19 @@ equal both dense forms of the step on g = V_{a-1} Y V_{b-1}^T:
 Both plain and with the reflection factor, for (a, b) up to (3, 3), at rel
 1e-12 of the larger of the dense step and a b g.  Models are the shared
 ``MODELS`` table (free, ising, sinh_exp and tables with S(0) = +1 or -1);
-lattices are random or symmetric with 2-4 points, 2-3 points at (3, 3);
-the examples are derandomized.
+lattices are random or symmetric with 2-4 points, 2-3 points at (3, 3),
+and an explicit 2-point example draws the sectors without orbits; the
+examples are derandomized.
 """
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from zfock.contractions import Contraction, add_on_support, enumerate_contractions
 from zfock.expansion import _insertions
+from zfock.fock import RapidityGrid
 from zfock.sampling import keyed_rng
 from zfock.zops import OrbitKernel, dense_kernel, orbit_dimension, symmetrize
 
@@ -59,6 +61,8 @@ def assert_step_equals_insertions(model, grid, a, b, rng):
 @settings(max_examples=8, derandomize=True, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(a=st.floats(0.1, 1.5), grid=lattices(), seed=st.integers(0, 2**16))
+# two points: with S(0) = -1 the sectors n > 2 have no orbits
+@example(a=0.5, grid=RapidityGrid((-0.4, 0.3), 1.0), seed=1)
 def test_ladder_step_equals_single_pair_insertions(family, a, grid, seed):
     model = MODELS[family](a, grid, keyed_rng(seed, "property", "ladder", "table"))
     rng = keyed_rng(seed, "property", "ladder")

@@ -5,8 +5,11 @@ tuple, the entry being the exchange factor of one sorting permutation over
 the square root of the orbit size.  ``reference.dense_isometry`` builds V
 as the definition reads, summing s_sigma over every permutation that sorts
 a tuple and normalizing each column.  The map's V, representatives, peaks
-and reversal phases W, and every orbit split ``zops._orbit_split`` with
-l <= 4, must equal the oracle's at 1e-15 absolute.
+and reversal phases W must equal the oracle's at 1e-15 absolute, and every
+merge map ``zops._orbit_merge`` with l <= 4, expanded to its dense split,
+must equal the split of the oracle's V (``reference.dense_split``) at
+1e-15 of the split's largest entry.  With S(0) = -1 the maps have -1
+entries, sub-orbits that share a point, wherever both sub-orbits exist.
 Models are those of ``test_support_property``: free, ising, sinh_exp and
 a table of random unitary values with S(0) = +1 or -1.  Lattices have 2-4
 points, so with S(0) = -1 the sectors with more slots than points have no
@@ -21,9 +24,9 @@ from hypothesis import strategies as st
 
 from zfock.fock import RapidityGrid
 from zfock.sampling import keyed_rng
-from zfock.zops import _orbit_split, symmetric_isometry
+from zfock.zops import _orbit_merge, symmetric_isometry
 
-from reference import dense_isometry, isometry_matrix
+from reference import dense_isometry, dense_split, isometry_matrix, merge_split
 from test_support_property import MODELS, lattices
 
 L = 4
@@ -39,9 +42,8 @@ ATOL = 1e-15
 def test_orbit_map_equals_dense_isometry(family, a, grid, seed):
     rng = keyed_rng(seed, "property", "orbit_map")
     model = MODELS[family](a, grid, rng)
-    dense = {}
     for n in range(L + 1):
-        V, reps, peaks, W = dense[n] = dense_isometry(model, grid, n)
+        V, reps, peaks, W = dense_isometry(model, grid, n)
         basis = symmetric_isometry(model, grid, n)
         np.testing.assert_array_equal(basis.reps, reps)
         got = isometry_matrix(model, grid, n)
@@ -50,11 +52,12 @@ def test_orbit_map_equals_dense_isometry(family, a, grid, seed):
         np.testing.assert_allclose(basis.peaks, peaks, rtol=0, atol=ATOL)
         np.testing.assert_allclose(basis.W, W, rtol=0, atol=ATOL)
     for l in range(L + 1):
-        Vl = dense[l][0]
         for m in range(l + 1):
-            Vm, Vr = dense[m][0], dense[l - m][0]
-            want = (Vl.conj().T @ np.kron(Vm, Vr)).reshape(
-                Vl.shape[1], Vm.shape[1], Vr.shape[1]).transpose(1, 0, 2)
-            got = _orbit_split(model, grid, l, m)
-            assert got.shape == want.shape
-            np.testing.assert_allclose(got, want, rtol=0, atol=ATOL)
+            want = dense_split(model, grid, l, m)
+            merge, value = _orbit_merge(model, grid, l, m)
+            assert merge.shape == value.shape == (want.shape[0], want.shape[2])
+            got = merge_split(merge, value, want.shape[1])
+            np.testing.assert_allclose(got, want, rtol=0,
+                                       atol=ATOL * np.abs(want).max(initial=0.0))
+            shared = model.sign_at_zero < 0 and 0 < m < l and merge.size > 0
+            assert (merge < 0).any() == shared

@@ -265,7 +265,7 @@ def test_lattice_caches_stay_bounded():
     # rather than keep every lattice a process has seen, and the loop
     # below fills every one of them
     caches = _lattice_caches()
-    assert {"zops.symmetric_isometry", "zops._orbit_split", "warped._phase_block"} <= set(caches)
+    assert {"zops.symmetric_isometry", "zops._orbit_merge", "warped._phase_block"} <= set(caches)
     unbounded = [name for name, c in caches.items() if c.cache_info().maxsize is None]
     assert not unbounded, unbounded
     for i in range(2 * max(c.cache_info().maxsize for c in caches.values())):
@@ -310,7 +310,7 @@ def test_memory_error_empties_the_lattice_caches(monkeypatch, grid3):
     status = {r.check: (r.status, r.note) for r in suites.run_suites(cfg).records}
     assert status[failing][0] == "fail" and "out of memory" in status[failing][1]
     assert status[following][0] == "pass"
-    assert filled["zops.symmetric_isometry"] and filled["zops._orbit_split"], filled
+    assert filled["zops.symmetric_isometry"] and filled["zops._orbit_merge"], filled
     assert not any(seen.values()), seen
 
 
