@@ -7,6 +7,11 @@ only.  Per case it records the wall time, the child's own peak RSS (from
 wait4), the pass count, the largest residual/tolerance ratio, the sha256 of
 the CSV report and an exit status: "ok", "fail" (a check failed),
 "error", "timeout" or "memory" (killed, or out of memory under the cap).
+The child runs with ``--progress`` when its source has that option, and
+the row keeps the last check line it printed (``last_check``) and its
+three slowest checks (``slowest``), each with its status, seconds and the
+peak RSS so far.  A rung that times out or is killed so names the last
+check that finished; the one running is the next in suite order.
 
     python3 bench/frontier.py --label change --out BENCH_6.json
     python3 bench/frontier.py --label parent --src path/to/parent/src --out BENCH_6.json
@@ -82,6 +87,17 @@ def summarize(report: str) -> dict:
             "csv_sha256": hashlib.sha256(report.encode()).hexdigest()}
 
 
+def progress_lines(stderr: str) -> list[dict]:
+    """The per-check lines of ``zfock verify --progress``, in order."""
+    out = []
+    for line in stderr.splitlines():
+        parts = line.split()
+        if len(parts) == 8 and parts[0] == "progress":
+            out.append({"suite": parts[1], "check": parts[2], "status": parts[3],
+                        "seconds": float(parts[4]), "peak_rss_mb": float(parts[6])})
+    return out
+
+
 def run_case(src: Path, N: int, K: int, work: Path) -> dict:
     config = work / f"config_{N}_{K}.json"
     config.write_text(json.dumps(case_config(N, K)))
@@ -92,12 +108,16 @@ def run_case(src: Path, N: int, K: int, work: Path) -> dict:
     def limit():  # runs in the child only
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
+    command = [sys.executable, "-m", "zfock.cli", "verify", "--config", str(config),
+               "--report", str(report)]
+    # a source tree from before the option runs without it
+    if "--progress" in (src / "zfock" / "cli.py").read_text():
+        command.append("--progress")
     errors = work / f"stderr_{N}_{K}.txt"
     with open(errors, "w") as err:
         t0 = time.monotonic()
-        proc = subprocess.Popen([sys.executable, "-m", "zfock.cli", "verify", "--config",
-                                 str(config), "--report", str(report)], env=env,
-                                stdout=subprocess.DEVNULL, stderr=err, preexec_fn=limit)
+        proc = subprocess.Popen(command, env=env, stdout=subprocess.DEVNULL, stderr=err,
+                                preexec_fn=limit)
         timed_out = False
         while True:
             # wait4 gives this child's own rusage, not the maximum over all children
@@ -113,9 +133,11 @@ def run_case(src: Path, N: int, K: int, work: Path) -> dict:
         wall = time.monotonic() - t0
     proc.returncode = os.waitstatus_to_exitcode(status)
     stderr = errors.read_text(errors="replace")
+    checks = progress_lines(stderr)
     row = {"N": N, "K": K, "wall_s": round(wall, 2),
            "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),
-           "exit_code": proc.returncode}
+           "exit_code": proc.returncode, "last_check": checks[-1] if checks else None,
+           "slowest": sorted(checks, key=lambda c: -c["seconds"])[:3]}
     if timed_out:
         row["status"] = "timeout"
     elif "MemoryError" in stderr or proc.returncode < 0:

@@ -15,12 +15,13 @@ configuration or file errors.
 from __future__ import annotations
 
 import argparse
+import resource
 import sys
 
 from .config import ConfigError, parse_config, scattering_config
 from .expansion import extract_family, reconstruct
 from .io import load_family, load_form, save_family, save_form
-from .suites import Report, run_suites
+from .suites import CheckRecord, Report, run_suites
 from .warped import SkewSymmetricQ, q_commutator, warp
 
 
@@ -41,9 +42,16 @@ def _format_table(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _print_progress(record: CheckRecord) -> None:
+    """One stderr line per check: suite, check, status, seconds and the peak RSS so far."""
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    print(f"progress {record.suite} {record.check} {record.status} "
+          f"{record.seconds:.3f} s {peak_mb:.1f} MB", file=sys.stderr, flush=True)
+
+
 def _cmd_verify(args) -> int:
     cfg = _load_config(args.config)
-    report = run_suites(cfg)
+    report = run_suites(cfg, _print_progress if args.progress else None)
     payload = report.to_json() if args.json else report.to_csv()
     if args.report:
         with open(args.report, "w") as fh:
@@ -120,6 +128,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="write the report to this path")
     p.add_argument("--json", action="store_true",
                    help="emit the report as JSON instead of CSV")
+    p.add_argument("--progress", action="store_true",
+                   help="print one line per check to stderr: suite, check, status, "
+                        "seconds and the peak RSS so far")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("expand", help="extract the coefficient family of a form")

@@ -21,6 +21,7 @@ import math
 import time
 import warnings
 from dataclasses import asdict, dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -48,8 +49,8 @@ from .warped import (GROUPING_RTOL, GroupingWarning, SkewSymmetricQ, _orbit_mome
 from .zops import (KernelTensor, OrbitKernel, QuadraticForm, _gather, _orbit_merge,
                    annihilator_form, annihilate, compress_kernel, create, creator_form,
                    cross_norms, dense_kernel, form_residual, identity_form, kernel_adjoint,
-                   orbit_dimension, orbit_weights, peak_abs, peak_weights, point_ladder,
-                   qform_norms, s_symmetry_residual, symmetric_isometry, symmetrize,
+                   monomial_norms, orbit_dimension, orbit_weights, peak_abs, peak_weights,
+                   point_ladder, qform_norms, s_symmetry_residual, symmetric_isometry, symmetrize,
                    weighted_norms, zmzn_form)
 
 _TINY = 1e-300
@@ -513,23 +514,23 @@ def check_creator_weight_bound(model: ScatteringModel, grid: RapidityGrid,
 
 
 def _monomial_draws(model: ScatteringModel, grid: RapidityGrid, truncation: int,
-                    rngs) -> list[tuple[KernelTensor, QuadraticForm]]:
-    """Kernel and monomial of each instance, the degrees cycling (1,1), (2,1), (1,2), (2,2).
+                    rngs) -> tuple[list[KernelTensor], list[tuple[list[int], QuadraticForm]]]:
+    """Kernel of each instance, the degrees cycling (1,1), (2,1), (1,2), (2,2), and the monomials.
 
     The compressed kernels of one degree are stacked into one batched
-    monomial; the monomial of an instance is its slice.
+    monomial; each monomial comes with its instances idx, batch index j
+    being instance idx[j].
     """
     degrees = _degree_cycle([(1, 1), (2, 1), (1, 2), (2, 2)], truncation)
     kernels = [random_kernel(grid, m, n, rng) for (m, n), rng in zip(degrees, rngs)]
     of_degree: dict[tuple[int, int], list[int]] = {}
     for i, f in enumerate(kernels):
         of_degree.setdefault((f.m, f.n), []).append(i)
-    monomials = {}
+    monomials = []
     for (m, n), idx in of_degree.items():
         stack = np.stack([compress_kernel(model, grid, kernels[i]).values for i in idx])
-        F = zmzn_form(model, OrbitKernel(m, n, stack), grid, truncation)
-        monomials.update((i, F.batch(j)) for j, i in enumerate(idx))
-    return [(f, monomials[i]) for i, f in enumerate(kernels)]
+        monomials.append((idx, zmzn_form(model, OrbitKernel(m, n, stack), grid, truncation)))
+    return kernels, monomials
 
 
 def check_monomial_source_bound(model: ScatteringModel, grid: RapidityGrid,
@@ -537,23 +538,24 @@ def check_monomial_source_bound(model: ScatteringModel, grid: RapidityGrid,
                                 count: int) -> float:
     """Monomial acting on damped sources, against the weighted kernel norm."""
     K = truncation
-    draws = _monomial_draws(model, grid, K,
-                            _instances(seed, "monomial_source_bound", count))
-    fws = cross_norms([f for f, _ in draws], grid, omega)
+    kernels, monomials = _monomial_draws(model, grid, K,
+                                         _instances(seed, "monomial_source_bound", count))
+    fws = cross_norms(kernels, grid, omega)
     wminus = [orbit_weights(model, grid, omega, j, -1) for j in range(K + 1)]
-    blocks, spans = [], []
-    for f, F in draws:
-        m, n = f.m, f.n
-        kmax = K if m <= n else K - (m - n)
-        spans.append(range(n, kmax + 1))
-        blocks += [(F.orbit_block(j - n + m, j), None, wminus[j]) for j in range(n, kmax + 1)]
-    norms = iter(weighted_norms(blocks))
+    # every block (j - n + m, j) of a monomial, one norm per instance of its degree
+    blocks, keys = [], []
+    for idx, F in monomials:
+        for (_, j), C in F.orbit_blocks.items():
+            blocks.append((C, None, wminus[j]))
+            keys += [(i, j) for i in idx]
+    sig: list[dict[int, float]] = [{} for _ in kernels]
+    for (i, j), norm in zip(keys, weighted_norms(blocks)):
+        sig[i][j] = norm
     res = 0.0
-    for (f, _), fw, js in zip(draws, fws, spans):
+    for f, fw, s in zip(kernels, fws, sig):
         m, n = f.m, f.n
-        sig = {j: next(norms) for j in js}
-        for k in js:
-            lhs = max(sig[j] for j in range(n, k + 1))
+        for k in s:
+            lhs = max(s[j] for j in range(n, k + 1))
             c = 2.0 * math.sqrt(math.factorial(k) * math.factorial(k - n + m)) \
                 / math.factorial(k - n)
             res = max(res, _excess(lhs, c * fw))
@@ -565,12 +567,16 @@ def check_monomial_sector_bound(model: ScatteringModel, grid: RapidityGrid,
                                 count: int) -> float:
     """Sector-restricted form norm of a monomial against the kernel norm."""
     K = truncation
-    draws = _monomial_draws(model, grid, K,
-                            _instances(seed, "monomial_sector_bound", count))
-    fws = cross_norms([f for f, _ in draws], grid, omega)
-    form_norms = qform_norms(model, [F for _, F in draws], omega)
+    kernels, monomials = _monomial_draws(model, grid, K,
+                                         _instances(seed, "monomial_sector_bound", count))
+    fws = cross_norms(kernels, grid, omega)
+    form_norms: list[list[float]] = [[] for _ in kernels]
+    for (idx, _), norms in zip(monomials, monomial_norms(model, [F for _, F in monomials],
+                                                         omega)):
+        for i, row in zip(idx, norms.tolist()):
+            form_norms[i] = row
     res = 0.0
-    for (f, _), fw, norms in zip(draws, fws, form_norms):
+    for f, fw, norms in zip(kernels, fws, form_norms):
         top = max(f.m, f.n)
         for k in range(top, K + 1):
             c = 2.0 * math.factorial(k) / math.factorial(k - top)
@@ -1559,27 +1565,34 @@ def _exc_note(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def run_suites(cfg: RunConfig) -> Report:
+def run_suites(cfg: RunConfig,
+               progress: Callable[[CheckRecord], None] | None = None) -> Report:
     """Run the selected suites serially, gating everything on the model check.
 
     A scattering model that cannot be built, or that fails ``model_axioms``,
     invalidates every later identity, so the remaining checks are recorded
     as skipped rather than run against a broken factor.  Tolerance
     overrides naming no check raise ConfigError before anything runs.
+    ``progress``, when given, is called with each record as it is made.
     """
     unknown = sorted(set(cfg.tolerances) - _SUITE_OF.keys())
     if unknown:
         raise ConfigError([f"tolerances name unknown checks {unknown!r}"])
 
     report = Report()
+
+    def record(*fields) -> None:
+        report.records.append(CheckRecord(*fields))
+        if progress is not None:
+            progress(report.records[-1])
+
     t0 = time.perf_counter()
     try:
         model = cfg.build_model()
     except Exception as exc:
         model = None
-        report.records.append(CheckRecord(
-            *_GATE, "fail", float("inf"), cfg.tolerance("model_axioms", _EXACT),
-            time.perf_counter() - t0, _exc_note(exc)))
+        record(*_GATE, "fail", float("inf"), cfg.tolerance("model_axioms", _EXACT),
+               time.perf_counter() - t0, _exc_note(exc))
     gate_failed = model is None
 
     for suite in (s for s in SUITES if s in cfg.suites):
@@ -1588,8 +1601,7 @@ def run_suites(cfg: RunConfig) -> Report:
             if gate_failed:
                 # the gate row was recorded when the model failed to build
                 if (suite, name) != _GATE:
-                    report.records.append(CheckRecord(suite, name, "skipped", None,
-                                                      tol, 0.0, "fail-fast"))
+                    record(suite, name, "skipped", None, tol, 0.0, "fail-fast")
                 continue
             t0 = time.perf_counter()
             residual: float | None
@@ -1610,9 +1622,7 @@ def run_suites(cfg: RunConfig) -> Report:
                     inspect.unwrap(fn, stop=lambda f: hasattr(f, "cache_clear")).cache_clear()
             except Exception as exc:
                 residual, status, note = float("inf"), "fail", _exc_note(exc)
-            report.records.append(CheckRecord(
-                suite, name, status, residual, tol,
-                time.perf_counter() - t0, note))
+            record(suite, name, status, residual, tol, time.perf_counter() - t0, note)
             if (suite, name) == _GATE and status == "fail":
                 gate_failed = True
     return report

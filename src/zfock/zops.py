@@ -33,7 +33,10 @@ Each batch index of the result equals the unbatched call to the bit.
 Every spectral norm is one of :func:`weighted_norms`, which takes a list
 of weighted matrices, maybe stacked, in batched SVDs per matrix shape
 (:func:`_spectral_norms`); a compressed block is weighted by
-:func:`orbit_weights`.  :func:`cross_norms` and :func:`qform_norms` use it.
+:func:`orbit_weights`.  :func:`cross_norms`, :func:`monomial_norms` and
+:func:`qform_norms` use it: a monomial's sector norms are read from its
+blocks, which form a direct sum, and only a general form is laid out over
+the orbits of sectors 0..K.
 :func:`symmetrize` projects a tensor, or a contiguous block of its
 slots, as V V^H, an orbit sum and a gather.  No N**n x N**n symmetrizer
 is formed.
@@ -750,7 +753,9 @@ def qform_norms(model: ScatteringModel, forms: Sequence[QuadraticForm],
     is the norm of A W and W A over all tuples.  Each form is laid out once,
     over the orbits of sectors 0 to its truncation, and sectors 0..n are a
     leading principal block of it.  All the norms are taken in one
-    :func:`weighted_norms` call.
+    :func:`weighted_norms` call.  This is for general forms, such as the
+    random forms of ``coefficient_bound``; the blocks of a monomial form a
+    direct sum, whose norms :func:`monomial_norms` takes without the layout.
     """
     weights: dict[tuple[RapidityGrid, int], tuple[np.ndarray, np.ndarray]] = {}
     terms = []
@@ -768,3 +773,43 @@ def qform_norms(model: ScatteringModel, forms: Sequence[QuadraticForm],
             terms += [(C[:d, :d], None, w[:d]), (C[:d, :d], w[:d], None)]
     norms = iter(_halved_pair_sums(weighted_norms(terms)))
     return [[next(norms) for _ in range(A.truncation + 1)] for A in forms]
+
+
+def monomial_norms(model: ScatteringModel, forms: Sequence[QuadraticForm],
+                   omega: Indicatrix) -> list[np.ndarray]:
+    """The :func:`qform_norms` of each monomial, read from its blocks.
+
+    The blocks (l, k) of a monomial z†^m z^n all have l - k = m - n, so each
+    sector holds the rows of at most one block and the columns of at most
+    one: the layout over sectors 0..n is the direct sum of the blocks with
+    max(l, k) <= n, after permuting rows and columns, and the weights are
+    diagonal per sector.  So the sector-n norm is half the sum of the
+    largest |C diag(w_k)| and the largest |diag(w_l) C| over those blocks:
+    one SVD per block and side, none of the layout.  It equals
+    :func:`qform_norms` in exact arithmetic, not to the bit.  A form may
+    carry batch axes; its norms have shape (*batch, truncation + 1).  All
+    the norms are taken in one :func:`weighted_norms` call.
+    """
+    terms, shapes = [], []
+    for A in forms:
+        _require_model(model, A)
+        if len({l - k for l, k in A.orbit_blocks}) > 1:
+            raise ValueError("form is not a monomial: its blocks differ in l - k")
+        w = [orbit_weights(model, A.grid, omega, j, -1) for j in range(A.truncation + 1)]
+        shape = np.broadcast_shapes(*(C.shape[:-2] for C in A.orbit_blocks.values()))
+        for (l, k), C in A.orbit_blocks.items():
+            C = np.broadcast_to(C, shape + C.shape[-2:])
+            terms += [(C, None, w[k]), (C, w[l], None)]
+        shapes.append(shape)
+    norms = np.asarray(weighted_norms(terms))
+    out, at = [], 0
+    for A, shape in zip(forms, shapes):
+        size = math.prod(shape)
+        # the largest norm of each side over the blocks that enter at sector n
+        top = np.zeros((A.truncation + 1, 2, size))
+        for l, k in A.orbit_blocks:
+            top[max(l, k)] = norms[at:at + 2 * size].reshape(2, size)
+            at += 2 * size
+        top = np.maximum.accumulate(top, axis=0)
+        out.append((0.5 * (top[:, 0] + top[:, 1])).T.reshape(shape + (A.truncation + 1,)))
+    return out

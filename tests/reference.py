@@ -577,9 +577,20 @@ def loop_monomial_sector_bound(model, grid, truncation, omega, seed, count):
         f = random_kernel(grid, m, n, rng)
         F = zmzn_form(model, compress_kernel(model, grid, f), grid, K)
         fw = cross_norm(f, grid, omega)
+        # one norm per block and side; sector k sees the blocks inside sectors 0..k
+        right, left = {}, {}
+        for l, j in F.orbit_blocks:
+            wl = energy_weights(grid, omega, l, -1)
+            wr = energy_weights(grid, omega, j, -1)
+            right[max(l, j)] = sector_norm(model, grid, F.orbit_block(l, j), l, j,
+                                           np.ones(grid.size**l), wr)
+            left[max(l, j)] = sector_norm(model, grid, F.orbit_block(l, j), l, j,
+                                          wl, np.ones(grid.size**j))
         for k in range(max(m, n), K + 1):
+            lhs = 0.5 * (max(v for d, v in right.items() if d <= k)
+                         + max(v for d, v in left.items() if d <= k))
             c = 2.0 * math.factorial(k) / math.factorial(k - max(m, n))
-            res = max(res, suites._excess(qform_norm(model, F, k, omega), c * fw))
+            res = max(res, suites._excess(lhs, c * fw))
     return res
 
 

@@ -74,6 +74,27 @@ def test_verify_reports_are_deterministic(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_progress_lines_leave_stdout_and_csv_unchanged(tmp_path, capsys):
+    cfg = write_config(tmp_path, base_config())
+    runs = []
+    for flags in ([], ["--progress"]):
+        report = tmp_path / f"report{len(flags)}.csv"
+        assert main(["verify", "--config", str(cfg), "--report", str(report), *flags]) == 0
+        captured = capsys.readouterr()
+        runs.append((captured.out, report.read_bytes(), captured.err))
+    (out, csv, err), (out_p, csv_p, err_p) = runs
+    assert out_p == out and csv_p == csv
+    assert err == ""
+    rows = csv.decode().splitlines()[1:]
+    lines = err_p.splitlines()
+    assert len(lines) == len(rows)
+    for line, row in zip(lines, rows):
+        word, suite, check, status, seconds, s, peak, mb = line.split()
+        assert (word, s, mb) == ("progress", "s", "MB")
+        assert [suite, check, status] == row.split(",")[:3]
+        assert float(seconds) >= 0.0 and float(peak) > 0.0
+
+
 def test_verify_json_output(tmp_path, capsys):
     cfg = write_config(tmp_path, base_config())
     assert main(["verify", "--config", str(cfg), "--json"]) == 0

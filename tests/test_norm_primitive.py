@@ -2,8 +2,8 @@
 
 ``zops.weighted_norms`` takes the norms of diag(wl) M diag(wr) for a list
 of terms; it alone calls ``zops._spectral_norms``, the batched SVD, so
-``cross_norms``, ``qform_norms`` and the norm-bound checks of ``suites``
-are its users.  The weights of a compressed block are the energy weights
+``cross_norms``, ``qform_norms``, ``monomial_norms`` and the norm-bound
+checks of ``suites`` are its users.  The weights of a compressed block are the energy weights
 read at the orbit representatives, and ``zops.orbit_weights`` alone reads
 them there: no other function under ``src/`` indexes a call of
 ``energy_weights``.
